@@ -25,7 +25,11 @@
 #                    (the harness determinism contract). Also the
 #                    sampling demo (docs/SAMPLING.md): a sampled fig7
 #                    subset must be >= 3x faster than full detail with
-#                    every cell's IPC within 2%
+#                    every cell's IPC within 2%. Finally
+#                    `lsqbench/run.py --smoke` runs every benchmark
+#                    workload at smoke size and checks its outputs
+#                    against the committed lsqbench/expected/smoke.json
+#                    digests
 #   6. trace-smoke — LSQ_TRACE=ON build + ctest; traced runs must be
 #                    bit-identical to untraced runs across three design
 #                    points, the Konata export must round-trip, and
@@ -53,19 +57,10 @@
 #                    with signal/heartbeat provenance — and a --resume
 #                    from the journal must reproduce the clean output
 #                    byte for byte
-#   9. serve-smoke — the lsqd service end to end (docs/SERVICE.md):
-#                    a daemon-served fig7 sweep must be byte-identical
-#                    to the batch bench (journal and JSON document), a
-#                    resubmitted fast-forward request must be served
-#                    from the warmed checkpoint cache measurably
-#                    faster, SIGKILLing an in-flight worker child must
-#                    poison exactly that cell while the service keeps
-#                    running, and a detached submit must stream its
-#                    complete journal to a later attach
-#  10. lint        — the lsqlint analyzer (scripts/lint.py) standalone
-#                    (also a ctest in every flavor above, so this is a
-#                    fast final recheck)
-#  11. analyze     — deep static-analysis pass (docs/STATIC_ANALYSIS.md):
+#   9. lint        — the lsqlint analyzer (python3 -m tools.lsqlint)
+#                    standalone (also a ctest in every flavor above, so
+#                    this is a fast final recheck)
+#  10. analyze     — deep static-analysis pass (docs/STATIC_ANALYSIS.md):
 #                    full lsqlint run with the JSON report parsed and
 #                    required clean, the tests/lintfix fixture
 #                    self-test, and clang-tidy over
@@ -101,18 +96,14 @@ banner "flavor: checker (fig7_sq_speedup bench under the oracle)"
 LSQSCALE_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}" \
     ./build-ci-checker/bench/fig7_sq_speedup
 
-banner "flavor: tsan (harness/obs/sample/metrics/serve tests under ThreadSanitizer)"
+banner "flavor: tsan (harness/obs/sample/metrics tests under ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DLSQ_TSAN=ON >/dev/null
 cmake --build build-ci-tsan -j "$JOBS" \
-    --target harness_test obs_test sample_test metrics_test serve_test
+    --target harness_test obs_test sample_test metrics_test
 ./build-ci-tsan/tests/harness_test
 ./build-ci-tsan/tests/obs_test
 ./build-ci-tsan/tests/sample_test
 ./build-ci-tsan/tests/metrics_test
-# The cache pin/unpin protocol and the concurrent-executor daemon
-# paths are exactly the races TSan exists to catch; the long
-# single-threaded protocol sweeps stay in the release flavor.
-./build-ci-tsan/tests/serve_test --gtest_filter='CkptCacheTest.*:ReqlogTest.*:ServeDaemonTest.ConcurrentExecutorsShareTheCacheBitIdentically:ServeDaemonTest.CancelMidRunPoisonsOnlyThatRequest:ServeDaemonTest.OverloadedSubmitsGetARetryHintThenSucceed'
 
 banner "flavor: mcm-smoke (litmus grid under the oracle, TSan, probe bit-identity)"
 MCM_DIR="build-ci-release/mcm-smoke"
@@ -199,6 +190,12 @@ python3 scripts/check_sampling.py \
     "$SMOKE_DIR/full/BENCH_fig7_sq_speedup.json" \
     "$SMOKE_DIR/sampled/BENCH_fig7_sq_speedup.json" \
     --min-speedup 3.0 --max-cell-error 2.0
+
+banner "flavor: bench-smoke (lsqbench workloads match committed digests)"
+# Every lsqbench workload at smoke size, untraced and traced; the
+# simulated outputs must match lsqbench/expected/smoke.json, so a
+# change to simulated results fails here rather than in the benchmark.
+python3 lsqbench/run.py --smoke
 
 banner "flavor: trace-smoke (tracing on, timing bit-identical)"
 run_flavor trace -DLSQ_TRACE=ON
@@ -400,173 +397,8 @@ fi
 python3 scripts/check_crash_smoke.py check-corrupt \
     "$CRASH_DIR/corrupt/BENCH_fig7_sq_speedup.json"
 
-banner "flavor: serve-smoke (daemon vs batch byte-identity, warm cache, kill containment)"
-SERVE_DIR="build-ci-release/serve-smoke"
-SERVE_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}"
-SERVE_SOCK="${TMPDIR:-/tmp}/lsqd-ci-$$.sock"
-LSQD=./build-ci-release/tools/lsqd
-LSQCTL=./build-ci-release/tools/lsqctl
-rm -rf "$SERVE_DIR" "$SERVE_SOCK" "$SERVE_SOCK.cache" "$SERVE_SOCK.spool"
-mkdir -p "$SERVE_DIR/batch" "$SERVE_DIR/served"
-SERVE_PID=""
-trap '[ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null; rm -f "$SERVE_SOCK"' EXIT
-
-serve_wait_ready() {
-    for _ in $(seq 1 200); do
-        if "$LSQCTL" --socket "$SERVE_SOCK" status >/dev/null 2>&1; then
-            return 0
-        fi
-        sleep 0.05
-    done
-    echo "serve-smoke: daemon never came up on $SERVE_SOCK" >&2
-    return 1
-}
-
-# --- cold byte-identity: a daemon-served fig7 grid vs the batch bench.
-# The daemon inherits the same LSQSCALE_INSTS override the batch run
-# uses, so both paths materialize identical effective configs.
-LSQSCALE_INSTS="$SERVE_INSTS" \
-    "$LSQD" --socket "$SERVE_SOCK" --cache-dir "$SERVE_SOCK.cache" &
-SERVE_PID=$!
-serve_wait_ready
-
-LSQSCALE_BENCH="bzip,gcc" LSQSCALE_INSTS="$SERVE_INSTS" \
-    LSQSCALE_JOBS=2 LSQSCALE_JOURNAL="$SERVE_DIR/batch" \
-    LSQSCALE_JSON_DIR="$SERVE_DIR/batch" \
-    ./build-ci-release/bench/fig7_sq_speedup \
-    >"$SERVE_DIR/batch/table.txt" 2>/dev/null
-"$LSQCTL" --socket "$SERVE_SOCK" submit --name fig7_sq_speedup \
-    --config base,perfect,aggressive,pair --bench bzip,gcc \
-    --insts 300000 --jobs 2 \
-    --journal "$SERVE_DIR/served/JOURNAL_fig7_sq_speedup.journal" \
-    --json "$SERVE_DIR/served/BENCH_fig7_sq_speedup.json" --quiet \
-    >/dev/null
-./build-ci-release/tools/lsqjournal merge --strip-seconds \
-    "$SERVE_DIR/batch/canonical.journal" \
-    "$SERVE_DIR/batch/JOURNAL_fig7_sq_speedup.journal"
-./build-ci-release/tools/lsqjournal merge --strip-seconds \
-    "$SERVE_DIR/served/canonical.journal" \
-    "$SERVE_DIR/served/JOURNAL_fig7_sq_speedup.journal"
-cmp "$SERVE_DIR/batch/canonical.journal" \
-    "$SERVE_DIR/served/canonical.journal"
-python3 scripts/check_serve_smoke.py json-identical \
-    "$SERVE_DIR/batch/BENCH_fig7_sq_speedup.json" \
-    "$SERVE_DIR/served/BENCH_fig7_sq_speedup.json"
-
-# --- warm cache: the second identical fast-forward submission must be
-# served from the checkpoint cache (faster, hits > 0, bit-identical).
-python3 scripts/check_serve_smoke.py warm \
-    --lsqctl "$LSQCTL" --socket "$SERVE_SOCK" --workdir "$SERVE_DIR"
-
-"$LSQCTL" --socket "$SERVE_SOCK" shutdown >/dev/null
-wait "$SERVE_PID"
-SERVE_PID=""
-rm -f "$SERVE_SOCK"
-
-# --- kill containment: restart without the insts override (long
-# cells give the kill a wide window), SIGKILL one in-flight worker
-# child, and exactly that cell must come back poisoned with signal
-# provenance while the other cells and the daemon itself are fine.
-"$LSQD" --socket "$SERVE_SOCK" --cache-dir "$SERVE_SOCK.cache" &
-SERVE_PID=$!
-serve_wait_ready
-
-KILL_ID=$("$LSQCTL" --socket "$SERVE_SOCK" submit --name kill_smoke \
-    --config base,perfect --bench bzip,gcc --insts 400000 \
-    --jobs 1 --detach)
-WORKER=""
-for _ in $(seq 1 400); do
-    WORKER=$(pgrep -P "$SERVE_PID" | head -n1 || true)
-    [ -n "$WORKER" ] && break
-    sleep 0.01
-done
-if [ -z "$WORKER" ]; then
-    echo "serve-smoke: no worker child appeared to kill" >&2
-    exit 1
-fi
-kill -9 "$WORKER"
-rc=0
-"$LSQCTL" --socket "$SERVE_SOCK" results "$KILL_ID" \
-    >"$SERVE_DIR/killed.json" || rc=$?
-if [ "$rc" -eq 0 ]; then
-    echo "serve-smoke: results of a poisoned request exited 0" >&2
-    exit 1
-fi
-python3 scripts/check_serve_smoke.py check-killed "$SERVE_DIR/killed.json"
-
-# --- detach/attach: a detached submit's journal must stream complete
-# to a later attach and verify as a clean journal.
-DETACH_ID=$("$LSQCTL" --socket "$SERVE_SOCK" submit --name detach_smoke \
-    --config base --bench bzip,gcc --insts 5000 --detach)
-"$LSQCTL" --socket "$SERVE_SOCK" attach "$DETACH_ID" \
-    --journal "$SERVE_DIR/detach.journal" --quiet >/dev/null
-./build-ci-release/tools/lsqjournal verify "$SERVE_DIR/detach.journal"
-
-"$LSQCTL" --socket "$SERVE_SOCK" shutdown >/dev/null
-wait "$SERVE_PID"
-SERVE_PID=""
-rm -f "$SERVE_SOCK"
-
-# --- burst admission: with both executor slots held by hogs, a
-# surplus submit without retries must bounce with an Overloaded hint,
-# and the same submit with backoff armed must land once a hog is
-# cancelled (docs/SERVICE.md failure matrix).
-"$LSQD" --socket "$SERVE_SOCK" --cache-dir "$SERVE_SOCK.cache" \
-    --executors 2 --max-queue 2 \
-    --spool-dir "$SERVE_DIR/burst.spool" &
-SERVE_PID=$!
-serve_wait_ready
-python3 scripts/check_serve_smoke.py burst \
-    --lsqctl "$LSQCTL" --socket "$SERVE_SOCK" --workdir "$SERVE_DIR"
-"$LSQCTL" --socket "$SERVE_SOCK" shutdown >/dev/null
-wait "$SERVE_PID"
-SERVE_PID=""
-rm -f "$SERVE_SOCK"
-
-# --- durable restart: SIGKILL the daemon itself mid-grid. A restart
-# on the same spool must re-adopt the journaled request, finish it,
-# and serve the complete journal to a backoff-armed attach.
-rm -rf "$SERVE_DIR/restart.spool"
-"$LSQD" --socket "$SERVE_SOCK" --cache-dir "$SERVE_SOCK.cache" \
-    --spool-dir "$SERVE_DIR/restart.spool" &
-SERVE_PID=$!
-serve_wait_ready
-RESTART_ID=$("$LSQCTL" --socket "$SERVE_SOCK" submit \
-    --name restart_smoke --config base,perfect --bench bzip \
-    --insts 400000 --jobs 1 --detach)
-WORKER=""
-for _ in $(seq 1 400); do
-    WORKER=$(pgrep -P "$SERVE_PID" | head -n1 || true)
-    [ -n "$WORKER" ] && break
-    sleep 0.01
-done
-if [ -z "$WORKER" ]; then
-    echo "serve-smoke: restart request never started a worker" >&2
-    exit 1
-fi
-kill -9 "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
-rm -f "$SERVE_SOCK"
-"$LSQD" --socket "$SERVE_SOCK" --cache-dir "$SERVE_SOCK.cache" \
-    --spool-dir "$SERVE_DIR/restart.spool" &
-SERVE_PID=$!
-serve_wait_ready
-LSQSCALE_CLIENT_RETRIES=20 LSQSCALE_CLIENT_BACKOFF_MS=100 \
-    "$LSQCTL" --socket "$SERVE_SOCK" attach "$RESTART_ID" \
-    --journal "$SERVE_DIR/restart.journal" --quiet >/dev/null
-./build-ci-release/tools/lsqjournal verify "$SERVE_DIR/restart.journal"
-python3 scripts/check_serve_smoke.py check-restart \
-    --lsqctl "$LSQCTL" --socket "$SERVE_SOCK" --id "$RESTART_ID"
-
-"$LSQCTL" --socket "$SERVE_SOCK" shutdown >/dev/null
-wait "$SERVE_PID"
-SERVE_PID=""
-trap - EXIT
-rm -f "$SERVE_SOCK"
-
 banner "flavor: lint"
-python3 scripts/lint.py
+python3 -m tools.lsqlint
 
 banner "flavor: analyze (full lsqlint pass, JSON report required clean)"
 python3 -m tools.lsqlint --no-cache --json-out build-ci-release/lsqlint.json

@@ -3,7 +3,7 @@
  * Fixed-size thread pool for independent simulation jobs.
  *
  * This is the only place in the repository allowed to construct
- * threads (enforced by scripts/lint.py, rule raw-thread): everything
+ * threads (enforced by tools/lsqlint, rule raw-thread): everything
  * that wants concurrency goes through JobPool so there is exactly one
  * queue, one shutdown protocol, and one set of invariants to audit.
  *

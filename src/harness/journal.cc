@@ -280,67 +280,6 @@ readJournal(const std::string &path, JournalContents &out,
     return true;
 }
 
-bool
-readJournalRaw(const std::string &path,
-               std::vector<std::string> &payloads, bool &truncated,
-               std::string &error)
-{
-    ScopedHostPhase prof(HostPhase::JournalIo);
-    std::string bytes;
-    if (!loadJournalBytes(path, bytes, error))
-        return false;
-
-    payloads.clear();
-    truncated = false;
-    std::size_t pos = sizeof(kJournalMagic);
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < 8) {
-            truncated = true;
-            break;
-        }
-        SerialReader head(bytes.data() + pos, 8);
-        std::uint32_t len = head.u32();
-        std::uint32_t crc = head.u32();
-        if (len > kMaxJournalRecordBytes ||
-            bytes.size() - pos - 8 < len) {
-            truncated = true;
-            break;
-        }
-        const char *payload = bytes.data() + pos + 8;
-        if (crc32(payload, len) != crc) {
-            truncated = true;
-            break;
-        }
-        payloads.emplace_back(payload, len);
-        pos += 8 + len;
-    }
-    return true;
-}
-
-// ------------------------------------------------- canonical write --
-
-bool
-writeJournalFile(const std::string &path,
-                 const JournalContents &contents, std::string &error)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-        error = strfmt("cannot create journal %s", path.c_str());
-        return false;
-    }
-    std::string bytes(kJournalMagic, sizeof(kJournalMagic));
-    bytes += frameJournalRecord(encodeSweepBeginRecord(
-        contents.name, contents.configLabels, contents.benchmarks));
-    for (const JournalCell &cell : contents.cells)
-        bytes += frameJournalRecord(encodeCellRecord(cell));
-    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-              bytes.size();
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok)
-        error = strfmt("short write to journal %s", path.c_str());
-    return ok;
-}
-
 // ----------------------------------------------------------- writer --
 
 JournalWriter::JournalWriter(std::string path, bool append)

@@ -49,8 +49,7 @@ inline constexpr char kJournalMagic[8] = {'L', 'S', 'Q', 'J',
                                           'R', 'N', 'L', '1'};
 
 /**
- * Upper bound on one record payload, matching the serve-protocol frame
- * cap: a journal record always fits in one lsqd Record frame. The
+ * Upper bound on one record payload, far above any real record. The
  * reader treats a larger declared length as a torn tail even when the
  * file happens to be big enough to hold it — a crafted or corrupted
  * u32 len must never drive a multi-gigabyte allocation.
@@ -95,26 +94,7 @@ struct JournalContents
 bool readJournal(const std::string &path, JournalContents &out,
                  std::string &error);
 
-/**
- * Walk @p path like readJournal() but return the raw record payloads
- * in file order, undecoded and un-deduplicated. This is the emission
- * order a JournalWriter saw, which is exactly the order lsqd streamed
- * the records — a restarted daemon re-adopting a request replays this
- * sequence to rebuild its record array with the original stream
- * indices intact, so a client's Attach(fromIndex) resume stays valid
- * across the restart. Same failure contract as readJournal().
- */
-bool readJournalRaw(const std::string &path,
-                    std::vector<std::string> &payloads, bool &truncated,
-                    std::string &error);
-
 // ------------------------------------------------- record codecs ----
-//
-// The journal's record payloads double as the lsqd streaming format
-// (docs/SERVICE.md): the daemon ships each finished cell to clients as
-// the exact bytes a JournalWriter would append, so a client can tee
-// the stream straight into a journal file and replay it with the same
-// reader.
 
 /** Encode a SweepBegin payload (record type 1). */
 std::string encodeSweepBeginRecord(
@@ -152,16 +132,6 @@ class JournalAccumulator
     JournalContents meta_;
     std::map<std::pair<std::size_t, std::size_t>, JournalCell> cells_;
 };
-
-/**
- * Write @p contents to @p path as a canonical journal: magic, one
- * SweepBegin record, then every cell in (row, col) order. The output
- * of merging/canonicalizing journals; round-trips through
- * readJournal() and `lsqjournal verify`.
- */
-bool writeJournalFile(const std::string &path,
-                      const JournalContents &contents,
-                      std::string &error);
 
 /**
  * ResultSink that appends one record per finished cell, flushed

@@ -4,12 +4,11 @@
  *
  * This is the instrument layer for ROADMAP item 1 ("where do the
  * *host* cycles go"): named counters, gauges, and fixed-bucket latency
- * histograms that both the batch simulator and the lsqd daemon update
- * from hot paths. Updates are single relaxed atomic RMWs — safe from
- * JobPool workers and daemon threads alike, and cheap enough that the
- * registry stays on unconditionally (the metrics-smoke CI flavor
- * proves the overhead bound and that metrics never change simulated
- * output).
+ * histograms that the simulator updates from hot paths. Updates are
+ * single relaxed atomic RMWs — safe from concurrent JobPool workers,
+ * and cheap enough that the registry stays on unconditionally (the
+ * metrics-smoke CI flavor proves the overhead bound and that metrics
+ * never change simulated output).
  *
  * Unlike StatSet (per-run *simulated* statistics, serialized into
  * checkpoints and results), this registry describes the host process:

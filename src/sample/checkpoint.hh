@@ -92,10 +92,8 @@ std::uint64_t functionalFingerprint(const SimConfig &config);
 
 /**
  * Serialize @p core (which must be quiescent) to a complete
- * lsqscale-ckpt-v1 image — header, CRC, payload — in memory. The
- * byte-buffer form exists for consumers that move checkpoints through
- * something other than a file (the lsqd warmed-checkpoint cache, a
- * future network shard); saveCheckpoint() is this plus one write.
+ * lsqscale-ckpt-v1 image — header, CRC, payload — in memory;
+ * saveCheckpoint() is this plus one write.
  * Throws SerialError on unserializable state.
  */
 std::string saveCheckpointToBytes(Core &core, const SimConfig &config);

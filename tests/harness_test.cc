@@ -824,56 +824,6 @@ TEST(JournalTest, OversizedRecordLengthIsATornTailNotAnAllocation)
     ASSERT_TRUE(readJournal(path, j, error)) << error;
     EXPECT_TRUE(j.truncatedTail);
     EXPECT_EQ(j.cells.size(), 1u); // the intact prefix survives
-
-    // The raw walk (daemon re-adoption) applies the same cap.
-    std::vector<std::string> payloads;
-    bool torn = false;
-    ASSERT_TRUE(readJournalRaw(path, payloads, torn, error)) << error;
-    EXPECT_TRUE(torn);
-    EXPECT_EQ(payloads.size(), 2u); // SweepBegin + the one cell
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, RawWalkPreservesEmissionOrder)
-{
-    // readJournalRaw returns payloads exactly as written — including
-    // duplicates readJournal would dedup — because a restarted lsqd
-    // rebuilds its record stream (and the indices attached clients
-    // hold) from this order.
-    std::string path = testing::TempDir() + "/raw.journal";
-    std::remove(path.c_str());
-
-    const std::string begin =
-        encodeSweepBeginRecord("raw_unit", {"base"}, {"bzip"});
-    JournalCell cell;
-    cell.row = 0;
-    cell.col = 0;
-    cell.status = JobStatus::Failed;
-    cell.error = "first try";
-    const std::string first = encodeCellRecord(cell);
-    cell.status = JobStatus::TimedOut;
-    cell.error = "second try";
-    const std::string second = encodeCellRecord(cell);
-
-    {
-        std::ofstream out(path, std::ios::binary);
-        out.write(kJournalMagic, sizeof kJournalMagic);
-        for (const std::string *p : {&begin, &first, &second}) {
-            std::string frame = frameJournalRecord(*p);
-            out.write(frame.data(),
-                      static_cast<std::streamsize>(frame.size()));
-        }
-    }
-
-    std::vector<std::string> payloads;
-    bool torn = true;
-    std::string error;
-    ASSERT_TRUE(readJournalRaw(path, payloads, torn, error)) << error;
-    EXPECT_FALSE(torn);
-    ASSERT_EQ(payloads.size(), 3u);
-    EXPECT_EQ(payloads[0], begin);
-    EXPECT_EQ(payloads[1], first);
-    EXPECT_EQ(payloads[2], second);
     std::remove(path.c_str());
 }
 
@@ -893,14 +843,12 @@ TEST(JournalTest, RejectsNonJournalFiles)
     std::remove(path.c_str());
 }
 
-TEST(JournalTest, MergeUnionsJournalsLaterRecordWins)
+TEST(JournalTest, AccumulatorDuplicateRecordsLaterRecordWins)
 {
-    // The `lsqjournal merge` semantics: feed every record of N
-    // journals of one sweep through a JournalAccumulator (stream
-    // order), canonicalize with writeJournalFile, and the result
-    // round-trips through readJournal. Duplicate (row, col) records
-    // resolve later-record-wins — a machine that retried a cell
-    // overrides an earlier failure.
+    // Feed the records of two runs of one sweep through a
+    // JournalAccumulator in stream order. Duplicate (row, col) records
+    // resolve later-record-wins — a run that retried a cell overrides
+    // an earlier failure.
     const std::string begin =
         encodeSweepBeginRecord("merge_unit", {"base"}, {"bzip", "gcc"});
 
@@ -939,25 +887,6 @@ TEST(JournalTest, MergeUnionsJournalsLaterRecordWins)
     EXPECT_EQ(merged.cells[0].status, JobStatus::Ok);
     EXPECT_EQ(merged.cells[0].attempts, 2u);
     EXPECT_EQ(merged.cells[1].status, JobStatus::TimedOut);
-
-    const std::string path = testing::TempDir() + "/merged.journal";
-    std::remove(path.c_str());
-    ASSERT_TRUE(writeJournalFile(path, merged, error)) << error;
-
-    JournalContents back;
-    ASSERT_TRUE(readJournal(path, back, error)) << error;
-    EXPECT_EQ(back.name, "merge_unit");
-    EXPECT_EQ(back.rows, 1u);
-    EXPECT_EQ(back.cols, 2u);
-    EXPECT_FALSE(back.truncatedTail);
-    ASSERT_EQ(back.cells.size(), 2u);
-    EXPECT_EQ(back.cells[0].row, 0u);
-    EXPECT_EQ(back.cells[0].col, 0u);
-    EXPECT_EQ(back.cells[0].status, JobStatus::Ok);
-    EXPECT_EQ(back.cells[1].col, 1u);
-    EXPECT_EQ(back.cells[1].status, JobStatus::TimedOut);
-    EXPECT_EQ(back.cells[1].error, "hung");
-    std::remove(path.c_str());
 }
 
 TEST(JournalTest, ResumeRerunsOnlyUnfinishedCells)

@@ -393,7 +393,7 @@ TEST(MetricsIsolation, ForkedChildUpdatesStayInTheChild)
         // Child: the copy-on-write registry is private now. Updates
         // must be visible to the child itself and invisible to the
         // parent — the same guarantee the process-isolated sweep
-        // relies on (src/serve/daemon.cc cell jobs).
+        // relies on.
         c.add(1000);
         metrics::counter("lsq_test_fork_child_only_total").add();
         bool ok = c.value() == before + 1000;

@@ -7,21 +7,10 @@
  *                             status/provenance, torn-tail verdict
  *   lsqjournal verify FILE    exit 0 iff the file parses, every cell
  *                             is Ok, and the tail is intact
- *   lsqjournal merge OUT IN...  union N journals of one sweep into a
- *                             canonical OUT, later-record-wins (later
- *                             argument beats earlier); the multi-host
- *                             coordinator path: shard a grid across
- *                             machines, merge the journals, resume or
- *                             render from the union.
- *                             --strip-seconds zeroes per-cell wall
- *                             times for byte-stable comparisons.
  */
 
 #include <cstdio>
-#include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "harness/journal.hh"
 #include "harness/sink.hh"
@@ -32,8 +21,7 @@ int
 usage()
 {
     std::fputs(
-        "usage: lsqjournal inspect FILE | lsqjournal verify FILE |\n"
-        "       lsqjournal merge [--strip-seconds] OUT IN...\n",
+        "usage: lsqjournal inspect FILE | lsqjournal verify FILE\n",
         stderr);
     return 2;
 }
@@ -104,85 +92,14 @@ verify(const std::string &path)
     return 0;
 }
 
-int
-merge(const std::vector<std::string> &args)
-{
-    bool stripSeconds = false;
-    std::vector<std::string> paths;
-    for (const std::string &a : args) {
-        if (a == "--strip-seconds")
-            stripSeconds = true;
-        else
-            paths.push_back(a);
-    }
-    if (paths.size() < 2)
-        return usage();
-    const std::string out = paths.front();
-
-    lsqscale::JournalContents merged;
-    std::map<std::pair<std::size_t, std::size_t>,
-             lsqscale::JournalCell>
-        cells;
-    bool haveShape = false;
-    for (std::size_t i = 1; i < paths.size(); ++i) {
-        lsqscale::JournalContents j;
-        std::string error;
-        if (!lsqscale::readJournal(paths[i], j, error)) {
-            std::fprintf(stderr, "lsqjournal: %s\n", error.c_str());
-            return 1;
-        }
-        if (!haveShape) {
-            merged = j;
-            haveShape = true;
-        } else if (j.rows != merged.rows || j.cols != merged.cols ||
-                   j.configLabels != merged.configLabels ||
-                   j.benchmarks != merged.benchmarks) {
-            std::fprintf(stderr,
-                         "lsqjournal: %s is a different sweep "
-                         "(%zux%zu '%s') than %s (%zux%zu '%s'); "
-                         "refusing to merge\n",
-                         paths[i].c_str(), j.rows, j.cols,
-                         j.name.c_str(), paths[1].c_str(), merged.rows,
-                         merged.cols, merged.name.c_str());
-            return 1;
-        }
-        // readJournal already deduped within the file; across files,
-        // a later argument's record beats an earlier one.
-        for (auto &cell : j.cells)
-            cells[{cell.row, cell.col}] = std::move(cell);
-    }
-
-    merged.cells.clear();
-    merged.records = cells.size();
-    for (auto &kv : cells) {
-        if (stripSeconds)
-            kv.second.seconds = 0.0;
-        merged.cells.push_back(std::move(kv.second));
-    }
-
-    std::string error;
-    if (!lsqscale::writeJournalFile(out, merged, error)) {
-        std::fprintf(stderr, "lsqjournal: %s\n", error.c_str());
-        return 1;
-    }
-    std::printf("%s: merged %zu journal(s), %zu cell(s) of %zu\n",
-                out.c_str(), paths.size() - 1, merged.cells.size(),
-                merged.rows * merged.cols);
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 3)
-        return usage();
-    std::string cmd = argv[1];
-    if (cmd == "merge")
-        return merge(std::vector<std::string>(argv + 2, argv + argc));
     if (argc != 3)
         return usage();
+    std::string cmd = argv[1];
     std::string path = argv[2];
     if (cmd == "inspect")
         return inspect(path);

@@ -1,8 +1,7 @@
 """CLI: python3 -m tools.lsqlint [--root DIR] [--json] ...
 
-Exit status is the number of findings, capped at 125 (same contract
-as the PR 1 linter, so the `lint` ctest and ci.sh keep working
-unchanged).
+Exit status is the number of findings, capped at 125, which the `lint`
+ctest and the ci.sh `lint` flavor read as pass/fail.
 """
 
 from __future__ import annotations

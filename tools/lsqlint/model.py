@@ -101,7 +101,6 @@ _STATDUMP_CALL_IDENTS = frozenset((
 
 _SYSCALL_IDENTS = frozenset((
     "fork", "waitpid", "write", "rename", "fsync",
-    "socket", "bind", "listen", "accept", "connect", "send", "recv",
 ))
 
 _THREAD_IDENTS = frozenset(("thread", "jthread"))

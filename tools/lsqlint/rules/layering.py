@@ -8,11 +8,10 @@ The subsystem DAG (DESIGN.md):
     sim                                     layer 2
     check obs sample                        layer 3
     harness inject mcm                      layer 4
-    serve                                   layer 5
 
 metrics sits at layer 1 (it includes only common): the host-telemetry
 registry and profiler are read from core's sampled tick, so they must
-live at-or-below core, and everything above (sim, harness, serve)
+live at-or-below core, and everything above (sim, harness)
 reaches them transitively.
 
 A file may include same-or-lower layers only (same-layer
@@ -40,7 +39,6 @@ LAYERS = {
     "sim": 2,
     "check": 3, "obs": 3, "sample": 3,
     "harness": 4, "inject": 4, "mcm": 4,
-    "serve": 5,
 }
 
 

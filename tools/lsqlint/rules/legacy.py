@@ -1,10 +1,10 @@
-"""The PR 1/2/3/5 regex rules, reimplemented on the token stream.
+"""The original regex linter's rules, reimplemented on the token stream.
 
-Semantics match scripts/lint.py as it stood before lsqlint v2 (same
-scopes, same exemption lists, same messages) — minus the known
-false-positive classes: matches inside comments, string literals and
-preprocessor bodies are structurally impossible now, because the facts
-extractor never tokenizes them as code.
+Semantics match that linter (same scopes, same exemption lists, same
+messages) — minus the known false-positive classes: matches inside
+comments, string literals and preprocessor bodies are structurally
+impossible now, because the facts extractor never tokenizes them as
+code.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ _STAT_DUMP_ALLOWED_DIRS = ("src/obs/", "src/harness/", "tools/")
 _STAT_DUMP_ALLOWED_FILES = ("src/sim/cli.cc",)
 _STAT_DUMP_ALLOWED_PREFIXES = ("src/common/logging",)
 
-_SYSCALL_DIRS = ("src/harness/", "src/inject/", "src/serve/")
+_SYSCALL_DIRS = ("src/harness/", "src/inject/")
 
 
 def _stat_dump_exempt(path):

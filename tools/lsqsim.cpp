@@ -1,54 +1,18 @@
 /**
  * @file
  * lsqsim — the command-line simulator driver. See --help.
- *
- * `lsqsim --serve [lsqd flags]` runs the lsqd daemon in-process
- * (docs/SERVICE.md) — one binary for both the single-run CLI and the
- * service entry point.
  */
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "serve/daemon.hh"
 #include "sim/cli.hh"
-
-namespace {
-
-int
-serveMain(std::vector<std::string> args)
-{
-    lsqscale::ServeOptions opts =
-        lsqscale::resolveServeOptions(lsqscale::ServeOptions{});
-    std::string error;
-    if (!lsqscale::parseServeArgs(args, opts, error)) {
-        std::fprintf(stderr, "lsqsim --serve: %s (see lsqd --help)\n",
-                     error.c_str());
-        return 2;
-    }
-    if (opts.socketPath.empty()) {
-        std::fprintf(stderr,
-                     "lsqsim --serve: --socket (or "
-                     "LSQSCALE_SERVE_SOCKET) is required\n");
-        return 2;
-    }
-    lsqscale::Daemon daemon(opts);
-    return daemon.run();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--serve") {
-            args.erase(args.begin() + static_cast<long>(i));
-            return serveMain(std::move(args));
-        }
-    }
     lsqscale::CliOptions opts;
     std::string err = lsqscale::parseCli(args, opts);
     if (!err.empty()) {
