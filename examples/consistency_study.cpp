@@ -4,7 +4,8 @@
  * (Section 2.2's "scheme 2", MIPS R10000 style) interact with the
  * load-load ordering machinery?
  *
- * Sweeps the invalidation rate and compares the conventional
+ * Sweeps the probe rate of an attached coherence agent (ProbeAgent
+ * random mode, docs/CONSISTENCY.md) and compares the conventional
  * search-the-LQ design against the load buffer: invalidations contend
  * for the same LQ ports that conventional load-load checks occupy, so
  * the load buffer's bandwidth relief grows with coherence traffic.
@@ -38,7 +39,8 @@ main(int argc, char **argv)
 
     for (double rate : {0.0, 1.0, 5.0, 20.0, 50.0}) {
         SimConfig conv = configs::withPorts(configs::base(bench), 1);
-        conv.core.invalidationsPerKCycle = rate;
+        conv.probes.enabled = rate > 0.0;
+        conv.probes.probesPerKCycle = rate;
         conv.instructions = insts;
 
         SimConfig lb = configs::withLoadBuffer(conv, 2);

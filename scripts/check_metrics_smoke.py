@@ -1,23 +1,15 @@
 #!/usr/bin/env python3
-"""CI checks for the host-telemetry stack (docs/OBSERVABILITY.md).
+"""CI checks for the host profiler (docs/OBSERVABILITY.md).
 
 Two subcommands, used by the metrics-smoke CI flavor:
 
-  validate HP_JSON METRICS_JSON PROM
-      Structural checks over one instrumented lsqsim run:
-        * the lsqscale-hostprof-v1 phase tree is well-formed, its
-          sampled run-stage children account for the whole measured
-          run phase (the profiler scales laps to the exactly-measured
-          window, so this is an identity up to integer rounding), and
-          the top-level phases account for >= 95% of total wall time;
-        * the lsqscale-metrics-v1 registry dump is well-formed, every
-          metric name obeys the lsq_<subsystem>_<name>[_unit]
-          taxonomy, counters end in _total, and per-bucket histogram
-          counts sum to the observation count;
-        * the Prometheus text exposition parses strictly: every
-          sample belongs to a declared # TYPE family, histogram
-          bucket counts are cumulative and non-decreasing, and the
-          +Inf bucket equals <name>_count.
+  validate HP_JSON
+      Structural checks over one profiled lsqsim run: the
+      lsqscale-hostprof-v1 phase tree is well-formed, its sampled
+      run-stage children account for the whole measured run phase
+      (the profiler scales laps to the exactly-measured window, so
+      this is an identity up to integer rounding), and the top-level
+      phases account for >= 95% of total wall time.
 
   overhead --lsqsim PATH [--insts N] [--runs K] [--max-pct P]
       Times interleaved ABBA blocks (plain, instrumented,
@@ -42,15 +34,11 @@ Exit codes: 0 ok, 1 check failure, 2 usage.
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
 import time
 
-METRIC_NAME_RE = re.compile(r"^lsq_[a-z0-9]+(_[a-z0-9]+)+$")
-
 HP_SCHEMA = "lsqscale-hostprof-v1"
-METRICS_SCHEMA = "lsqscale-metrics-v1"
 
 # Phases whose parent is "total"; together they must account for
 # >= 95% of total wall time (ISSUE 8 acceptance criterion).
@@ -107,120 +95,6 @@ def check_hostprof(path):
           % (100.0 * frac, total / 1e9))
 
 
-def check_name(name, kind, where):
-    if not METRIC_NAME_RE.match(name):
-        fail("%s: metric %r violates the lsq_<subsystem>_<name> "
-             "taxonomy" % (where, name))
-    if kind == "counter" and not name.endswith("_total"):
-        fail("%s: counter %r must end in _total" % (where, name))
-
-
-def check_metrics_json(path):
-    doc = load_json(path)
-    if doc.get("schema") != METRICS_SCHEMA:
-        fail("%s: schema is %r, want %r"
-             % (path, doc.get("schema"), METRICS_SCHEMA))
-    counters = doc.get("counters", {})
-    if not counters:
-        fail("%s: no counters registered — even a plain lsqsim run "
-             "posts lsq_sim_runs_total" % path)
-    for name, v in counters.items():
-        check_name(name, "counter", path)
-        if not isinstance(v, int) or v < 0:
-            fail("%s: counter %s has non-count value %r"
-                 % (path, name, v))
-    for name in doc.get("gauges", {}):
-        check_name(name, "gauge", path)
-    for name, h in doc.get("histograms", {}).items():
-        check_name(name, "histogram", path)
-        bucket_sum = sum(b["count"] for b in h["buckets"])
-        if bucket_sum != h["count"]:
-            fail("%s: histogram %s buckets sum to %d but count is %d"
-                 % (path, name, bucket_sum, h["count"]))
-        if h["buckets"][-1]["le"] is not None:
-            fail("%s: histogram %s lacks the overflow bucket"
-                 % (path, name))
-    print("check_metrics_smoke: metrics json ok (%d counters, "
-          "%d gauges, %d histograms)"
-          % (len(counters), len(doc.get("gauges", {})),
-             len(doc.get("histograms", {}))))
-
-
-def check_prometheus(path):
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        fail("cannot read %s: %s" % (path, e))
-
-    types = {}          # family -> counter|gauge|histogram
-    samples = []        # (name, labels, value)
-    for ln, line in enumerate(lines, 1):
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split()
-            if len(parts) != 4 or parts[3] not in ("counter", "gauge",
-                                                   "histogram"):
-                fail("%s:%d: malformed TYPE line %r" % (path, ln, line))
-            types[parts[2]] = parts[3]
-            continue
-        if line.startswith("#"):
-            fail("%s:%d: unexpected comment %r" % (path, ln, line))
-        m = re.match(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)'
-                     r'(?:\{le="([^"]*)"\})? (\S+)$', line)
-        if not m:
-            fail("%s:%d: unparseable sample %r" % (path, ln, line))
-        name, le, value = m.groups()
-        try:
-            value = float(value)
-        except ValueError:
-            fail("%s:%d: non-numeric value %r" % (path, ln, line))
-        samples.append((name, le, value))
-
-    by_family = {}
-    for name, le, value in samples:
-        family = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            base = name[:-len(suffix)] if name.endswith(suffix) else None
-            if base and types.get(base) == "histogram":
-                family = base
-                break
-        if family not in types:
-            fail("%s: sample %s has no # TYPE declaration"
-                 % (path, name))
-        check_name(family, types[family], path)
-        by_family.setdefault(family, []).append((name, le, value))
-
-    for family, kind in types.items():
-        rows = by_family.get(family)
-        if not rows:
-            fail("%s: family %s declared but has no samples"
-                 % (path, family))
-        if kind != "histogram":
-            continue
-        buckets = [(le, v) for n, le, v in rows
-                   if n == family + "_bucket"]
-        counts = [v for n, le, v in rows if n == family + "_count"]
-        if not buckets or len(counts) != 1:
-            fail("%s: histogram %s lacks buckets or _count"
-                 % (path, family))
-        if buckets[-1][0] != "+Inf":
-            fail("%s: histogram %s must end with the +Inf bucket"
-                 % (path, family))
-        prev = -1.0
-        for le, v in buckets:
-            if v < prev:
-                fail("%s: histogram %s bucket le=%s count %g "
-                     "decreased" % (path, family, le, v))
-            prev = v
-        if buckets[-1][1] != counts[0]:
-            fail("%s: histogram %s +Inf bucket %g != _count %g"
-                 % (path, family, buckets[-1][1], counts[0]))
-    print("check_metrics_smoke: prometheus ok (%d families, "
-          "%d samples)" % (len(types), len(samples)))
-
-
 # ----------------------------------------------------------------- #
 # overhead                                                          #
 # ----------------------------------------------------------------- #
@@ -237,9 +111,7 @@ def overhead(args):
                                    args.max_pct))
     base = [args.lsqsim, "--insts", str(args.insts), "--json"]
     inst = base + ["--host-profile",
-                   "--host-profile-json", "/dev/null",
-                   "--metrics-json", "/dev/null",
-                   "--metrics-prom", "/dev/null"]
+                   "--host-profile-json", "/dev/null"]
     # ABBA blocks: the plain arms bracket the instrumented arms, so
     # load drifting across the block cancels to first order; the
     # ratio of sums cancels the load level itself. Adaptive: pass as
@@ -274,8 +146,6 @@ def main():
 
     v = sub.add_parser("validate")
     v.add_argument("hostprof_json")
-    v.add_argument("metrics_json")
-    v.add_argument("prom")
 
     o = sub.add_parser("overhead")
     o.add_argument("--lsqsim", required=True)
@@ -287,8 +157,6 @@ def main():
     args = ap.parse_args()
     if args.cmd == "validate":
         check_hostprof(args.hostprof_json)
-        check_metrics_json(args.metrics_json)
-        check_prometheus(args.prom)
         print("check_metrics_smoke: validate ok")
     else:
         overhead(args)

@@ -34,11 +34,11 @@
 #                    bit-identical to untraced runs across three design
 #                    points, the Konata export must round-trip, and
 #                    lsqtrace must render the stall table
-#   6b. metrics-smoke — host telemetry (docs/OBSERVABILITY.md):
-#                    instrumented runs (--host-profile --metrics-json
-#                    --metrics-prom) must be bit-identical to plain
-#                    runs across the same three design points, the
-#                    hostprof/metrics/Prometheus artifacts must pass
+#   6b. metrics-smoke — host profiler (docs/OBSERVABILITY.md):
+#                    profiled runs (--host-profile) must be
+#                    bit-identical to plain runs across the same three
+#                    design points, `lsqtrace hostprof` must render each
+#                    hostprof tree, the trees must pass
 #                    scripts/check_metrics_smoke.py validate, the
 #                    ABBA-median instrumentation overhead must stay
 #                    under 2%, and a fresh host-throughput trajectory
@@ -96,14 +96,13 @@ banner "flavor: checker (fig7_sq_speedup bench under the oracle)"
 LSQSCALE_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}" \
     ./build-ci-checker/bench/fig7_sq_speedup
 
-banner "flavor: tsan (harness/obs/sample/metrics tests under ThreadSanitizer)"
+banner "flavor: tsan (harness/obs/sample tests under ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DLSQ_TSAN=ON >/dev/null
 cmake --build build-ci-tsan -j "$JOBS" \
-    --target harness_test obs_test sample_test metrics_test
+    --target harness_test obs_test sample_test
 ./build-ci-tsan/tests/harness_test
 ./build-ci-tsan/tests/obs_test
 ./build-ci-tsan/tests/sample_test
-./build-ci-tsan/tests/metrics_test
 
 banner "flavor: mcm-smoke (litmus grid under the oracle, TSan, probe bit-identity)"
 MCM_DIR="build-ci-release/mcm-smoke"
@@ -233,7 +232,7 @@ done
     exit 1
 }
 
-banner "flavor: metrics-smoke (telemetry bit-identity, artifact validation, overhead)"
+banner "flavor: metrics-smoke (host-profile bit-identity, tree validation, overhead)"
 METRICS_DIR="build-ci-release/metrics-smoke"
 METRICS_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}"
 rm -rf "$METRICS_DIR"
@@ -251,8 +250,6 @@ for i in "${!MPOINTS[@]}"; do
     ./build-ci-release/tools/lsqsim --insts "$METRICS_INSTS" \
         ${MPOINTS[$i]} --host-profile \
         --host-profile-json "$METRICS_DIR/hostprof_$i.json" \
-        --metrics-json "$METRICS_DIR/metrics_$i.json" \
-        --metrics-prom "$METRICS_DIR/metrics_$i.prom" \
         --json >"$METRICS_DIR/profiled_$i.json" 2>/dev/null
     diff "$METRICS_DIR/plain_$i.json" "$METRICS_DIR/profiled_$i.json" || {
         echo "metrics-smoke: design point $i not bit-identical" >&2
@@ -265,9 +262,7 @@ for i in "${!MPOINTS[@]}"; do
         exit 1
     }
     python3 scripts/check_metrics_smoke.py validate \
-        "$METRICS_DIR/hostprof_$i.json" \
-        "$METRICS_DIR/metrics_$i.json" \
-        "$METRICS_DIR/metrics_$i.prom"
+        "$METRICS_DIR/hostprof_$i.json"
 done
 # The overhead gate needs runs long enough that process startup and
 # timer quantization do not drown a ~1% effect, so it keeps its own

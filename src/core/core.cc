@@ -67,76 +67,66 @@ Core::attachSampler(IntervalSampler *sampler)
 }
 
 void
-Core::enableHostProfile(unsigned shift)
+Core::enableHostProfile()
 {
-    profMask_ = (std::uint64_t(1) << shift) - 1;
+    profMask_ = (std::uint64_t(1) << HostProfiler::kSampleShift) - 1;
 }
 
 // lsqlint: hot
 void
 Core::tick()
 {
-    if ((now_ & profMask_) == 0) [[unlikely]] {
-        // Host-profile sample cycle (src/metrics/hostprof.hh); the
-        // twin runs the same stages and only adds clock reads.
-        tickProfiled(); // lsqlint: phase(run)
-        return;
-    }
-    invalidationStage();
-    commitStage();
-    writebackStage();
-    issueStage();
-    dispatchStage();
-    fetchStage();
-    lsq_.sampleOccupancy();
-    ++now_;
+    // Host-profile sample cycle (src/metrics/hostprof.hh). Disarmed,
+    // the mask is all-ones, so only cycle 0 reaches enabled().
+    if ((now_ & profMask_) == 0 && HostProfiler::enabled()) [[unlikely]]
+        tickStages<true>(); // lsqlint: phase(run)
+    else
+        tickStages<false>();
 }
 
+// lsqlint: hot
+template <bool kProfiled>
 void
-Core::tickProfiled()
+Core::tickStages()
 {
-    if (!HostProfiler::enabled()) {
-        // Disarmed (mask all-ones): only cycle 0 lands here; run the
-        // plain stage sequence.
-        invalidationStage();
-        commitStage();
-        writebackStage();
-        issueStage();
-        dispatchStage();
-        fetchStage();
-        lsq_.sampleOccupancy();
-        ++now_;
-        return;
-    }
     // Lap-style: one clock read per stage boundary. The LSQ
     // search+forward share is lapped inside the issue helpers
     // (profLap_) and subtracted from the issue/wakeup window.
-    HostProfiler &hp = HostProfiler::instance();   // lsqlint: phase(run)
-    std::uint64_t t0 = hostNowNs();                // lsqlint: phase(run)
+    [[maybe_unused]] std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
+    if constexpr (kProfiled)
+        t0 = hostNowNs();                          // lsqlint: phase(run)
     invalidationStage();
     commitStage();
-    std::uint64_t t1 = hostNowNs();                // lsqlint: phase(run)
-    profLap_ = true;
-    profLsqNs_ = 0;
+    if constexpr (kProfiled) {
+        t1 = hostNowNs();                          // lsqlint: phase(run)
+        profLap_ = true;
+        profLsqNs_ = 0;
+    }
     writebackStage();
     issueStage();
-    profLap_ = false;
-    std::uint64_t t2 = hostNowNs();                // lsqlint: phase(run)
+    if constexpr (kProfiled) {
+        profLap_ = false;
+        t2 = hostNowNs();                          // lsqlint: phase(run)
+    }
     dispatchStage();
     fetchStage();
-    std::uint64_t t3 = hostNowNs();                // lsqlint: phase(run)
+    if constexpr (kProfiled)
+        t3 = hostNowNs();                          // lsqlint: phase(run)
     lsq_.sampleOccupancy();
     ++now_;
-    std::uint64_t t4 = hostNowNs();                // lsqlint: phase(run)
-    hp.addSample(HostPhase::Commit, t1 - t0);      // lsqlint: phase(run)
-    std::uint64_t issueNs = t2 - t1;               // lsqlint: phase(run)
-    std::uint64_t lsqNs =                          // lsqlint: phase(run)
-        profLsqNs_ < issueNs ? profLsqNs_ : issueNs;
-    hp.addSample(HostPhase::IssueWakeup, issueNs - lsqNs); // lsqlint: phase(run)
-    hp.addSample(HostPhase::LsqSearch, lsqNs);     // lsqlint: phase(run)
-    hp.addSample(HostPhase::FetchRename, t3 - t2); // lsqlint: phase(run)
-    hp.addSample(HostPhase::RunOther, t4 - t3);    // lsqlint: phase(run)
-    hp.noteSampledCycle();                         // lsqlint: phase(run)
+    if constexpr (kProfiled) {
+        std::uint64_t t4 = hostNowNs();            // lsqlint: phase(run)
+        HostProfiler &hp = HostProfiler::instance(); // lsqlint: phase(run)
+        hp.add(HostPhase::Commit, t1 - t0);        // lsqlint: phase(run)
+        std::uint64_t issueNs = t2 - t1;
+        std::uint64_t lsqNs =
+            profLsqNs_ < issueNs ? profLsqNs_ : issueNs;
+        hp.add(HostPhase::IssueWakeup, issueNs - lsqNs); // lsqlint: phase(run)
+        hp.add(HostPhase::LsqSearch, lsqNs);       // lsqlint: phase(run)
+        hp.add(HostPhase::FetchRename, t3 - t2);   // lsqlint: phase(run)
+        hp.add(HostPhase::RunOther, t4 - t3);      // lsqlint: phase(run)
+        hp.noteSampledCycle();                     // lsqlint: phase(run)
+    }
 }
 
 // lsqlint: hot
@@ -236,37 +226,11 @@ Core::debugDump() const
 void
 Core::invalidationStage()
 {
-    if (coherence_ != nullptr) [[unlikely]] {
-        // An attached coherence agent replaces the synthetic noise
-        // source below: its probes are deterministic and logged, so
-        // the litmus engine and the checker can reason about them.
+    // External invalidations come only from an attached coherence
+    // agent: its probes are deterministic and logged, so the litmus
+    // engine and the checker can reason about them.
+    if (coherence_ != nullptr) [[unlikely]]
         coherenceStage();
-        return;
-    }
-    if (cp_.invalidationsPerKCycle <= 0.0)
-        return;
-    if (!pendingInvalValid_) {
-        if (!invalRng_.chance(cp_.invalidationsPerKCycle / 1000.0))
-            return;
-        // Another processor mostly touches data this core shares:
-        // bias toward recently committed load addresses.
-        if (!recentCommittedLoads_.empty() && invalRng_.chance(0.8)) {
-            pendingInval_ = recentCommittedLoads_[invalRng_.below(
-                recentCommittedLoads_.size())];
-        } else {
-            pendingInval_ = 0x9000 + 8 * invalRng_.below(1024);
-        }
-        pendingInvalValid_ = true;
-        stats_.counter("inval.received").inc();
-    }
-    StoreSearchOutcome out = lsq_.invalidate(pendingInval_, now_);
-    if (!out.accepted)
-        return;   // no LQ port: retry next cycle
-    pendingInvalValid_ = false;
-    if (out.violationLoad != kNoSeq) {
-        stats_.counter("squash.invalidation").inc();
-        performSquash(out.violationLoad, SquashReason::Invalidation);
-    }
 }
 
 void
@@ -301,17 +265,9 @@ Core::finishCommit(RobEntry &head)
         fileFor(head.op.dest).releaseAtCommit(head.prevPhys);
     ++committed_;
     stats_.counter("core.committed").inc();
-    if (head.op.isLoad()) {
+    if (head.op.isLoad())
         stats_.counter("core.committed.loads").inc();
-        if (cp_.invalidationsPerKCycle > 0.0) {
-            if (recentCommittedLoads_.size() < 32) {
-                recentCommittedLoads_.push_back(head.op.addr);
-            } else {
-                recentCommittedLoads_[recentLoadPos_] = head.op.addr;
-                recentLoadPos_ = (recentLoadPos_ + 1) % 32;
-            }
-        }
-    } else if (head.op.isStore())
+    else if (head.op.isStore())
         stats_.counter("core.committed.stores").inc();
     else if (head.op.isBranch())
         stats_.counter("core.committed.branches").inc();
@@ -973,13 +929,6 @@ Core::saveState(SerialWriter &w) const
     w.u64(bpTrainedUpTo_);
     w.b(bpEverTrained_);
     w.u64(lastFetchBlock_);
-    w.u64(invalRng_.state());
-    w.u64(recentCommittedLoads_.size());
-    for (Addr a : recentCommittedLoads_)
-        w.u64(a);
-    w.u64(recentLoadPos_);
-    w.u64(pendingInval_);
-    w.b(pendingInvalValid_);
 }
 
 void
@@ -993,16 +942,6 @@ Core::loadState(SerialReader &r)
     bpTrainedUpTo_ = r.u64();
     bpEverTrained_ = r.b();
     lastFetchBlock_ = r.u64();
-    invalRng_.setState(r.u64());
-    std::uint64_t n = r.u64();
-    if (n > 32)
-        throw SerialError("recent-load ring too large");
-    recentCommittedLoads_.clear();
-    for (std::uint64_t i = 0; i < n; ++i)
-        recentCommittedLoads_.push_back(r.u64());
-    recentLoadPos_ = r.u64() % 32;
-    pendingInval_ = r.u64();
-    pendingInvalValid_ = r.b();
 }
 
 } // namespace lsqscale

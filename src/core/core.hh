@@ -134,10 +134,11 @@ class Core
     Tracer *tracer() const { return tracer_; }
 
     /**
-     * Attach an external coherence agent (src/memory/probe_agent.hh):
-     * its due probes replace the synthetic invalidationsPerKCycle
-     * noise source and are delivered through Lsq::invalidate with the
-     * same squash semantics. Attached after warmup like a tracer —
+     * Attach an external coherence agent (src/memory/probe_agent.hh),
+     * the only source of external invalidations: its due probes are
+     * delivered through Lsq::invalidate, and a probe that hits a
+     * speculatively executed load squashes it. Attached after warmup
+     * like a tracer —
      * outside the checkpoint format — and a detached core pays one
      * pointer test per cycle. Pass nullptr to detach. The agent must
      * outlive the core (or be detached).
@@ -156,12 +157,12 @@ class Core
 
     /**
      * Arm the host-profiler's burst sampling of tick() stages
-     * (src/metrics/hostprof.hh): every 2^shift-th cycle runs the
-     * instrumented twin tickProfiled(). Simulation behavior is
-     * bit-identical — the twin only adds clock reads. Disarmed, the
-     * per-cycle cost is one always-false mask compare.
+     * (src/metrics/hostprof.hh): every 2^HostProfiler::kSampleShift-th
+     * cycle runs tickStages<true>(). Simulation behavior is
+     * bit-identical — the profiled instance only adds clock reads.
+     * Disarmed, the per-cycle cost is one always-false mask compare.
      */
-    void enableHostProfile(unsigned shift);
+    void enableHostProfile();
 
   private:
     struct FetchedInst
@@ -189,11 +190,13 @@ class Core
     void fetchStage();
 
     /**
-     * The stage sequence of tick() with lap-style clock reads at the
-     * stage boundaries (src/metrics/hostprof.hh). Taken only on
-     * host-profile sample cycles; identical simulated behavior.
+     * The stage sequence of one cycle. The profiled instance adds
+     * lap-style clock reads at the stage boundaries
+     * (src/metrics/hostprof.hh) and runs only on host-profile sample
+     * cycles; both instances simulate identically.
      */
-    void tickProfiled();
+    template <bool kProfiled>
+    void tickStages();
 
     /**
      * Service the fault-injection / heartbeat hook (src/inject): emit
@@ -271,15 +274,6 @@ class Core
     // lsqlint: no-serialize(cached StatSet counter pointers, rebuilt in the constructor)
     Counter *commitBlockCounters_[kNumOpClasses * 2] = {};
 
-    // --- multiprocessor-invalidation extension ---
-    Rng invalRng_{0x1234567890abcdefULL};
-    /** Recently committed load addresses (invalidation targets). */
-    std::vector<Addr> recentCommittedLoads_;
-    std::size_t recentLoadPos_ = 0;
-    /** Invalidation waiting for a free LQ port. */
-    Addr pendingInval_ = 0;
-    bool pendingInvalValid_ = false;
-
     /** Attached coherence agent, or nullptr (the common case). */
     // lsqlint: no-serialize(attached coherence agent, wired by the owning harness)
     ProbeAgent *coherence_ = nullptr;
@@ -296,10 +290,10 @@ class Core
     Cycle nextSampleAt_ = ~Cycle(0);
 
     /** Host-profile stage-sampling mask: tick() takes the profiled
-     *  twin when (now_ & mask) == 0. All-ones = disarmed. */
+     *  stage sequence when (now_ & mask) == 0. All-ones = disarmed. */
     // lsqlint: no-serialize(host-profiler sampling mask, observer-only)
     std::uint64_t profMask_ = ~std::uint64_t(0);
-    /** True inside tickProfiled(): issue helpers lap the LSQ search. */
+    /** True inside a profiled tick: issue helpers lap the LSQ search. */
     // lsqlint: no-serialize(transient host-profiler flag, false between ticks)
     bool profLap_ = false;
     /** LSQ search+forward nanoseconds lapped this profiled tick. */

@@ -61,15 +61,6 @@ struct CoreParams
     /** Load-vs-store speculation discipline (Table 1: StoreSet). */
     MemDepPolicy memDepPolicy = MemDepPolicy::StoreSet;
 
-    /**
-     * Multiprocessor-coherence extension (Section 2.2 "scheme 2"):
-     * expected external invalidations per 1000 cycles. Each searches
-     * the load queue and squashes the oldest matching outstanding
-     * load, MIPS R10000 style. 0 disables (uniprocessor, the paper's
-     * evaluated configuration).
-     */
-    double invalidationsPerKCycle = 0.0;
-
     BranchPredictorParams branchPredictor{};
     StoreSetParams storeSet{};
 };

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <sstream>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace lsqscale {
@@ -72,8 +71,9 @@ HostProfiler &
 HostProfiler::instance()
 {
     // Leaked singleton: phase counters must outlive static
-    // destruction (atexit report paths).
-    // lsqlint: allow(raw-new) -- deliberate leak
+    // destruction (atexit report paths). The profiled tick reaches
+    // this, but the allocation happens once per process.
+    // lsqlint: allow(raw-new, hot-alloc) -- deliberate leak
     static HostProfiler *p = new HostProfiler;
     return *p;
 }
@@ -82,22 +82,6 @@ void
 HostProfiler::setEnabled(bool on)
 {
     enabled_.store(on, std::memory_order_relaxed);
-}
-
-unsigned
-HostProfiler::sampleShift()
-{
-    static unsigned shift = [] {
-        std::uint64_t v = envU64("LSQSCALE_HOST_PROFILE_SHIFT", 6);
-        if (v > 16) {
-            LSQ_WARN("LSQSCALE_HOST_PROFILE_SHIFT=%llu out of range "
-                     "(0..16); using 6",
-                     static_cast<unsigned long long>(v));
-            v = 6;
-        }
-        return static_cast<unsigned>(v);
-    }();
-    return shift;
 }
 
 void
@@ -114,7 +98,7 @@ HostProfileSnapshot
 HostProfiler::snapshot() const
 {
     HostProfileSnapshot s;
-    s.sampleShift = sampleShift();
+    s.sampleShift = kSampleShift;
     s.sampledCycles = sampledCycles_.load(std::memory_order_relaxed);
     s.phases.resize(kNumHostPhases);
     std::uint64_t sampledTotal = 0;

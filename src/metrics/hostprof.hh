@@ -19,9 +19,9 @@
  *  * The four inner stages of the run loop (fetch/rename,
  *    issue/wakeup, LSQ search+forward, commit) tick billions of times
  *    and cannot afford per-cycle clock reads. Core::tick burst-samples
- *    them instead: every 2^LSQSCALE_HOST_PROFILE_SHIFT-th cycle
- *    (default every 64th) runs an instrumented twin that takes
- *    lap-style clock reads at stage boundaries. Reports scale each
+ *    them instead: every 2^kSampleShift-th cycle (every 64th) runs the
+ *    profiled instance of the stage sequence, which takes lap-style
+ *    clock reads at stage boundaries. Reports scale each
  *    stage's sampled share to the *exactly measured* enclosing Run
  *    phase, so the tree always accounts for 100% of Run — the ≥95%
  *    accounting criterion holds by construction and the perturbation
@@ -30,7 +30,7 @@
  * When profiling is off (the default) every instrumentation point
  * costs exactly one predictable branch: ScopedHostPhase tests one
  * relaxed atomic bool, and Core::tick's sampling mask is all-ones so
- * the sampled twin is never taken after cycle 0. Profiled runs are
+ * only cycle 0 also tests enabled(). Profiled runs are
  * bit-identical to plain runs — the profiler only ever *reads* the
  * clock; output goes to stderr or a side file, never `--json` stdout.
  */
@@ -122,21 +122,12 @@ class HostProfiler
      */
     static void setEnabled(bool on);
 
-    /** log2 of the run-loop sampling period (default 6 → every 64th
-     *  cycle); override with LSQSCALE_HOST_PROFILE_SHIFT (0..16). */
-    static unsigned sampleShift();
+    /** log2 of the run-loop sampling period: every 64th cycle. */
+    static constexpr unsigned kSampleShift = 6;
 
+    /** Record one exactly timed scope or one sampled stage lap. */
     void
     add(HostPhase p, std::uint64_t ns)
-    {
-        std::size_t i = static_cast<std::size_t>(p);
-        ns_[i].fetch_add(ns, std::memory_order_relaxed);
-        count_[i].fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /** Record one sampled lap of a run-loop stage. */
-    void
-    addSample(HostPhase p, std::uint64_t ns)
     {
         std::size_t i = static_cast<std::size_t>(p);
         ns_[i].fetch_add(ns, std::memory_order_relaxed);

@@ -63,14 +63,6 @@ class Fingerprint
         }
     }
 
-    void
-    mixF(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    }
-
     std::uint64_t value() const { return h_; }
 
   private:
@@ -203,13 +195,12 @@ functionalFingerprint(const SimConfig &config)
     fp.mix(ss.counterBits);
     fp.mix(ss.clearInterval);
     fp.mix(ss.aliasFree ? 1 : 0);
-
-    fp.mixF(config.core.invalidationsPerKCycle);
     return fp.value();
 }
 
-std::string
-saveCheckpointToBytes(Core &core, const SimConfig &config)
+void
+saveCheckpoint(Core &core, const SimConfig &config,
+               const std::string &path)
 {
     SerialWriter payload;
     {
@@ -255,14 +246,7 @@ saveCheckpointToBytes(Core &core, const SimConfig &config)
     file.u64(payload.size());
     file.u32(crc32(payload.buffer().data(), payload.size()));
     file.raw(payload.buffer().data(), payload.size());
-    return file.buffer();
-}
-
-void
-saveCheckpoint(Core &core, const SimConfig &config,
-               const std::string &path)
-{
-    std::string bytes = saveCheckpointToBytes(core, config);
+    const std::string &bytes = file.buffer();
     std::FILE *f = std::fopen(path.c_str(), "wb");
     LSQ_ASSERT(f != nullptr, "cannot create checkpoint file %s",
                path.c_str());
@@ -273,9 +257,10 @@ saveCheckpoint(Core &core, const SimConfig &config,
 }
 
 CheckpointMeta
-loadCheckpointFromBytes(Core &core, const SimConfig &config,
-                        const std::string &data)
+loadCheckpoint(Core &core, const SimConfig &config,
+               const std::string &path)
 {
+    std::string data = readFile(path);
     SerialReader r(data);
     CheckpointMeta meta = readHeader(r);
 
@@ -332,13 +317,6 @@ loadCheckpointFromBytes(Core &core, const SimConfig &config,
     }
     r.expectEnd("checkpoint payload");
     return meta;
-}
-
-CheckpointMeta
-loadCheckpoint(Core &core, const SimConfig &config,
-               const std::string &path)
-{
-    return loadCheckpointFromBytes(core, config, readFile(path));
 }
 
 CheckpointInfo

@@ -83,20 +83,11 @@ struct CheckpointInfo
 /**
  * Hash of the configuration knobs that determine *functional*
  * behavior: benchmark/trace identity, seed, memory-hierarchy geometry
- * and latencies, branch-predictor and store-set geometry, and the
- * invalidation rate. LSQ design-point knobs (ports, segments, queue
- * sizes, policies) are excluded so one checkpoint serves a whole
- * design-space sweep.
+ * and latencies, and branch-predictor and store-set geometry. LSQ
+ * design-point knobs (ports, segments, queue sizes, policies) are
+ * excluded so one checkpoint serves a whole design-space sweep.
  */
 std::uint64_t functionalFingerprint(const SimConfig &config);
-
-/**
- * Serialize @p core (which must be quiescent) to a complete
- * lsqscale-ckpt-v1 image — header, CRC, payload — in memory;
- * saveCheckpoint() is this plus one write.
- * Throws SerialError on unserializable state.
- */
-std::string saveCheckpointToBytes(Core &core, const SimConfig &config);
 
 /**
  * Serialize @p core (which must be quiescent) to @p path.
@@ -105,14 +96,6 @@ std::string saveCheckpointToBytes(Core &core, const SimConfig &config);
  */
 void saveCheckpoint(Core &core, const SimConfig &config,
                     const std::string &path);
-
-/**
- * Restore @p core from an in-memory checkpoint image. Same validation
- * as loadCheckpoint().
- */
-CheckpointMeta loadCheckpointFromBytes(Core &core,
-                                       const SimConfig &config,
-                                       const std::string &data);
 
 /**
  * Restore @p core from @p path. The core must be freshly constructed

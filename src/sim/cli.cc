@@ -12,7 +12,6 @@
 #include "harness/sweep.hh"
 #include "inject/inject.hh"
 #include "metrics/hostprof.hh"
-#include "metrics/metrics.hh"
 #include "obs/trace.hh"
 #include "sample/serialize.hh"
 #include "sim/simulator.hh"
@@ -85,8 +84,6 @@ cliUsage()
         "  --all-techniques     pair + 2-entry buffer + 4x28 "
         "self-circular, 1 port\n"
         "  --scaled             12-wide issue, 96-entry IQ, 3-cycle L1\n"
-        "  --invalidations R    external invalidations per kcycle "
-        "(default 0)\n"
         "\n"
         "execution:\n"
         "  --jobs N             worker threads for the sweep harness\n"
@@ -134,9 +131,6 @@ cliUsage()
         "  --host-profile-json PATH\n"
         "                       write the lsqscale-hostprof-v1 tree\n"
         "                       (render it with `lsqtrace hostprof`)\n"
-        "  --metrics-json PATH  dump the host metrics registry as\n"
-        "                       lsqscale-metrics-v1 JSON\n"
-        "  --metrics-prom PATH  dump the registry as Prometheus text\n"
         "\n"
         "sampling / checkpoints (docs/SAMPLING.md):\n"
         "  --sample F:W:D       sampled run: per period fast-forward F,\n"
@@ -349,14 +343,6 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
             if (!value(v))
                 return "--host-profile-json needs a path";
             opts.hostProfileJsonPath = v;
-        } else if (a == "--metrics-json") {
-            if (!value(v))
-                return "--metrics-json needs a path";
-            opts.metricsJsonPath = v;
-        } else if (a == "--metrics-prom") {
-            if (!value(v))
-                return "--metrics-prom needs a path";
-            opts.metricsPromPath = v;
         } else if (a == "--sample") {
             if (!value(v) || !parseSampleSpec(v, opts.config.sample))
                 return "--sample needs F:W:D (non-negative integers, "
@@ -373,15 +359,6 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
             if (!value(v))
                 return "--load-ckpt needs a path";
             opts.config.loadCkptPath = v;
-        } else if (a == "--invalidations") {
-            if (!value(v))
-                return "--invalidations needs a rate";
-            char *end = nullptr;
-            opts.config.core.invalidationsPerKCycle =
-                std::strtod(v.c_str(), &end);
-            if (!end || *end != '\0' ||
-                opts.config.core.invalidationsPerKCycle < 0)
-                return "--invalidations needs a non-negative rate";
         } else {
             return "unknown option '" + a + "' (see --help)";
         }
@@ -542,9 +519,9 @@ runCli(const CliOptions &opts)
         std::fputs(result.stats.dump().c_str(), stdout);
     } // profReport
 
-    // Telemetry exposition: stderr and side files only, never the
-    // --json stdout document (metrics-on runs must stay bit-identical
-    // to metrics-off — the metrics-smoke CI flavor diffs them).
+    // Host-profile exposition: stderr and side files only, never the
+    // --json stdout document (profiled runs must stay bit-identical
+    // to plain ones — the metrics-smoke CI flavor diffs them).
     if (hostProfile) {
         HostProfileSnapshot prof = HostProfiler::instance().snapshot();
         if (opts.hostProfile ||
@@ -554,14 +531,6 @@ runCli(const CliOptions &opts)
             writeFileCreatingDirs(opts.hostProfileJsonPath,
                                   hostProfileToJson(prof) + "\n");
     }
-    if (!opts.metricsJsonPath.empty())
-        writeFileCreatingDirs(opts.metricsJsonPath,
-                              metrics::toJson(metrics::snapshot()) +
-                                  "\n");
-    if (!opts.metricsPromPath.empty())
-        writeFileCreatingDirs(opts.metricsPromPath,
-                              metrics::toPrometheus(
-                                  metrics::snapshot()));
     return 0;
 }
 

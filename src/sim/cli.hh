@@ -71,11 +71,6 @@ struct CliOptions
     bool hostProfile = false;
     /** --host-profile-json: write the lsqscale-hostprof-v1 tree. */
     std::string hostProfileJsonPath;
-    /** --metrics-json: dump the metrics registry as
-     *  lsqscale-metrics-v1 JSON to this path after the run. */
-    std::string metricsJsonPath;
-    /** --metrics-prom: dump the registry in Prometheus text format. */
-    std::string metricsPromPath;
 };
 
 /**

@@ -8,7 +8,6 @@
 #include "core/core.hh"
 #include "inject/inject.hh"
 #include "metrics/hostprof.hh"
-#include "metrics/metrics.hh"
 // Uses writeFileCreatingDirs only (trace-path plumbing); no
 // dependency on the harness job engine.
 // lsqlint: allow(layer-upward-include) -- results plumbing only
@@ -148,7 +147,7 @@ Simulator::run()
     }
     Core &core = *corePtr;
     if (HostProfiler::enabled())
-        core.enableHostProfile(HostProfiler::sampleShift());
+        core.enableHostProfile();
 
 #ifdef LSQSCALE_CHECKER
     // Shadow-execute every load/store against the ordering oracle.
@@ -237,7 +236,6 @@ Simulator::run()
     std::uint64_t l2H = core.memory().l2().hits();
     std::uint64_t l2M = core.memory().l2().misses();
 
-    std::uint64_t runT0 = hostNowNs();
     if (sample.enabled()) {
         // Sampled mode: the measurement window is the union of the
         // periods' measure windows; cache counters below still span
@@ -253,15 +251,6 @@ Simulator::run()
         result.cycles = core.cycle() - startCycle;
         result.committed = core.committed() - startCommitted;
     }
-    // Registry telemetry (docs/OBSERVABILITY.md): one counter bump and
-    // one histogram observation per run, host-side only, so simulated
-    // output stays bit-identical. In a sweep these accumulate across
-    // cells; snapshot()/merge() aggregates across JobPool workers.
-    metrics::counter("lsq_sim_runs_total").add();
-    metrics::counter("lsq_sim_committed_insts_total")
-        .add(result.committed);
-    metrics::histogram("lsq_sim_run_us", metrics::latencyBucketsUs())
-        .observe((hostNowNs() - runT0) / 1000);
     result.stats.counter("l1d.hits").inc(core.memory().l1d().hits() -
                                          l1dH);
     result.stats.counter("l1d.misses").inc(core.memory().l1d().misses() -

@@ -118,14 +118,6 @@ TEST(Cli, ModeFlags)
     EXPECT_EQ(rec.recordCount, 5000u);
 }
 
-TEST(Cli, InvalidationRate)
-{
-    CliOptions opts = parseOk({"--invalidations", "2.5"});
-    EXPECT_DOUBLE_EQ(opts.config.core.invalidationsPerKCycle, 2.5);
-    EXPECT_NE(parseErr({"--invalidations", "-1"}), "");
-    EXPECT_NE(parseErr({"--invalidations", "abc"}), "");
-}
-
 TEST(Cli, MissingValuesAreErrors)
 {
     EXPECT_NE(parseErr({"--benchmark"}), "");
@@ -156,8 +148,7 @@ TEST(Cli, UsageMentionsEveryOption)
     for (const char *flag :
          {"--benchmark", "--trace", "--insts", "--ports", "--segments",
           "--predictor", "--load-buffer", "--all-techniques",
-          "--scaled", "--json", "--record", "--invalidations",
-          "--jobs"})
+          "--scaled", "--json", "--record", "--jobs"})
         EXPECT_NE(u.find(flag), std::string::npos) << flag;
 }
 

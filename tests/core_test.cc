@@ -10,6 +10,7 @@
 #include "core/issue_queue.hh"
 #include "core/phys_reg_file.hh"
 #include "core/rob.hh"
+#include "memory/probe_agent.hh"
 #include "workload/benchmark_profile.hh"
 
 using namespace lsqscale;
@@ -236,6 +237,16 @@ struct CoreFixture
     {}
 };
 
+/** Random-mode coherence agent: ~@p rate probes per kilocycle. */
+ProbeAgentParams
+randomProbes(double rate)
+{
+    ProbeAgentParams pp;
+    pp.enabled = true;
+    pp.probesPerKCycle = rate;
+    return pp;
+}
+
 } // namespace
 
 TEST(Core, MakesForwardProgress)
@@ -456,15 +467,15 @@ TEST_P(CoreAllBench, RunsCleanly)
 INSTANTIATE_TEST_SUITE_P(Benchmarks, CoreAllBench,
                          ::testing::ValuesIn(allBenchmarks()));
 
-// --------------------------------------- invalidation extension -------
+// -------------------------------------- external invalidations -------
 
 TEST(Core, InvalidationTrafficSquashesAndRecovers)
 {
-    CoreParams cp;
-    cp.invalidationsPerKCycle = 20.0;   // heavy coherence traffic
-    CoreFixture f("equake", cp);
+    ProbeAgent probes(randomProbes(20.0));   // heavy coherence traffic
+    CoreFixture f("equake");
+    f.core.attachCoherenceAgent(&probes);
     f.core.run(15000);
-    EXPECT_GT(f.stats.value("inval.received"), 10u);
+    EXPECT_GT(f.stats.value("probe.delivered"), 10u);
     EXPECT_GT(f.stats.value("squash.invalidation"), 0u);
     EXPECT_GE(f.core.committed(), 15000u);
 }
@@ -474,11 +485,10 @@ TEST(Core, HeavyInvalidationTrafficCostsPerformance)
     // At a realistic rate the effect drowns in timing noise; at an
     // extreme rate (one invalidation every ~3 cycles, each taking an
     // LQ port and squashing matching loads) the cost must show.
-    CoreParams quiet;
-    CoreParams noisy;
-    noisy.invalidationsPerKCycle = 300.0;
-    CoreFixture q("equake", quiet);
-    CoreFixture n("equake", noisy);
+    ProbeAgent probes(randomProbes(300.0));
+    CoreFixture q("equake");
+    CoreFixture n("equake");
+    n.core.attachCoherenceAgent(&probes);
     q.core.run(12000);
     n.core.run(12000);
     EXPECT_GT(n.core.cycle(), q.core.cycle());
@@ -487,9 +497,15 @@ TEST(Core, HeavyInvalidationTrafficCostsPerformance)
 
 TEST(Core, NoInvalidationsByDefault)
 {
+    // A default-configured agent has no random rate and no scripted
+    // writers, so nothing reaches the LSQ.
+    ProbeAgentParams pp;
+    pp.enabled = true;
+    ProbeAgent probes(pp);
     CoreFixture f("equake");
+    f.core.attachCoherenceAgent(&probes);
     f.core.run(8000);
-    EXPECT_EQ(f.stats.value("inval.received"), 0u);
+    EXPECT_EQ(f.stats.value("probe.delivered"), 0u);
 }
 
 // ------------------------------------ memory-dependence baselines -----

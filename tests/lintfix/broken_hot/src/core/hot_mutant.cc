@@ -1,6 +1,9 @@
 // Hot-path purity mutants: one of everything the hot-* family bans,
 // plus an allocation one call level below the annotated seed to prove
-// the "called from hot" attribution works.
+// the "called from hot" attribution works. The first hostNowNs() is an
+// unannotated profiler clock read; the second carries a
+// `lsqlint: phase(run)` annotation and must NOT fire — that is the
+// fixture's negative control for the boundary exemption.
 
 #include <cstdint>
 #include <cstdio>
@@ -8,6 +11,8 @@
 #include <string>
 
 namespace lsqscale {
+
+std::uint64_t hostNowNs();
 
 struct Stepper
 {
@@ -24,6 +29,7 @@ refill()
 void
 tick(Stepper *s)
 {
+    std::uint64_t t0 = hostNowNs();
     int *scratch = new int[4];
     std::string label("tick");
     std::mutex mu;
@@ -32,6 +38,9 @@ tick(Stepper *s)
     (void)mu;
     delete[] scratch;
     refill();
+    std::uint64_t t1 = hostNowNs(); // lsqlint: phase(run)
+    (void)t0;
+    (void)t1;
 }
 
 } // namespace lsqscale

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/core.hh"
+#include "memory/probe_agent.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
 #include "workload/benchmark_profile.hh"
@@ -19,10 +20,11 @@ namespace {
 void
 runCore(const CoreParams &cp, const LsqParams &lp,
         const MemoryParams &mp, const std::string &bench,
-        std::uint64_t insts)
+        std::uint64_t insts, ProbeAgent *probes = nullptr)
 {
     StatSet stats;
     Core core(cp, lp, mp, profileFor(bench), 1, stats);
+    core.attachCoherenceAgent(probes);
     core.run(insts);
     EXPECT_GE(core.committed(), insts);
     EXPECT_GT(core.ipc(), 0.005);
@@ -140,15 +142,18 @@ TEST(Stress, TinyPredictorTables)
 
 TEST(Stress, HeavyInvalidationsEverywhere)
 {
-    CoreParams cp;
-    cp.invalidationsPerKCycle = 100.0;
+    ProbeAgentParams pp;
+    pp.enabled = true;
+    pp.probesPerKCycle = 100.0;
+    ProbeAgent probes(pp);
     LsqParams lp;
     lp.numSegments = 4;
     lp.lqEntries = 8;
     lp.sqEntries = 8;
     lp.searchPorts = 1;
     lp.loadCheck = LoadCheckPolicy::LoadBuffer;
-    runCore(cp, lp, MemoryParams(), "equake", 4000);
+    runCore(CoreParams(), lp, MemoryParams(), "equake", 4000, &probes);
+    EXPECT_GT(probes.deliveredCount(), 0u);
 }
 
 // Full cross-product sweep of the paper's design dimensions at tiny

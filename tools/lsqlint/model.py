@@ -25,7 +25,7 @@ import re
 
 from . import lexer
 
-FACTS_VERSION = 9  # bump to invalidate caches when extraction changes
+FACTS_VERSION = 10  # bump to invalidate caches when extraction changes
 
 # Annotation grammar (docs/STATIC_ANALYSIS.md):
 #   // lsqlint: allow(rule[, rule...]) [-- reason]
@@ -107,10 +107,10 @@ _THREAD_IDENTS = frozenset(("thread", "jthread"))
 
 # Host-profiler timing primitives (src/metrics/hostprof.hh). Legal on
 # the hot path only at `// lsqlint: phase(<name>)` annotated lines —
-# the per-cycle clock reads of Core::tickProfiled and the LSQ lap
-# timers, which the sampling mask keeps off the common case.
+# the per-cycle clock reads of the profiled Core::tickStages and the
+# LSQ lap timers, which the sampling mask keeps off the common case.
 _TIMER_IDENTS = frozenset((
-    "hostNowNs", "ScopedHostPhase", "addSample", "noteSampledCycle",
+    "hostNowNs", "ScopedHostPhase", "noteSampledCycle",
 ))
 
 
@@ -405,7 +405,6 @@ class _Extractor:
         }
         self.switches = []
         self.hist_sites = []
-        self.metric_sites = []
         self.fourcc_defs = []
         self.constants = {}
         # File-wide Enum::Member references and LSQ_TRACE_HOOK event
@@ -1082,22 +1081,6 @@ class _Extractor:
                 shape = shape.replace("_", "")
                 self.hist_sites.append({"line": t.line, "name": name,
                                         "shape": shape})
-
-            # registry metric sites ---------------------------------
-            # metrics::counter("name") / gauge / histogram — the
-            # registration calls of src/metrics/metrics.hh, as opposed
-            # to the StatSet `.histogram(` member sites above.
-            elif (t.text in ("counter", "gauge", "histogram") and
-                  prev is not None and prev.kind == "p" and
-                  prev.text == "::" and i >= 2 and
-                  toks[i - 2].kind == "id" and
-                  toks[i - 2].text == "metrics" and
-                  nxt is not None and nxt.kind == "p" and
-                  nxt.text == "(" and i + 2 < n and
-                  toks[i + 2].kind == "str"):
-                self.metric_sites.append(
-                    {"line": t.line, "kind": t.text,
-                     "name": toks[i + 2].text[1:-1]})
             i += 1
 
         # C-style casts need a separate pass: '(' T ')' '('
@@ -1191,7 +1174,6 @@ class _Extractor:
             "events": self.events,
             "switches": self.switches,
             "hist_sites": self.hist_sites,
-            "metric_sites": self.metric_sites,
             "phase_lines": {str(k): v
                             for k, v in self.phase_lines.items()},
             "fourcc_defs": self.fourcc_defs,

@@ -3,8 +3,7 @@ output and `// lsqlint: allow(<rule>)` suppressions) and a severity.
 docs/STATIC_ANALYSIS.md is the human-facing catalog; keep it in sync.
 """
 
-from . import (hotpath, layering, legacy, metricname, serialization,
-               taxonomy)
+from . import hotpath, layering, legacy, serialization, taxonomy
 
 # rule id -> (severity, one-line description)
 RULES = {
@@ -49,11 +48,6 @@ RULES = {
     "hot-phase-timer": ("error",
                         "profiler clock reads on the hot path sit at"
                         " lsqlint: phase() annotated boundaries"),
-    # registry metric naming
-    "metric-name": ("error",
-                    "registry metrics follow"
-                    " lsq_<subsystem>_<name>[_unit]; counters end"
-                    " _total"),
     # include-DAG layering
     "layer-upward-include": ("error",
                              "includes follow the subsystem DAG"
@@ -81,5 +75,4 @@ RUNNERS = [
     hotpath.run,
     layering.run,
     taxonomy.run,
-    metricname.run,
 ]

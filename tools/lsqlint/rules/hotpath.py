@@ -13,7 +13,7 @@ function). Within the checked set:
                type resolves to a class with matching virtual methods
   hot-io       stdio / iostream calls
   hot-phase-timer  host-profiler timing primitives (hostNowNs,
-               ScopedHostPhase, addSample, noteSampledCycle)
+               ScopedHostPhase, noteSampledCycle)
 
 Arguments of LSQ_PANIC / LSQ_FATAL / LSQ_WARN / LSQ_ASSERT /
 LSQ_DCHECK / LSQ_TRACE_HOOK are exempt at extraction time: those are
@@ -21,12 +21,12 @@ cold failure paths (or compiled out), and that is exactly where
 allocation and I/O are allowed to live.
 
 Lines carrying `// lsqlint: phase(<name>)` are declared host-profiler
-phase boundaries (Core::tickProfiled's lap reads, the LSQ lap timers
-behind the profLap_ mask): every purity event on such a line is
-exempt. Timer primitives anywhere *else* in the checked set are
-hot-phase-timer findings — clock reads must stay behind the sampling
-mask, at annotated boundaries, or the "provably free" overhead gate
-(scripts/check_metrics_smoke.py overhead) stops holding.
+phase boundaries (the lap reads of the profiled Core::tickStages, the
+LSQ lap timers behind the profLap_ mask): every purity event on such a
+line is exempt. Timer primitives anywhere *else* in the checked set
+are hot-phase-timer findings — clock reads must stay behind the
+sampling mask, at annotated boundaries, or the "provably free"
+overhead gate (scripts/check_metrics_smoke.py overhead) stops holding.
 """
 
 from __future__ import annotations

@@ -9,10 +9,9 @@ The subsystem DAG (DESIGN.md):
     check obs sample                        layer 3
     harness inject mcm                      layer 4
 
-metrics sits at layer 1 (it includes only common): the host-telemetry
-registry and profiler are read from core's sampled tick, so they must
-live at-or-below core, and everything above (sim, harness)
-reaches them transitively.
+metrics sits at layer 1 (it includes only common): the host profiler
+is read from core's sampled tick, so it must live at-or-below core,
+and everything above (sim, harness) reaches it transitively.
 
 A file may include same-or-lower layers only (same-layer
 cross-subsystem includes are allowed; that is what lets lsq read
