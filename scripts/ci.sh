@@ -25,11 +25,9 @@
 #                    (the harness determinism contract). Also the
 #                    sampling demo (docs/SAMPLING.md): a sampled fig7
 #                    subset must be >= 3x faster than full detail with
-#                    every cell's IPC within 2%. Finally
-#                    `lsqbench/run.py --smoke` runs every benchmark
-#                    workload at smoke size and checks its outputs
-#                    against the committed lsqbench/expected/smoke.json
-#                    digests
+#                    every cell's IPC within 2%. (The lsqbench smoke
+#                    check, `lsqbench/run.py --smoke`, is the
+#                    lsqbench_smoke ctest, so every flavor runs it.)
 #   6. trace-smoke — LSQ_TRACE=ON build + ctest; traced runs must be
 #                    bit-identical to untraced runs across three design
 #                    points, the Konata export must round-trip, and
@@ -54,7 +52,8 @@
 #                    and (under the checker build) corrupt-lsq faults
 #                    are injected at a cycle that splits the grid —
 #                    only the long-running cells may be poisoned, each
-#                    with signal/heartbeat provenance — and a --resume
+#                    with signal/heartbeat provenance — and an
+#                    LSQSCALE_RESUME replay
 #                    from the journal must reproduce the clean output
 #                    byte for byte
 #   9. lint        — the lsqlint analyzer (python3 -m tools.lsqlint)
@@ -189,12 +188,6 @@ python3 scripts/check_sampling.py \
     "$SMOKE_DIR/full/BENCH_fig7_sq_speedup.json" \
     "$SMOKE_DIR/sampled/BENCH_fig7_sq_speedup.json" \
     --min-speedup 3.0 --max-cell-error 2.0
-
-banner "flavor: bench-smoke (lsqbench workloads match committed digests)"
-# Every lsqbench workload at smoke size, untraced and traced; the
-# simulated outputs must match lsqbench/expected/smoke.json, so a
-# change to simulated results fails here rather than in the benchmark.
-python3 lsqbench/run.py --smoke
 
 banner "flavor: trace-smoke (tracing on, timing bit-identical)"
 run_flavor trace -DLSQ_TRACE=ON

@@ -77,6 +77,10 @@ void
 Histogram::loadState(SerialReader &r)
 {
     std::uint64_t n = r.u64();
+    // Bound the count by the bytes left before allocating: a forged
+    // count must be a SerialError, not a multi-terabyte assign.
+    if (n > r.remaining() / 8)
+        throw SerialError("histogram bucket count exceeds its payload");
     buckets_.assign(static_cast<std::size_t>(n), 0);
     for (auto &b : buckets_)
         b = r.u64();
@@ -214,6 +218,8 @@ IntervalSeries::loadState(SerialReader &r)
         columns_.push_back(r.str());
     intervalCycles_ = r.u64();
     std::uint64_t ns = r.u64();
+    if (ns > r.remaining() / (8 * (1 + columns_.size())))
+        throw SerialError("interval sample count exceeds its payload");
     samples_.reserve(static_cast<std::size_t>(ns));
     for (std::uint64_t i = 0; i < ns; ++i) {
         Sample s;

@@ -53,9 +53,6 @@ statusFromByte(std::uint8_t b, JobStatus &out)
     }
 }
 
-std::string g_journalDir;
-std::string g_resumePath;
-
 } // namespace
 
 // ----------------------------------------------------------- codecs --
@@ -361,32 +358,6 @@ void
 JournalWriter::cellDone(const SweepCell &cell)
 {
     writeRecord(encodeCellRecord(journalCellFrom(cell)));
-}
-
-// -------------------------------------------------------- overrides --
-
-void
-setJournalDirOverride(const std::string &dir)
-{
-    g_journalDir = dir;
-}
-
-std::string
-journalDirOverride()
-{
-    return g_journalDir;
-}
-
-void
-setResumeJournalOverride(const std::string &path)
-{
-    g_resumePath = path;
-}
-
-std::string
-resumeJournalOverride()
-{
-    return g_resumePath;
 }
 
 } // namespace lsqscale

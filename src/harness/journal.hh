@@ -6,7 +6,7 @@
  * crash provenance, and the full SimResult for healthy cells — as a
  * CRC-framed record the moment it completes. If the whole sweep
  * process later dies (OOM kill, power, a crash that even process
- * isolation cannot contain), `--resume <journal>` replays the journal:
+ * isolation cannot contain), `LSQSCALE_RESUME=<journal>` replays it:
  * cells recorded Ok are restored without re-running, and only
  * crashed/poisoned/missing cells execute again. The restored grid is
  * byte-identical to an uninterrupted run (same SimResult bytes, same
@@ -166,23 +166,6 @@ class JournalWriter : public ResultSink
     std::string path_;
     std::FILE *f_ = nullptr;
 };
-
-/**
- * Process-wide journal directory override (--journal DIR; empty
- * clears). When set (or LSQSCALE_JOURNAL is in the environment), every
- * env-driven sweep (runAll / envJsonSink path) also journals to
- * <dir>/JOURNAL_<program>[_n].journal.
- */
-void setJournalDirOverride(const std::string &dir);
-std::string journalDirOverride();
-
-/**
- * Process-wide resume override (--resume PATH; empty clears). When
- * set, the next env-driven sweep restores finished cells from this
- * journal and appends to it.
- */
-void setResumeJournalOverride(const std::string &path);
-std::string resumeJournalOverride();
 
 } // namespace lsqscale
 

@@ -169,7 +169,7 @@ runCellInProcess(const std::function<SimResult()> &body,
     {
         // pipe() through the parent-side close of the write ends must
         // be atomic with respect to every other worker's fork: a child
-        // forked in between would inherit this attempt's write ends,
+        // forked in between would inherit this cell's write ends,
         // keeping them open until that unrelated child exits — the
         // parent never sees EOF, the watchdog kills a zombie, and a
         // healthy cell is misclassified as TimedOut.
@@ -210,13 +210,11 @@ runCellInProcess(const std::function<SimResult()> &body,
 
     // Drain all three pipes until the child closes them (by exiting or
     // being killed). The watchdog clock restarts on every heartbeat
-    // byte; the hard deadline does not.
+    // byte.
     std::string payload;
     std::string stderrBuf;
-    auto start = std::chrono::steady_clock::now();
-    auto lastBeat = start;
+    auto lastBeat = std::chrono::steady_clock::now();
     bool killedByWatchdog = false;
-    bool killedByDeadline = false;
 
     while (result.r >= 0 || errp.r >= 0 || hb.r >= 0) {
         struct pollfd fds[3];
@@ -265,19 +263,12 @@ runCellInProcess(const std::function<SimResult()> &body,
             }
         }
 
-        auto now = std::chrono::steady_clock::now();
-        if (!killedByWatchdog && !killedByDeadline) {
-            if (opts.hardTimeout.count() > 0 &&
-                now - start >= opts.hardTimeout) {
-                killedByDeadline = true;
-                if (::kill(pid, SIGKILL) != 0 && errno != ESRCH)
-                    LSQ_WARN("kill() failed: %s", std::strerror(errno));
-            } else if (opts.watchdog.count() > 0 &&
-                       now - lastBeat >= opts.watchdog) {
-                killedByWatchdog = true;
-                if (::kill(pid, SIGKILL) != 0 && errno != ESRCH)
-                    LSQ_WARN("kill() failed: %s", std::strerror(errno));
-            }
+        if (!killedByWatchdog && opts.watchdog.count() > 0 &&
+            std::chrono::steady_clock::now() - lastBeat >=
+                opts.watchdog) {
+            killedByWatchdog = true;
+            if (::kill(pid, SIGKILL) != 0 && errno != ESRCH)
+                LSQ_WARN("kill() failed: %s", std::strerror(errno));
         }
     }
 
@@ -308,15 +299,10 @@ runCellInProcess(const std::function<SimResult()> &body,
     if (parsed && !jobThrew && out.termSignal == 0 &&
         out.exitStatus == 0) {
         // An intact, CRC-valid Ok payload from a child that exited 0
-        // beats a late watchdog/deadline kill: the result had already
+        // beats a late watchdog kill: the result had already
         // shipped, so the SIGKILL hit a zombie (EOF merely arrived
         // late), not a hung job.
         out.status = ProcStatus::Ok;
-    } else if (killedByDeadline) {
-        out.status = ProcStatus::TimedOut;
-        out.error = strfmt("exceeded the %lld ms budget; killed",
-                           static_cast<long long>(
-                               opts.hardTimeout.count()));
     } else if (killedByWatchdog) {
         out.status = ProcStatus::TimedOut;
         out.error = strfmt("no heartbeat for %lld ms; killed as hung",

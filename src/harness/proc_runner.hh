@@ -13,12 +13,11 @@
  * from Core::run's per-cycle hook (src/inject), and the parent kills
  * it only after the beats stop for the watchdog grace. A slow cell
  * that is still simulating lives; a hung one dies in one grace
- * period. SweepOptions::timeout additionally acts as a hard wall-clock
- * deadline.
+ * period.
  *
  * Fork safety: pipe creation, the fork, and the parent-side close of
  * the pipe write ends happen under one global mutex, so a child
- * forked by another worker can never inherit this attempt's write
+ * forked by another worker can never inherit this cell's write
  * ends (which would delay EOF past the watchdog and poison a healthy
  * cell). Inside that bracket the fork also holds the logging mutex
  * (lockLogForFork/unlockLogForFork) so a child forked while another
@@ -39,27 +38,25 @@
 
 namespace lsqscale {
 
-/** How a process-isolated attempt ended. */
+/** How a process-isolated cell ended. */
 enum class ProcStatus : std::uint8_t
 {
     Ok,       ///< child exited 0 with a valid result payload
     Failed,   ///< the job threw; its what() came back over the pipe
     Crashed,  ///< child died on a signal or exited without a payload
-    TimedOut, ///< watchdog (heartbeat silence) or hard-deadline kill
+    TimedOut, ///< killed by the watchdog (heartbeat silence)
 };
 
-/** Knobs for one process-isolated attempt. */
+/** Knobs for one process-isolated cell. */
 struct ProcOptions
 {
     /** Kill after this much heartbeat silence; 0 disables. */
     std::chrono::milliseconds watchdog{30000};
-    /** Hard wall-clock deadline for the attempt; 0 = unlimited. */
-    std::chrono::milliseconds hardTimeout{0};
     /** Child heartbeat period, in simulated cycles. */
     std::uint64_t heartbeatCycles = 65536;
 };
 
-/** Everything the parent learned about the attempt. */
+/** Everything the parent learned about the cell. */
 struct ProcOutcome
 {
     ProcStatus status = ProcStatus::Failed;
@@ -72,7 +69,7 @@ struct ProcOutcome
 
 /**
  * Fork and run @p body in the child; block until the child exits (or
- * is killed by the watchdog/deadline) and classify the outcome. Safe
+ * is killed by the watchdog) and classify the outcome. Safe
  * to call concurrently from JobPool worker threads.
  */
 ProcOutcome runCellInProcess(const std::function<SimResult()> &body,

@@ -143,42 +143,9 @@ ProgressSink::cellDone(const SweepCell &cell)
     if (!cell.poisoned())
         return;
     logLine(stream_,
-            strfmt("[poisoned] %-22s %s: %s after %u attempt(s): %s",
+            strfmt("[poisoned] %-22s %s: %s: %s",
                    cell.configLabel.c_str(), cell.benchmark.c_str(),
-                   jobStatusName(cell.status), cell.attempts,
-                   cell.error.c_str()));
-}
-
-// ------------------------------------------------------ CsvFileSink --
-
-std::string
-CsvFileSink::render(const SweepOutcome &outcome)
-{
-    std::ostringstream os;
-    os << "benchmark";
-    for (const auto &row : outcome.grid)
-        if (!row.empty())
-            os << "," << row.front().configLabel;
-    os << "\n";
-    if (outcome.grid.empty())
-        return os.str();
-    char buf[32];
-    for (std::size_t c = 0; c < outcome.grid.front().size(); ++c) {
-        os << outcome.grid.front()[c].benchmark;
-        for (const auto &row : outcome.grid) {
-            std::snprintf(buf, sizeof(buf), "%.6f",
-                          row[c].result.ipc());
-            os << "," << buf;
-        }
-        os << "\n";
-    }
-    return os.str();
-}
-
-void
-CsvFileSink::sweepEnd(const SweepOutcome &outcome)
-{
-    writeFileCreatingDirs(path_, render(outcome));
+                   jobStatusName(cell.status), cell.error.c_str()));
 }
 
 // ----------------------------------------------------- JsonFileSink --

@@ -30,7 +30,7 @@ class ResultSink
     /** Grid allocated, no job has run yet. */
     virtual void sweepBegin(const SweepOutcome & /* planned */) {}
 
-    /** A cell's first attempt is about to run (completion order). */
+    /** A cell is about to run (completion order). */
     virtual void jobStarted(const SweepCell & /* cell */) {}
 
     /** A cell finished, possibly poisoned (completion order). */
@@ -59,24 +59,6 @@ class ProgressSink : public ResultSink
 
   private:
     std::FILE *stream_;
-};
-
-/**
- * Raw per-cell IPC grid as CSV: header "benchmark,<label>..." then one
- * row per benchmark. Written in stable order from sweepEnd().
- */
-class CsvFileSink : public ResultSink
-{
-  public:
-    explicit CsvFileSink(std::string path) : path_(std::move(path)) {}
-
-    void sweepEnd(const SweepOutcome &outcome) override;
-
-    /** The rendered CSV (also what gets written to the file). */
-    static std::string render(const SweepOutcome &outcome);
-
-  private:
-    std::string path_;
 };
 
 /**

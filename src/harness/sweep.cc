@@ -27,8 +27,6 @@ secondsBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
-std::atomic<unsigned> g_jobsOverride{0};
-std::atomic<IsolationMode> g_isolationOverride{IsolationMode::Auto};
 std::atomic<std::uint64_t> g_sweepFailures{0};
 std::once_flag g_exitHookOnce;
 
@@ -44,24 +42,10 @@ sinkMutex()
 
 // ------------------------------------------------------ job count ----
 
-void
-setJobsOverride(unsigned jobs)
-{
-    g_jobsOverride.store(jobs, std::memory_order_relaxed);
-}
-
-unsigned
-jobsOverride()
-{
-    return g_jobsOverride.load(std::memory_order_relaxed);
-}
-
 unsigned
 resolveJobs(unsigned requested, std::size_t jobCount)
 {
     unsigned jobs = requested;
-    if (jobs == 0)
-        jobs = jobsOverride();
     if (jobs == 0) {
         if (const char *env = std::getenv("LSQSCALE_JOBS")) {
             // Digits-only (common/env.hh): strtoul silently accepted
@@ -84,26 +68,11 @@ resolveJobs(unsigned requested, std::size_t jobCount)
 
 // ------------------------------------------------------- isolation ----
 
-void
-setIsolationOverride(IsolationMode mode)
-{
-    g_isolationOverride.store(mode, std::memory_order_relaxed);
-}
-
-IsolationMode
-isolationOverride()
-{
-    return g_isolationOverride.load(std::memory_order_relaxed);
-}
-
 IsolationMode
 resolveIsolation(IsolationMode requested)
 {
     if (requested != IsolationMode::Auto)
         return requested;
-    IsolationMode forced = isolationOverride();
-    if (forced != IsolationMode::Auto)
-        return forced;
     if (const char *env = std::getenv("LSQSCALE_ISOLATION")) {
         if (std::string(env) == "thread")
             return IsolationMode::Thread;
@@ -184,7 +153,6 @@ Sweep::Sweep(std::vector<NamedConfig> configs,
     : configs_(std::move(configs)), benchmarks_(std::move(benchmarks)),
       opts_(std::move(opts))
 {
-    LSQ_ASSERT(opts_.maxAttempts > 0, "Sweep needs maxAttempts >= 1");
 }
 
 void
@@ -291,30 +259,30 @@ Sweep::notifyDone(const SweepCell &cell)
         s->cellDone(cell);
 }
 
+SimResult
+Sweep::runJob(std::size_t r, std::size_t c) const
+{
+    SimConfig cfg = [&] {
+        ScopedHostPhase prof(HostPhase::SweepCellSetup);
+        return configs_[r].make(benchmarks_[c]);
+    }();
+    return jobFn_(cfg);
+}
+
 void
-Sweep::runCellInChild(SweepCell &cell, std::size_t r, std::size_t c,
-                      const JobContext &ctx, bool &done)
+Sweep::runCellInChild(SweepCell &cell, std::size_t r, std::size_t c)
 {
     ProcOptions popts;
     popts.watchdog = resolveWatchdog(opts_.watchdog);
-    popts.hardTimeout = opts_.timeout;
     auto start = std::chrono::steady_clock::now();
-    ProcOutcome po = runCellInProcess(
-        [this, r, c, &ctx] {
-            SimConfig cfg = [&] {
-                ScopedHostPhase prof(HostPhase::SweepCellSetup);
-                return configs_[r].make(benchmarks_[c]);
-            }();
-            return jobFn_(cfg, ctx);
-        },
-        popts);
+    ProcOutcome po =
+        runCellInProcess([this, r, c] { return runJob(r, c); }, popts);
     auto end = std::chrono::steady_clock::now();
 
     cell.termSignal = po.termSignal;
     cell.exitStatus = po.exitStatus;
     cell.stderrTail = po.stderrTail;
     cell.error = po.error;
-    done = false;
     switch (po.status) {
       case ProcStatus::Ok:
         cell.result = std::move(po.result);
@@ -327,7 +295,6 @@ Sweep::runCellInChild(SweepCell &cell, std::size_t r, std::size_t c,
         if (!po.stderrTail.empty())
             logLine(stderr, po.stderrTail);
         cell.stderrTail.clear();
-        done = true;
         break;
       case ProcStatus::Failed:
         cell.status = JobStatus::Failed;
@@ -347,54 +314,20 @@ Sweep::runCell(SweepOutcome &out, std::size_t r, std::size_t c)
     SweepCell &cell = out.grid[r][c];
     notifyStarted(cell);
 
-    for (unsigned attempt = 0; attempt < opts_.maxAttempts; ++attempt) {
-        if (attempt > 0 && opts_.backoffBase.count() > 0) {
-            // Exponential backoff before each retry (shift capped so
-            // absurd maxAttempts cannot overflow). Sleeping blocks
-            // this worker, which is fine: retries are the rare path.
-            unsigned shift = attempt - 1 < 16 ? attempt - 1 : 16;
-            std::this_thread::sleep_for(opts_.backoffBase *
-                                        (1u << shift));
-        }
+    cell.attempts = 1;
+    if (isolation_ == IsolationMode::Process) {
+        // Crash-isolated: the job runs in a forked child; whatever it
+        // does — segfault, assert, hang — only this cell pays
+        // (docs/ROBUSTNESS.md).
+        runCellInChild(cell, r, c);
+    } else {
         auto start = std::chrono::steady_clock::now();
-        bool hasDeadline = opts_.timeout.count() > 0;
-        JobContext ctx(attempt, cell.seed, r, c,
-                       start + opts_.timeout, hasDeadline);
-        cell.attempts = attempt + 1;
-        if (isolation_ == IsolationMode::Process) {
-            // Crash-isolated attempt: the job runs in a forked child;
-            // whatever it does — segfault, assert, hang — only this
-            // cell pays (docs/ROBUSTNESS.md).
-            bool done = false;
-            runCellInChild(cell, r, c, ctx, done);
-            if (done)
-                break;
-            continue;
-        }
         try {
-            SimConfig cfg = [&] {
-                ScopedHostPhase prof(HostPhase::SweepCellSetup);
-                return configs_[r].make(benchmarks_[c]);
-            }();
-            SimResult res = jobFn_(cfg, ctx);
-            auto end = std::chrono::steady_clock::now();
-            if (hasDeadline && end - start > opts_.timeout) {
-                // Completed, but over budget: best-effort timeout
-                // detection for jobs that cannot poll expired().
-                cell.status = JobStatus::TimedOut;
-                cell.error = strfmt(
-                    "attempt %u exceeded the %lldms budget", attempt + 1,
-                    static_cast<long long>(opts_.timeout.count()));
-                continue;
-            }
-            cell.result = std::move(res);
-            cell.status = JobStatus::Ok;
-            cell.error.clear();
-            cell.seconds = secondsBetween(start, end);
-            break;
+            cell.result = runJob(r, c);
+            cell.seconds =
+                secondsBetween(start, std::chrono::steady_clock::now());
         } catch (const std::exception &e) {
-            cell.status =
-                ctx.expired() ? JobStatus::TimedOut : JobStatus::Failed;
+            cell.status = JobStatus::Failed;
             cell.error = e.what();
         } catch (...) {
             cell.status = JobStatus::Failed;
@@ -434,7 +367,9 @@ Sweep::run()
             cell.col = c;
             cell.configLabel = configs_[r].label;
             cell.benchmark = benchmarks_[c];
-            cell.seed = jobSeed(opts_.baseSeed, r, c);
+            // Base 1 keeps the seeds (and so the resume keys) of
+            // every recorded journal and sweep JSON valid.
+            cell.seed = jobSeed(1, r, c);
         }
     }
     out.jobs = resolveJobs(opts_.jobs, rows * cols);
@@ -451,8 +386,8 @@ Sweep::run()
         // them and fire the fault in an arbitrary cell at a wrong
         // cycle. Process mode is safe (each child re-arms its own
         // copy), so only thread mode is forced serial.
-        LSQ_WARN("an injected fault is armed; forcing --jobs 1 for "
-                 "thread-mode isolation (use --isolation process for "
+        LSQ_WARN("an injected fault is armed; running thread-mode "
+                 "cells serially (set LSQSCALE_ISOLATION=process for "
                  "parallel fault campaigns)");
         out.jobs = 1;
     }

@@ -13,15 +13,13 @@
  *  - therefore a parallel sweep is bit-identical to a serial sweep,
  *    and to the pre-harness serial ExperimentRunner loop.
  *
- * Failure semantics: a job that throws is retried up to
- * SweepOptions::maxAttempts times with exponential backoff; a job
- * still failing (or exceeding its cooperative timeout) yields a
- * POISONED cell — a zeroed SimResult plus the error string — and the
- * sweep keeps going. SweepOutcome::exitCode() reports nonzero when any
- * cell is poisoned.
+ * Failure semantics: every cell runs exactly once. A job that throws
+ * yields a POISONED cell — a zeroed SimResult plus the error string —
+ * and the sweep keeps going. SweepOutcome::exitCode() reports nonzero
+ * when any cell is poisoned.
  *
  * Crash semantics (docs/ROBUSTNESS.md): under IsolationMode::Process
- * each attempt runs in a forked child, so a SIGSEGV, SIGABRT
+ * each cell runs in a forked child, so a SIGSEGV, SIGABRT
  * (LSQ_ASSERT / checker panic), or hang poisons only its own cell —
  * JobStatus::Crashed or TimedOut with signal, exit-status, and
  * stderr-tail provenance — while healthy cells stay bit-identical to
@@ -64,8 +62,8 @@ struct NamedConfig
 enum class JobStatus
 {
     Ok,       ///< result is valid
-    Failed,   ///< every attempt threw; cell poisoned
-    TimedOut, ///< exceeded its time budget; cell poisoned
+    Failed,   ///< the job threw; cell poisoned
+    TimedOut, ///< reaped by the heartbeat watchdog; cell poisoned
     Crashed,  ///< child process died on a signal; cell poisoned
 };
 
@@ -74,94 +72,27 @@ enum class JobStatus
  *
  * Thread mode is the historical in-process path: fastest, but a
  * SIGSEGV, LSQ_ASSERT, or checker panic in any cell takes the whole
- * sweep down. Process mode forks one child per attempt: a crash or
+ * sweep down. Process mode forks one child per cell: a crash or
  * hang poisons only that cell (JobStatus::Crashed/TimedOut with
  * signal/exit/stderr provenance) and the pool keeps draining. Both
  * modes produce bit-identical results for healthy cells.
  */
 enum class IsolationMode
 {
-    Auto,    ///< resolve via override > LSQSCALE_ISOLATION > Thread
+    Auto,    ///< resolve via LSQSCALE_ISOLATION > Thread
     Thread,  ///< run the job on the worker thread (historical path)
-    Process, ///< fork per attempt; crashes poison only their cell
-};
-
-/** Per-attempt context handed to the job function. */
-class JobContext
-{
-  public:
-    JobContext(unsigned attempt, std::uint64_t seed, std::size_t row,
-               std::size_t col,
-               std::chrono::steady_clock::time_point deadline,
-               bool hasDeadline)
-        : attempt_(attempt), seed_(seed), row_(row), col_(col),
-          deadline_(deadline), hasDeadline_(hasDeadline)
-    {
-    }
-
-    /** 0-based attempt number (> 0 means this is a retry). */
-    unsigned attempt() const { return attempt_; }
-
-    /**
-     * Deterministic per-job seed: a pure function of the sweep's base
-     * seed and the cell's grid coordinates (Sweep::jobSeed), identical
-     * whatever the worker count or completion order. The default
-     * simulation job does NOT override the config factory's own seed
-     * (that would break bit-identity with the serial baseline); custom
-     * jobs that want harness-provided randomness should use this.
-     */
-    std::uint64_t seed() const { return seed_; }
-
-    std::size_t row() const { return row_; }
-    std::size_t col() const { return col_; }
-
-    /**
-     * Cooperative cancellation: true once the cell's time budget is
-     * spent. Long-running custom jobs should poll this and bail out
-     * (return or throw); the engine additionally classifies a job
-     * whose wall time exceeded the budget as TimedOut after the fact.
-     */
-    bool
-    expired() const
-    {
-        return hasDeadline_ &&
-               std::chrono::steady_clock::now() >= deadline_;
-    }
-
-  private:
-    unsigned attempt_;
-    std::uint64_t seed_;
-    std::size_t row_;
-    std::size_t col_;
-    std::chrono::steady_clock::time_point deadline_;
-    bool hasDeadline_;
+    Process, ///< fork per cell; crashes poison only their cell
 };
 
 /** Knobs for one sweep. */
 struct SweepOptions
 {
     /**
-     * Worker threads. 0 = resolve automatically: the process-wide
-     * --jobs override, else LSQSCALE_JOBS, else
+     * Worker threads. 0 = resolve automatically: LSQSCALE_JOBS, else
      * std::thread::hardware_concurrency(); always capped by the job
      * count (see resolveJobs()).
      */
     unsigned jobs = 0;
-
-    /** Total tries per cell (1 = no retry). */
-    unsigned maxAttempts = 1;
-
-    /** Per-attempt time budget; zero means unlimited. */
-    std::chrono::milliseconds timeout{0};
-
-    /**
-     * First retry delay; doubles each further retry
-     * (backoffBase * 2^(attempt-1)).
-     */
-    std::chrono::milliseconds backoffBase{25};
-
-    /** Base of the deterministic per-job seed derivation. */
-    std::uint64_t baseSeed = 1;
 
     /** Sweep name, used by sinks (e.g. the JSON file header). */
     std::string name = "sweep";
@@ -189,10 +120,11 @@ struct SweepCell
 
     SimResult result;    ///< zeroed when poisoned
     JobStatus status = JobStatus::Ok;
-    std::string error;   ///< what() of the last failing attempt
+    std::string error;   ///< what() of the failure
+    /** 1 once executed; kept so journal and JSON rows stay stable. */
     unsigned attempts = 0;
     std::uint64_t seed = 0; ///< Sweep::jobSeed for this cell
-    double seconds = 0.0;   ///< wall time of the successful attempt
+    double seconds = 0.0;   ///< wall time of a healthy cell
 
     // Process-isolation provenance (zero/empty in thread mode and for
     // healthy cells; see docs/ROBUSTNESS.md).
@@ -236,11 +168,10 @@ class Sweep
   public:
     /**
      * A job: turn a materialized config into a result. Runs on a
-     * worker thread; may throw to signal failure (retried/poisoned
-     * per SweepOptions). Must not touch shared mutable state.
+     * worker thread (or in a forked child); may throw to poison its
+     * cell. Must not touch shared mutable state.
      */
-    using JobFn =
-        std::function<SimResult(const SimConfig &, const JobContext &)>;
+    using JobFn = std::function<SimResult(const SimConfig &)>;
 
     Sweep(std::vector<NamedConfig> configs,
           std::vector<std::string> benchmarks, SweepOptions opts = {});
@@ -282,8 +213,8 @@ class Sweep
     void notifyDone(const SweepCell &cell);
 
     void restoreFromJournal(SweepOutcome &out);
-    void runCellInChild(SweepCell &cell, std::size_t r, std::size_t c,
-                        const JobContext &ctx, bool &done);
+    SimResult runJob(std::size_t r, std::size_t c) const;
+    void runCellInChild(SweepCell &cell, std::size_t r, std::size_t c);
 
     std::vector<NamedConfig> configs_;
     std::vector<std::string> benchmarks_;
@@ -297,27 +228,18 @@ class Sweep
 
 /**
  * Resolve the worker-thread count for @p jobCount independent jobs.
- * Precedence: @p requested (e.g. SweepOptions::jobs or a --jobs flag)
- * > setJobsOverride() > the LSQSCALE_JOBS environment variable >
- * std::thread::hardware_concurrency(); the winner is capped by
- * @p jobCount and floored at 1.
+ * Precedence: @p requested (SweepOptions::jobs) > the LSQSCALE_JOBS
+ * environment variable > std::thread::hardware_concurrency(); the
+ * winner is capped by @p jobCount and floored at 1.
  */
 unsigned resolveJobs(unsigned requested, std::size_t jobCount);
 
-/** Process-wide --jobs override (0 clears). Set once at startup. */
-void setJobsOverride(unsigned jobs);
-unsigned jobsOverride();
-
 /**
  * Resolve where cells run. Precedence: @p requested (when not Auto) >
- * setIsolationOverride() > the LSQSCALE_ISOLATION environment variable
- * ("thread" / "process") > Thread. Never returns Auto.
+ * the LSQSCALE_ISOLATION environment variable ("thread" / "process")
+ * > Thread. Never returns Auto.
  */
 IsolationMode resolveIsolation(IsolationMode requested);
-
-/** Process-wide --isolation override (Auto clears). */
-void setIsolationOverride(IsolationMode mode);
-IsolationMode isolationOverride();
 
 /**
  * Resolve the heartbeat-watchdog grace for process-isolated cells:

@@ -25,7 +25,8 @@
  * Everything is deterministic: the trigger is a cycle count relative
  * to measurement start, and corruption randomness derives only from
  * the spec's seed. Fault state is process-global — a campaign that
- * wants per-cell blast radius must run under --isolation=process.
+ * wants per-cell blast radius must run under
+ * LSQSCALE_ISOLATION=process.
  */
 // lsqlint: layer(common) -- fault-arming interface over common/types.hh only; hooks live in layer-1 Core::run (lsqscale_inject depends only on common)
 

@@ -125,6 +125,8 @@ struct SampleSummary
         measuredCycles = r.u64();
         intervalIpc.clear();
         std::uint64_t n = r.u64();
+        if (n > r.remaining() / 8)
+            throw SerialError("sample IPC count exceeds its payload");
         intervalIpc.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i)
             intervalIpc.push_back(r.f64());

@@ -1,4 +1,4 @@
-// lsqlint: layer(harness) -- sweep driver implementation over harness journal/sweep
+// lsqlint: layer(harness) -- lsqsim command-line implementation; writes files through harness/sink
 #include "sim/cli.hh"
 
 #include <cstdio>
@@ -7,9 +7,7 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "harness/journal.hh"
 #include "harness/sink.hh"
-#include "harness/sweep.hh"
 #include "inject/inject.hh"
 #include "metrics/hostprof.hh"
 #include "obs/trace.hh"
@@ -23,20 +21,10 @@ namespace lsqscale {
 namespace {
 
 bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end && *end == '\0';
-}
-
-bool
 parseUnsigned(const std::string &s, unsigned &out)
 {
     std::uint64_t v;
-    if (!parseU64(s, v) || v > 0xffffffffu)
+    if (!parseDigitsU64(s, v) || v > 0xffffffffu)
         return false;
     out = static_cast<unsigned>(v);
     return true;
@@ -85,25 +73,7 @@ cliUsage()
         "self-circular, 1 port\n"
         "  --scaled             12-wide issue, 96-entry IQ, 3-cycle L1\n"
         "\n"
-        "execution:\n"
-        "  --jobs N             worker threads for the sweep harness\n"
-        "                       (precedence: --jobs > LSQSCALE_JOBS >\n"
-        "                       hardware threads, capped by job count;\n"
-        "                       LSQSCALE_BENCH / LSQSCALE_INSTS narrow\n"
-        "                       the sweep as before)\n"
-        "\n"
         "robustness (docs/ROBUSTNESS.md):\n"
-        "  --isolation MODE     thread | process: where sweep cells "
-        "run\n"
-        "                       (process forks per cell so crashes and\n"
-        "                       hangs poison only that cell; also\n"
-        "                       LSQSCALE_ISOLATION)\n"
-        "  --journal DIR        journal each sweep's finished cells to\n"
-        "                       DIR/JOURNAL_<program>[_n].journal\n"
-        "                       (also LSQSCALE_JOURNAL)\n"
-        "  --resume PATH        restore finished cells from PATH and\n"
-        "                       re-run only the rest, appending to it\n"
-        "                       (also LSQSCALE_RESUME)\n"
         "  --inject K:S:C       arm deterministic fault kind K with\n"
         "                       seed S at measured cycle C; kinds:\n"
         "                       crash, abort, hang, corrupt-lsq,\n"
@@ -186,18 +156,18 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
                 return "--record needs a path";
             opts.recordPath = v;
         } else if (a == "--record-insts") {
-            if (!value(v) || !parseU64(v, opts.recordCount) ||
+            if (!value(v) || !parseDigitsU64(v, opts.recordCount) ||
                 opts.recordCount == 0)
                 return "--record-insts needs a positive count";
         } else if (a == "--insts") {
-            if (!value(v) || !parseU64(v, opts.config.instructions) ||
+            if (!value(v) || !parseDigitsU64(v, opts.config.instructions) ||
                 opts.config.instructions == 0)
                 return "--insts needs a positive count";
         } else if (a == "--warmup") {
-            if (!value(v) || !parseU64(v, opts.config.warmup))
+            if (!value(v) || !parseDigitsU64(v, opts.config.warmup))
                 return "--warmup needs a count";
         } else if (a == "--seed") {
-            if (!value(v) || !parseU64(v, opts.config.seed))
+            if (!value(v) || !parseDigitsU64(v, opts.config.seed))
                 return "--seed needs a number";
         } else if (a == "--ports") {
             if (!value(v) ||
@@ -266,22 +236,6 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
             opts.config = configs::allTechniques(opts.config);
         } else if (a == "--scaled") {
             opts.config = configs::scaledProcessor(opts.config);
-        } else if (a == "--jobs") {
-            if (!value(v) || !parseUnsigned(v, opts.jobs) ||
-                opts.jobs == 0)
-                return "--jobs needs a positive count";
-        } else if (a == "--isolation") {
-            if (!value(v) || (v != "thread" && v != "process"))
-                return "--isolation needs thread or process";
-            opts.isolation = v;
-        } else if (a == "--journal") {
-            if (!value(v))
-                return "--journal needs a directory";
-            opts.journalDir = v;
-        } else if (a == "--resume") {
-            if (!value(v))
-                return "--resume needs a journal path";
-            opts.resumePath = v;
         } else if (a == "--inject") {
             if (!value(v))
                 return "--inject needs kind:seed:cycle";
@@ -319,7 +273,7 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
                 return "--probe-rate needs probes per kilocycle";
             opts.config.probes.enabled = true;
         } else if (a == "--probe-seed") {
-            if (!value(v) || !parseU64(v, opts.config.probes.seed))
+            if (!value(v) || !parseDigitsU64(v, opts.config.probes.seed))
                 return "--probe-seed needs an integer seed";
         } else if (a == "--probe-watch") {
             if (!value(v) ||
@@ -328,7 +282,7 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
                 return "--probe-watch needs a positive line count";
         } else if (a == "--interval-stats") {
             if (!value(v) ||
-                !parseU64(v, opts.config.intervalCycles) ||
+                !parseDigitsU64(v, opts.config.intervalCycles) ||
                 opts.config.intervalCycles == 0)
                 return "--interval-stats needs a positive cycle count";
         } else if (a == "--interval-json") {
@@ -348,7 +302,7 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
                 return "--sample needs F:W:D (non-negative integers, "
                        "D > 0)";
         } else if (a == "--ff") {
-            if (!value(v) || !parseU64(v, opts.config.ffInsts) ||
+            if (!value(v) || !parseDigitsU64(v, opts.config.ffInsts) ||
                 opts.config.ffInsts == 0)
                 return "--ff needs a positive instruction count";
         } else if (a == "--save-ckpt") {
@@ -418,16 +372,6 @@ resultToJson(const SimResult &result, const SimConfig &config)
 int
 runCli(const CliOptions &opts)
 {
-    if (opts.jobs > 0)
-        setJobsOverride(opts.jobs);
-    if (!opts.isolation.empty())
-        setIsolationOverride(opts.isolation == "process"
-                                 ? IsolationMode::Process
-                                 : IsolationMode::Thread);
-    if (!opts.journalDir.empty())
-        setJournalDirOverride(opts.journalDir);
-    if (!opts.resumePath.empty())
-        setResumeJournalOverride(opts.resumePath);
     if (!opts.inject.empty()) {
         // parseCli validated the spec; arm it explicitly so --inject
         // beats LSQSCALE_INJECT (armFromEnv is a no-op once armed).

@@ -6,7 +6,7 @@
  * testable; tools/lsqsim.cpp is a thin wrapper around parseCli() and
  * runCli().
  */
-// lsqlint: layer(harness) -- sweep-driver CLI; consumed only by tools/ and tests/, sits on the harness job engine
+// lsqlint: layer(harness) -- lsqsim CLI; consumed only by tools/ and tests/, writes files through harness/sink
 
 #ifndef LSQSCALE_SIM_CLI_HH
 #define LSQSCALE_SIM_CLI_HH
@@ -28,30 +28,6 @@ struct CliOptions
     bool listBenchmarks = false;
     bool jsonOutput = false;
     bool dumpStats = false;
-
-    /**
-     * --jobs: process-wide worker-thread override for the sweep
-     * harness (0 = unset). Takes precedence over LSQSCALE_JOBS, which
-     * in turn beats std::thread::hardware_concurrency(); the winner is
-     * always capped by the number of jobs in a sweep. A single
-     * `lsqsim` simulation is one job, so this only matters for code
-     * paths that fan out sweeps (see docs/HARNESS.md).
-     */
-    unsigned jobs = 0;
-
-    /**
-     * --isolation: process-wide override for where sweep cells run
-     * ("thread" or "process"; empty = unset). Like --jobs, a single
-     * lsqsim run is unaffected — this parameterizes embedded sweeps
-     * (docs/ROBUSTNESS.md).
-     */
-    std::string isolation;
-
-    /** --journal: directory for sweep journals (empty = unset). */
-    std::string journalDir;
-
-    /** --resume: journal file to restore finished cells from. */
-    std::string resumePath;
 
     /**
      * --inject: deterministic fault to arm, "kind:seed:cycle"

@@ -86,10 +86,10 @@ envJsonSink(const std::string &sweepName, unsigned jobs,
 }
 
 /**
- * The journal sink (--journal / LSQSCALE_JOURNAL): mirrors the JSON
- * sink's naming scheme — first sweep JOURNAL_<program>.journal, later
- * ones _2, _3... — so a multi-sweep bench journals each sweep
- * separately. A --resume path targets exactly one journal file, so it
+ * The journal sink (LSQSCALE_JOURNAL): mirrors the JSON sink's naming
+ * scheme — first sweep JOURNAL_<program>.journal, later ones _2, _3...
+ * — so a multi-sweep bench journals each sweep separately. An
+ * LSQSCALE_RESUME path targets exactly one journal file, so it
  * applies only to the FIRST sweep of the process; a resumed journal is
  * appended to in place, whatever directory it lives in.
  */
@@ -107,12 +107,8 @@ envJournalSink(const std::string &sweepName)
     static unsigned journalOrdinal = 0;
     ++journalOrdinal;
 
-    std::string resumePath = resumeJournalOverride();
-    if (resumePath.empty()) {
-        if (const char *env = std::getenv("LSQSCALE_RESUME"))
-            resumePath = env;
-    }
-    if (!resumePath.empty() && journalOrdinal == 1) {
+    const char *resumePath = std::getenv("LSQSCALE_RESUME");
+    if (resumePath && *resumePath && journalOrdinal == 1) {
         std::string error;
         if (readJournal(resumePath, setup.resume, error)) {
             setup.haveResume = true;
@@ -121,16 +117,13 @@ envJournalSink(const std::string &sweepName)
             return setup;
         }
         LSQ_WARN("cannot resume from %s: %s; running from scratch",
-                 resumePath.c_str(), error.c_str());
+                 resumePath, error.c_str());
     }
 
-    std::string dir = journalDirOverride();
-    if (dir.empty()) {
-        if (const char *env = std::getenv("LSQSCALE_JOURNAL"))
-            dir = env;
-    }
-    if (dir.empty())
+    const char *dirEnv = std::getenv("LSQSCALE_JOURNAL");
+    if (!dirEnv || !*dirEnv)
         return setup;
+    std::string dir = dirEnv;
     std::string path = dir + "/JOURNAL_" + sweepName;
     if (journalOrdinal > 1)
         path += strfmt("_%u", journalOrdinal);
@@ -151,7 +144,7 @@ envJournalSink(const std::string &sweepName)
 } // namespace
 
 SimResult
-runSimulationJob(const SimConfig &config, const JobContext &)
+runSimulationJob(const SimConfig &config)
 {
     Simulator sim(config);
     return sim.run();

@@ -31,8 +31,8 @@ using ResultRow = std::vector<SimResult>;
  *
  * Since the harness rebase every run()/runAll() executes as a Sweep on
  * the src/harness job engine: cells run concurrently on
- * resolveJobs()-many workers (--jobs / LSQSCALE_JOBS /
- * hardware_concurrency, capped by cell count) and are collected in
+ * resolveJobs()-many workers (LSQSCALE_JOBS / hardware_concurrency,
+ * capped by cell count) and are collected in
  * stable paper order, so parallel output is bit-identical to serial.
  * A failed cell degrades to a poisoned (zeroed) result, a "[poisoned]"
  * line, and a nonzero process exit at the end (noteSweepFailures)
@@ -58,7 +58,7 @@ class ExperimentRunner
 
     /**
      * Force the worker count for subsequent runs (0 = resolve from
-     * --jobs / LSQSCALE_JOBS / hardware concurrency).
+     * LSQSCALE_JOBS / hardware concurrency).
      */
     void setJobs(unsigned jobs) { jobs_ = jobs; }
 
@@ -116,12 +116,10 @@ class ExperimentRunner
 
 /**
  * The canonical simulation job: materialize a Simulator for the config
- * and run it. The JobContext seed is deliberately unused — the config
- * factory's own seed stays authoritative so harness runs reproduce the
- * historical serial results bit-for-bit.
+ * and run it. The config factory's seed is authoritative, so harness
+ * runs reproduce the serial results bit-for-bit.
  */
-SimResult runSimulationJob(const SimConfig &config,
-                           const JobContext &ctx);
+SimResult runSimulationJob(const SimConfig &config);
 
 } // namespace lsqscale
 

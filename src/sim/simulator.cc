@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "core/core.hh"
 #include "inject/inject.hh"
@@ -60,12 +61,8 @@ prewarmCaches(MemorySystem &mem, const BenchmarkProfile &profile)
 std::uint64_t
 effectiveInstructions(std::uint64_t configured)
 {
-    if (const char *env = std::getenv("LSQSCALE_INSTS")) {
-        std::uint64_t v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return configured;
+    std::uint64_t v = envU64("LSQSCALE_INSTS", 0);
+    return v > 0 ? v : configured;
 }
 
 namespace {
@@ -78,14 +75,8 @@ namespace {
 std::uint64_t
 effectiveIntervalCycles(std::uint64_t configured)
 {
-    if (configured > 0)
-        return configured;
-    if (const char *env = std::getenv("LSQSCALE_INTERVAL")) {
-        std::uint64_t v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return 0;
+    return configured > 0 ? configured
+                          : envU64("LSQSCALE_INTERVAL", 0);
 }
 
 /**
@@ -231,6 +222,10 @@ Simulator::run()
 
     Cycle startCycle = core.cycle();
     std::uint64_t startCommitted = core.committed();
+    // Saturate: a huge count must mean "run on", not wrap past zero.
+    std::uint64_t endCommitted =
+        measured > UINT64_MAX - startCommitted ? UINT64_MAX
+                                               : startCommitted + measured;
     std::uint64_t l1dH = core.memory().l1d().hits();
     std::uint64_t l1dM = core.memory().l1d().misses();
     std::uint64_t l2H = core.memory().l2().hits();
@@ -242,12 +237,12 @@ Simulator::run()
         // the whole loop (fast-forward warming included).
         ScopedHostPhase profRun(HostPhase::Run);
         result.sampling =
-            runSampleLoop(core, sample, startCommitted + measured);
+            runSampleLoop(core, sample, endCommitted);
         result.cycles = result.sampling.measuredCycles;
         result.committed = result.sampling.measuredInsts;
     } else {
         ScopedHostPhase profRun(HostPhase::Run);
-        core.run(startCommitted + measured);
+        core.run(endCommitted);
         result.cycles = core.cycle() - startCycle;
         result.committed = core.committed() - startCommitted;
     }

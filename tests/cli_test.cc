@@ -133,13 +133,28 @@ TEST(Cli, UnknownOptionIsError)
     EXPECT_NE(parseErr({"--frobnicate"}), "");
 }
 
-TEST(Cli, JobsOption)
+TEST(Cli, SweepFlagsAreRejected)
 {
-    EXPECT_EQ(parseOk({}).jobs, 0u);
-    EXPECT_EQ(parseOk({"--jobs", "8"}).jobs, 8u);
-    EXPECT_NE(parseErr({"--jobs"}), "");
-    EXPECT_NE(parseErr({"--jobs", "0"}), "");
-    EXPECT_NE(parseErr({"--jobs", "many"}), "");
+    // lsqsim runs one simulation; sweeps are configured through
+    // SweepOptions and the LSQSCALE_JOBS/ISOLATION/JOURNAL/RESUME
+    // variables only.
+    for (const char *flag :
+         {"--jobs", "--isolation", "--journal", "--resume"}) {
+        std::string err = parseErr({flag, "2"});
+        EXPECT_NE(err.find("unknown option"), std::string::npos)
+            << flag << ": " << err;
+    }
+}
+
+TEST(Cli, CountsAreDigitsOnly)
+{
+    // strtoull accepted all of these: "-1" wrapped to 2^64-1, "+5" and
+    // " 5000" parsed, and "20k" silently meant 20.
+    for (const char *flag : {"--insts", "--seed", "--warmup", "--ports"})
+        for (const char *bad : {"-1", "+5", " 5000", "20k"})
+            EXPECT_NE(parseErr({flag, bad}), "") << flag << " " << bad;
+    EXPECT_NE(parseErr({"--insts", "18446744073709551616"}), "");
+    EXPECT_EQ(parseOk({"--insts", "5000"}).config.instructions, 5000u);
 }
 
 TEST(Cli, UsageMentionsEveryOption)
@@ -148,7 +163,7 @@ TEST(Cli, UsageMentionsEveryOption)
     for (const char *flag :
          {"--benchmark", "--trace", "--insts", "--ports", "--segments",
           "--predictor", "--load-buffer", "--all-techniques",
-          "--scaled", "--json", "--record", "--jobs"})
+          "--scaled", "--json", "--record", "--inject"})
         EXPECT_NE(u.find(flag), std::string::npos) << flag;
 }
 

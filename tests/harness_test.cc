@@ -5,11 +5,11 @@
  * The load-bearing property is the determinism contract from
  * docs/HARNESS.md: a parallel sweep must be bit-identical to a serial
  * sweep and to the historical serial runner loop. The rest covers the
- * failure semantics (retry with backoff, cooperative timeout,
- * poisoned-cell reporting) and the sink API. Under -DLSQ_CHECKER=ON
- * every simulation below also shadow-executes against the ordering
- * oracle on pool workers, which is exactly the "checker under the
- * pool" configuration the TSan preset validates.
+ * failure semantics (one attempt per cell, poisoned-cell reporting),
+ * the sink API and journal decoding. Under -DLSQ_CHECKER=ON every
+ * simulation below also shadow-executes against the ordering oracle
+ * on pool workers, which is exactly the "checker under the pool"
+ * configuration the TSan preset validates.
  */
 
 #include <atomic>
@@ -27,11 +27,13 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "harness/job_pool.hh"
 #include "harness/journal.hh"
 #include "harness/sink.hh"
 #include "harness/sweep.hh"
 #include "inject/inject.hh"
+#include "sample/serialize.hh"
 #include "sim/experiment.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
@@ -203,20 +205,16 @@ TEST(SweepTest, CellSeedsIndependentOfWorkerCount)
     auto collectSeeds = [](unsigned jobs) {
         SweepOptions opts;
         opts.jobs = jobs;
-        opts.baseSeed = 42;
         Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
                     {"bzip", "gcc", "art"}, opts);
-        sweep.setJobFn([](const SimConfig &cfg, const JobContext &ctx) {
-            SimResult r = dummyResult(cfg.benchmark);
-            r.cycles = ctx.seed(); // smuggle the seed out
-            return r;
+        sweep.setJobFn([](const SimConfig &cfg) {
+            return dummyResult(cfg.benchmark);
         });
         std::vector<std::uint64_t> seeds;
         for (const auto &row : sweep.run().grid)
             for (const auto &cell : row) {
                 EXPECT_EQ(cell.seed,
-                          Sweep::jobSeed(42, cell.row, cell.col));
-                EXPECT_EQ(cell.seed, cell.result.cycles);
+                          Sweep::jobSeed(1, cell.row, cell.col));
                 seeds.push_back(cell.seed);
             }
         return seeds;
@@ -241,7 +239,7 @@ TEST(SweepTest, ArmedFaultForcesSerialThreadModeSweep)
     opts.isolation = IsolationMode::Thread;
     Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
                 {"bzip", "gcc"}, opts);
-    sweep.setJobFn([](const SimConfig &cfg, const JobContext &) {
+    sweep.setJobFn([](const SimConfig &cfg) {
         return dummyResult(cfg.benchmark);
     });
     SweepOutcome out = sweep.run();
@@ -253,46 +251,20 @@ TEST(SweepTest, ArmedFaultForcesSerialThreadModeSweep)
 
 // ---------------------------------------------- failure semantics ----
 
-TEST(SweepTest, RetriesAfterInjectedFailure)
-{
-    SweepOptions opts;
-    opts.jobs = 4;
-    opts.maxAttempts = 3;
-    opts.backoffBase = std::chrono::milliseconds(1);
-    Sweep sweep({{"flaky", tinyConfig}}, {"bzip", "gcc"}, opts);
-
-    // The bzip cell fails on its first two attempts, then succeeds.
-    std::atomic<unsigned> bzipTries{0};
-    sweep.setJobFn(
-        [&bzipTries](const SimConfig &cfg, const JobContext &ctx) {
-            if (cfg.benchmark == "bzip") {
-                ++bzipTries;
-                if (ctx.attempt() < 2)
-                    throw std::runtime_error("injected flake");
-            }
-            return dummyResult(cfg.benchmark);
-        });
-
-    SweepOutcome out = sweep.run();
-    EXPECT_EQ(out.poisonedCells, 0u);
-    EXPECT_EQ(out.exitCode(), 0);
-    EXPECT_EQ(bzipTries.load(), 3u);
-    EXPECT_EQ(out.grid[0][0].attempts, 3u);
-    EXPECT_EQ(out.grid[0][0].status, JobStatus::Ok);
-    EXPECT_EQ(out.grid[0][1].attempts, 1u);
-}
-
 TEST(SweepTest, PoisonedCellDoesNotKillTheSweep)
 {
     SweepOptions opts;
     opts.jobs = 2;
-    opts.maxAttempts = 2;
-    opts.backoffBase = std::chrono::milliseconds(1);
     Sweep sweep({{"cursed", tinyConfig}}, {"bzip", "gcc", "art"}, opts);
 
-    sweep.setJobFn([](const SimConfig &cfg, const JobContext &) {
-        if (cfg.benchmark == "gcc")
+    // Every cell runs exactly once: a throwing job poisons its cell on
+    // its only attempt.
+    std::atomic<unsigned> gccTries{0};
+    sweep.setJobFn([&gccTries](const SimConfig &cfg) {
+        if (cfg.benchmark == "gcc") {
+            ++gccTries;
             throw std::runtime_error("injected permanent failure");
+        }
         return dummyResult(cfg.benchmark);
     });
 
@@ -304,58 +276,14 @@ TEST(SweepTest, PoisonedCellDoesNotKillTheSweep)
     const SweepCell &bad = out.grid[0][1];
     EXPECT_EQ(bad.status, JobStatus::Failed);
     EXPECT_TRUE(bad.poisoned());
-    EXPECT_EQ(bad.attempts, 2u);
+    EXPECT_EQ(bad.attempts, 1u);
+    EXPECT_EQ(gccTries.load(), 1u);
     EXPECT_EQ(bad.error, "injected permanent failure");
     EXPECT_EQ(bad.result.cycles, 0u);       // zeroed, ipc() == 0
     EXPECT_EQ(bad.result.benchmark, "gcc"); // grid stays rectangular
 
     EXPECT_EQ(out.grid[0][0].status, JobStatus::Ok);
     EXPECT_EQ(out.grid[0][2].status, JobStatus::Ok);
-}
-
-TEST(SweepTest, CooperativeTimeoutCancelsTheCell)
-{
-    SweepOptions opts;
-    opts.jobs = 2;
-    opts.maxAttempts = 2;
-    opts.timeout = std::chrono::milliseconds(30);
-    opts.backoffBase = std::chrono::milliseconds(1);
-    Sweep sweep({{"slow", tinyConfig}}, {"bzip", "gcc"}, opts);
-
-    sweep.setJobFn([](const SimConfig &cfg, const JobContext &ctx) {
-        if (cfg.benchmark == "gcc") {
-            // A cooperative job polls expired() and bails out.
-            while (!ctx.expired())
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-            throw std::runtime_error("budget exhausted");
-        }
-        return dummyResult(cfg.benchmark);
-    });
-
-    SweepOutcome out = sweep.run();
-    EXPECT_EQ(out.poisonedCells, 1u);
-    EXPECT_EQ(out.exitCode(), 1);
-    EXPECT_EQ(out.grid[0][1].status, JobStatus::TimedOut);
-    EXPECT_EQ(out.grid[0][1].attempts, 2u);
-    EXPECT_EQ(out.grid[0][0].status, JobStatus::Ok);
-}
-
-TEST(SweepTest, OverBudgetCompletionClassifiedAsTimeout)
-{
-    // A job that cannot poll still gets flagged when it comes back
-    // after the deadline (best-effort detection).
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.timeout = std::chrono::milliseconds(5);
-    Sweep sweep({{"late", tinyConfig}}, {"bzip"}, opts);
-    sweep.setJobFn([](const SimConfig &cfg, const JobContext &) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return dummyResult(cfg.benchmark);
-    });
-    SweepOutcome out = sweep.run();
-    EXPECT_EQ(out.grid[0][0].status, JobStatus::TimedOut);
-    EXPECT_EQ(out.exitCode(), 1);
 }
 
 // ------------------------------------------------------- sinks -------
@@ -382,7 +310,7 @@ TEST(SinkTest, SinksSeeEveryCellExactlyOnce)
     opts.jobs = 4;
     Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
                 {"bzip", "gcc", "art"}, opts);
-    sweep.setJobFn([](const SimConfig &cfg, const JobContext &) {
+    sweep.setJobFn([](const SimConfig &cfg) {
         if (cfg.benchmark == "art")
             throw std::runtime_error("boom");
         return dummyResult(cfg.benchmark);
@@ -398,29 +326,13 @@ TEST(SinkTest, SinksSeeEveryCellExactlyOnce)
     EXPECT_EQ(out.poisonedCells, 2u);
 }
 
-TEST(SinkTest, CsvRenderIsStableOrderIpcGrid)
-{
-    SweepOptions opts;
-    opts.jobs = 3;
-    Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
-                {"bzip", "gcc"}, opts);
-    sweep.setJobFn([](const SimConfig &cfg, const JobContext &) {
-        return dummyResult(cfg.benchmark); // ipc = 250/100 = 2.5
-    });
-    std::string csv = CsvFileSink::render(sweep.run());
-    EXPECT_EQ(csv,
-              "benchmark,a,b\n"
-              "bzip,2.500000,2.500000\n"
-              "gcc,2.500000,2.500000\n");
-}
-
 TEST(SinkTest, JsonSinkEmitsWellFormedDocument)
 {
     SweepOptions opts;
     opts.jobs = 2;
     opts.name = "unit_sweep";
     Sweep sweep({{"a", tinyConfig}}, {"bzip", "gcc"}, opts);
-    sweep.setJobFn([](const SimConfig &cfg, const JobContext &) {
+    sweep.setJobFn([](const SimConfig &cfg) {
         if (cfg.benchmark == "gcc")
             throw std::runtime_error("json \"escape\" check\n");
         return dummyResult(cfg.benchmark);
@@ -574,13 +486,18 @@ TEST(ProcIsolationTest, ProcessModeBitIdenticalToThreadMode)
     SweepOutcome process = runWith(IsolationMode::Process);
     ASSERT_EQ(thread.poisonedCells, 0u);
     ASSERT_EQ(process.poisonedCells, 0u);
-    for (std::size_t r = 0; r < thread.grid.size(); ++r)
-        for (std::size_t c = 0; c < thread.grid[r].size(); ++c)
-            EXPECT_EQ(fingerprint(thread.grid[r][c].result),
-                      fingerprint(process.grid[r][c].result))
-                << "cell (" << r << "," << c << ") diverged";
-    EXPECT_EQ(CsvFileSink::render(thread),
-              CsvFileSink::render(process));
+    for (std::size_t r = 0; r < thread.grid.size(); ++r) {
+        for (std::size_t c = 0; c < thread.grid[r].size(); ++c) {
+            const SimResult &t = thread.grid[r][c].result;
+            const SimResult &p = process.grid[r][c].result;
+            EXPECT_EQ(t.cycles, p.cycles) << "cell (" << r << "," << c
+                                          << ") cycles diverged";
+            EXPECT_EQ(t.committed, p.committed)
+                << "cell (" << r << "," << c << ") committed diverged";
+            EXPECT_EQ(t.stats.dump(), p.stats.dump())
+                << "cell (" << r << "," << c << ") stats diverged";
+        }
+    }
 }
 
 TEST(ProcIsolationTest, SegfaultPoisonsOnlyItsCell)
@@ -589,10 +506,16 @@ TEST(ProcIsolationTest, SegfaultPoisonsOnlyItsCell)
     SweepOptions opts;
     opts.jobs = 2;
     opts.isolation = IsolationMode::Process;
-    Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
+    // Row "b" builds one-port configs, so the job can tell the rows
+    // apart by the config it is handed.
+    Sweep sweep({{"a", tinyConfig},
+                 {"b",
+                  [](const std::string &b) {
+                      return configs::withPorts(tinyConfig(b), 1);
+                  }}},
                 {"bzip", "gcc"}, opts);
-    sweep.setJobFn([](const SimConfig &cfg, const JobContext &ctx) {
-        if (ctx.row() == 1 && ctx.col() == 0)
+    sweep.setJobFn([](const SimConfig &cfg) {
+        if (cfg.lsq.searchPorts == 1 && cfg.benchmark == "bzip")
             ::raise(SIGSEGV);
         return dummyResult(cfg.benchmark);
     });
@@ -621,7 +544,7 @@ TEST(ProcIsolationTest, AssertColdPathAbortIsContained)
     opts.jobs = 1;
     opts.isolation = IsolationMode::Process;
     Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-    sweep.setJobFn([](const SimConfig &, const JobContext &)
+    sweep.setJobFn([](const SimConfig &)
                        -> SimResult {
         LSQ_ASSERT(false, "injected assertion for containment test");
         return SimResult{};
@@ -646,7 +569,7 @@ TEST(ProcIsolationTest, PanicPathIsContained)
     opts.jobs = 1;
     opts.isolation = IsolationMode::Process;
     Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-    sweep.setJobFn([](const SimConfig &, const JobContext &)
+    sweep.setJobFn([](const SimConfig &)
                        -> SimResult {
         LSQ_PANIC("oracle mismatch: injected panic for test");
         return SimResult{};
@@ -667,7 +590,7 @@ TEST(ProcIsolationTest, HangIsReapedByHeartbeatWatchdog)
     opts.isolation = IsolationMode::Process;
     opts.watchdog = std::chrono::milliseconds(300);
     Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-    sweep.setJobFn([](const SimConfig &, const JobContext &)
+    sweep.setJobFn([](const SimConfig &)
                        -> SimResult {
         for (;;)
             ::pause(); // never beats, never returns
@@ -678,49 +601,22 @@ TEST(ProcIsolationTest, HangIsReapedByHeartbeatWatchdog)
     EXPECT_NE(dead.error.find("heartbeat"), std::string::npos);
 }
 
-TEST(ProcIsolationTest, ChildThrowRetriesAndReportsWhat)
+TEST(ProcIsolationTest, ChildThrowReportsWhat)
 {
     SKIP_UNDER_TSAN();
     SweepOptions opts;
     opts.jobs = 1;
     opts.isolation = IsolationMode::Process;
-    opts.maxAttempts = 2;
-    opts.backoffBase = std::chrono::milliseconds(1);
     Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-    sweep.setJobFn([](const SimConfig &, const JobContext &)
-                       -> SimResult {
+    sweep.setJobFn([](const SimConfig &) -> SimResult {
         throw std::runtime_error("deliberate child failure");
     });
     SweepOutcome out = sweep.run();
     const SweepCell &dead = out.grid[0][0];
     EXPECT_EQ(dead.status, JobStatus::Failed);
-    EXPECT_EQ(dead.attempts, 2u);
+    EXPECT_EQ(dead.attempts, 1u);
     EXPECT_EQ(dead.error, "deliberate child failure");
     EXPECT_EQ(dead.termSignal, 0);
-}
-
-TEST(ProcIsolationTest, CrashedCellRetriesCanSucceed)
-{
-    SKIP_IF_SEGV_INTERCEPTED();
-    // First attempt segfaults, second succeeds: attempt index comes
-    // through the JobContext, so the child can behave differently.
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.isolation = IsolationMode::Process;
-    opts.maxAttempts = 2;
-    opts.backoffBase = std::chrono::milliseconds(1);
-    Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-    sweep.setJobFn([](const SimConfig &cfg, const JobContext &ctx) {
-        if (ctx.attempt() == 0)
-            ::raise(SIGSEGV);
-        return dummyResult(cfg.benchmark);
-    });
-    SweepOutcome out = sweep.run();
-    const SweepCell &cell = out.grid[0][0];
-    EXPECT_EQ(cell.status, JobStatus::Ok);
-    EXPECT_EQ(cell.attempts, 2u);
-    EXPECT_EQ(cell.termSignal, 0); // provenance is per final attempt
-    EXPECT_EQ(out.poisonedCells, 0u);
 }
 
 // ------------------------------------------------------ journal ------
@@ -771,7 +667,7 @@ TEST(JournalTest, TornTailIsToleratedNotFatal)
         SweepOptions opts;
         opts.jobs = 1;
         Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-        sweep.setJobFn([](const SimConfig &cfg, const JobContext &) {
+        sweep.setJobFn([](const SimConfig &cfg) {
             return dummyResult(cfg.benchmark);
         });
         JournalWriter journal(path);
@@ -803,7 +699,7 @@ TEST(JournalTest, OversizedRecordLengthIsATornTailNotAnAllocation)
         SweepOptions opts;
         opts.jobs = 1;
         Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-        sweep.setJobFn([](const SimConfig &cfg, const JobContext &) {
+        sweep.setJobFn([](const SimConfig &cfg) {
             return dummyResult(cfg.benchmark);
         });
         JournalWriter journal(path);
@@ -824,6 +720,222 @@ TEST(JournalTest, OversizedRecordLengthIsATornTailNotAnAllocation)
     ASSERT_TRUE(readJournal(path, j, error)) << error;
     EXPECT_TRUE(j.truncatedTail);
     EXPECT_EQ(j.cells.size(), 1u); // the intact prefix survives
+    std::remove(path.c_str());
+}
+
+/** Whole file as bytes. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** The record payloads of a journal image, in file order. */
+std::vector<std::string>
+journalPayloads(const std::string &bytes)
+{
+    std::vector<std::string> out;
+    std::size_t pos = sizeof(kJournalMagic);
+    while (bytes.size() - pos >= 8) {
+        SerialReader head(bytes.data() + pos, 8);
+        std::uint32_t len = head.u32();
+        out.push_back(bytes.substr(pos + 8, len));
+        pos += 8 + len;
+    }
+    return out;
+}
+
+/**
+ * Offsets of every 8-byte field (counts, string lengths, values) in a
+ * CellDone payload that carries a result, walked per the record layout
+ * in harness/journal.hh and SimResult::saveState.
+ */
+std::vector<std::size_t>
+cellFieldOffsets(const std::string &payload)
+{
+    std::vector<std::size_t> at;
+    SerialReader r(payload);
+    auto u64 = [&] {
+        at.push_back(payload.size() - r.remaining());
+        return r.u64();
+    };
+    auto str = [&] {
+        std::string s(static_cast<std::size_t>(u64()), '\0');
+        r.raw(s.data(), s.size());
+    };
+    auto times = [&](std::uint64_t n, auto &&field) {
+        for (std::uint64_t i = 0; i < n; ++i)
+            field();
+    };
+    // Record head: type, row, col, status, attempts, seed, error,
+    // termSignal, exitStatus, stderrTail, seconds, hasResult.
+    r.u8();
+    u64();
+    u64();
+    r.u8();
+    r.u32();
+    u64();
+    str();
+    r.u32();
+    r.u32();
+    str();
+    u64();
+    EXPECT_TRUE(r.b());
+    // SimResult: benchmark, cycles, committed, then the StatSet.
+    str();
+    u64();
+    u64();
+    times(u64(), [&] {
+        str();
+        u64();
+    });
+    times(u64(), [&] {
+        str();
+        times(u64(), u64); // buckets
+        u64();             // sum
+        u64();             // samples
+    });
+    // IntervalSeries: columns, period, samples of (cycle, values).
+    std::uint64_t columns = u64();
+    times(columns, str);
+    u64();
+    times(u64(), [&] {
+        u64();
+        times(columns, u64);
+    });
+    // SampleSummary: enabled, spec F:W:D, four counts, IPCs, moments.
+    r.b();
+    times(7, u64);
+    times(u64(), u64);
+    times(3, u64);
+    EXPECT_TRUE(r.done());
+    return at;
+}
+
+/**
+ * A CellDone payload whose SimResult is @p result: an Ok cell encoded
+ * without a result, then its hasResult flag flipped on.
+ */
+std::string
+cellRecordWithResult(const std::string &result)
+{
+    JournalCell jc;
+    jc.attempts = 1;
+    std::string p = encodeCellRecord(jc);
+    p.back() = 1;
+    return p + result;
+}
+
+TEST(JournalTest, MutatedRecordsAreRejectedCleanly)
+{
+    // Every count a decoder reads is bounded by the bytes behind it, so
+    // a CRC-valid record with a flipped byte, a cut tail or a forged
+    // count ends in a clean rejection (SerialError -> torn tail), never
+    // in bad_alloc, a crash or a sanitizer report.
+    std::string path = testing::TempDir() + "/mutant.journal";
+    {
+        SweepOptions opts;
+        opts.jobs = 1;
+        opts.name = "mutant";
+        Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
+                    {"bzip", "gcc"}, opts);
+        sweep.setJobFn(runSimulationJob);
+        JournalWriter journal(path);
+        sweep.addSink(&journal);
+        ASSERT_EQ(sweep.run().poisonedCells, 0u);
+    }
+    std::vector<std::string> payloads = journalPayloads(slurp(path));
+    ASSERT_EQ(payloads.size(), 5u); // SweepBegin + four CellDone
+    const std::string begin = payloads[0];
+    const std::vector<std::string> cells(payloads.begin() + 1,
+                                         payloads.end());
+
+    // Fixed cases (kFixedCases below): the forged records that used to
+    // abort lsqjournal. A one-histogram StatSet claiming 2^40 buckets...
+    std::vector<std::string> mutants;
+    {
+        SerialWriter w;
+        w.str("bzip");
+        w.u64(1000); // cycles
+        w.u64(2000); // committed
+        w.u64(0);    // counters
+        w.u64(1);    // histograms
+        w.str("lat");
+        w.u64(1ULL << 40);
+        mutants.push_back(cellRecordWithResult(w.buffer()));
+    }
+    // ...and a sampled run claiming 2^40 interval IPCs.
+    {
+        SerialWriter w;
+        w.str("bzip");
+        w.u64(1000);
+        w.u64(2000);
+        w.u64(0); // counters
+        w.u64(0); // histograms
+        w.u64(0); // interval columns
+        w.u64(0); // interval cycles
+        w.u64(0); // interval samples
+        w.b(true);
+        for (int i = 0; i < 7; ++i)
+            w.u64(1); // spec F:W:D, ff/warm/measured insts, cycles
+        w.u64(1ULL << 40);
+        mutants.push_back(cellRecordWithResult(w.buffer()));
+    }
+
+    // Every 8-byte field of every real cell forged to 2^40 and 2^64-1.
+    for (const std::string &cell : cells) {
+        for (std::size_t at : cellFieldOffsets(cell)) {
+            for (std::uint64_t v : {1ULL << 40, ~0ULL}) {
+                std::string m = cell;
+                for (std::size_t i = 0; i < 8; ++i)
+                    m[at + i] = static_cast<char>(v >> (8 * i));
+                mutants.push_back(std::move(m));
+            }
+        }
+    }
+    // Fixed-seed byte flips and truncations.
+    Rng rng(15);
+    for (int i = 0; i < 400; ++i) {
+        std::string m = cells[rng.below(cells.size())];
+        if (i % 2 == 0)
+            m[rng.below(m.size())] ^=
+                static_cast<char>(1u << rng.below(8));
+        else
+            m.resize(rng.below(m.size()));
+        mutants.push_back(std::move(m));
+    }
+
+    const std::string head =
+        std::string(kJournalMagic, sizeof(kJournalMagic)) +
+        frameJournalRecord(begin);
+    const std::size_t kFixedCases = 2;
+    std::size_t rejected = 0;
+    testing::internal::CaptureStderr(); // one warning per rejection
+    for (std::size_t k = 0; k < mutants.size(); ++k) {
+        const std::string &m = mutants[k];
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            std::string image = head + frameJournalRecord(m);
+            out.write(image.data(),
+                      static_cast<std::streamsize>(image.size()));
+        }
+        JournalContents j;
+        std::string error;
+        bool ok = false;
+        EXPECT_NO_THROW(ok = readJournal(path, j, error));
+        EXPECT_TRUE(ok) << error;
+        EXPECT_EQ(j.name, "mutant");
+        if (k < kFixedCases) {
+            EXPECT_TRUE(j.truncatedTail) << "fixed case " << k;
+        }
+        if (j.truncatedTail)
+            ++rejected;
+    }
+    testing::internal::GetCapturedStderr();
+    EXPECT_GT(rejected, 0u);
     std::remove(path.c_str());
 }
 
@@ -897,20 +1009,24 @@ TEST(JournalTest, ResumeRerunsOnlyUnfinishedCells)
     auto makeSweep = [](SweepOptions opts) {
         opts.jobs = 1;
         opts.name = "resume_unit";
-        return Sweep({{"a", tinyConfig}, {"b", tinyConfig}},
+        return Sweep({{"a", tinyConfig},
+                      {"b",
+                       [](const std::string &b) {
+                           return configs::withPorts(tinyConfig(b), 1);
+                       }}},
                      {"bzip", "gcc"}, opts);
     };
 
-    // First run: cell (1,1) fails, everything else lands in the
-    // journal as Ok.
+    // First run: cell (1,1) — row "b" builds one-port configs — fails,
+    // everything else lands in the journal as Ok.
     std::atomic<int> executed{0};
     {
         Sweep sweep = makeSweep({});
         sweep.setJobFn(
-            [&executed](const SimConfig &cfg, const JobContext &ctx)
+            [&executed](const SimConfig &cfg)
                 -> SimResult {
                 ++executed;
-                if (ctx.row() == 1 && ctx.col() == 1)
+                if (cfg.lsq.searchPorts == 1 && cfg.benchmark == "gcc")
                     throw std::runtime_error("first pass failure");
                 return dummyResult(cfg.benchmark);
             });
@@ -930,7 +1046,7 @@ TEST(JournalTest, ResumeRerunsOnlyUnfinishedCells)
     {
         Sweep sweep = makeSweep({});
         sweep.setJobFn(
-            [&executed](const SimConfig &cfg, const JobContext &)
+            [&executed](const SimConfig &cfg)
                 -> SimResult {
                 ++executed;
                 return dummyResult(cfg.benchmark);
@@ -962,7 +1078,7 @@ TEST(JournalTest, ShapeMismatchIsIgnoredSafely)
         SweepOptions opts;
         opts.jobs = 1;
         Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-        sweep.setJobFn([](const SimConfig &cfg, const JobContext &) {
+        sweep.setJobFn([](const SimConfig &cfg) {
             return dummyResult(cfg.benchmark);
         });
         JournalWriter journal(path);
@@ -979,8 +1095,7 @@ TEST(JournalTest, ShapeMismatchIsIgnoredSafely)
     std::atomic<int> executed{0};
     Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
                 {"bzip", "gcc"}, opts);
-    sweep.setJobFn([&executed](const SimConfig &cfg,
-                               const JobContext &) {
+    sweep.setJobFn([&executed](const SimConfig &cfg) {
         ++executed;
         return dummyResult(cfg.benchmark);
     });
@@ -1050,7 +1165,6 @@ TEST(SinkDeathTest, KillMidWriteNeverTearsTheTargetFile)
 
 TEST(ResolveIsolationTest, PrecedenceChain)
 {
-    setIsolationOverride(IsolationMode::Auto);
     unsetenv("LSQSCALE_ISOLATION");
     EXPECT_EQ(resolveIsolation(IsolationMode::Auto),
               IsolationMode::Thread);
@@ -1063,12 +1177,7 @@ TEST(ResolveIsolationTest, PrecedenceChain)
     EXPECT_EQ(resolveIsolation(IsolationMode::Thread),
               IsolationMode::Thread); // explicit beats env
 
-    setIsolationOverride(IsolationMode::Thread);
-    EXPECT_EQ(resolveIsolation(IsolationMode::Auto),
-              IsolationMode::Thread); // override beats env
-
     setenv("LSQSCALE_ISOLATION", "bogus", 1);
-    setIsolationOverride(IsolationMode::Auto);
     EXPECT_EQ(resolveIsolation(IsolationMode::Auto),
               IsolationMode::Thread);
     unsetenv("LSQSCALE_ISOLATION");
@@ -1095,17 +1204,13 @@ TEST(ResolveIsolationTest, WatchdogEnvOverride)
 
 TEST(ResolveJobsTest, PrecedenceAndCapping)
 {
-    setJobsOverride(0);
     // Explicit request wins and is capped by job count.
     EXPECT_EQ(resolveJobs(8, 3), 3u);
     EXPECT_EQ(resolveJobs(2, 100), 2u);
-    // Override beats the environment.
+    // The environment fills in an unset request.
     setenv("LSQSCALE_JOBS", "5", 1);
     EXPECT_EQ(resolveJobs(0, 100), 5u);
-    setJobsOverride(7);
-    EXPECT_EQ(resolveJobs(0, 100), 7u);
-    EXPECT_EQ(resolveJobs(3, 100), 3u); // request beats override
-    setJobsOverride(0);
+    EXPECT_EQ(resolveJobs(3, 100), 3u); // request beats env
     unsetenv("LSQSCALE_JOBS");
     // Fallback is hardware concurrency, floored at 1.
     EXPECT_GE(resolveJobs(0, 100), 1u);

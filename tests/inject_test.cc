@@ -224,7 +224,6 @@ runInjectedChild(const std::string &specText,
 {
     ProcOptions po;
     po.watchdog = watchdog;
-    po.hardTimeout = std::chrono::milliseconds(0);
     return runCellInProcess(
         [specText] {
             inject::FaultSpec spec;
@@ -313,8 +312,7 @@ TEST_F(InjectCampaignTest, ConcurrentForksDoNotCrossPoisonCells)
             const bool fast = i < kFast;
             ProcOptions po;
             po.watchdog = std::chrono::milliseconds(fast ? 1000 : 0);
-            po.hardTimeout = std::chrono::milliseconds(0);
-            ready.fetch_add(1);
+                    ready.fetch_add(1);
             while (!go.load())
                 std::this_thread::yield();
             outs[i] = runCellInProcess(

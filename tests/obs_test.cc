@@ -515,6 +515,16 @@ TEST(TraceIdentity, TracedRunMatchesUntracedRun)
     std::remove(kon.c_str());
 }
 
+/** Per-cell trace file name, keyed on what the row's factory built. */
+std::string
+jobTraceName(const SimConfig &cfg)
+{
+    return strfmt("job_%s_%s.evtrace",
+                  cfg.lsq.sqPolicy == SqSearchPolicy::Pair ? "pair"
+                                                           : "base",
+                  cfg.benchmark.c_str());
+}
+
 TEST(TraceIdentity, ParallelSweepWithPerJobTraceFiles)
 {
     std::vector<NamedConfig> points = {
@@ -531,14 +541,11 @@ TEST(TraceIdentity, ParallelSweepWithPerJobTraceFiles)
         opts.jobs = 4;
         opts.name = traceOn ? "obs_traced" : "obs_plain";
         Sweep sweep(points, benches, opts);
-        sweep.setJobFn([traceOn](const SimConfig &cfg,
-                                 const JobContext &ctx) {
+        sweep.setJobFn([traceOn](const SimConfig &cfg) {
             SimConfig c = cfg;
             if (traceOn) {
                 c.trace.enabled = true;
-                c.trace.binaryPath = tempPath(
-                    strfmt("job_r%zu_c%zu.evtrace", ctx.row(),
-                           ctx.col()));
+                c.trace.binaryPath = tempPath(jobTraceName(cfg));
             }
             return Simulator(c).run();
         });
@@ -556,10 +563,9 @@ TEST(TraceIdentity, ParallelSweepWithPerJobTraceFiles)
             EXPECT_EQ(p.committed, t.committed) << r << "," << c;
         }
     }
-    for (std::size_t r = 0; r < 2; ++r)
-        for (std::size_t c = 0; c < 2; ++c)
-            std::remove(tempPath(strfmt("job_r%zu_c%zu.evtrace", r, c))
-                            .c_str());
+    for (const NamedConfig &point : points)
+        for (const std::string &bench : benches)
+            std::remove(tempPath(jobTraceName(point.make(bench))).c_str());
 }
 
 // --------------------------------- event production (traced builds) ---

@@ -148,6 +148,28 @@ TEST(Simulator, EnvOverrideInstructionCount)
     EXPECT_EQ(effectiveInstructions(999999), 999999u);
 }
 
+TEST(Simulator, GarbageInstsEnvWarnsAndRunsConfiguredCount)
+{
+    // strtoull wrapped "-1" to 2^64-1, the end target then wrapped past
+    // zero, and the run measured nothing; "20k" silently meant 20.
+    SimConfig cfg = configs::base("bzip");
+    cfg.instructions = 3000;
+    cfg.warmup = 300;
+    unsetenv("LSQSCALE_INSTS");
+    SimResult want = Simulator(cfg).run();
+    ASSERT_GE(want.committed, 3000u);
+    for (const char *bad : {"-1", "20k", " 5000"}) {
+        setenv("LSQSCALE_INSTS", bad, 1);
+        testing::internal::CaptureStderr();
+        SimResult got = Simulator(cfg).run();
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("LSQSCALE_INSTS"), std::string::npos) << bad;
+        EXPECT_EQ(got.committed, want.committed) << bad;
+        EXPECT_EQ(got.cycles, want.cycles) << bad;
+    }
+    unsetenv("LSQSCALE_INSTS");
+}
+
 // ----------------------------------------------- experiment runner ----
 
 TEST(ExperimentRunner, AveragesSplitIntFp)

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hh"
 #include "mcm/litmus.hh"
 #include "sim/sim_config.hh"
 
@@ -54,6 +55,26 @@ const char *kUsage =
     "  --json         machine-readable per-cell lines\n"
     "  --help         this text\n";
 
+/** Strict unsigned count (common/env.hh): digits only, fits 32 bits. */
+bool
+parseCount(const char *v, unsigned &out)
+{
+    std::uint64_t n = 0;
+    if (!parseDigitsU64(v, n) || n > 0xffffffffu)
+        return false;
+    out = static_cast<unsigned>(n);
+    return true;
+}
+
+int
+badCount(const std::string &flag, const char *v)
+{
+    std::fprintf(stderr, "lsqmcm: %s needs a plain decimal count, not "
+                         "'%s'\n",
+                 flag.c_str(), v);
+    return 2;
+}
+
 std::string
 jsonHistogram(const LitmusResult &r)
 {
@@ -94,14 +115,17 @@ main(int argc, char **argv)
         } else if (a == "--design" && (v = value())) {
             designFilter = v;
         } else if (a == "--seeds" && (v = value())) {
-            seeds = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            if (!parseCount(v, seeds))
+                return badCount(a, v);
         } else if (a == "--seed" && (v = value())) {
-            seed0 = std::strtoull(v, nullptr, 10);
+            if (!parseDigitsU64(v, seed0))
+                return badCount(a, v);
         } else if (a == "--iters" && (v = value())) {
-            iters = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            if (!parseCount(v, iters))
+                return badCount(a, v);
         } else if (a == "--threads" && (v = value())) {
-            threads =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+            if (!parseCount(v, threads))
+                return badCount(a, v);
         } else if (a == "--unchecked") {
             checked = false;
         } else if (a == "--json") {

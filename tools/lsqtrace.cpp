@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "harness/sink.hh"
 #include "metrics/hostprof.hh"
@@ -151,11 +152,11 @@ main(int argc, char **argv)
         if (a == "--check") {
             check = true;
         } else if (a == "--limit") {
-            if (i + 1 >= args.size()) {
+            if (i + 1 >= args.size() ||
+                !lsqscale::parseDigitsU64(args[++i], limit)) {
                 std::fprintf(stderr, "lsqtrace: --limit needs a count\n");
                 return 2;
             }
-            limit = std::strtoull(args[++i].c_str(), nullptr, 10);
         } else if (trace.empty()) {
             trace = a;
         } else if (out.empty()) {
