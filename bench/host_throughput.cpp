@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "harness/sink.hh"
@@ -226,18 +225,18 @@ main()
 
     std::vector<Point> points;
     {
-        SimConfig c = benchBase(benchmark);
+        SimConfig c = configs::base(benchmark);
         c.instructions = insts;
         points.push_back({"base-2port", c});
     }
     {
-        SimConfig c = configs::allTechniques(benchBase(benchmark));
+        SimConfig c = configs::allTechniques(configs::base(benchmark));
         c.instructions = insts;
         points.push_back({"all-techniques-1port", c});
     }
     {
         SimConfig c = configs::withPorts(
-            configs::withSegmentation(benchBase(benchmark), 4, 28,
+            configs::withSegmentation(configs::base(benchmark), 4, 28,
                                       SegAllocPolicy::SelfCircular),
             1);
         c.instructions = insts;

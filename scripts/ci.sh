@@ -5,8 +5,8 @@
 #   1. release     — tier-1: the default RelWithDebInfo build + ctest
 #   2. asan-ubsan  — AddressSanitizer + UBSan, LSQ_DCHECK on
 #   3. checker     — LSQ_CHECKER=ON: every simulation shadow-executed
-#                    against the memory-ordering oracle; also runs the
-#                    fig7_sq_speedup bench under the oracle
+#                    against the memory-ordering oracle; also runs
+#                    `bench/paper --only fig7` under the oracle
 #   4. tsan        — ThreadSanitizer on harness_test + obs_test +
 #                    sample_test: the sweep engine and the checkpoint
 #                    writers under a race detector
@@ -20,10 +20,11 @@
 #                    an idle probe agent (--probe-rate 0) must leave
 #                    lsqsim output byte-identical while an active one
 #                    must deliver probes
-#   5. bench-smoke — fig7_sq_speedup with LSQSCALE_JOBS=4 vs a serial
-#                    run; table and CSV output must be byte-identical
-#                    (the harness determinism contract). Also the
-#                    sampling demo (docs/SAMPLING.md): a sampled fig7
+#   5. bench-smoke — the whole `bench/paper` evaluation with
+#                    LSQSCALE_JOBS=4 vs a serial run; table and CSV
+#                    output must be byte-identical (the harness
+#                    determinism contract). Also the sampling demo
+#                    (docs/SAMPLING.md): a sampled `paper --only fig7`
 #                    subset must be >= 3x faster than full detail with
 #                    every cell's IPC within 2%. (The lsqbench smoke
 #                    check, `lsqbench/run.py --smoke`, is the
@@ -47,8 +48,9 @@
 #                    per src/ subdir (soft-fails under the threshold)
 #   8. crash-smoke — the robustness story end to end
 #                    (docs/ROBUSTNESS.md): an uninjected
-#                    process-isolated fig7 sweep must be byte-identical
-#                    to thread mode; then deterministic SIGSEGV, hang,
+#                    process-isolated `paper --only fig7` sweep must be
+#                    byte-identical to thread mode; then deterministic
+#                    SIGSEGV, hang,
 #                    and (under the checker build) corrupt-lsq faults
 #                    are injected at a cycle that splits the grid —
 #                    only the long-running cells may be poisoned, each
@@ -91,9 +93,9 @@ run_flavor release
 run_flavor asan-ubsan -DLSQ_ASAN=ON -DLSQ_UBSAN=ON
 run_flavor checker -DLSQ_CHECKER=ON
 
-banner "flavor: checker (fig7_sq_speedup bench under the oracle)"
+banner "flavor: checker (paper --only fig7 under the oracle)"
 LSQSCALE_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}" \
-    ./build-ci-checker/bench/fig7_sq_speedup
+    ./build-ci-checker/bench/paper --only fig7
 
 banner "flavor: tsan (harness/obs/sample tests under ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DLSQ_TSAN=ON >/dev/null
@@ -143,12 +145,12 @@ rm -rf "$SMOKE_DIR"
 mkdir -p "$SMOKE_DIR/serial" "$SMOKE_DIR/parallel"
 LSQSCALE_INSTS="$SMOKE_INSTS" LSQSCALE_JOBS=1 \
     LSQSCALE_CSV_DIR="$SMOKE_DIR/serial" \
-    ./build-ci-release/bench/fig7_sq_speedup \
+    ./build-ci-release/bench/paper \
     >"$SMOKE_DIR/serial/table.txt" 2>/dev/null
 LSQSCALE_INSTS="$SMOKE_INSTS" LSQSCALE_JOBS=4 \
     LSQSCALE_CSV_DIR="$SMOKE_DIR/parallel" \
     LSQSCALE_JSON_DIR="$SMOKE_DIR/parallel" \
-    ./build-ci-release/bench/fig7_sq_speedup \
+    ./build-ci-release/bench/paper \
     >"$SMOKE_DIR/parallel/table.txt" 2>/dev/null
 diff -r --exclude='BENCH_*.json' "$SMOKE_DIR/serial" "$SMOKE_DIR/parallel"
 python3 -c "import json,glob,sys; \
@@ -166,9 +168,9 @@ banner "flavor: bench-smoke (host-throughput trajectory appended)"
 ./build-ci-release/bench/host_throughput
 python3 scripts/check_host_throughput.py BENCH_host_throughput.json
 
-banner "flavor: bench-smoke (sampled fig7 >=3x faster, cells within 2%)"
+banner "flavor: bench-smoke (sampled paper --only fig7 >=3x faster, cells within 2%)"
 # Checkpoint/fast-forward sampling demo (docs/SAMPLING.md): rerun the
-# fig7 sweep on a benchmark subset at a window long enough for the
+# Figure 7 sweep on a benchmark subset at a window long enough for the
 # estimator's variance to settle, once in full detail and once under
 # LSQSCALE_SAMPLE — no per-bench changes — then require >=3x wall-clock
 # speedup with every cell's IPC within 2% of full detail.
@@ -179,14 +181,14 @@ rm -rf "$SMOKE_DIR/full" "$SMOKE_DIR/sampled"
 mkdir -p "$SMOKE_DIR/full" "$SMOKE_DIR/sampled"
 LSQSCALE_BENCH="$SAMPLE_BENCH" LSQSCALE_INSTS="$SAMPLE_INSTS" \
     LSQSCALE_JOBS=1 LSQSCALE_JSON_DIR="$SMOKE_DIR/full" \
-    ./build-ci-release/bench/fig7_sq_speedup >/dev/null 2>&1
+    ./build-ci-release/bench/paper --only fig7 >/dev/null 2>&1
 LSQSCALE_BENCH="$SAMPLE_BENCH" LSQSCALE_INSTS="$SAMPLE_INSTS" \
     LSQSCALE_JOBS=1 LSQSCALE_SAMPLE="$SAMPLE_SPEC" \
     LSQSCALE_JSON_DIR="$SMOKE_DIR/sampled" \
-    ./build-ci-release/bench/fig7_sq_speedup >/dev/null 2>&1
+    ./build-ci-release/bench/paper --only fig7 >/dev/null 2>&1
 python3 scripts/check_sampling.py \
-    "$SMOKE_DIR/full/BENCH_fig7_sq_speedup.json" \
-    "$SMOKE_DIR/sampled/BENCH_fig7_sq_speedup.json" \
+    "$SMOKE_DIR/full/BENCH_paper.json" \
+    "$SMOKE_DIR/sampled/BENCH_paper.json" \
     --min-speedup 3.0 --max-cell-error 2.0
 
 banner "flavor: trace-smoke (tracing on, timing bit-identical)"
@@ -282,7 +284,7 @@ banner "flavor: crash-smoke (isolation bit-identity, fault campaign, resume)"
 CRASH_DIR="build-ci-release/crash-smoke"
 CRASH_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}"
 CRASH_BENCH="${LSQSCALE_CI_CRASH_BENCH:-gzip,mcf,twolf,equake,swim}"
-CRASH_JOURNAL="$CRASH_DIR/injected/JOURNAL_fig7_sq_speedup.journal"
+CRASH_JOURNAL="$CRASH_DIR/injected/JOURNAL_paper.journal"
 rm -rf "$CRASH_DIR"
 mkdir -p "$CRASH_DIR/thread" "$CRASH_DIR/process" \
     "$CRASH_DIR/injected" "$CRASH_DIR/resume" "$CRASH_DIR/hang" \
@@ -294,20 +296,20 @@ mkdir -p "$CRASH_DIR/thread" "$CRASH_DIR/process" \
 LSQSCALE_BENCH="$CRASH_BENCH" LSQSCALE_INSTS="$CRASH_INSTS" \
     LSQSCALE_JOBS=2 LSQSCALE_CSV_DIR="$CRASH_DIR/thread" \
     LSQSCALE_JSON_DIR="$CRASH_DIR/thread" \
-    ./build-ci-release/bench/fig7_sq_speedup \
+    ./build-ci-release/bench/paper --only fig7 \
     >"$CRASH_DIR/thread/table.txt" 2>/dev/null
 LSQSCALE_BENCH="$CRASH_BENCH" LSQSCALE_INSTS="$CRASH_INSTS" \
     LSQSCALE_JOBS=2 LSQSCALE_ISOLATION=process \
     LSQSCALE_CSV_DIR="$CRASH_DIR/process" \
     LSQSCALE_JSON_DIR="$CRASH_DIR/process" \
-    ./build-ci-release/bench/fig7_sq_speedup \
+    ./build-ci-release/bench/paper --only fig7 \
     >"$CRASH_DIR/process/table.txt" 2>/dev/null
 diff -r --exclude='BENCH_*.json' "$CRASH_DIR/thread" "$CRASH_DIR/process"
 
 # Pick a trigger cycle that splits the grid: short cells finish before
 # it (and must stay healthy under injection), long cells hit the fault.
 CRASH_CYC=$(python3 scripts/check_crash_smoke.py pick-cycle \
-    "$CRASH_DIR/process/BENCH_fig7_sq_speedup.json")
+    "$CRASH_DIR/process/BENCH_paper.json")
 
 # SIGSEGV campaign with a journal. The sweep must exit nonzero yet
 # still emit the healthy cells with crash provenance on the rest.
@@ -317,15 +319,15 @@ LSQSCALE_BENCH="$CRASH_BENCH" LSQSCALE_INSTS="$CRASH_INSTS" \
     LSQSCALE_INJECT="crash:0:$CRASH_CYC" \
     LSQSCALE_JOURNAL="$CRASH_DIR/injected" \
     LSQSCALE_JSON_DIR="$CRASH_DIR/injected" \
-    ./build-ci-release/bench/fig7_sq_speedup \
+    ./build-ci-release/bench/paper --only fig7 \
     >"$CRASH_DIR/injected/table.txt" 2>/dev/null || rc=$?
 if [ "$rc" -eq 0 ]; then
     echo "crash-smoke: injected sweep exited 0" >&2
     exit 1
 fi
 python3 scripts/check_crash_smoke.py check-campaign \
-    "$CRASH_DIR/process/BENCH_fig7_sq_speedup.json" \
-    "$CRASH_DIR/injected/BENCH_fig7_sq_speedup.json" \
+    "$CRASH_DIR/process/BENCH_paper.json" \
+    "$CRASH_DIR/injected/BENCH_paper.json" \
     "$CRASH_CYC" --kind crash
 ./build-ci-release/tools/lsqjournal inspect "$CRASH_JOURNAL"
 if ./build-ci-release/tools/lsqjournal verify "$CRASH_JOURNAL"; then
@@ -339,7 +341,7 @@ LSQSCALE_BENCH="$CRASH_BENCH" LSQSCALE_INSTS="$CRASH_INSTS" \
     LSQSCALE_JOBS=2 LSQSCALE_ISOLATION=process \
     LSQSCALE_RESUME="$CRASH_JOURNAL" \
     LSQSCALE_CSV_DIR="$CRASH_DIR/resume" \
-    ./build-ci-release/bench/fig7_sq_speedup \
+    ./build-ci-release/bench/paper --only fig7 \
     >"$CRASH_DIR/resume/table.txt" 2>"$CRASH_DIR/resume/stderr.txt"
 grep -q "restored" "$CRASH_DIR/resume/stderr.txt" || {
     echo "crash-smoke: resume restored nothing from the journal" >&2
@@ -358,14 +360,14 @@ LSQSCALE_BENCH="$CRASH_BENCH" LSQSCALE_INSTS="$CRASH_INSTS" \
     LSQSCALE_JOBS=2 LSQSCALE_ISOLATION=process \
     LSQSCALE_INJECT="hang:0:$CRASH_CYC" LSQSCALE_WATCHDOG_MS=2000 \
     LSQSCALE_JSON_DIR="$CRASH_DIR/hang" \
-    ./build-ci-release/bench/fig7_sq_speedup >/dev/null 2>&1 || rc=$?
+    ./build-ci-release/bench/paper --only fig7 >/dev/null 2>&1 || rc=$?
 if [ "$rc" -eq 0 ]; then
     echo "crash-smoke: hung sweep exited 0" >&2
     exit 1
 fi
 python3 scripts/check_crash_smoke.py check-campaign \
-    "$CRASH_DIR/process/BENCH_fig7_sq_speedup.json" \
-    "$CRASH_DIR/hang/BENCH_fig7_sq_speedup.json" \
+    "$CRASH_DIR/process/BENCH_paper.json" \
+    "$CRASH_DIR/hang/BENCH_paper.json" \
     "$CRASH_CYC" --kind hang
 
 # Corruption campaign under the checker build: corrupt-lsq fires early
@@ -377,13 +379,13 @@ LSQSCALE_BENCH="bzip,parser,vpr" LSQSCALE_INSTS="$CRASH_INSTS" \
     LSQSCALE_JOBS=2 LSQSCALE_ISOLATION=process \
     LSQSCALE_INJECT="corrupt-lsq:1:1000" \
     LSQSCALE_JSON_DIR="$CRASH_DIR/corrupt" \
-    ./build-ci-checker/bench/fig7_sq_speedup >/dev/null 2>&1 || rc=$?
+    ./build-ci-checker/bench/paper --only fig7 >/dev/null 2>&1 || rc=$?
 if [ "$rc" -eq 0 ]; then
     echo "crash-smoke: corrupted sweep exited 0" >&2
     exit 1
 fi
 python3 scripts/check_crash_smoke.py check-corrupt \
-    "$CRASH_DIR/corrupt/BENCH_fig7_sq_speedup.json"
+    "$CRASH_DIR/corrupt/BENCH_paper.json"
 
 banner "flavor: lint"
 python3 -m tools.lsqlint

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Plot the paper-style bar charts from bench CSV output.
+"""Plot the paper-style bar charts from bench/paper's CSV output.
 
 Usage:
     mkdir -p results
-    LSQSCALE_CSV_DIR=results ./build/bench/fig11_segmentation
+    LSQSCALE_CSV_DIR=results ./build/bench/paper --only fig11
     python3 scripts/plot_figures.py results/*.csv -o results/
 
-Each CSV (written by the bench binaries when LSQSCALE_CSV_DIR is set)
-has a `benchmark` column followed by one column per bar series; this
-renders grouped bar charts in the layout of the paper's figures
+Each CSV (one per figure, written by bench/paper when LSQSCALE_CSV_DIR
+is set) has a `benchmark` column followed by one column per bar series;
+this renders grouped bar charts in the layout of the paper's figures
 (benchmarks on the X axis, INT then FP).
 
 Requires matplotlib; exits with a clear message if it is missing.

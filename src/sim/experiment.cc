@@ -240,18 +240,6 @@ ExperimentRunner::fpAvg(const std::vector<double> &values) const
 }
 
 std::vector<double>
-ExperimentRunner::metric(
-    const ResultRow &row,
-    const std::function<double(const SimResult &)> &fn) const
-{
-    std::vector<double> out;
-    out.reserve(row.size());
-    for (const auto &r : row)
-        out.push_back(fn(r));
-    return out;
-}
-
-std::vector<double>
 ExperimentRunner::speedups(const ResultRow &base,
                            const ResultRow &test) const
 {

@@ -73,11 +73,6 @@ class ExperimentRunner
     /** Mean of @p values over the FP benchmarks present. */
     double fpAvg(const std::vector<double> &values) const;
 
-    /** Per-benchmark metric extraction. */
-    std::vector<double>
-    metric(const ResultRow &row,
-           const std::function<double(const SimResult &)> &fn) const;
-
     /** speedup[i] = test[i].ipc / base[i].ipc - 1. */
     std::vector<double> speedups(const ResultRow &base,
                                  const ResultRow &test) const;
