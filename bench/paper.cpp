@@ -511,7 +511,7 @@ renderTab6(const ExperimentRunner &, const Rows &rows)
         t.row(std::move(cells));
     }
     std::printf("%s",
-                ("== Table 6: distribution (%%) of segments searched "
+                ("== Table 6: distribution (%) of segments searched "
                  "by loads for the latest store ==\n" +
                  t.render())
                     .c_str());

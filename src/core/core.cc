@@ -299,7 +299,6 @@ Core::commitStage()
                 commitBlockCounters_[idx] = &stats_.counter(
                     // First-touch only: each cached counter name is
                     // built at most once per run.
-                    // lsqlint: allow(hot-string) -- first-touch only
                     std::string("commit.block.") + opName(head.op.op) +
                     (head.state == RobState::Dispatched ? ".disp"
                                                         : ".exec"));

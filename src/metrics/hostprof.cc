@@ -73,7 +73,7 @@ HostProfiler::instance()
     // Leaked singleton: phase counters must outlive static
     // destruction (atexit report paths). The profiled tick reaches
     // this, but the allocation happens once per process.
-    // lsqlint: allow(raw-new, hot-alloc) -- deliberate leak
+    // lsqlint: allow(raw-new) -- deliberate leak
     static HostProfiler *p = new HostProfiler;
     return *p;
 }

@@ -54,11 +54,9 @@ programName()
 }
 
 /**
- * The LSQSCALE_JSON_DIR trajectory sink: first sweep of the process
- * writes BENCH_<program>.json, later ones BENCH_<program>_2.json and
- * so on. runAll() is only ever entered from the main thread (the
- * harness parallelism lives *inside* a sweep), so a plain counter is
- * safe here.
+ * The LSQSCALE_JSON_DIR trajectory sink: BENCH_<program>.json. Every
+ * program runs one sweep (bench/paper runs the whole evaluation as
+ * one), so the program name alone names the file.
  */
 std::unique_ptr<JsonFileSink>
 envJsonSink(const std::string &sweepName, unsigned jobs,
@@ -67,12 +65,8 @@ envJsonSink(const std::string &sweepName, unsigned jobs,
     const char *dir = std::getenv("LSQSCALE_JSON_DIR");
     if (!dir || !*dir)
         return nullptr;
-    static unsigned sweepOrdinal = 0;
-    ++sweepOrdinal;
-    std::string path = std::string(dir) + "/BENCH_" + sweepName;
-    if (sweepOrdinal > 1)
-        path += strfmt("_%u", sweepOrdinal);
-    path += ".json";
+    std::string path =
+        std::string(dir) + "/BENCH_" + sweepName + ".json";
     std::map<std::string, std::string> meta = {
         {"program", sweepName},
         {"jobs", strfmt("%u", jobs)},
@@ -86,12 +80,9 @@ envJsonSink(const std::string &sweepName, unsigned jobs,
 }
 
 /**
- * The journal sink (LSQSCALE_JOURNAL): mirrors the JSON sink's naming
- * scheme — first sweep JOURNAL_<program>.journal, later ones _2, _3...
- * — so a multi-sweep bench journals each sweep separately. An
- * LSQSCALE_RESUME path targets exactly one journal file, so it
- * applies only to the FIRST sweep of the process; a resumed journal is
- * appended to in place, whatever directory it lives in.
+ * The journal sink (LSQSCALE_JOURNAL): JOURNAL_<program>.journal,
+ * named like the JSON sink. An LSQSCALE_RESUME journal is appended to
+ * in place, whatever directory it lives in.
  */
 struct JournalSetup
 {
@@ -104,11 +95,8 @@ JournalSetup
 envJournalSink(const std::string &sweepName)
 {
     JournalSetup setup;
-    static unsigned journalOrdinal = 0;
-    ++journalOrdinal;
-
     const char *resumePath = std::getenv("LSQSCALE_RESUME");
-    if (resumePath && *resumePath && journalOrdinal == 1) {
+    if (resumePath && *resumePath) {
         std::string error;
         if (readJournal(resumePath, setup.resume, error)) {
             setup.haveResume = true;
@@ -124,10 +112,7 @@ envJournalSink(const std::string &sweepName)
     if (!dirEnv || !*dirEnv)
         return setup;
     std::string dir = dirEnv;
-    std::string path = dir + "/JOURNAL_" + sweepName;
-    if (journalOrdinal > 1)
-        path += strfmt("_%u", journalOrdinal);
-    path += ".journal";
+    std::string path = dir + "/JOURNAL_" + sweepName + ".journal";
     // The journal writer appends record-by-record, outside the atomic
     // write-then-rename path, so make sure the directory exists first.
     std::error_code ec;
@@ -153,13 +138,6 @@ runSimulationJob(const SimConfig &config)
 ExperimentRunner::ExperimentRunner(std::vector<std::string> benchmarks)
     : benchmarks_(benchOverrideFromEnv(std::move(benchmarks)))
 {
-}
-
-ResultRow
-ExperimentRunner::run(const NamedConfig &config) const
-{
-    std::vector<ResultRow> rows = runAll({config});
-    return std::move(rows.front());
 }
 
 std::vector<ResultRow>

@@ -29,15 +29,15 @@ using ResultRow = std::vector<SimResult>;
 /**
  * Experiment runner with progress reporting.
  *
- * Since the harness rebase every run()/runAll() executes as a Sweep on
- * the src/harness job engine: cells run concurrently on
- * resolveJobs()-many workers (LSQSCALE_JOBS / hardware_concurrency,
- * capped by cell count) and are collected in
+ * Every runAll() executes as one Sweep on the src/harness job engine:
+ * cells run concurrently on resolveJobs()-many workers (LSQSCALE_JOBS
+ * / hardware_concurrency, capped by cell count) and are collected in
  * stable paper order, so parallel output is bit-identical to serial.
  * A failed cell degrades to a poisoned (zeroed) result, a "[poisoned]"
  * line, and a nonzero process exit at the end (noteSweepFailures)
- * instead of killing the sweep. Setting LSQSCALE_JSON_DIR streams
- * every sweep to "<dir>/BENCH_<program>[_n].json" (docs/HARNESS.md).
+ * instead of killing the sweep. A program runs one sweep; setting
+ * LSQSCALE_JSON_DIR streams it to "<dir>/BENCH_<program>.json"
+ * (docs/HARNESS.md).
  */
 class ExperimentRunner
 {
@@ -49,10 +49,7 @@ class ExperimentRunner
     explicit ExperimentRunner(
         std::vector<std::string> benchmarks = allBenchmarks());
 
-    /** Run one design point over every benchmark. */
-    ResultRow run(const NamedConfig &config) const;
-
-    /** Run several design points. Order preserved. */
+    /** Run several design points as one sweep. Order preserved. */
     std::vector<ResultRow>
     runAll(const std::vector<NamedConfig> &configs) const;
 

@@ -59,7 +59,7 @@ struct SimConfig
 
     /**
      * Interval-stats sampling period in cycles; 0 disables sampling
-     * (--interval-stats N, or the LSQSCALE_INTERVAL env variable).
+     * (--interval-stats N).
      */
     std::uint64_t intervalCycles = 0;
 

@@ -29,14 +29,6 @@
 
 namespace lsqscale {
 
-namespace {
-
-/**
- * Bring the cache hierarchy to an approximation of steady state: the
- * paper fast-forwards 3 billion instructions before measuring, so the
- * stream arrays, the hot pointer-chase subset, the stack window, and
- * the code footprint are all resident in whatever level fits them.
- */
 void
 prewarmCaches(MemorySystem &mem, const BenchmarkProfile &profile)
 {
@@ -56,8 +48,6 @@ prewarmCaches(MemorySystem &mem, const BenchmarkProfile &profile)
         mem.accessInst(0, a);
 }
 
-} // namespace
-
 std::uint64_t
 effectiveInstructions(std::uint64_t configured)
 {
@@ -66,18 +56,6 @@ effectiveInstructions(std::uint64_t configured)
 }
 
 namespace {
-
-/**
- * Interval-sampling period: the config wins; the LSQSCALE_INTERVAL
- * environment variable turns sampling on for runs whose driver has no
- * --interval-stats plumbing (benches, examples). 0 = off.
- */
-std::uint64_t
-effectiveIntervalCycles(std::uint64_t configured)
-{
-    return configured > 0 ? configured
-                          : envU64("LSQSCALE_INTERVAL", 0);
-}
 
 /**
  * Sampling spec: the config wins; the LSQSCALE_SAMPLE environment
@@ -208,9 +186,9 @@ Simulator::run()
         core.attachCoherenceAgent(probes.get());
     }
     std::unique_ptr<IntervalSampler> sampler;
-    std::uint64_t interval = effectiveIntervalCycles(config_.intervalCycles);
-    if (interval > 0) {
-        sampler = std::make_unique<IntervalSampler>(core, interval);
+    if (config_.intervalCycles > 0) {
+        sampler = std::make_unique<IntervalSampler>(
+            core, config_.intervalCycles);
         core.attachSampler(sampler.get());
     }
 

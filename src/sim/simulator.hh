@@ -18,6 +18,8 @@
 
 namespace lsqscale {
 
+struct BenchmarkProfile;
+
 /** Everything measured over the measurement window. */
 struct SimResult
 {
@@ -100,6 +102,14 @@ class Simulator
  * measurement windows to it.
  */
 std::uint64_t effectiveInstructions(std::uint64_t configured);
+
+/**
+ * Bring the cache hierarchy to an approximation of steady state: the
+ * paper fast-forwards 3 billion instructions before measuring, so the
+ * stream arrays, the hot pointer-chase subset, the stack window, and
+ * the code footprint are all resident in whatever level fits them.
+ */
+void prewarmCaches(MemorySystem &mem, const BenchmarkProfile &profile);
 
 } // namespace lsqscale
 

@@ -38,7 +38,6 @@ class GoldenTest : public ::testing::Test
     {
         unsetenv("LSQSCALE_INSTS");
         unsetenv("LSQSCALE_SAMPLE");
-        unsetenv("LSQSCALE_INTERVAL");
     }
 };
 

@@ -9,13 +9,6 @@
 
 namespace lsqscale {
 
-enum class Color
-{
-    Red,
-    Green,
-    Blue,
-};
-
 int *
 makeBuf()
 {
@@ -27,31 +20,6 @@ unsigned
 narrow(std::uint64_t cycle)
 {
     return static_cast<unsigned>(cycle + 1);
-}
-
-const char *
-colorName(Color c)
-{
-    switch (c) {
-    case Color::Red:
-        return "red";
-    case Color::Green:
-        return "green";
-    }
-    return "?";
-}
-
-int
-colorRank(Color c)
-{
-    switch (c) {
-    case Color::Red:
-    case Color::Green:
-    case Color::Blue:
-        return 1;
-    default:
-        return 0;
-    }
 }
 
 struct StatSetStub

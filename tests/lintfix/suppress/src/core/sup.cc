@@ -4,6 +4,7 @@
 // these markers in a temp copy to prove the findings come back.
 
 #include <cstdint>
+#include <mutex>
 
 namespace lsqscale {
 
@@ -16,24 +17,8 @@ struct StatSetStub
 int *
 makeArena()
 {
-    return new int[2]; // lsqlint: allow(raw-new) -- fixture: trailing form
-}
-
-enum class Mode
-{
-    Fast,
-    Slow,
-};
-
-int
-pick(Mode m)
-{
-    // lsqlint: allow(partial-switch) -- fixture: line-above form
-    switch (m) {
-    case Mode::Fast:
-        return 1;
-    }
-    return 0;
+    // lsqlint: allow(raw-new) -- fixture: line-above form
+    return new int[2];
 }
 
 void
@@ -50,9 +35,9 @@ reportAgain(StatSetStub &stats)
 
 // lsqlint: hot
 void
-warm(int **slot)
+warm(std::mutex **slot)
 {
-    *slot = new int[4]; // lsqlint: allow(hot-alloc,raw-new) -- fixture: multi-rule list
+    *slot = new std::mutex; // lsqlint: allow(hot-mutex,raw-new) -- fixture: multi-rule list
 }
 
 } // namespace lsqscale

@@ -618,8 +618,9 @@ TEST(TraceEndToEnd, KonataExportFromRealRunParses)
     EXPECT_GE(insts.size() + 512, r.committed);
     for (const auto &inst : insts) {
         EXPECT_NE(inst.retire, kNoCycle);
-        if (inst.fetch != kNoCycle)
+        if (inst.fetch != kNoCycle) {
             EXPECT_LE(inst.fetch, inst.retire);
+        }
     }
     std::remove(bin.c_str());
     std::remove(kon.c_str());

@@ -39,7 +39,6 @@ class SampleTest : public ::testing::Test
     {
         unsetenv("LSQSCALE_INSTS");
         unsetenv("LSQSCALE_SAMPLE");
-        unsetenv("LSQSCALE_INTERVAL");
     }
 };
 

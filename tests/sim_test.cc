@@ -224,7 +224,7 @@ TEST(ExperimentRunner, RunProducesPerBenchmarkResults)
                         c.warmup = 500;
                         return c;
                     }};
-    ResultRow row = r.run(cfg);
+    ResultRow row = r.runAll({cfg}).front();
     ASSERT_EQ(row.size(), 2u);
     EXPECT_EQ(row[0].benchmark, "bzip");
     EXPECT_EQ(row[1].benchmark, "mgrid");

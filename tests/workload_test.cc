@@ -112,9 +112,10 @@ TEST(AddressStream, StreamsAreSeparate)
     for (std::size_t i = 0; i < layout.size(); ++i) {
         EXPECT_EQ(layout[i].base % 8, 0u);
         EXPECT_EQ(layout[i].size % 8, 0u);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(layout[i].base,
                       layout[i - 1].base + layout[i - 1].size);
+        }
     }
 }
 
@@ -483,10 +484,12 @@ TEST_P(AllBenchmarks, StreamIsWellFormed)
             EXPECT_EQ(op.addr % 8, 0u);
             EXPECT_NE(op.addr, 0u);
         }
-        if (op.src1 != kNoArchReg)
+        if (op.src1 != kNoArchReg) {
             EXPECT_LT(op.src1, kNumArchRegs);
-        if (op.src2 != kNoArchReg)
+        }
+        if (op.src2 != kNoArchReg) {
             EXPECT_LT(op.src2, kNumArchRegs);
+        }
     }
     EXPECT_GT(mem, 1000u);
 }

@@ -22,15 +22,8 @@ def main(argv=None):
     ap.add_argument("--root", default=None,
                     help="repository root (default: two levels above "
                          "this package)")
-    ap.add_argument("--jobs", type=int, default=None,
-                    help="parallel extraction processes "
-                         "(default: cpu count)")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="ignore and do not write .lsqlint.cache")
     ap.add_argument("--json", action="store_true",
                     help="emit machine-readable JSON on stdout")
-    ap.add_argument("--json-out", metavar="FILE", default=None,
-                    help="also write the JSON report to FILE")
     ap.add_argument("--rules", metavar="ID[,ID...]", default=None,
                     help="run only these rule IDs")
     ap.add_argument("--list-rules", action="store_true",
@@ -55,17 +48,10 @@ def main(argv=None):
                   + ", ".join(sorted(unknown)), file=sys.stderr)
             return 2
 
-    findings, stats = engine.analyze(
-        root, jobs=args.jobs, use_cache=not args.no_cache,
-        rule_filter=rule_filter)
+    findings, stats = engine.analyze(root, rule_filter=rule_filter)
 
-    report = engine.to_json(findings, stats)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=1)
-            f.write("\n")
     if args.json:
-        json.dump(report, sys.stdout, indent=1)
+        json.dump(engine.to_json(findings, stats), sys.stdout, indent=1)
         sys.stdout.write("\n")
     else:
         for f in findings:
@@ -74,7 +60,6 @@ def main(argv=None):
             print(f"\nlsqlint: {len(findings)} finding(s)")
         else:
             print(f"lsqlint: clean ({stats['files']} files, "
-                  f"{stats['cached']} cached, "
                   f"{stats['total_seconds']}s)")
     return min(len(findings), 125)
 

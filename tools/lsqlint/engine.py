@@ -1,24 +1,20 @@
-"""Analysis driver: file walk, mtime cache, parallel facts
-extraction, rule dispatch, suppression filtering and output.
+"""Analysis driver: file walk, facts extraction, rule dispatch,
+suppression filtering and output.
 
-The two-phase shape is what keeps the `lint` ctest under its 10 s
-budget: facts extraction is per-file (parallel across a process pool,
-memoized in `.lsqlint.cache` keyed on mtime+size), while the rules —
-which need cross-file views (serialization coverage, the include DAG,
-taxonomy) — run serially over the merged FactsDB and are cheap.
+Facts extraction is per-file; the rules, which need cross-file views
+(serialization coverage, the include DAG, taxonomy), run over the
+merged FactsDB. A serial run over the whole tree takes well under a
+second.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import json
 import os
 import time
 
 from . import model
 
 SOURCE_EXTS = (".hh", ".cc", ".cpp", ".hpp")
-CACHE_NAME = ".lsqlint.cache"
 # Fixture trees are deliberately-broken inputs for the analyzer's own
 # tests; they must never count against the real tree.
 EXCLUDED_DIR_NAMES = frozenset(("lintfix",))
@@ -77,17 +73,6 @@ class FactsDB:
             return False
         return rule in facts["allows"].get(str(line), ())
 
-    # Merged enum map from src/ files: name -> (facts-path, enum-dict).
-    # First definition wins (the repo has no duplicate enum names).
-    def enums(self, scoped_only=True):
-        out = {}
-        for p, facts in self.src():
-            for e in facts["enums"]:
-                if scoped_only and not e.get("scoped"):
-                    continue
-                out.setdefault(e["name"], (p, e))
-        return out
-
     def functions(self):
         """Yield (facts-path, function-dict) for src/ definitions."""
         for p, facts in self.src():
@@ -130,92 +115,20 @@ def collect_files(root):
     return rels
 
 
-def _extract_one(root, rel):
-    """Worker: parse one file. Returns (rel, mtime_ns, size, facts)."""
-    full = os.path.join(root, rel)
-    st = os.stat(full)
-    with open(full, "r", encoding="utf-8", errors="replace") as f:
-        text = f.read()
-    return rel, st.st_mtime_ns, st.st_size, model.extract(rel, text)
-
-
-# ------------------------------------------------------------ cache ----
-
-def _load_cache(root):
-    path = os.path.join(root, CACHE_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        if data.get("facts_version") != model.FACTS_VERSION:
-            return {}
-        return data.get("files", {})
-    except (OSError, ValueError):
-        return {}
-
-
-def _store_cache(root, entries):
-    path = os.path.join(root, CACHE_NAME)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump({"facts_version": model.FACTS_VERSION,
-                       "files": entries}, f)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-
-
 # ---------------------------------------------------------- analyze ----
 
-def build_db(root, jobs=None, use_cache=True):
-    """Extract (or recall) facts for every file under root.
+def build_db(root):
+    """Extract facts for every file under root.
     Returns (FactsDB, stats-dict)."""
     root = os.path.abspath(root)
     t0 = time.monotonic()
-    rels = collect_files(root)
-    cache = _load_cache(root) if use_cache else {}
-
     facts_by_path = {}
-    entries = {}
-    stale = []
-    for rel in rels:
-        try:
-            st = os.stat(os.path.join(root, rel))
-        except OSError:
-            continue
-        ent = cache.get(rel)
-        if (ent and ent[0] == st.st_mtime_ns and
-                ent[1] == st.st_size):
-            facts_by_path[rel] = ent[2]
-            entries[rel] = ent
-        else:
-            stale.append(rel)
-
-    if stale:
-        jobs = jobs or os.cpu_count() or 1
-        jobs = min(jobs, len(stale))
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=jobs) as pool:
-                futs = [pool.submit(_extract_one, root, rel)
-                        for rel in stale]
-                results = [f.result() for f in futs]
-        else:
-            results = [_extract_one(root, rel) for rel in stale]
-        for rel, mtime_ns, size, facts in results:
-            facts_by_path[rel] = facts
-            entries[rel] = [mtime_ns, size, facts]
-
-    if use_cache:
-        _store_cache(root, entries)
-
+    for rel in collect_files(root):
+        with open(os.path.join(root, rel), "r", encoding="utf-8",
+                  errors="replace") as f:
+            facts_by_path[rel] = model.extract(rel, f.read())
     stats = {
         "files": len(facts_by_path),
-        "reparsed": len(stale),
-        "cached": len(facts_by_path) - len(stale),
         "facts_seconds": round(time.monotonic() - t0, 3),
     }
     return FactsDB(root, facts_by_path), stats
@@ -243,10 +156,10 @@ def run_rules(db, rule_filter=None):
     return out
 
 
-def analyze(root, jobs=None, use_cache=True, rule_filter=None):
+def analyze(root, rule_filter=None):
     """Full run: returns (findings, stats)."""
     t0 = time.monotonic()
-    db, stats = build_db(root, jobs=jobs, use_cache=use_cache)
+    db, stats = build_db(root)
     findings = run_rules(db, rule_filter=rule_filter)
     stats["total_seconds"] = round(time.monotonic() - t0, 3)
     stats["findings"] = len(findings)

@@ -5,13 +5,12 @@ holding everything any rule needs from one file: the include list,
 enum definitions, classes with their data members / declared methods /
 virtual-method sets, function definitions with per-body summaries
 (identifier sets, outgoing calls, hot-path purity events, trace-hook
-arguments, switch coverage, histogram registrations), and the
-annotations parsed from comments.
+arguments, histogram registrations), and the annotations parsed from
+comments.
 
 Facts are pure per-file data — cross-file reasoning (serialization
 coverage, hot-path propagation, layering, taxonomy) happens in the
-rules, over the merged FactsDB. Keeping facts serializable is what
-makes the mtime cache and the parallel walk trivial.
+rules, over the merged FactsDB.
 
 The parser is heuristic (no preprocessing, no template
 instantiation), tuned to this repository's style, and must never
@@ -24,8 +23,6 @@ from __future__ import annotations
 import re
 
 from . import lexer
-
-FACTS_VERSION = 10  # bump to invalidate caches when extraction changes
 
 # Annotation grammar (docs/STATIC_ANALYSIS.md):
 #   // lsqlint: allow(rule[, rule...]) [-- reason]
@@ -47,9 +44,9 @@ _NOT_CALLS = frozenset((
 
 # Macros whose argument lists are cold failure/diagnostic paths: code
 # inside them is exempt from hot-path purity and call propagation
-# (LSQ_ASSERT and friends build strings and call debugDump *only when
-# the invariant already failed*). LSQ_TRACE_HOOK arguments compile out
-# of default builds entirely.
+# (LSQ_ASSERT and friends format messages and call debugDump *only
+# when the invariant already failed*). LSQ_TRACE_HOOK arguments
+# compile out of default builds entirely.
 _COLD_MACROS = frozenset((
     "LSQ_PANIC", "LSQ_FATAL", "LSQ_WARN", "LSQ_ASSERT", "LSQ_DCHECK",
     "LSQ_TRACE_HOOK",
@@ -82,11 +79,6 @@ _MUTEX_IDENTS = frozenset((
     "mutex", "timed_mutex", "recursive_mutex", "shared_mutex",
     "lock_guard", "unique_lock", "scoped_lock", "shared_lock",
     "condition_variable", "condition_variable_any",
-))
-
-_STRING_IDENTS = frozenset((
-    "string", "to_string", "ostringstream", "stringstream",
-    "istringstream", "wstring",
 ))
 
 _IO_CALL_IDENTS = frozenset((
@@ -403,7 +395,6 @@ class _Extractor:
             "new": [], "cast": [], "assert": [], "thread": [],
             "statdump": [], "syscall": [],
         }
-        self.switches = []
         self.hist_sites = []
         self.fourcc_defs = []
         self.constants = {}
@@ -413,7 +404,7 @@ class _Extractor:
         self.file_refs = {}
         self.trace_hooks = []
         # Full identifier set, kept only for test files (taxonomy
-        # test-mention rule); src facts stay lean for the cache.
+        # test-mention rule).
         self.collect_idents = rel_path.startswith("tests/")
         self.all_idents = set()
 
@@ -477,10 +468,8 @@ class _Extractor:
         save = cur.i
         cur.next()  # 'enum'
         t = cur.peek()
-        scoped = False
         if t is not None and t.kind == "id" and t.text in ("class",
                                                            "struct"):
-            scoped = True
             cur.next()
             t = cur.peek()
         if t is None or t.kind != "id":
@@ -520,7 +509,7 @@ class _Extractor:
                 expect_name = False
             j += 1
         self.enums.append({"name": name, "line": name_line,
-                           "scoped": scoped, "members": members})
+                           "members": members})
         cur.i = body_end + 1
         return True
 
@@ -874,15 +863,6 @@ class _Extractor:
                         calls.add("::".join(parts))
                 if not cold:
                     self._purity_scan(toks, i, end, purity)
-            elif t.kind == "p" and t.text == "new" :
-                pass  # 'new' lexes as id; unreachable
-            if t.kind == "id" and t.text == "new" and i >= cold_until:
-                nxt = toks[i + 1] if i + 1 < end else None
-                if nxt is not None and (
-                        nxt.kind == "id" or
-                        (nxt.kind == "p" and nxt.text in ("::", "<"))):
-                    purity.append({"kind": "hot-alloc", "line": t.line,
-                                   "what": "new"})
             i += 1
         return {
             "idents": sorted(idents),
@@ -908,16 +888,7 @@ class _Extractor:
             return (nxt is not None and nxt.kind == "p" and
                     nxt.text in ("(", "<", "{"))
 
-        if t.text in ("make_unique", "make_shared") and called():
-            purity.append({"kind": "hot-alloc", "line": t.line,
-                           "what": t.text})
-        elif t.text in ("malloc", "calloc", "realloc") and called():
-            purity.append({"kind": "hot-alloc", "line": t.line,
-                           "what": t.text})
-        elif t.text in _STRING_IDENTS and after_scope:
-            purity.append({"kind": "hot-string", "line": t.line,
-                           "what": "std::" + t.text})
-        elif t.text in _MUTEX_IDENTS:
+        if t.text in _MUTEX_IDENTS:
             purity.append({"kind": "hot-mutex", "line": t.line,
                            "what": t.text})
         elif t.text in ("lock", "unlock", "try_lock") and \
@@ -941,7 +912,7 @@ class _Extractor:
     # ------------------------------------------- linear event scan ----
     def _scan_linear_events(self):
         """File-wide token scan for the ported PR 1/2/3/5 rules and the
-        switch/histogram collectors."""
+        histogram collector."""
         toks = self.toks
         n = len(toks)
         hook_until = -1
@@ -1056,16 +1027,6 @@ class _Extractor:
                     self._cast_event(t.line, type_toks,
                                      toks[close + 1:op_end - 1])
 
-            # switch ------------------------------------------------
-            elif t.text == "switch" and nxt is not None and \
-                    nxt.kind == "p" and nxt.text == "(":
-                cond_end = _match_forward(toks, i + 1, "(", ")")
-                if cond_end < n and toks[cond_end].kind == "p" and \
-                        toks[cond_end].text == "{":
-                    body_end = _match_forward(toks, cond_end, "{", "}")
-                    self._switch_event(t.line, toks,
-                                       cond_end + 1, body_end - 1)
-
             # histogram sites ---------------------------------------
             elif (t.text == "histogram" and prev is not None and
                   prev.kind == "p" and prev.text == "." and
@@ -1123,47 +1084,9 @@ class _Extractor:
                 {"line": line, "type": typ,
                  "operand": operand[:80]})
 
-    def _switch_event(self, line, toks, start, end):
-        cases = {}
-        has_default = False
-        i = start
-        while i < end:
-            t = toks[i]
-            if t.kind == "id" and t.text == "case":
-                # collect Qual::...::Enum::Member up to ':'
-                parts = []
-                j = i + 1
-                while j < end:
-                    tt = toks[j]
-                    if tt.kind == "id":
-                        parts.append(tt.text)
-                        j += 1
-                    elif tt.kind == "p" and tt.text == "::":
-                        j += 1
-                    else:
-                        break
-                if len(parts) >= 2:
-                    enum_name, member = parts[-2], parts[-1]
-                    cases.setdefault(enum_name, []).append(member)
-                i = j
-                continue
-            if t.kind == "id" and t.text == "default":
-                nxt = toks[i + 1] if i + 1 < end else None
-                if nxt is not None and nxt.kind == "p" and \
-                        nxt.text == ":":
-                    has_default = True
-            i += 1
-        if cases:
-            self.switches.append({
-                "line": line,
-                "cases": {k: sorted(set(v)) for k, v in cases.items()},
-                "has_default": has_default,
-            })
-
     # ------------------------------------------------------- facts ----
     def _facts(self):
         return {
-            "version": FACTS_VERSION,
             "path": self.path,
             "includes": self.includes,
             "allows": {str(k): v for k, v in self.allows.items()},
@@ -1172,7 +1095,6 @@ class _Extractor:
             "classes": self.classes,
             "functions": self.functions,
             "events": self.events,
-            "switches": self.switches,
             "hist_sites": self.hist_sites,
             "phase_lines": {str(k): v
                             for k, v in self.phase_lines.items()},

@@ -12,9 +12,6 @@ RULES = {
                 "ownership goes through containers or make_unique"),
     "narrowing-cast": ("error",
                        "64-bit cycle/seq arithmetic must not narrow"),
-    "partial-switch": ("error",
-                       "switches over enum class name all enumerators,"
-                       " no default:"),
     "stats-buckets": ("error",
                       "histogram bucket shapes agree across sites"),
     "bare-assert": ("error",
@@ -35,9 +32,6 @@ RULES = {
                           "checkpoint section constants thread both"
                           " save and load paths"),
     # hot-path purity
-    "hot-alloc": ("error", "no allocation on the per-cycle hot path"),
-    "hot-string": ("error",
-                   "no std::string construction on the hot path"),
     "hot-mutex": ("error", "no locks on the hot path"),
     "hot-virtual": ("error",
                     "no virtual dispatch through pointers on the hot"

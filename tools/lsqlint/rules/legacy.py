@@ -27,8 +27,6 @@ def _stat_dump_exempt(path):
 
 def run(db):
     findings = []
-    enums = db.enums(scoped_only=True)
-
     hist_sites = {}  # name -> [(path, line, shape)]
 
     for path, facts in db.src_and_tools():
@@ -65,25 +63,6 @@ def run(db):
                     f"return value of {e['what']}() discarded in "
                     f"crash-isolation code: check it (or annotate why "
                     f"failure is tolerable)"))
-
-        for sw in facts["switches"]:
-            for enum_name, covered in sw["cases"].items():
-                if enum_name not in enums:
-                    continue
-                members = [m["name"]
-                           for m in enums[enum_name][1]["members"]]
-                missing = [m for m in members if m not in covered]
-                if missing:
-                    findings.append(Finding(
-                        "partial-switch", path, sw["line"],
-                        f"switch over enum class {enum_name} misses: "
-                        + ", ".join(missing)))
-                elif sw["has_default"]:
-                    findings.append(Finding(
-                        "partial-switch", path, sw["line"],
-                        f"switch over enum class {enum_name} has a "
-                        f"default: label; drop it so -Wswitch flags "
-                        f"new enumerators"))
 
         for h in facts["hist_sites"]:
             # Suppressed sites drop out of the shape comparison, like
