@@ -7,8 +7,7 @@
  * and the figures share most of them. So the driver keeps two tables:
  *
  *  - the design catalog: every distinct design point once, under a
- *    unique label (the `config` field of the sweep's JSON and
- *    journal records);
+ *    unique label (the `config` field of the sweep's JSON records);
  *  - the figure table: one entry per table or figure, naming the
  *    catalog designs it reads and the renderer that prints it.
  *
@@ -25,6 +24,10 @@
  * apply: LSQSCALE_INSTS shrinks the budget, LSQSCALE_BENCH picks
  * benchmarks, LSQSCALE_JOBS sets the worker count, LSQSCALE_CSV_DIR
  * and LSQSCALE_JSON_DIR write CSV tables and BENCH_paper.json.
+ *
+ * Exit status: 0 when every cell ran, 1 when any cell was poisoned
+ * (its tables still print, reading 0 for that cell), 2 on bad
+ * arguments.
  */
 
 #include <algorithm>
@@ -750,7 +753,8 @@ main(int argc, char **argv)
     }
 
     ExperimentRunner runner;
-    Rows results = runner.runAll(designs);
+    std::size_t poisoned = 0;
+    Rows results = runner.runAll(designs, &poisoned);
 
     for (const Figure *f : selected) {
         Rows rows;
@@ -758,5 +762,6 @@ main(int argc, char **argv)
             rows.push_back(results[rowOf.at(label)]);
         f->render(runner, rows);
     }
-    return 0;
+    // Poisoned cells still print (as zeros), but the run failed.
+    return poisoned == 0 ? 0 : 1;
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Assertions for the crash-smoke CI flavor (docs/ROBUSTNESS.md).
 
-The flavor runs a process-isolated sweep with a fault injected at a
-cycle chosen to split the grid — cells whose measured run is shorter
-than the trigger finish healthy, longer ones hit the fault — then
-resumes from the journal. This script holds the JSON-level checks:
+The flavor runs process-isolated sweeps with a fault injected at a
+cycle chosen to split the grid: cells whose measured run is shorter
+than the trigger finish healthy, longer ones hit the fault. This
+script holds the JSON-level checks:
 
   pick-cycle CLEAN.json
       Print a trigger cycle strictly between the shortest and longest

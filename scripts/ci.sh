@@ -50,14 +50,11 @@
 #                    (docs/ROBUSTNESS.md): an uninjected
 #                    process-isolated `paper --only fig7` sweep must be
 #                    byte-identical to thread mode; then deterministic
-#                    SIGSEGV, hang,
-#                    and (under the checker build) corrupt-lsq faults
-#                    are injected at a cycle that splits the grid —
-#                    only the long-running cells may be poisoned, each
-#                    with signal/heartbeat provenance — and an
-#                    LSQSCALE_RESUME replay
-#                    from the journal must reproduce the clean output
-#                    byte for byte
+#                    SIGSEGV, hang and (under the checker build)
+#                    corrupt-lsq faults are injected at a cycle that
+#                    splits the grid — only the long-running cells may
+#                    be poisoned, each with signal/heartbeat
+#                    provenance, and the sweep must exit nonzero
 #   9. lint        — the lsqlint analyzer (python3 -m tools.lsqlint)
 #                    standalone (also a ctest in every flavor above, so
 #                    this is a fast final recheck)
@@ -278,15 +275,13 @@ banner "flavor: coverage (gcov line coverage per src/ subdir)"
 run_flavor coverage -DLSQ_COVERAGE=ON
 python3 scripts/coverage_report.py build-ci-coverage
 
-banner "flavor: crash-smoke (isolation bit-identity, fault campaign, resume)"
+banner "flavor: crash-smoke (isolation bit-identity, fault campaigns)"
 CRASH_DIR="build-ci-release/crash-smoke"
 CRASH_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}"
 CRASH_BENCH="${LSQSCALE_CI_CRASH_BENCH:-gzip,mcf,twolf,equake,swim}"
-CRASH_JOURNAL="$CRASH_DIR/injected/JOURNAL_paper.journal"
 rm -rf "$CRASH_DIR"
 mkdir -p "$CRASH_DIR/thread" "$CRASH_DIR/process" \
-    "$CRASH_DIR/injected" "$CRASH_DIR/resume" "$CRASH_DIR/hang" \
-    "$CRASH_DIR/corrupt"
+    "$CRASH_DIR/injected" "$CRASH_DIR/hang" "$CRASH_DIR/corrupt"
 
 # Uninjected process-isolated sweep: byte-identical to thread mode
 # across fig7's four design points (table and CSV; the JSON carries
@@ -309,13 +304,12 @@ diff -r --exclude='BENCH_*.json' "$CRASH_DIR/thread" "$CRASH_DIR/process"
 CRASH_CYC=$(python3 scripts/check_crash_smoke.py pick-cycle \
     "$CRASH_DIR/process/BENCH_paper.json")
 
-# SIGSEGV campaign with a journal. The sweep must exit nonzero yet
-# still emit the healthy cells with crash provenance on the rest.
+# SIGSEGV campaign. The sweep must exit nonzero yet still emit the
+# healthy cells with crash provenance on the rest.
 rc=0
 LSQSCALE_BENCH="$CRASH_BENCH" LSQSCALE_INSTS="$CRASH_INSTS" \
     LSQSCALE_JOBS=2 LSQSCALE_ISOLATION=process \
     LSQSCALE_INJECT="crash:0:$CRASH_CYC" \
-    LSQSCALE_JOURNAL="$CRASH_DIR/injected" \
     LSQSCALE_JSON_DIR="$CRASH_DIR/injected" \
     ./build-ci-release/bench/paper --only fig7 \
     >"$CRASH_DIR/injected/table.txt" 2>/dev/null || rc=$?
@@ -327,29 +321,6 @@ python3 scripts/check_crash_smoke.py check-campaign \
     "$CRASH_DIR/process/BENCH_paper.json" \
     "$CRASH_DIR/injected/BENCH_paper.json" \
     "$CRASH_CYC" --kind crash
-./build-ci-release/tools/lsqjournal inspect "$CRASH_JOURNAL"
-if ./build-ci-release/tools/lsqjournal verify "$CRASH_JOURNAL"; then
-    echo "crash-smoke: journal of a crashed sweep verified clean" >&2
-    exit 1
-fi
-
-# Resume from the journal, fault disarmed: only the poisoned cells
-# re-run, and the final table/CSV are byte-identical to the clean run.
-LSQSCALE_BENCH="$CRASH_BENCH" LSQSCALE_INSTS="$CRASH_INSTS" \
-    LSQSCALE_JOBS=2 LSQSCALE_ISOLATION=process \
-    LSQSCALE_RESUME="$CRASH_JOURNAL" \
-    LSQSCALE_CSV_DIR="$CRASH_DIR/resume" \
-    ./build-ci-release/bench/paper --only fig7 \
-    >"$CRASH_DIR/resume/table.txt" 2>"$CRASH_DIR/resume/stderr.txt"
-grep -q "restored" "$CRASH_DIR/resume/stderr.txt" || {
-    echo "crash-smoke: resume restored nothing from the journal" >&2
-    exit 1
-}
-diff "$CRASH_DIR/process/table.txt" "$CRASH_DIR/resume/table.txt"
-for csv in "$CRASH_DIR"/process/*.csv; do
-    diff "$csv" "$CRASH_DIR/resume/$(basename "$csv")"
-done
-./build-ci-release/tools/lsqjournal verify "$CRASH_JOURNAL"
 
 # Hang campaign: the heartbeat watchdog must reap the long cells as
 # TimedOut while the short ones stay healthy.

@@ -22,8 +22,8 @@
  * cell). Inside that bracket the fork also holds the logging mutex
  * (lockLogForFork/unlockLogForFork) so a child forked while another
  * worker was mid-logLine() does not inherit a locked logger. The
- * child leaves via std::_Exit — no atexit hooks (the sweep failure
- * hook must fire once, in the parent), no static destructors.
+ * child leaves via std::_Exit: no parent-owned atexit hooks, no
+ * static destructors.
  */
 
 #ifndef LSQSCALE_HARNESS_PROC_RUNNER_HH

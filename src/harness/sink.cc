@@ -206,8 +206,7 @@ JsonFileSink::render(const SweepOutcome &outcome,
                << "\", \"row\": " << cell.row
                << ", \"col\": " << cell.col
                << ", \"status\": \"" << jobStatusName(cell.status)
-               << "\", \"attempts\": " << cell.attempts
-               << ", \"seed\": " << cell.seed
+               << "\", \"seed\": " << cell.seed
                << ", \"ipc\": " << jsonNumber(cell.result.ipc(), "%.6f")
                << ", \"cycles\": " << cell.result.cycles
                << ", \"committed\": " << cell.result.committed

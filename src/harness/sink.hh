@@ -65,7 +65,7 @@ class ProgressSink : public ResultSink
  * Machine-readable sweep trajectory: schema "lsqscale-sweep-v1", one
  * JSON object per sweep with run metadata (jobs, wall time, poison
  * count, caller-supplied key/values) and one record per cell (config,
- * benchmark, status, attempts, seed, ipc, cycles, committed,
+ * benchmark, status, seed, ipc, cycles, committed,
  * sq/lq searches, error). See docs/HARNESS.md for the full schema.
  */
 class JsonFileSink : public ResultSink

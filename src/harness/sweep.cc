@@ -1,6 +1,5 @@
 #include "harness/sweep.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
@@ -10,7 +9,6 @@
 #include "common/rng.hh"
 #include "metrics/hostprof.hh"
 #include "harness/job_pool.hh"
-#include "harness/journal.hh"
 #include "harness/proc_runner.hh"
 #include "harness/sink.hh"
 #include "inject/inject.hh"
@@ -26,9 +24,6 @@ secondsBetween(std::chrono::steady_clock::time_point a,
 {
     return std::chrono::duration<double>(b - a).count();
 }
-
-std::atomic<std::uint64_t> g_sweepFailures{0};
-std::once_flag g_exitHookOnce;
 
 /** One engine-wide mutex serializes sink callbacks. */
 std::mutex &
@@ -100,35 +95,6 @@ resolveWatchdog(std::chrono::milliseconds configured)
     return configured;
 }
 
-// -------------------------------------------------- failure report ----
-
-void
-noteSweepFailures(std::size_t n)
-{
-    if (n == 0)
-        return;
-    g_sweepFailures.fetch_add(n, std::memory_order_relaxed);
-    std::call_once(g_exitHookOnce, [] {
-        std::atexit([] {
-            std::uint64_t failures =
-                g_sweepFailures.load(std::memory_order_relaxed);
-            if (failures == 0)
-                return;
-            logLine(stderr,
-                    strfmt("sweep: %llu poisoned cell(s) across this "
-                           "process; forcing nonzero exit",
-                           static_cast<unsigned long long>(failures)));
-            std::_Exit(1);
-        });
-    });
-}
-
-std::uint64_t
-sweepFailureCount()
-{
-    return g_sweepFailures.load(std::memory_order_relaxed);
-}
-
 // ------------------------------------------------------ SweepOutcome --
 
 std::string
@@ -137,13 +103,9 @@ SweepOutcome::summary() const
     std::size_t cells = 0;
     for (const auto &row : grid)
         cells += row.size();
-    std::string s =
-        strfmt("sweep '%s': %zu cell(s), %u job(s), %zu poisoned, ",
-               name.c_str(), cells, jobs, poisonedCells);
-    if (restoredCells > 0)
-        s += strfmt("%zu restored, ", restoredCells);
-    s += strfmt("%.2fs", seconds);
-    return s;
+    return strfmt("sweep '%s': %zu cell(s), %u job(s), %zu poisoned, "
+                  "%.2fs",
+                  name.c_str(), cells, jobs, poisonedCells, seconds);
 }
 
 // ------------------------------------------------------------ Sweep --
@@ -166,71 +128,6 @@ void
 Sweep::setJobFn(JobFn fn)
 {
     jobFn_ = std::move(fn);
-}
-
-void
-Sweep::setResume(JournalContents journal)
-{
-    resume_ =
-        std::make_shared<const JournalContents>(std::move(journal));
-}
-
-void
-Sweep::restoreFromJournal(SweepOutcome &out)
-{
-    const JournalContents &j = *resume_;
-    const std::size_t rows = out.grid.size();
-    const std::size_t cols = rows > 0 ? out.grid.front().size() : 0;
-    if (j.rows != rows || j.cols != cols) {
-        LSQ_WARN("resume journal is a %zux%zu grid but this sweep is "
-                 "%zux%zu; ignoring it",
-                 j.rows, j.cols, rows, cols);
-        return;
-    }
-    for (const JournalCell &jc : j.cells) {
-        if (jc.row >= rows || jc.col >= cols)
-            continue;
-        // Only healthy, fully-recorded cells are worth restoring:
-        // poisoned ones are exactly what a resume should retry.
-        if (jc.status != JobStatus::Ok || !jc.hasResult)
-            continue;
-        SweepCell &cell = out.grid[jc.row][jc.col];
-        if (jc.row < j.configLabels.size() &&
-            j.configLabels[jc.row] != cell.configLabel) {
-            LSQ_WARN("resume journal cell (%zu,%zu) is for config "
-                     "'%s', not '%s'; re-running it",
-                     jc.row, jc.col, j.configLabels[jc.row].c_str(),
-                     cell.configLabel.c_str());
-            continue;
-        }
-        if (jc.col < j.benchmarks.size() &&
-            j.benchmarks[jc.col] != cell.benchmark) {
-            LSQ_WARN("resume journal cell (%zu,%zu) is for benchmark "
-                     "'%s', not '%s'; re-running it",
-                     jc.row, jc.col, j.benchmarks[jc.col].c_str(),
-                     cell.benchmark.c_str());
-            continue;
-        }
-        if (jc.seed != cell.seed) {
-            LSQ_WARN("resume journal cell (%zu,%zu) was run with seed "
-                     "%llu, not %llu; re-running it",
-                     jc.row, jc.col,
-                     static_cast<unsigned long long>(jc.seed),
-                     static_cast<unsigned long long>(cell.seed));
-            continue;
-        }
-        cell.result = jc.result;
-        cell.status = JobStatus::Ok;
-        cell.error.clear();
-        cell.attempts = jc.attempts;
-        cell.seconds = jc.seconds;
-        cell.restored = true;
-        ++out.restoredCells;
-    }
-    logLine(stderr,
-            strfmt("[resume] restored %zu of %zu cell(s) from the "
-                   "journal; re-running the rest",
-                   out.restoredCells, rows * cols));
 }
 
 std::uint64_t
@@ -314,7 +211,6 @@ Sweep::runCell(SweepOutcome &out, std::size_t r, std::size_t c)
     SweepCell &cell = out.grid[r][c];
     notifyStarted(cell);
 
-    cell.attempts = 1;
     if (isolation_ == IsolationMode::Process) {
         // Crash-isolated: the job runs in a forked child; whatever it
         // does — segfault, assert, hang — only this cell pays
@@ -367,8 +263,8 @@ Sweep::run()
             cell.col = c;
             cell.configLabel = configs_[r].label;
             cell.benchmark = benchmarks_[c];
-            // Base 1 keeps the seeds (and so the resume keys) of
-            // every recorded journal and sweep JSON valid.
+            // Base 1 keeps the seeds of every recorded sweep JSON
+            // valid.
             cell.seed = jobSeed(1, r, c);
         }
     }
@@ -391,32 +287,23 @@ Sweep::run()
                  "parallel fault campaigns)");
         out.jobs = 1;
     }
-    if (resume_ != nullptr)
-        restoreFromJournal(out);
-
     {
         std::lock_guard<std::mutex> lock(sinkMutex());
         for (ResultSink *s : sinks_)
             s->sweepBegin(out);
     }
 
-    // Restored cells are already final: they get no jobStarted /
-    // cellDone callbacks, so a resumed journal appends only new work
-    // and progress lines cover only what actually runs.
     auto start = std::chrono::steady_clock::now();
     if (out.jobs <= 1 || rows * cols <= 1) {
         // Serial path: same grid order as the historical runner loop.
         for (std::size_t r = 0; r < rows; ++r)
             for (std::size_t c = 0; c < cols; ++c)
-                if (!out.grid[r][c].restored)
-                    runCell(out, r, c);
+                runCell(out, r, c);
     } else {
         JobPool pool(out.jobs);
         for (std::size_t r = 0; r < rows; ++r)
             for (std::size_t c = 0; c < cols; ++c)
-                if (!out.grid[r][c].restored)
-                    pool.submit(
-                        [this, &out, r, c] { runCell(out, r, c); });
+                pool.submit([this, &out, r, c] { runCell(out, r, c); });
         pool.wait();
     }
     out.seconds =

@@ -23,8 +23,7 @@
  * (LSQ_ASSERT / checker panic), or hang poisons only its own cell —
  * JobStatus::Crashed or TimedOut with signal, exit-status, and
  * stderr-tail provenance — while healthy cells stay bit-identical to
- * thread mode. A JournalWriter sink plus setResume() makes the sweep
- * itself restartable after a fatal interruption.
+ * thread mode.
  */
 
 #ifndef LSQSCALE_HARNESS_SWEEP_HH
@@ -34,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,7 +42,6 @@
 namespace lsqscale {
 
 class ResultSink;
-struct JournalContents;
 
 /** A design point: label plus a per-benchmark config factory. */
 struct NamedConfig
@@ -121,8 +118,6 @@ struct SweepCell
     SimResult result;    ///< zeroed when poisoned
     JobStatus status = JobStatus::Ok;
     std::string error;   ///< what() of the failure
-    /** 1 once executed; kept so journal and JSON rows stay stable. */
-    unsigned attempts = 0;
     std::uint64_t seed = 0; ///< Sweep::jobSeed for this cell
     double seconds = 0.0;   ///< wall time of a healthy cell
 
@@ -131,9 +126,6 @@ struct SweepCell
     int termSignal = 0;      ///< signal that killed the child, if any
     int exitStatus = 0;      ///< nonzero child exit code, if any
     std::string stderrTail;  ///< last ~2KB of the child's stderr
-
-    /** True when restored from a resume journal, not re-executed. */
-    bool restored = false;
 
     bool poisoned() const { return status != JobStatus::Ok; }
 };
@@ -146,7 +138,6 @@ struct SweepOutcome
     std::vector<std::vector<SweepCell>> grid;
     unsigned jobs = 1;          ///< worker threads actually used
     std::size_t poisonedCells = 0;
-    std::size_t restoredCells = 0; ///< cells replayed from a journal
     double seconds = 0.0;       ///< sweep wall time
     /** Isolation mode the cells actually ran under (never Auto). */
     IsolationMode isolation = IsolationMode::Thread;
@@ -186,17 +177,6 @@ class Sweep
     /** Replace the job body. Must be set before run(). */
     void setJobFn(JobFn fn);
 
-    /**
-     * Resume from a parsed journal (readJournal): cells the journal
-     * records as Ok — with matching label, benchmark, and seed — are
-     * restored into the grid without re-running (no jobStarted /
-     * cellDone callbacks fire for them, so an appending JournalWriter
-     * records only new work); everything else re-executes. A journal
-     * whose grid shape does not match is ignored with a warning.
-     * Must be called before run().
-     */
-    void setResume(JournalContents journal);
-
     /** Execute the whole grid; callable once. */
     SweepOutcome run();
 
@@ -212,7 +192,6 @@ class Sweep
     void notifyStarted(const SweepCell &cell);
     void notifyDone(const SweepCell &cell);
 
-    void restoreFromJournal(SweepOutcome &out);
     SimResult runJob(std::size_t r, std::size_t c) const;
     void runCellInChild(SweepCell &cell, std::size_t r, std::size_t c);
 
@@ -221,7 +200,6 @@ class Sweep
     SweepOptions opts_;
     std::vector<ResultSink *> sinks_;
     JobFn jobFn_;
-    std::shared_ptr<const JournalContents> resume_;
     IsolationMode isolation_ = IsolationMode::Thread;
     bool ran_ = false;
 };
@@ -249,18 +227,6 @@ IsolationMode resolveIsolation(IsolationMode requested);
  */
 std::chrono::milliseconds
 resolveWatchdog(std::chrono::milliseconds configured);
-
-/**
- * Record @p n poisoned cells and arm an atexit hook that forces the
- * process to exit nonzero with a one-line summary. This is how benches
- * written as `return 0` report sweep failure without per-bench
- * changes; code that wants explicit control uses
- * SweepOutcome::exitCode() instead and never calls this.
- */
-void noteSweepFailures(std::size_t n);
-
-/** Poisoned cells recorded so far via noteSweepFailures(). */
-std::uint64_t sweepFailureCount();
 
 } // namespace lsqscale
 

@@ -14,7 +14,7 @@
  *                 -DLSQ_CHECKER build detects the divergence and panics
  *   corrupt-pred  scramble store-set predictor tables — deliberately
  *                 SILENT (timing-only) corruption, for detection tooling
- *   io-fail       fail the next harness file write (sinks/journals)
+ *   io-fail       fail the next harness file write (JSON/CSV outputs)
  *
  * The same per-cycle hook carries the process-isolation heartbeat: a
  * forked sweep cell arms a pipe fd here, and the parent's watchdog

@@ -159,9 +159,12 @@ class SegmentAllocator
     void
     loadState(SerialReader &r)
     {
+        // Bound each count by the bytes left before allocating: a
+        // forged count must be a SerialError, not a huge reserve.
         std::uint64_t segs = r.u64();
-        if (segs > (1u << 20))
-            throw SerialError("implausible allocator segment count");
+        if (segs > r.remaining() / 4)
+            throw SerialError("allocator segment count exceeds its "
+                              "payload");
         std::vector<unsigned> occ(segs);
         bool anyOccupied = false;
         for (unsigned &o : occ) {
@@ -169,6 +172,9 @@ class SegmentAllocator
             anyOccupied = anyOccupied || o != 0;
         }
         std::uint64_t liveEntries = r.u64();
+        if (liveEntries > r.remaining() / 4)
+            throw SerialError("allocator live-entry count exceeds its "
+                              "payload");
         std::vector<unsigned> allocSegs;
         allocSegs.reserve(liveEntries);
         for (std::uint64_t i = 0; i < liveEntries; ++i)

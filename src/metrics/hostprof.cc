@@ -35,7 +35,6 @@ constexpr PhaseDesc kPhases[kNumHostPhases] = {
     {"commit", HostPhase::Run, true},
     {"run_other", HostPhase::Run, true},
     {"sweep_cell_setup", HostPhase::kCount, false},
-    {"journal_io", HostPhase::kCount, false},
     {"report", HostPhase::kCount, false},
 };
 

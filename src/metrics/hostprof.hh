@@ -5,10 +5,9 @@
  * Answers "where did the host milliseconds go" for a run: every named
  * phase of the simulator's life — setup, checkpoint restore/save/
  * fingerprint, fast-forward, warmup, the detailed run loop, sweep-cell
- * setup, journal I/O, reporting — accumulates monotonic-clock
- * nanoseconds into a fixed static tree, rendered at exit as a
- * self-time table (`lsqsim --host-profile`, `tools/lsqtrace
- * hostprof`).
+ * setup, reporting — accumulates monotonic-clock nanoseconds into a
+ * fixed static tree, rendered at exit as a self-time table (`lsqsim
+ * --host-profile`, `tools/lsqtrace hostprof`).
  *
  * Two kinds of phase:
  *
@@ -72,7 +71,6 @@ enum class HostPhase : unsigned {
     Commit,        ///< sampled: commit + invalidation probes
     RunOther,      ///< sampled: occupancy stats, loop bookkeeping
     SweepCellSetup,///< per-cell config materialization in Sweep
-    JournalIo,     ///< journal append/flush + read
     Report,        ///< stats/JSON/table rendering
     kCount
 };

@@ -1,4 +1,4 @@
-// lsqlint: layer(harness) -- experiment runner implementation over harness sweep/sink/journal
+// lsqlint: layer(harness) -- experiment runner implementation over harness sweep/sink
 #include "sim/experiment.hh"
 
 #include <algorithm>
@@ -9,11 +9,7 @@
 #include <memory>
 #include <sstream>
 
-#include <filesystem>
-#include <system_error>
-
 #include "common/logging.hh"
-#include "harness/journal.hh"
 #include "harness/sink.hh"
 
 namespace lsqscale {
@@ -79,53 +75,6 @@ envJsonSink(const std::string &sweepName, unsigned jobs,
     return std::make_unique<JsonFileSink>(path, std::move(meta));
 }
 
-/**
- * The journal sink (LSQSCALE_JOURNAL): JOURNAL_<program>.journal,
- * named like the JSON sink. An LSQSCALE_RESUME journal is appended to
- * in place, whatever directory it lives in.
- */
-struct JournalSetup
-{
-    std::unique_ptr<JournalWriter> writer;
-    bool haveResume = false;
-    JournalContents resume;
-};
-
-JournalSetup
-envJournalSink(const std::string &sweepName)
-{
-    JournalSetup setup;
-    const char *resumePath = std::getenv("LSQSCALE_RESUME");
-    if (resumePath && *resumePath) {
-        std::string error;
-        if (readJournal(resumePath, setup.resume, error)) {
-            setup.haveResume = true;
-            setup.writer =
-                std::make_unique<JournalWriter>(resumePath, true);
-            return setup;
-        }
-        LSQ_WARN("cannot resume from %s: %s; running from scratch",
-                 resumePath, error.c_str());
-    }
-
-    const char *dirEnv = std::getenv("LSQSCALE_JOURNAL");
-    if (!dirEnv || !*dirEnv)
-        return setup;
-    std::string dir = dirEnv;
-    std::string path = dir + "/JOURNAL_" + sweepName + ".journal";
-    // The journal writer appends record-by-record, outside the atomic
-    // write-then-rename path, so make sure the directory exists first.
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-        LSQ_WARN("cannot create journal directory %s: %s", dir.c_str(),
-                 ec.message().c_str());
-        return setup;
-    }
-    setup.writer = std::make_unique<JournalWriter>(path, false);
-    return setup;
-}
-
 } // namespace
 
 SimResult
@@ -141,7 +90,8 @@ ExperimentRunner::ExperimentRunner(std::vector<std::string> benchmarks)
 }
 
 std::vector<ResultRow>
-ExperimentRunner::runAll(const std::vector<NamedConfig> &configs) const
+ExperimentRunner::runAll(const std::vector<NamedConfig> &configs,
+                         std::size_t *poisoned) const
 {
     SweepOptions opts;
     opts.jobs = jobs_;
@@ -158,20 +108,15 @@ ExperimentRunner::runAll(const std::vector<NamedConfig> &configs) const
                             configs.size() * benchmarks_.size());
     if (json)
         sweep.addSink(json.get());
-    JournalSetup journal = envJournalSink(opts.name);
-    if (journal.writer)
-        sweep.addSink(journal.writer.get());
-    if (journal.haveResume)
-        sweep.setResume(std::move(journal.resume));
 
     SweepOutcome outcome = sweep.run();
 
-    if (outcome.poisonedCells > 0) {
-        // Graceful degradation: keep rendering (poisoned cells read
-        // as zero), but make sure the process cannot exit 0.
+    // Graceful degradation: keep rendering (poisoned cells read as
+    // zero) and leave the exit status to the caller.
+    if (outcome.poisonedCells > 0)
         logLine(stderr, outcome.summary());
-        noteSweepFailures(outcome.poisonedCells);
-    }
+    if (poisoned)
+        *poisoned = outcome.poisonedCells;
 
     std::vector<ResultRow> rows;
     rows.reserve(outcome.grid.size());

@@ -33,11 +33,11 @@ using ResultRow = std::vector<SimResult>;
  * cells run concurrently on resolveJobs()-many workers (LSQSCALE_JOBS
  * / hardware_concurrency, capped by cell count) and are collected in
  * stable paper order, so parallel output is bit-identical to serial.
- * A failed cell degrades to a poisoned (zeroed) result, a "[poisoned]"
- * line, and a nonzero process exit at the end (noteSweepFailures)
- * instead of killing the sweep. A program runs one sweep; setting
- * LSQSCALE_JSON_DIR streams it to "<dir>/BENCH_<program>.json"
- * (docs/HARNESS.md).
+ * A failed cell degrades to a poisoned (zeroed) result and a
+ * "[poisoned]" line instead of killing the sweep; runAll() reports
+ * how many cells were poisoned so the caller can exit nonzero. A
+ * program runs one sweep; setting LSQSCALE_JSON_DIR streams it to
+ * "<dir>/BENCH_<program>.json" (docs/HARNESS.md).
  */
 class ExperimentRunner
 {
@@ -49,9 +49,13 @@ class ExperimentRunner
     explicit ExperimentRunner(
         std::vector<std::string> benchmarks = allBenchmarks());
 
-    /** Run several design points as one sweep. Order preserved. */
+    /**
+     * Run several design points as one sweep. Order preserved. When
+     * @p poisoned is given, it receives the number of poisoned cells.
+     */
     std::vector<ResultRow>
-    runAll(const std::vector<NamedConfig> &configs) const;
+    runAll(const std::vector<NamedConfig> &configs,
+           std::size_t *poisoned = nullptr) const;
 
     /**
      * Force the worker count for subsequent runs (0 = resolve from

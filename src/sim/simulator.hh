@@ -53,9 +53,8 @@ struct SimResult
 
     /**
      * Serialize the complete result, bit-exactly: the process-isolated
-     * sweep path ships every cell's result through a pipe and the
-     * journal persists it, and both must reproduce thread-mode output
-     * byte-for-byte (docs/ROBUSTNESS.md). Inline so the harness, which
+     * sweep path ships every cell's result through a pipe, and it must
+     * reproduce thread-mode output byte-for-byte (docs/ROBUSTNESS.md). Inline so the harness, which
      * only links lsqscale_common, can use it header-only.
      */
     void

@@ -136,8 +136,8 @@ TEST(Cli, UnknownOptionIsError)
 TEST(Cli, SweepFlagsAreRejected)
 {
     // lsqsim runs one simulation; sweeps are configured through
-    // SweepOptions and the LSQSCALE_JOBS/ISOLATION/JOURNAL/RESUME
-    // variables only.
+    // SweepOptions and the LSQSCALE_JOBS/ISOLATION variables only, and
+    // a sweep is rerun, not resumed.
     for (const char *flag :
          {"--jobs", "--isolation", "--journal", "--resume"}) {
         std::string err = parseErr({flag, "2"});

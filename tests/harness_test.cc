@@ -6,7 +6,7 @@
  * docs/HARNESS.md: a parallel sweep must be bit-identical to a serial
  * sweep and to the historical serial runner loop. The rest covers the
  * failure semantics (one attempt per cell, poisoned-cell reporting),
- * the sink API and journal decoding. Under -DLSQ_CHECKER=ON every
+ * the sink API, process isolation and the result-transport decoder. Under -DLSQ_CHECKER=ON every
  * simulation below also shadow-executes against the ordering oracle
  * on pool workers, which is exactly the "checker under the pool"
  * configuration the TSan preset validates.
@@ -29,7 +29,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "harness/job_pool.hh"
-#include "harness/journal.hh"
 #include "harness/sink.hh"
 #include "harness/sweep.hh"
 #include "inject/inject.hh"
@@ -276,7 +275,6 @@ TEST(SweepTest, PoisonedCellDoesNotKillTheSweep)
     const SweepCell &bad = out.grid[0][1];
     EXPECT_EQ(bad.status, JobStatus::Failed);
     EXPECT_TRUE(bad.poisoned());
-    EXPECT_EQ(bad.attempts, 1u);
     EXPECT_EQ(gccTries.load(), 1u);
     EXPECT_EQ(bad.error, "injected permanent failure");
     EXPECT_EQ(bad.result.cycles, 0u);       // zeroed, ipc() == 0
@@ -382,21 +380,6 @@ TEST(SinkTest, JsonSinkEmitsWellFormedDocument)
     EXPECT_EQ(depth, 0);
     EXPECT_FALSE(inString);
     std::remove(path.c_str());
-}
-
-// ------------------------------------------- nonzero exit summary ----
-
-TEST(SweepDeathTest, NoteSweepFailuresForcesNonzeroExit)
-{
-    // The ExperimentRunner path: benches end with `return 0`, so
-    // poisoned cells arm an atexit hook that rewrites the process
-    // exit status. Death test: the child exits 1, not 0.
-    EXPECT_EXIT(
-        {
-            noteSweepFailures(2);
-            std::exit(0);
-        },
-        testing::ExitedWithCode(1), "2 poisoned cell");
 }
 
 // -------------------------------------------- process isolation ------
@@ -614,147 +597,18 @@ TEST(ProcIsolationTest, ChildThrowReportsWhat)
     SweepOutcome out = sweep.run();
     const SweepCell &dead = out.grid[0][0];
     EXPECT_EQ(dead.status, JobStatus::Failed);
-    EXPECT_EQ(dead.attempts, 1u);
     EXPECT_EQ(dead.error, "deliberate child failure");
     EXPECT_EQ(dead.termSignal, 0);
 }
 
-// ------------------------------------------------------ journal ------
-
-TEST(JournalTest, RoundTripRestoresResultsBitExactly)
-{
-    std::string path = testing::TempDir() + "/roundtrip.journal";
-    std::remove(path.c_str());
-
-    SweepOptions opts;
-    opts.jobs = 2;
-    opts.name = "journal_unit";
-    Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
-                {"bzip", "gcc"}, opts);
-    sweep.setJobFn(runSimulationJob);
-    SweepOutcome out;
-    {
-        JournalWriter journal(path);
-        ASSERT_TRUE(journal.ok());
-        sweep.addSink(&journal);
-        out = sweep.run();
-    }
-    ASSERT_EQ(out.poisonedCells, 0u);
-
-    JournalContents j;
-    std::string error;
-    ASSERT_TRUE(readJournal(path, j, error)) << error;
-    EXPECT_EQ(j.name, "journal_unit");
-    EXPECT_EQ(j.rows, 2u);
-    EXPECT_EQ(j.cols, 2u);
-    EXPECT_FALSE(j.truncatedTail);
-    ASSERT_EQ(j.cells.size(), 4u);
-    for (const JournalCell &cell : j.cells) {
-        EXPECT_EQ(cell.status, JobStatus::Ok);
-        ASSERT_TRUE(cell.hasResult);
-        EXPECT_EQ(fingerprint(cell.result),
-                  fingerprint(out.grid[cell.row][cell.col].result));
-        EXPECT_EQ(cell.seed, out.grid[cell.row][cell.col].seed);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, TornTailIsToleratedNotFatal)
-{
-    std::string path = testing::TempDir() + "/torn.journal";
-    std::remove(path.c_str());
-    {
-        SweepOptions opts;
-        opts.jobs = 1;
-        Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-        sweep.setJobFn([](const SimConfig &cfg) {
-            return dummyResult(cfg.benchmark);
-        });
-        JournalWriter journal(path);
-        sweep.addSink(&journal);
-        sweep.run();
-    }
-    // Simulate a crash mid-append: half a frame of garbage.
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::app);
-        out.write("\x10\x00\x00\x00gar", 7);
-    }
-    JournalContents j;
-    std::string error;
-    ASSERT_TRUE(readJournal(path, j, error)) << error;
-    EXPECT_TRUE(j.truncatedTail);
-    EXPECT_EQ(j.cells.size(), 1u); // the intact record survives
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, OversizedRecordLengthIsATornTailNotAnAllocation)
-{
-    // A crafted (or bit-flipped) u32 length past the 64 MiB record
-    // cap must end the walk like a torn tail — never drive the reader
-    // into a multi-gigabyte allocation, even when the file happens to
-    // be long enough to "contain" the claimed record.
-    std::string path = testing::TempDir() + "/oversized.journal";
-    std::remove(path.c_str());
-    {
-        SweepOptions opts;
-        opts.jobs = 1;
-        Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-        sweep.setJobFn([](const SimConfig &cfg) {
-            return dummyResult(cfg.benchmark);
-        });
-        JournalWriter journal(path);
-        sweep.addSink(&journal);
-        sweep.run();
-    }
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::app);
-        const std::uint32_t huge = 0x7fffffff;
-        out.write(reinterpret_cast<const char *>(&huge), sizeof huge);
-        out.write("\x00\x00\x00\x00", 4); // crc (never reached)
-        std::string padding(1024, 'x');
-        out.write(padding.data(),
-                  static_cast<std::streamsize>(padding.size()));
-    }
-    JournalContents j;
-    std::string error;
-    ASSERT_TRUE(readJournal(path, j, error)) << error;
-    EXPECT_TRUE(j.truncatedTail);
-    EXPECT_EQ(j.cells.size(), 1u); // the intact prefix survives
-    std::remove(path.c_str());
-}
-
-/** Whole file as bytes. */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** The record payloads of a journal image, in file order. */
-std::vector<std::string>
-journalPayloads(const std::string &bytes)
-{
-    std::vector<std::string> out;
-    std::size_t pos = sizeof(kJournalMagic);
-    while (bytes.size() - pos >= 8) {
-        SerialReader head(bytes.data() + pos, 8);
-        std::uint32_t len = head.u32();
-        out.push_back(bytes.substr(pos + 8, len));
-        pos += 8 + len;
-    }
-    return out;
-}
+// --------------------------------------------- result transport ----
 
 /**
  * Offsets of every 8-byte field (counts, string lengths, values) in a
- * CellDone payload that carries a result, walked per the record layout
- * in harness/journal.hh and SimResult::saveState.
+ * SimResult::saveState payload, walked per its layout.
  */
 std::vector<std::size_t>
-cellFieldOffsets(const std::string &payload)
+resultFieldOffsets(const std::string &payload)
 {
     std::vector<std::size_t> at;
     SerialReader r(payload);
@@ -770,21 +624,7 @@ cellFieldOffsets(const std::string &payload)
         for (std::uint64_t i = 0; i < n; ++i)
             field();
     };
-    // Record head: type, row, col, status, attempts, seed, error,
-    // termSignal, exitStatus, stderrTail, seconds, hasResult.
-    r.u8();
-    u64();
-    u64();
-    r.u8();
-    r.u32();
-    u64();
-    str();
-    r.u32();
-    r.u32();
-    str();
-    u64();
-    EXPECT_TRUE(r.b());
-    // SimResult: benchmark, cycles, committed, then the StatSet.
+    // benchmark, cycles, committed, then the StatSet.
     str();
     u64();
     u64();
@@ -815,46 +655,34 @@ cellFieldOffsets(const std::string &payload)
     return at;
 }
 
-/**
- * A CellDone payload whose SimResult is @p result: an Ok cell encoded
- * without a result, then its hasResult flag flipped on.
- */
-std::string
-cellRecordWithResult(const std::string &result)
+TEST(ResultStateTest, MutatedPayloadsLoadOrThrowSerialError)
 {
-    JournalCell jc;
-    jc.attempts = 1;
-    std::string p = encodeCellRecord(jc);
-    p.back() = 1;
-    return p + result;
-}
-
-TEST(JournalTest, MutatedRecordsAreRejectedCleanly)
-{
-    // Every count a decoder reads is bounded by the bytes behind it, so
-    // a CRC-valid record with a flipped byte, a cut tail or a forged
-    // count ends in a clean rejection (SerialError -> torn tail), never
-    // in bad_alloc, a crash or a sanitizer report.
-    std::string path = testing::TempDir() + "/mutant.journal";
-    {
-        SweepOptions opts;
-        opts.jobs = 1;
-        opts.name = "mutant";
-        Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
-                    {"bzip", "gcc"}, opts);
-        sweep.setJobFn(runSimulationJob);
-        JournalWriter journal(path);
-        sweep.addSink(&journal);
-        ASSERT_EQ(sweep.run().poisonedCells, 0u);
+    // A process-isolated cell ships its SimResult to the parent as
+    // saveState bytes. Every count loadState reads is bounded by the
+    // bytes behind it, so a flipped byte, a cut tail or a forged count
+    // either loads or throws SerialError, never bad_alloc, a crash or a
+    // sanitizer report.
+    std::vector<std::string> payloads;
+    for (const char *bench : {"bzip", "gcc"}) {
+        SimConfig cfg = tinyConfig(bench);
+        const bool sampled = payloads.empty();
+        if (sampled) {
+            // Interval samples and sampled IPCs, so those counts are
+            // forged too.
+            cfg.intervalCycles = 500;
+            cfg.sample = SampleSpec{500, 200, 300};
+        }
+        SimResult result = runSimulationJob(cfg);
+        if (sampled) {
+            ASSERT_FALSE(result.intervals.empty());
+            ASSERT_GT(result.sampling.intervals(), 0u);
+        }
+        SerialWriter w;
+        result.saveState(w);
+        payloads.push_back(w.buffer());
     }
-    std::vector<std::string> payloads = journalPayloads(slurp(path));
-    ASSERT_EQ(payloads.size(), 5u); // SweepBegin + four CellDone
-    const std::string begin = payloads[0];
-    const std::vector<std::string> cells(payloads.begin() + 1,
-                                         payloads.end());
 
-    // Fixed cases (kFixedCases below): the forged records that used to
-    // abort lsqjournal. A one-histogram StatSet claiming 2^40 buckets...
+    // Fixed cases: a one-histogram StatSet claiming 2^40 buckets...
     std::vector<std::string> mutants;
     {
         SerialWriter w;
@@ -865,7 +693,7 @@ TEST(JournalTest, MutatedRecordsAreRejectedCleanly)
         w.u64(1);    // histograms
         w.str("lat");
         w.u64(1ULL << 40);
-        mutants.push_back(cellRecordWithResult(w.buffer()));
+        mutants.push_back(w.buffer());
     }
     // ...and a sampled run claiming 2^40 interval IPCs.
     {
@@ -882,14 +710,16 @@ TEST(JournalTest, MutatedRecordsAreRejectedCleanly)
         for (int i = 0; i < 7; ++i)
             w.u64(1); // spec F:W:D, ff/warm/measured insts, cycles
         w.u64(1ULL << 40);
-        mutants.push_back(cellRecordWithResult(w.buffer()));
+        mutants.push_back(w.buffer());
     }
+    const std::size_t kFixedCases = mutants.size();
 
-    // Every 8-byte field of every real cell forged to 2^40 and 2^64-1.
-    for (const std::string &cell : cells) {
-        for (std::size_t at : cellFieldOffsets(cell)) {
+    // Every 8-byte field of every real payload forged to 2^40 and
+    // 2^64-1.
+    for (const std::string &payload : payloads) {
+        for (std::size_t at : resultFieldOffsets(payload)) {
             for (std::uint64_t v : {1ULL << 40, ~0ULL}) {
-                std::string m = cell;
+                std::string m = payload;
                 for (std::size_t i = 0; i < 8; ++i)
                     m[at + i] = static_cast<char>(v >> (8 * i));
                 mutants.push_back(std::move(m));
@@ -899,7 +729,7 @@ TEST(JournalTest, MutatedRecordsAreRejectedCleanly)
     // Fixed-seed byte flips and truncations.
     Rng rng(15);
     for (int i = 0; i < 400; ++i) {
-        std::string m = cells[rng.below(cells.size())];
+        std::string m = payloads[rng.below(payloads.size())];
         if (i % 2 == 0)
             m[rng.below(m.size())] ^=
                 static_cast<char>(1u << rng.below(8));
@@ -908,202 +738,22 @@ TEST(JournalTest, MutatedRecordsAreRejectedCleanly)
         mutants.push_back(std::move(m));
     }
 
-    const std::string head =
-        std::string(kJournalMagic, sizeof(kJournalMagic)) +
-        frameJournalRecord(begin);
-    const std::size_t kFixedCases = 2;
     std::size_t rejected = 0;
-    testing::internal::CaptureStderr(); // one warning per rejection
     for (std::size_t k = 0; k < mutants.size(); ++k) {
-        const std::string &m = mutants[k];
-        {
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            std::string image = head + frameJournalRecord(m);
-            out.write(image.data(),
-                      static_cast<std::streamsize>(image.size()));
-        }
-        JournalContents j;
-        std::string error;
-        bool ok = false;
-        EXPECT_NO_THROW(ok = readJournal(path, j, error));
-        EXPECT_TRUE(ok) << error;
-        EXPECT_EQ(j.name, "mutant");
-        if (k < kFixedCases) {
-            EXPECT_TRUE(j.truncatedTail) << "fixed case " << k;
-        }
-        if (j.truncatedTail)
+        SerialReader r(mutants[k]);
+        SimResult result;
+        try {
+            result.loadState(r);
+        } catch (const SerialError &) {
             ++rejected;
+            continue;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "mutant " << k << " threw " << e.what();
+            continue;
+        }
+        EXPECT_GE(k, kFixedCases) << "fixed case " << k << " loaded";
     }
-    testing::internal::GetCapturedStderr();
-    EXPECT_GT(rejected, 0u);
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, RejectsNonJournalFiles)
-{
-    std::string path = testing::TempDir() + "/notajournal";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "hello";
-    }
-    JournalContents j;
-    std::string error;
-    EXPECT_FALSE(readJournal(path, j, error));
-    EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(
-        readJournal(testing::TempDir() + "/missing.journal", j, error));
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, AccumulatorDuplicateRecordsLaterRecordWins)
-{
-    // Feed the records of two runs of one sweep through a
-    // JournalAccumulator in stream order. Duplicate (row, col) records
-    // resolve later-record-wins — a run that retried a cell overrides
-    // an earlier failure.
-    const std::string begin =
-        encodeSweepBeginRecord("merge_unit", {"base"}, {"bzip", "gcc"});
-
-    JournalCell failed;
-    failed.row = 0;
-    failed.col = 0;
-    failed.status = JobStatus::Failed;
-    failed.attempts = 1;
-    failed.error = "first machine died";
-
-    JournalCell other;
-    other.row = 0;
-    other.col = 1;
-    other.status = JobStatus::TimedOut;
-    other.attempts = 2;
-    other.error = "hung";
-
-    JournalCell retried = failed;
-    retried.status = JobStatus::Ok;
-    retried.attempts = 2;
-    retried.error.clear();
-
-    // Journal A holds the failure and cell (0,1); journal B, appended
-    // later in stream order, holds the successful retry of (0,0).
-    JournalAccumulator acc;
-    std::string error;
-    ASSERT_TRUE(acc.add(begin, error)) << error;
-    ASSERT_TRUE(acc.add(encodeCellRecord(failed), error)) << error;
-    ASSERT_TRUE(acc.add(encodeCellRecord(other), error)) << error;
-    ASSERT_TRUE(acc.add(begin, error)) << error;
-    ASSERT_TRUE(acc.add(encodeCellRecord(retried), error)) << error;
-
-    JournalContents merged = acc.contents();
-    EXPECT_EQ(merged.name, "merge_unit");
-    ASSERT_EQ(merged.cells.size(), 2u);
-    EXPECT_EQ(merged.cells[0].status, JobStatus::Ok);
-    EXPECT_EQ(merged.cells[0].attempts, 2u);
-    EXPECT_EQ(merged.cells[1].status, JobStatus::TimedOut);
-}
-
-TEST(JournalTest, ResumeRerunsOnlyUnfinishedCells)
-{
-    std::string path = testing::TempDir() + "/resume.journal";
-    std::remove(path.c_str());
-
-    auto makeSweep = [](SweepOptions opts) {
-        opts.jobs = 1;
-        opts.name = "resume_unit";
-        return Sweep({{"a", tinyConfig},
-                      {"b",
-                       [](const std::string &b) {
-                           return configs::withPorts(tinyConfig(b), 1);
-                       }}},
-                     {"bzip", "gcc"}, opts);
-    };
-
-    // First run: cell (1,1) — row "b" builds one-port configs — fails,
-    // everything else lands in the journal as Ok.
-    std::atomic<int> executed{0};
-    {
-        Sweep sweep = makeSweep({});
-        sweep.setJobFn(
-            [&executed](const SimConfig &cfg)
-                -> SimResult {
-                ++executed;
-                if (cfg.lsq.searchPorts == 1 && cfg.benchmark == "gcc")
-                    throw std::runtime_error("first pass failure");
-                return dummyResult(cfg.benchmark);
-            });
-        JournalWriter journal(path);
-        sweep.addSink(&journal);
-        SweepOutcome out = sweep.run();
-        EXPECT_EQ(out.poisonedCells, 1u);
-        EXPECT_EQ(executed.load(), 4);
-    }
-
-    // Resume: only the failed cell re-executes, and this time it
-    // succeeds; the journal (appended in place) then reads complete.
-    JournalContents j;
-    std::string error;
-    ASSERT_TRUE(readJournal(path, j, error)) << error;
-    executed = 0;
-    {
-        Sweep sweep = makeSweep({});
-        sweep.setJobFn(
-            [&executed](const SimConfig &cfg)
-                -> SimResult {
-                ++executed;
-                return dummyResult(cfg.benchmark);
-            });
-        sweep.setResume(std::move(j));
-        JournalWriter journal(path, /*append=*/true);
-        sweep.addSink(&journal);
-        SweepOutcome out = sweep.run();
-        EXPECT_EQ(executed.load(), 1);
-        EXPECT_EQ(out.poisonedCells, 0u);
-        EXPECT_EQ(out.restoredCells, 3u);
-        EXPECT_TRUE(out.grid[0][0].restored);
-        EXPECT_FALSE(out.grid[1][1].restored);
-    }
-    JournalContents final;
-    ASSERT_TRUE(readJournal(path, final, error)) << error;
-    ASSERT_EQ(final.cells.size(), 4u);
-    for (const JournalCell &cell : final.cells)
-        EXPECT_EQ(cell.status, JobStatus::Ok)
-            << "cell (" << cell.row << "," << cell.col << ")";
-    std::remove(path.c_str());
-}
-
-TEST(JournalTest, ShapeMismatchIsIgnoredSafely)
-{
-    std::string path = testing::TempDir() + "/shape.journal";
-    std::remove(path.c_str());
-    {
-        SweepOptions opts;
-        opts.jobs = 1;
-        Sweep sweep({{"a", tinyConfig}}, {"bzip"}, opts);
-        sweep.setJobFn([](const SimConfig &cfg) {
-            return dummyResult(cfg.benchmark);
-        });
-        JournalWriter journal(path);
-        sweep.addSink(&journal);
-        sweep.run();
-    }
-    JournalContents j;
-    std::string error;
-    ASSERT_TRUE(readJournal(path, j, error)) << error;
-
-    // A 2x2 sweep fed a 1x1 journal must run everything from scratch.
-    SweepOptions opts;
-    opts.jobs = 1;
-    std::atomic<int> executed{0};
-    Sweep sweep({{"a", tinyConfig}, {"b", tinyConfig}},
-                {"bzip", "gcc"}, opts);
-    sweep.setJobFn([&executed](const SimConfig &cfg) {
-        ++executed;
-        return dummyResult(cfg.benchmark);
-    });
-    sweep.setResume(std::move(j));
-    SweepOutcome out = sweep.run();
-    EXPECT_EQ(executed.load(), 4);
-    EXPECT_EQ(out.restoredCells, 0u);
-    std::remove(path.c_str());
+    EXPECT_GT(rejected, kFixedCases);
 }
 
 // ------------------------------------------------- atomic writes -----

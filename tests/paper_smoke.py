@@ -6,7 +6,8 @@ Usage: paper_smoke.py PAPER_BINARY
 Runs the whole evaluation on two benchmarks at 2000 instructions and
 checks that every table prints in paper order, that the sweep document
 holds each distinct (design, benchmark) cell exactly once, that
-`--only fig7` narrows the sweep to Figure 7's four designs, and that an
+`--only fig7` narrows the sweep to Figure 7's four designs, that a
+sweep whose cells crash still prints its table but exits 1, and that an
 unknown `--only` name fails and lists the valid names. Inherited
 LSQSCALE_* variables are dropped so the run is the same everywhere.
 """
@@ -40,11 +41,11 @@ TITLES = [
 ]
 
 
-def run(paper, args, json_dir):
+def run(paper, args, json_dir, **extra_env):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("LSQSCALE_")}
     env.update(LSQSCALE_INSTS="2000", LSQSCALE_BENCH=",".join(BENCHES),
-               LSQSCALE_JSON_DIR=json_dir)
+               LSQSCALE_JSON_DIR=json_dir, **extra_env)
     return subprocess.run([paper, *args], env=env, capture_output=True,
                           text=True)
 
@@ -87,6 +88,19 @@ def main():
         if r.returncode != 0:
             sys.exit(f"paper_smoke: --only fig7 exit {r.returncode}")
         expect_cells(only, FIG7_DESIGNS)
+
+        # Every cell aborts in its own child process: the table still
+        # prints (poisoned cells read 0) and the driver exits 1. One
+        # worker, because forking from several threads can deadlock
+        # under ASan.
+        r = run(paper, ["--only", "fig7"], os.path.join(tmp, "abort"),
+                LSQSCALE_ISOLATION="process", LSQSCALE_JOBS="1",
+                LSQSCALE_INJECT="abort:0:100")
+        if r.returncode != 1:
+            sys.exit(f"paper_smoke: aborted cells exit {r.returncode}, "
+                     "expected 1")
+        if TITLES[2] not in r.stdout:
+            sys.exit("paper_smoke: aborted cells printed no fig7 table")
 
         r = run(paper, ["--only", "nosuch"], os.path.join(tmp, "bad"))
         if r.returncode == 0 or "fig7" not in r.stderr:

@@ -15,11 +15,15 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
+#include "common/stats.hh"
+#include "core/core.hh"
 #include "harness/job_pool.hh"
 #include "sample/checkpoint.hh"
 #include "sample/sampler.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
+#include "workload/benchmark_profile.hh"
 
 using namespace lsqscale;
 
@@ -276,6 +280,121 @@ TEST_F(SampleTest, RejectsFunctionalConfigMismatch)
     other.instructions = 1000;
     Simulator sim(other);
     EXPECT_THROW(sim.run(), SerialError);
+}
+
+// ------------------------------------------------------ mutants -------
+
+namespace {
+
+/**
+ * A checkpoint file carrying @p payload under @p meta's header, with
+ * the payload length and CRC recomputed so the reader gets past the
+ * header checks and into the section decoders.
+ */
+std::string
+checkpointImage(const CheckpointMeta &meta, const std::string &payload)
+{
+    SerialWriter w;
+    w.raw(kCkptMagic, sizeof(kCkptMagic));
+    w.u32(meta.version);
+    w.str(meta.benchmark);
+    w.str(meta.tracePath);
+    w.u64(meta.seed);
+    w.u64(meta.instCount);
+    w.u64(meta.cycle);
+    w.u64(meta.fingerprint);
+    w.u64(payload.size());
+    w.u32(crc32(payload.data(), payload.size()));
+    w.raw(payload.data(), payload.size());
+    return w.buffer();
+}
+
+} // namespace
+
+TEST_F(SampleTest, MutatedPayloadsLoadOrThrowSerialError)
+{
+    // Every count a section decoder reads is checked against the
+    // core's geometry or bounded by the bytes behind it. So a forged
+    // count, a flipped byte or a cut payload, behind a valid CRC,
+    // either loads or throws SerialError: never bad_alloc, a crash or
+    // a sanitizer report. Small caches and predictor tables keep the
+    // payload to a few KB, so every byte offset can be forged.
+    SimConfig cfg = configs::base("bzip");
+    cfg.memory.l1i.sizeBytes = 1024;
+    cfg.memory.l1d.sizeBytes = 1024;
+    cfg.memory.l2.sizeBytes = 4096;
+    cfg.core.branchPredictor.tableEntries = 64;
+    cfg.core.branchPredictor.historyBits = 6;
+    cfg.core.branchPredictor.bhtEntries = 64;
+    cfg.core.storeSet.ssitEntries = 64;
+    cfg.core.storeSet.lfstEntries = 16;
+    const std::string ckpt = saveAt(cfg, 5000, "mutant.ckpt");
+    const CheckpointInfo info = inspectCheckpoint(ckpt);
+    const std::string bytes = readBytes(ckpt);
+    const std::string payload =
+        bytes.substr(bytes.size() - info.meta.payloadBytes);
+    ASSERT_LT(payload.size(), 16384u);
+
+    const std::string path = tmpPath("mutant_in.ckpt");
+    std::size_t rejected = 0;
+    auto load = [&](const std::string &mutant) {
+        writeBytes(path, checkpointImage(info.meta, mutant));
+        StatSet stats;
+        Core core(cfg.core, cfg.lsq, cfg.memory,
+                  profileFor(cfg.benchmark), cfg.seed, stats);
+        loadCheckpoint(core, cfg, path);
+    };
+    auto check = [&](const std::string &mutant, const char *what,
+                     std::size_t k) {
+        try {
+            load(mutant);
+        } catch (const SerialError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << what << " " << k << " threw " << e.what();
+        }
+    };
+
+    // The unmutated payload loads.
+    EXPECT_NO_THROW(load(payload));
+
+    // Fixed case: the LQ allocator, first in the LSQ section, claiming
+    // 2^40 live entries.
+    {
+        std::size_t at = payload.size() - info.sections.back().bytes;
+        SerialReader r(payload.data() + at, payload.size() - at);
+        std::uint64_t segs = r.u64();
+        at += 8 + 4 * segs;
+        std::string m = payload;
+        for (std::size_t i = 0; i < 8; ++i)
+            m[at + i] = static_cast<char>((1ULL << 40) >> (8 * i));
+        EXPECT_THROW(load(m), SerialError);
+    }
+
+    // Every byte offset forged to an 8-byte 2^40 and 2^64-1: this
+    // covers every count, length and value field of every section.
+    for (std::size_t at = 0; at + 8 <= payload.size(); ++at) {
+        for (std::uint64_t v : {1ULL << 40, ~0ULL}) {
+            std::string m = payload;
+            for (std::size_t i = 0; i < 8; ++i)
+                m[at + i] = static_cast<char>(v >> (8 * i));
+            check(m, "forged offset", at);
+        }
+    }
+    // Fixed-seed byte flips and truncations.
+    Rng rng(18);
+    for (std::size_t k = 0; k < 400; ++k) {
+        std::string m = payload;
+        if (k % 2 == 0)
+            m[rng.below(m.size())] ^=
+                static_cast<char>(1u << rng.below(8));
+        else
+            m.resize(rng.below(m.size()));
+        check(m, "mutant", k);
+    }
+    EXPECT_GT(rejected, 0u);
+    std::remove(ckpt.c_str());
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- inspect ------
