@@ -29,15 +29,16 @@
 #                    every cell's IPC within 2%. (The lsqbench smoke
 #                    check, `lsqbench/run.py --smoke`, is the
 #                    lsqbench_smoke ctest, so every flavor runs it.)
-#   6. trace-smoke — LSQ_TRACE=ON build + ctest; traced runs must be
-#                    bit-identical to untraced runs across three design
-#                    points, the Konata export must round-trip, and
-#                    lsqtrace must render the stall table
+#   6. trace-smoke — on the release build (every build has the trace
+#                    hook sites): traced runs must be bit-identical to
+#                    untraced runs across three design points, the
+#                    Konata export must round-trip, and lsqtrace must
+#                    render the stall table
 #   6b. metrics-smoke — host profiler (docs/OBSERVABILITY.md):
 #                    profiled runs (--host-profile) must be
-#                    bit-identical to plain runs across the same three
-#                    design points, `lsqtrace hostprof` must render each
-#                    hostprof tree, the trees must pass
+#                    bit-identical to trace-smoke's plain runs of the
+#                    same three design points, `lsqtrace hostprof`
+#                    must render each hostprof tree, the trees must pass
 #                    scripts/check_metrics_smoke.py validate, the
 #                    ABBA-median instrumentation overhead must stay
 #                    under 2%, and a fresh host-throughput trajectory
@@ -187,9 +188,7 @@ python3 scripts/check_sampling.py \
     --min-speedup 3.0 --max-cell-error 2.0
 
 banner "flavor: trace-smoke (tracing on, timing bit-identical)"
-run_flavor trace -DLSQ_TRACE=ON
-TRACE_DIR="build-ci-trace/trace-smoke"
-TRACE_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}"
+TRACE_DIR="build-ci-release/trace-smoke"
 rm -rf "$TRACE_DIR"
 mkdir -p "$TRACE_DIR"
 POINTS=(
@@ -199,10 +198,10 @@ POINTS=(
 )
 for i in "${!POINTS[@]}"; do
     # shellcheck disable=SC2086  # word-split the design-point flags
-    ./build-ci-trace/tools/lsqsim --insts "$TRACE_INSTS" ${POINTS[$i]} \
+    ./build-ci-release/tools/lsqsim --insts "$SMOKE_INSTS" ${POINTS[$i]} \
         --json >"$TRACE_DIR/plain_$i.json"
     # shellcheck disable=SC2086
-    ./build-ci-trace/tools/lsqsim --insts "$TRACE_INSTS" ${POINTS[$i]} \
+    ./build-ci-release/tools/lsqsim --insts "$SMOKE_INSTS" ${POINTS[$i]} \
         --trace-out "$TRACE_DIR/point_$i.evtrace" \
         --trace-konata "$TRACE_DIR/point_$i.konata" \
         --interval-stats 1000 \
@@ -212,11 +211,11 @@ for i in "${!POINTS[@]}"; do
         echo "trace-smoke: design point $i not bit-identical" >&2
         exit 1
     }
-    ./build-ci-trace/tools/lsqtrace konata \
+    ./build-ci-release/tools/lsqtrace konata \
         "$TRACE_DIR/point_$i.evtrace" --check >/dev/null
     python3 -c "import json; json.load(open('$TRACE_DIR/point_$i.intervals.json'))"
 done
-./build-ci-trace/tools/lsqtrace stalls "$TRACE_DIR/point_2.evtrace" \
+./build-ci-release/tools/lsqtrace stalls "$TRACE_DIR/point_2.evtrace" \
     | grep -q "segment search pipelining" || {
     echo "trace-smoke: stall table missing attribution rows" >&2
     exit 1
@@ -224,24 +223,15 @@ done
 
 banner "flavor: metrics-smoke (host-profile bit-identity, tree validation, overhead)"
 METRICS_DIR="build-ci-release/metrics-smoke"
-METRICS_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}"
 rm -rf "$METRICS_DIR"
 mkdir -p "$METRICS_DIR"
-MPOINTS=(
-    ""
-    "--all-techniques"
-    "--segments 4 --lq 28 --sq 28 --ports 1"
-)
-for i in "${!MPOINTS[@]}"; do
+for i in "${!POINTS[@]}"; do
     # shellcheck disable=SC2086  # word-split the design-point flags
-    ./build-ci-release/tools/lsqsim --insts "$METRICS_INSTS" \
-        ${MPOINTS[$i]} --json >"$METRICS_DIR/plain_$i.json" 2>/dev/null
-    # shellcheck disable=SC2086
-    ./build-ci-release/tools/lsqsim --insts "$METRICS_INSTS" \
-        ${MPOINTS[$i]} --host-profile \
+    ./build-ci-release/tools/lsqsim --insts "$SMOKE_INSTS" \
+        ${POINTS[$i]} --host-profile \
         --host-profile-json "$METRICS_DIR/hostprof_$i.json" \
         --json >"$METRICS_DIR/profiled_$i.json" 2>/dev/null
-    diff "$METRICS_DIR/plain_$i.json" "$METRICS_DIR/profiled_$i.json" || {
+    diff "$TRACE_DIR/plain_$i.json" "$METRICS_DIR/profiled_$i.json" || {
         echo "metrics-smoke: design point $i not bit-identical" >&2
         exit 1
     }
@@ -264,9 +254,9 @@ python3 scripts/check_metrics_smoke.py overhead \
 # A fresh trajectory in the smoke dir: two appends, then the validator
 # and a dry-run of the regression guard (a fresh file has exactly one
 # prior record at the same instruction count).
-LSQSCALE_INSTS="$METRICS_INSTS" LSQSCALE_JSON_DIR="$METRICS_DIR" \
+LSQSCALE_INSTS="$SMOKE_INSTS" LSQSCALE_JSON_DIR="$METRICS_DIR" \
     ./build-ci-release/bench/host_throughput >/dev/null
-LSQSCALE_INSTS="$METRICS_INSTS" LSQSCALE_JSON_DIR="$METRICS_DIR" \
+LSQSCALE_INSTS="$SMOKE_INSTS" LSQSCALE_JSON_DIR="$METRICS_DIR" \
     ./build-ci-release/bench/host_throughput >/dev/null
 python3 scripts/check_host_throughput.py \
     "$METRICS_DIR/BENCH_host_throughput.json" --min-records 2 --dry-run

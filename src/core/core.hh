@@ -126,8 +126,7 @@ class Core
 
     /**
      * Attach an event tracer (src/obs/trace.hh) to this core and its
-     * Lsq. Pure observer; hook sites only exist in -DLSQ_TRACE=ON
-     * builds. Pass nullptr to detach. The tracer must outlive the
+     * Lsq. Pure observer. Pass nullptr to detach. The tracer must outlive the
      * core (or be detached).
      */
     void attachTracer(Tracer *tracer);

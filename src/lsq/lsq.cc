@@ -10,20 +10,13 @@
 /**
  * Notify the attached ordering oracle (if any) of an accepted state
  * transition. Rejected operations never reach a hook: they leave the
- * queue untouched, so there is nothing to shadow. Define
- * LSQSCALE_NO_CHECK_HOOKS to compile the hooks out entirely.
+ * queue untouched, so there is nothing to shadow.
  */
-#if !defined(LSQSCALE_NO_CHECK_HOOKS)
 #define LSQ_CHECK_HOOK(call)                                              \
     do {                                                                  \
         if (checker_ != nullptr)                                          \
             checker_->call;                                               \
     } while (0)
-#else
-#define LSQ_CHECK_HOOK(call)                                              \
-    do {                                                                  \
-    } while (0)
-#endif
 
 namespace lsqscale {
 
@@ -258,9 +251,6 @@ Lsq::advanceNilp(LoadIssueOutcome &outcome, Cycle now)
                 outcome.llViolations.push_back(v);
         }
     }
-#if !defined(LSQSCALE_TRACE)
-    (void)now;
-#endif
 }
 
 // lsqlint: hot

@@ -211,20 +211,18 @@ class Lsq
     /**
      * Attach a memory-ordering oracle (src/check/lsq_checker.hh): a
      * pure observer notified of every accepted state transition. The
-     * hook sites cost one null-pointer test per LSQ event; compile
-     * with -DLSQSCALE_NO_CHECK_HOOKS to strip even that. Pass nullptr
-     * to detach. The checker must outlive this Lsq (or be detached).
+     * hook sites cost one null-pointer test per LSQ event. Pass
+     * nullptr to detach. The checker must outlive this Lsq (or be
+     * detached).
      */
     void attachChecker(LsqChecker *checker) { checker_ = checker; }
     LsqChecker *checker() const { return checker_; }
 
     /**
      * Attach an event tracer (src/obs/trace.hh): a pure observer that
-     * records search/forwarding/load-buffer events. Hook sites exist
-     * only in -DLSQ_TRACE=ON builds (LSQ_TRACE_HOOK compiles to
-     * nothing otherwise); when compiled in, each costs one
-     * null-pointer test. Pass nullptr to detach. The tracer must
-     * outlive this Lsq (or be detached).
+     * records search/forwarding/load-buffer events. Each hook site
+     * costs one null-pointer test. Pass nullptr to detach. The tracer
+     * must outlive this Lsq (or be detached).
      */
     void attachTracer(Tracer *tracer) { tracer_ = tracer; }
     Tracer *tracer() const { return tracer_; }

@@ -1,10 +1,13 @@
 #include "obs/konata.hh"
 
+#include <cctype>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <unordered_map>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "workload/op_class.hh"
 
@@ -161,15 +164,28 @@ splitFields(const std::string &line)
     return out;
 }
 
+/**
+ * A tick the exporter could have written: plain decimal digits (no
+ * sign, space or trailing byte) and a whole number of cycles, so that
+ * stageCycle() never maps a nonzero tick to "stage never happened".
+ */
 bool
-parseU64(const std::string &s, int base, std::uint64_t &out)
+parseTick(const std::string &s, std::uint64_t &tick)
 {
-    if (s.empty())
+    return parseDigitsU64(s, tick) && tick % kTicksPerCycle == 0;
+}
+
+/** A pc: 1 to 16 hex digits, nothing else. */
+bool
+parseHexPc(const std::string &s, std::uint64_t &pc)
+{
+    if (s.empty() || s.size() > 16)
         return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, base);
-    return errno == 0 && end != nullptr && *end == '\0';
+    for (char c : s)
+        if (!std::isxdigit(static_cast<unsigned char>(c)))
+            return false;
+    pc = std::strtoull(s.c_str(), nullptr, 16);
+    return true;
 }
 
 } // namespace
@@ -200,7 +216,7 @@ parseO3PipeView(const std::string &text, std::vector<InstLifecycle> &out,
             return fail("not an O3PipeView line: " + line);
         const std::string &stage = f[1];
         std::uint64_t tick = 0;
-        if (f.size() < 3 || !parseU64(f[2], 10, tick))
+        if (f.size() < 3 || !parseTick(f[2], tick))
             return fail("bad tick in: " + line);
 
         if (stage == "fetch") {
@@ -213,9 +229,9 @@ parseO3PipeView(const std::string &text, std::vector<InstLifecycle> &out,
             std::string pcField = f[3];
             if (pcField.rfind("0x", 0) == 0)
                 pcField = pcField.substr(2);
-            if (!parseU64(pcField, 16, pc))
+            if (!parseHexPc(pcField, pc))
                 return fail("bad pc in: " + line);
-            if (!parseU64(f[5], 10, seq))
+            if (!parseDigitsU64(f[5], seq))
                 return fail("bad seq in: " + line);
             cur.pc = pc;
             cur.seq = seq;
@@ -235,12 +251,14 @@ parseO3PipeView(const std::string &text, std::vector<InstLifecycle> &out,
         } else if (stage == "complete") {
             cur.complete = stageCycle(tick);
         } else if (stage == "retire") {
-            cur.retire = stageCycle(tick);
+            if (tick == 0)
+                return fail("retire without a tick: " + line);
             std::uint64_t storeTick = 0;
-            if (f.size() >= 5 && f[3] == "store" &&
-                parseU64(f[4], 10, storeTick)) {
-                cur.isStore = storeTick != 0;
-            }
+            if (f.size() < 5 || f[3] != "store" ||
+                !parseTick(f[4], storeTick))
+                return fail("bad store field in: " + line);
+            cur.retire = stageCycle(tick);
+            cur.isStore = storeTick != 0;
             out.push_back(cur);
             open = false;
         } else {

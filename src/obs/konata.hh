@@ -71,6 +71,9 @@ std::string exportO3PipeView(const std::vector<InstLifecycle> &insts);
 
 /**
  * Parse O3PipeView text back into lifecycles (round-trip validation).
+ * Numbers are plain digits, ticks whole cycles (multiples of
+ * kTicksPerCycle), and every retire line carries a nonzero tick and
+ * its store field: anything the exporter cannot have written fails.
  * @return true on success; on failure @p err describes the first
  * malformed line.
  */

@@ -8,18 +8,16 @@
  * file. Nothing in the simulator ever reads a tracer, so traced runs
  * are timing-bit-identical to untraced runs.
  *
- * Cost discipline:
- *  - Default builds compile the hook sites out entirely (the
- *    LSQ_TRACE_HOOK macro below expands to nothing unless the build
- *    sets -DLSQ_TRACE=ON, which defines LSQSCALE_TRACE).
- *  - Traced builds pay one null-pointer test per hook plus one event
- *    mask test per record.
+ * Cost discipline: every build compiles the hook sites in. A run with
+ * no tracer attached pays one null-pointer test per hook site and
+ * evaluates none of the hook's arguments; a traced run adds one event
+ * mask test per record.
  *
  * The record format is versioned and stable (kEventTraceMagic /
  * kEventTraceVersion): tools/lsqtrace and the Konata exporter
  * (obs/konata.hh) consume the same files across builds.
  */
-// lsqlint: layer(common) -- header-only event taxonomy + compiled-out hook macro over common/types.hh; emitted from layer-1 code
+// lsqlint: layer(common) -- header-only event taxonomy + null-tested hook macro over common/types.hh; emitted from layer-1 code
 
 #ifndef LSQSCALE_OBS_TRACE_HH
 #define LSQSCALE_OBS_TRACE_HH
@@ -192,7 +190,7 @@ struct TraceConfig
 
 /**
  * The event recorder. Attach to a Core (which forwards to its Lsq);
- * record() is called from the compiled-in hook sites only.
+ * record() is called from the LSQ_TRACE_HOOK sites only.
  */
 class Tracer
 {
@@ -268,20 +266,13 @@ std::string traceRecordToString(const TraceRecord &rec);
 
 /**
  * Hook-site macro. @p tracer is a `Tracer *` (may be null); the
- * remaining arguments are forwarded to Tracer::record(). Compiled out
- * entirely — arguments unevaluated — unless the build enables
- * -DLSQ_TRACE=ON.
+ * remaining arguments are forwarded to Tracer::record() and evaluated
+ * only when a tracer is attached.
  */
-#if defined(LSQSCALE_TRACE)
 #define LSQ_TRACE_HOOK(tracer, ...)                                       \
     do {                                                                  \
         if ((tracer) != nullptr)                                          \
             (tracer)->record(__VA_ARGS__);                                \
     } while (0)
-#else
-#define LSQ_TRACE_HOOK(tracer, ...)                                       \
-    do {                                                                  \
-    } while (0)
-#endif
 
 #endif // LSQSCALE_OBS_TRACE_HH

@@ -86,7 +86,6 @@ cliUsage()
         "                       categories (pipe,lsq,pred,squash,all)\n"
         "  --trace-out PATH     write the full binary event trace\n"
         "  --trace-konata PATH  export Konata/O3PipeView text\n"
-        "                       (tracing needs a -DLSQ_TRACE=ON build)\n"
         "  --probe-rate R       attach an external coherence agent that\n"
         "                       delivers ~R invalidation probes per\n"
         "                       kilocycle to recently loaded lines\n"

@@ -44,8 +44,6 @@ struct SimConfig
 
     /**
      * Event tracing (src/obs/trace.hh; --trace-events/--trace-out).
-     * Only effective in -DLSQ_TRACE=ON builds — the default build
-     * compiles the hook sites out and warns when tracing is requested.
      */
     TraceConfig trace{};
 

@@ -169,11 +169,6 @@ Simulator::run()
     // identical to plain ones (verified by the trace-smoke CI flavor).
     std::unique_ptr<Tracer> tracer;
     if (config_.trace.enabled) {
-#if !defined(LSQSCALE_TRACE)
-        LSQ_WARN("tracing requested but this build has the hook sites "
-                 "compiled out; rebuild with -DLSQ_TRACE=ON for a "
-                 "non-empty trace");
-#endif
         tracer = std::make_unique<Tracer>(config_.trace);
         core.attachTracer(tracer.get());
     }

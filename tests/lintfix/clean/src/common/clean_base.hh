@@ -10,7 +10,6 @@ namespace lsqscale {
 using Cycle = std::uint64_t;
 
 #define LSQ_ASSERT(cond, msg) ((void)(cond))
-#define LSQ_TRACE_HOOK(tracer, ev, seq) ((void)(ev), (void)(seq))
 
 } // namespace lsqscale
 

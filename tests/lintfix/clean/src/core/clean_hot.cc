@@ -1,6 +1,6 @@
 // A pure hot function: arithmetic, a cold trace hook (whose argument
-// list may allocate — it is compiled out in release), and a call into
-// an equally pure helper.
+// list may allocate — it runs only when a tracer is attached), and a
+// call into an equally pure helper.
 
 #include "common/clean_base.hh"
 

@@ -47,16 +47,6 @@ EXPECT = {
         "layer-bad-rehome": 2,  # invalid claim + unknown subsystem name
     },
     "broken_tax": {
-        "tax-trace-hook": 1,
-        "tax-trace-analyzer": 1,
-        "tax-check-emit": 1,
-        "tax-check-test": 1,
-    },
-    "broken_probe": {
-        # An analyzer-mapped probe event with no hook site, plus a
-        # probe-squash error kind the oracle never emits and no test
-        # mentions: the unhooked-probe shape lsqlint must flag.
-        "tax-trace-hook": 1,
         "tax-check-emit": 1,
         "tax-check-test": 1,
     },

@@ -6,11 +6,9 @@
  * load-bearing contract — that instrumented runs stay bit-identical
  * to plain ones, serially and under the parallel sweep.
  *
- * Everything here runs in every build flavor. Tests that need the
- * hook sites compiled in (event production end-to-end) are gated on
- * LSQSCALE_TRACE and become no-ops in default builds, where the same
- * binaries verify the zero-overhead contract instead: a Tracer can be
- * attached but records nothing.
+ * Everything here runs in every build flavor: the hook sites are
+ * compiled into every build, so event production is tested end to
+ * end, down to a run set that fires every TraceEvent.
  */
 
 #include <algorithm>
@@ -18,15 +16,18 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "harness/sink.hh"
 #include "harness/sweep.hh"
 #include "obs/analyzer.hh"
 #include "obs/interval.hh"
 #include "obs/konata.hh"
 #include "obs/trace.hh"
+#include "sim/cli.hh"
 #include "sim/experiment.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
@@ -256,6 +257,19 @@ twoInstLifecycleTrace()
     };
 }
 
+/** Every field of each lifecycle, comparable and printable as one. */
+auto
+fields(const std::vector<InstLifecycle> &insts)
+{
+    std::vector<std::tuple<SeqNum, Pc, unsigned, bool, Cycle, Cycle,
+                           Cycle, Cycle, Cycle>>
+        out;
+    for (const InstLifecycle &i : insts)
+        out.emplace_back(i.seq, i.pc, i.opclass, i.isStore, i.fetch,
+                         i.dispatch, i.issue, i.complete, i.retire);
+    return out;
+}
+
 TEST(Konata, ReconstructsRetiredLifecycles)
 {
     auto insts = reconstructLifecycles(twoInstLifecycleTrace());
@@ -301,17 +315,7 @@ TEST(Konata, O3PipeViewRoundTrip)
     std::vector<InstLifecycle> parsed;
     std::string err;
     ASSERT_TRUE(parseO3PipeView(text, parsed, err)) << err;
-    ASSERT_EQ(parsed.size(), insts.size());
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        EXPECT_EQ(parsed[i].seq, insts[i].seq);
-        EXPECT_EQ(parsed[i].pc, insts[i].pc);
-        EXPECT_EQ(parsed[i].fetch, insts[i].fetch);
-        EXPECT_EQ(parsed[i].dispatch, insts[i].dispatch);
-        EXPECT_EQ(parsed[i].issue, insts[i].issue);
-        EXPECT_EQ(parsed[i].complete, insts[i].complete);
-        EXPECT_EQ(parsed[i].retire, insts[i].retire);
-        EXPECT_EQ(parsed[i].isStore, insts[i].isStore);
-    }
+    EXPECT_EQ(fields(parsed), fields(insts));
 }
 
 TEST(Konata, ParserRejectsTruncatedInput)
@@ -324,6 +328,182 @@ TEST(Konata, ParserRejectsTruncatedInput)
     std::string err;
     EXPECT_FALSE(parseO3PipeView(truncated, parsed, err));
     EXPECT_FALSE(err.empty());
+}
+
+/**
+ * Parse the two-instruction export with the first occurrence of
+ * @p from replaced by @p to.
+ */
+bool
+parsesWith(const std::string &from, const std::string &to,
+           std::string &err)
+{
+    std::string text =
+        exportO3PipeView(reconstructLifecycles(twoInstLifecycleTrace()));
+    std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    std::vector<InstLifecycle> parsed;
+    return parseO3PipeView(text, parsed, err);
+}
+
+TEST(Konata, ParserRejectsSignsSpacesAndTrailingBytes)
+{
+    // strtoull accepted all of these ("-1000" wrapped to 2^64-1000).
+    const std::vector<std::string> bad = {"-1000", "+1000", " 1000",
+                                          std::string("1000\0", 5)};
+    for (const std::string &tick : bad) {
+        std::string err;
+        EXPECT_FALSE(parsesWith("fetch:1000:", "fetch:" + tick + ":", err))
+            << tick;
+        EXPECT_FALSE(err.empty());
+    }
+    std::string err;
+    EXPECT_FALSE(parsesWith(":100:", ":-100:", err));        // seq
+    EXPECT_FALSE(parsesWith("0x400000", "0x-400000", err));  // pc
+    EXPECT_FALSE(parsesWith("0x400000", "0x 400000", err));
+    EXPECT_FALSE(parsesWith("0x400000", "0x10000000000000000", err));
+}
+
+TEST(Konata, ParserRejectsTicksBetweenCycles)
+{
+    // The exporter writes (cycle + 1) * kTicksPerCycle. A tick below
+    // one cycle used to read as "stage never happened", so a retire
+    // line at tick 250 or 0 yielded a lifecycle that had not retired.
+    std::string err;
+    EXPECT_FALSE(parsesWith("issue:3000", "issue:3250", err));
+    EXPECT_FALSE(parsesWith("retire:5000", "retire:250", err));
+    EXPECT_FALSE(parsesWith("retire:5000", "retire:0", err));
+    EXPECT_FALSE(err.empty());
+}
+
+TEST(Konata, ParserRequiresTheStoreField)
+{
+    // A missing or garbled store field used to read as "not a store".
+    std::string err;
+    EXPECT_FALSE(parsesWith("5000:store:0", "5000", err));
+    EXPECT_FALSE(parsesWith("5000:store:0", "5000:store:x", err));
+    EXPECT_FALSE(parsesWith("5000:store:0", "5000:load:0", err));
+    EXPECT_FALSE(err.empty());
+}
+
+/** The first @p n retired lifecycles of a real traced run, exported. */
+std::string
+realO3PipeView(std::size_t n)
+{
+    std::string path = tempPath("konata_src.evtrace");
+    SimConfig cfg = tinyConfig();
+    cfg.trace.enabled = true;
+    cfg.trace.binaryPath = path;
+    Simulator(cfg).run();
+    std::vector<InstLifecycle> insts =
+        reconstructLifecycles(readTraceFile(path));
+    std::remove(path.c_str());
+    insts.resize(std::min(insts.size(), n));
+    return exportO3PipeView(insts);
+}
+
+TEST(Konata, MutatedTextParsesOrFailsWithError)
+{
+    // The parser reads text from outside the process, so every mutant
+    // of a real export must parse or fail with a message: never crash,
+    // throw or trip a sanitizer. A mutant it accepts must survive
+    // export(parse(.)) unchanged, or the parser accepted a line it
+    // could not represent. Forged numeric fields that are not plain
+    // numbers must be rejected.
+    const std::string text = realO3PipeView(20);
+    ASSERT_NE(text.find("store:"), std::string::npos);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    auto check = [&](const std::string &mutant, const char *what,
+                     std::size_t k) {
+        std::vector<InstLifecycle> parsed;
+        std::string err;
+        bool ok = false;
+        try {
+            ok = parseO3PipeView(mutant, parsed, err);
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << what << " " << k << " threw " << e.what();
+            return false;
+        }
+        if (!ok) {
+            EXPECT_FALSE(err.empty()) << what << " " << k;
+            ++rejected;
+            return false;
+        }
+        ++accepted;
+        std::vector<InstLifecycle> again;
+        EXPECT_TRUE(parseO3PipeView(exportO3PipeView(parsed), again, err))
+            << what << " " << k << ": " << err;
+        EXPECT_TRUE(fields(again) == fields(parsed)) << what << " " << k;
+        return true;
+    };
+
+    EXPECT_TRUE(check(text, "original", 0));
+
+    // Truncation at every line boundary, before and after the newline.
+    for (std::size_t nl = text.find('\n'); nl != std::string::npos;
+         nl = text.find('\n', nl + 1)) {
+        check(text.substr(0, nl), "cut before newline", nl);
+        check(text.substr(0, nl + 1), "cut after newline", nl);
+    }
+
+    // Every tick, seq and store-tick field forged to numbers the
+    // exporter never writes (accepted or rejected) and to non-numbers
+    // (always rejected).
+    const std::vector<std::string> nonNumbers = {
+        "", "abc", "-1", "-500", "+500", " 500", "500 ", "0x1f4", "5e2",
+        "18446744073709551616", std::string("500\0", 4)};
+    std::size_t lineStart = 0;
+    for (std::size_t line = 0; lineStart < text.size(); ++line) {
+        std::size_t lineEnd = text.find('\n', lineStart);
+        std::vector<std::size_t> colons;
+        for (std::size_t c = text.find(':', lineStart); c < lineEnd;
+             c = text.find(':', c + 1))
+            colons.push_back(c);
+        colons.push_back(lineEnd);
+        bool fetch = text.compare(lineStart, 16, "O3PipeView:fetch") == 0;
+        bool retire =
+            text.compare(lineStart, 17, "O3PipeView:retire") == 0;
+        std::vector<std::size_t> numeric = {2};
+        if (fetch)
+            numeric.push_back(5);
+        if (retire)
+            numeric.push_back(4);
+        for (std::size_t field : numeric) {
+            std::size_t from = colons[field - 1] + 1;
+            std::size_t len = colons[field] - from;
+            for (const char *odd : {"0", "250", "18446744073709551615"}) {
+                std::string forged = text;
+                forged.replace(from, len, odd);
+                check(forged, "odd number on line", line);
+            }
+            for (const std::string &bad : nonNumbers) {
+                std::string forged = text;
+                forged.replace(from, len, bad);
+                EXPECT_FALSE(check(forged, "non-number field on line",
+                                   line))
+                    << "field " << field << " = '" << bad << "'";
+            }
+        }
+        lineStart = lineEnd + 1;
+    }
+
+    // Fixed-seed byte flips: single bit flips and random bytes.
+    Rng rng(19);
+    for (std::size_t k = 0; k < 2000; ++k) {
+        std::string m = text;
+        for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) {
+            char &b = m[rng.below(m.size())];
+            if (k % 2 == 0)
+                b = static_cast<char>(b ^ (1u << rng.below(8)));
+            else
+                b = static_cast<char>(rng.below(256));
+        }
+        check(m, "byte flip", k);
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 // ------------------------------------------------------ Analyzer ------
@@ -568,9 +748,7 @@ TEST(TraceIdentity, ParallelSweepWithPerJobTraceFiles)
             std::remove(tempPath(jobTraceName(point.make(bench))).c_str());
 }
 
-// --------------------------------- event production (traced builds) ---
-
-#ifdef LSQSCALE_TRACE
+// ------------------------------------------------ event production ---
 
 TEST(TraceEndToEnd, RetireEventsMatchCommittedCount)
 {
@@ -640,22 +818,47 @@ TEST(TraceEndToEnd, SegmentedRunRecordsMultiSegmentSearches)
     std::remove(path.c_str());
 }
 
-#else // !LSQSCALE_TRACE
-
-TEST(TraceEndToEnd, HooksCompiledOutRecordNothing)
+/**
+ * The set of events (traceEventBit bits) one 20k-instruction lsqsim
+ * cell records; @p args are lsqsim options naming the design point.
+ */
+std::uint32_t
+firedEvents(std::vector<std::string> args)
 {
-    // The zero-overhead contract: in a default build an attached
-    // tracer sees no events at all (the hook sites don't exist).
-    std::string path = tempPath("off.evtrace");
-    SimConfig cfg = tinyConfig();
-    cfg.trace.enabled = true;
-    cfg.trace.binaryPath = path;
-    Simulator(cfg).run();
-    EXPECT_TRUE(readTraceFile(path).empty());
+    std::string path = tempPath("taxonomy.evtrace");
+    args.insert(args.end(), {"--insts", "20000", "--trace-out", path});
+    CliOptions opts;
+    std::string err = parseCli(args, opts);
+    EXPECT_EQ(err, "");
+    Simulator(opts.config).run();
+    std::uint32_t fired = 0;
+    for (const TraceRecord &r : readTraceFile(path))
+        fired |= traceEventBit(r.ev());
     std::remove(path.c_str());
+    return fired;
 }
 
-#endif // LSQSCALE_TRACE
+TEST(TraceTaxonomy, EveryEventFires)
+{
+    // A TraceEvent no hook site records is dead taxonomy, and a hook
+    // site that stops firing is a silent observability loss. These
+    // three cells reach every site: base bzip under probes (the only
+    // source of inval.search), all techniques under probes (pair
+    // predictor, commit-time searches, load buffer, probe snoops),
+    // and a 1-port segmented combined queue (the only source of
+    // sq.search.contention).
+    std::uint32_t fired =
+        firedEvents({"--benchmark", "bzip", "--probe-rate", "5"}) |
+        firedEvents({"--benchmark", "bzip", "--all-techniques",
+                     "--probe-rate", "5"}) |
+        firedEvents({"--benchmark", "equake", "--combined", "--segments",
+                     "4", "--lq", "28", "--ports", "1"});
+    for (unsigned i = 0; i < kNumTraceEvents; ++i) {
+        TraceEvent ev = static_cast<TraceEvent>(i);
+        EXPECT_NE(fired & traceEventBit(ev), 0u)
+            << traceEventName(ev) << " never fired";
+    }
+}
 
 } // namespace
 } // namespace lsqscale

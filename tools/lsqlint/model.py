@@ -4,9 +4,8 @@ The output of `extract()` is a plain JSON-serializable dict ("facts")
 holding everything any rule needs from one file: the include list,
 enum definitions, classes with their data members / declared methods /
 virtual-method sets, function definitions with per-body summaries
-(identifier sets, outgoing calls, hot-path purity events, trace-hook
-arguments, histogram registrations), and the annotations parsed from
-comments.
+(identifier sets, outgoing calls, hot-path purity events, histogram
+registrations), and the annotations parsed from comments.
 
 Facts are pure per-file data — cross-file reasoning (serialization
 coverage, hot-path propagation, layering, taxonomy) happens in the
@@ -45,8 +44,8 @@ _NOT_CALLS = frozenset((
 # Macros whose argument lists are cold failure/diagnostic paths: code
 # inside them is exempt from hot-path purity and call propagation
 # (LSQ_ASSERT and friends format messages and call debugDump *only
-# when the invariant already failed*). LSQ_TRACE_HOOK arguments
-# compile out of default builds entirely.
+# when the invariant already failed*). LSQ_TRACE_HOOK arguments run
+# only when a tracer is attached.
 _COLD_MACROS = frozenset((
     "LSQ_PANIC", "LSQ_FATAL", "LSQ_WARN", "LSQ_ASSERT", "LSQ_DCHECK",
     "LSQ_TRACE_HOOK",
@@ -397,12 +396,8 @@ class _Extractor:
         }
         self.hist_sites = []
         self.fourcc_defs = []
-        self.constants = {}
-        # File-wide Enum::Member references and LSQ_TRACE_HOOK event
-        # arguments (the taxonomy tables in obs/trace.cc live in
-        # namespace-scope initializers, outside any function body).
+        # File-wide Enum::Member references (taxonomy rules).
         self.file_refs = {}
-        self.trace_hooks = []
         # Full identifier set, kept only for test files (taxonomy
         # test-mention rule).
         self.collect_idents = rel_path.startswith("tests/")
@@ -765,15 +760,6 @@ class _Extractor:
                     "tag": head[idx + 4].text[1:-1],
                     "line": t.line,
                 })
-        # small integer constants (kNumTraceEvents = 20)
-        for idx in range(len(head) - 2):
-            t = head[idx]
-            if (t.kind == "id" and head[idx + 1].kind == "p" and
-                    head[idx + 1].text == "=" and
-                    head[idx + 2].kind == "num"):
-                txt = head[idx + 2].text
-                if txt.isdigit():
-                    self.constants[t.text] = int(txt)
 
     # --------------------------------------------------- functions ----
     def _function_def(self, head, toks, body_start, body_end, cls):
@@ -805,10 +791,8 @@ class _Extractor:
         calls = set()
         member_calls = []
         purity = []
-        hooks = []
         scoped_refs = {}
         cold_until = -1  # token index: inside a cold macro arg list
-        trace_hook_until = -1
         i = start
         while i < end:
             t = toks[i]
@@ -822,9 +806,6 @@ class _Extractor:
                         nxt.kind == "p" and nxt.text == "("):
                     reg_end = _match_forward(toks, i + 1, "(", ")")
                     cold_until = max(cold_until, reg_end)
-                    if t.text == "LSQ_TRACE_HOOK":
-                        trace_hook_until = max(trace_hook_until,
-                                               reg_end)
                     i += 1
                     continue
                 # Enum::Member style scoped refs
@@ -833,9 +814,6 @@ class _Extractor:
                         toks[i + 2].kind == "id" and t.text[:1].isupper()):
                     scoped_refs.setdefault(t.text, set()).add(
                         toks[i + 2].text)
-                    if i < trace_hook_until:
-                        hooks.append(
-                            (t.text, toks[i + 2].text, t.line))
                 is_call = (nxt is not None and nxt.kind == "p" and
                            nxt.text == "(" and
                            t.text not in _NOT_CALLS)
@@ -869,7 +847,6 @@ class _Extractor:
             "calls": sorted(calls),
             "member_calls": member_calls,
             "purity": purity,
-            "hooks": [list(h) for h in hooks],
             "scoped_refs": {k: sorted(v)
                             for k, v in scoped_refs.items()},
             "body_lines": [toks[start].line if start < end else 0,
@@ -915,7 +892,6 @@ class _Extractor:
         histogram collector."""
         toks = self.toks
         n = len(toks)
-        hook_until = -1
         i = 0
         while i < n:
             t = toks[i]
@@ -927,20 +903,12 @@ class _Extractor:
             if self.collect_idents:
                 self.all_idents.add(t.text)
 
-            if (t.text == "LSQ_TRACE_HOOK" and nxt is not None and
-                    nxt.kind == "p" and nxt.text == "("):
-                hook_until = max(hook_until,
-                                 _match_forward(toks, i + 1, "(", ")"))
-
             # file-wide Enum::Member references (taxonomy rules)
             if (t.text[:1].isupper() and nxt is not None and
                     nxt.kind == "p" and nxt.text == "::" and
                     i + 2 < n and toks[i + 2].kind == "id"):
-                member = toks[i + 2].text
-                self.file_refs.setdefault(t.text, {})
-                self.file_refs[t.text].setdefault(member, t.line)
-                if i < hook_until and t.text == "TraceEvent":
-                    self.trace_hooks.append([member, t.line])
+                self.file_refs.setdefault(t.text, {}).setdefault(
+                    toks[i + 2].text, t.line)
 
             # raw-new -----------------------------------------------
             if t.text == "new" and nxt is not None and (
@@ -1099,10 +1067,8 @@ class _Extractor:
             "phase_lines": {str(k): v
                             for k, v in self.phase_lines.items()},
             "fourcc_defs": self.fourcc_defs,
-            "constants": self.constants,
             "file_refs": {k: dict(v)
                           for k, v in self.file_refs.items()},
-            "trace_hooks": self.trace_hooks,
             "all_idents": sorted(self.all_idents),
         }
 

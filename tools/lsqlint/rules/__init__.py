@@ -51,11 +51,6 @@ RULES = {
                          "lsqlint: layer() claims are valid at the"
                          " claimed layer"),
     # taxonomy consistency
-    "tax-trace-hook": ("error",
-                       "every TraceEvent has a LSQ_TRACE_HOOK site"),
-    "tax-trace-analyzer": ("error",
-                           "every TraceEvent is mapped by the obs"
-                           " analyzers"),
     "tax-check-emit": ("error",
                        "every CheckErrorKind is emitted by the"
                        " checker"),

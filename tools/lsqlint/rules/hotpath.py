@@ -18,8 +18,8 @@ exactly, with a replacement operator new, on the pinned design points.
 
 Arguments of LSQ_PANIC / LSQ_FATAL / LSQ_WARN / LSQ_ASSERT /
 LSQ_DCHECK / LSQ_TRACE_HOOK are exempt at extraction time: those are
-cold failure paths (or compiled out), and that is exactly where I/O is
-allowed to live.
+cold failure paths, or run only when a tracer is attached, and that is
+exactly where I/O is allowed to live.
 
 Lines carrying `// lsqlint: phase(<name>)` are declared host-profiler
 phase boundaries (the lap reads of the profiled Core::tickStages, the

@@ -1,18 +1,14 @@
 """Taxonomy consistency.
 
-The observability and checking enums are contracts, not suggestions:
+The checking enum is a contract, not a suggestion: every
+CheckErrorKind enumerator needs an emit site in the src/check/ oracle
+(tax-check-emit) and a mention in a top-level tests/ file
+(tax-check-test). An error kind no test can provoke is a checker path
+nobody has ever seen fire.
 
-  TraceEvent     every enumerator needs >= 1 LSQ_TRACE_HOOK emit site
-                 (tax-trace-hook) and a mapping in the src/obs/
-                 analyzers — the name table and the Konata renderer —
-                 (tax-trace-analyzer). An event nobody emits, or that
-                 renders as garbage, silently rots the trace schema.
-
-  CheckErrorKind every enumerator needs an emit site in the
-                 src/check/ oracle (tax-check-emit) and a mention in a
-                 top-level tests/ file (tax-check-test): an error kind
-                 no test can provoke is a checker path nobody has ever
-                 seen fire.
+TraceEvent is checked by running, not parsing: obs_test's
+TraceTaxonomy.EveryEventFires requires every event to fire, and the
+exhaustive switches in src/obs/ (-Werror=switch-enum) map every event.
 
 Findings anchor at the enumerator's declaration line, so a
 `// lsqlint: allow(...)` there can grandfather a value that is being
@@ -43,30 +39,6 @@ def _refs(db, enum_name, path_pred):
 
 def run(db):
     findings = []
-
-    # ------------------------------------------------ TraceEvent ----
-    te_path, te_members = _enum_members(db, "TraceEvent")
-    if te_path is not None:
-        hooked = set()
-        for path, facts in db.src():
-            hooked.update(name for name, _ in facts["trace_hooks"])
-        analyzed = _refs(db, "TraceEvent",
-                         lambda p: p.startswith("src/obs/"))
-        for m in te_members:
-            if m["name"] not in hooked:
-                findings.append(Finding(
-                    "tax-trace-hook", te_path, m["line"],
-                    f"TraceEvent::{m['name']} has no LSQ_TRACE_HOOK "
-                    f"emit site: dead event, or a hook that was "
-                    f"refactored away"))
-            if m["name"] not in analyzed:
-                findings.append(Finding(
-                    "tax-trace-analyzer", te_path, m["line"],
-                    f"TraceEvent::{m['name']} is not mapped by the "
-                    f"src/obs/ analyzers (name table / Konata "
-                    f"renderer)"))
-
-    # --------------------------------------------- CheckErrorKind ----
     ck_path, ck_members = _enum_members(db, "CheckErrorKind")
     if ck_path is not None:
         emitted = _refs(db, "CheckErrorKind",
