@@ -19,7 +19,7 @@ script holds the JSON-level checks:
       exactly the clean run's ipc/cycles. Both sides must be nonempty.
 
   check-corrupt INJECTED.json
-      A corrupt-lsq campaign under -DLSQ_CHECKER=ON: every cell must
+      A corrupt-lsq campaign with LSQSCALE_CHECK=1: every cell must
       either be caught by the checker (status "crashed", SIGABRT) or
       be architecturally masked (status "ok": the flipped store
       address drained before any load aliased it — possible on

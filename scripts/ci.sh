@@ -4,12 +4,15 @@
 #
 #   1. release     — tier-1: the default RelWithDebInfo build + ctest
 #   2. asan-ubsan  — AddressSanitizer + UBSan, LSQ_DCHECK on
-#   3. checker     — LSQ_CHECKER=ON: every simulation shadow-executed
-#                    against the memory-ordering oracle; also runs
-#                    `bench/paper --only fig7` under the oracle
-#   4. tsan        — ThreadSanitizer on harness_test + obs_test +
-#                    sample_test: the sweep engine and the checkpoint
-#                    writers under a race detector
+#   3. checked     — the release build's ctest again with
+#                    LSQSCALE_CHECK=1: every simulation shadow-executed
+#                    against the memory-ordering oracle; then
+#                    `bench/paper --only fig7` checked and unchecked,
+#                    whose tables must be byte-identical
+#   4. tsan        — ThreadSanitizer on harness_test (checked: the
+#                    oracle under the pool) + obs_test + sample_test:
+#                    the sweep engine and the checkpoint writers under
+#                    a race detector
 #   4b. mcm-smoke  — memory-consistency litmus grid
 #                    (docs/CONSISTENCY.md): tools/lsqmcm runs every
 #                    scenario across the full design grid under the
@@ -30,10 +33,10 @@
 #                    check, `lsqbench/run.py --smoke`, is the
 #                    lsqbench_smoke ctest, so every flavor runs it.)
 #   6. trace-smoke — on the release build (every build has the trace
-#                    hook sites): traced runs must be bit-identical to
-#                    untraced runs across three design points, the
-#                    Konata export must round-trip, and lsqtrace must
-#                    render the stall table
+#                    hook sites): traced and checked runs must be
+#                    bit-identical to plain runs across three design
+#                    points, the Konata export must round-trip, and
+#                    lsqtrace must render the stall table
 #   6b. metrics-smoke — host profiler (docs/OBSERVABILITY.md):
 #                    profiled runs (--host-profile) must be
 #                    bit-identical to trace-smoke's plain runs of the
@@ -51,7 +54,7 @@
 #                    (docs/ROBUSTNESS.md): an uninjected
 #                    process-isolated `paper --only fig7` sweep must be
 #                    byte-identical to thread mode; then deterministic
-#                    SIGSEGV, hang and (under the checker build)
+#                    SIGSEGV, hang and (with LSQSCALE_CHECK=1)
 #                    corrupt-lsq faults are injected at a cycle that
 #                    splits the grid — only the long-running cells may
 #                    be poisoned, each with signal/heartbeat
@@ -87,17 +90,29 @@ run_flavor() {
 
 run_flavor release
 run_flavor asan-ubsan -DLSQ_ASAN=ON -DLSQ_UBSAN=ON
-run_flavor checker -DLSQ_CHECKER=ON
 
-banner "flavor: checker (paper --only fig7 under the oracle)"
+banner "flavor: checked (release ctest under the oracle)"
+LSQSCALE_CHECK=1 ctest --test-dir build-ci-release --output-on-failure \
+    -j "$JOBS"
+
+banner "flavor: checked (paper --only fig7 checked vs unchecked)"
+CHECK_DIR="build-ci-release/check-smoke"
+rm -rf "$CHECK_DIR"
+mkdir -p "$CHECK_DIR"
 LSQSCALE_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}" \
-    ./build-ci-checker/bench/paper --only fig7
+    ./build-ci-release/bench/paper --only fig7 >"$CHECK_DIR/plain.txt"
+LSQSCALE_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}" LSQSCALE_CHECK=1 \
+    ./build-ci-release/bench/paper --only fig7 >"$CHECK_DIR/checked.txt"
+diff "$CHECK_DIR/plain.txt" "$CHECK_DIR/checked.txt" || {
+    echo "checked: fig7 tables differ under the oracle" >&2
+    exit 1
+}
 
 banner "flavor: tsan (harness/obs/sample tests under ThreadSanitizer)"
 cmake -B build-ci-tsan -S . -DLSQ_TSAN=ON >/dev/null
 cmake --build build-ci-tsan -j "$JOBS" \
     --target harness_test obs_test sample_test
-./build-ci-tsan/tests/harness_test
+LSQSCALE_CHECK=1 ./build-ci-tsan/tests/harness_test
 ./build-ci-tsan/tests/obs_test
 ./build-ci-tsan/tests/sample_test
 
@@ -109,9 +124,9 @@ MCM_INSTS="${LSQSCALE_CI_BENCH_INSTS:-20000}"
 rm -rf "$MCM_DIR"
 mkdir -p "$MCM_DIR"
 
-# Full design grid, every scenario, ordering oracle attached (the
-# checker build compiles the same hooks, so run it there for depth).
-./build-ci-checker/tools/lsqmcm --seeds "$MCM_SEEDS" \
+# Full design grid, every scenario, ordering oracle attached (lsqmcm
+# checks unless given --unchecked).
+./build-ci-release/tools/lsqmcm --seeds "$MCM_SEEDS" \
     --iters "$MCM_ITERS" --json >"$MCM_DIR/grid.json"
 python3 scripts/check_mcm_smoke.py grid "$MCM_DIR/grid.json"
 
@@ -209,6 +224,13 @@ for i in "${!POINTS[@]}"; do
         --json >"$TRACE_DIR/traced_$i.json"
     diff "$TRACE_DIR/plain_$i.json" "$TRACE_DIR/traced_$i.json" || {
         echo "trace-smoke: design point $i not bit-identical" >&2
+        exit 1
+    }
+    # shellcheck disable=SC2086
+    LSQSCALE_CHECK=1 ./build-ci-release/tools/lsqsim --insts "$SMOKE_INSTS" \
+        ${POINTS[$i]} --json >"$TRACE_DIR/checked_$i.json"
+    diff "$TRACE_DIR/plain_$i.json" "$TRACE_DIR/checked_$i.json" || {
+        echo "trace-smoke: checked design point $i not bit-identical" >&2
         exit 1
     }
     ./build-ci-release/tools/lsqtrace konata \
@@ -329,16 +351,16 @@ python3 scripts/check_crash_smoke.py check-campaign \
     "$CRASH_DIR/hang/BENCH_paper.json" \
     "$CRASH_CYC" --kind hang
 
-# Corruption campaign under the checker build: corrupt-lsq fires early
-# in every cell; the ordering oracle must catch the observable ones
+# Corruption campaign under the oracle: corrupt-lsq fires early in
+# every cell; the ordering oracle must catch the observable ones
 # (SIGABRT) and nothing else may go wrong. bzip/parser/vpr alias
 # enough for detection to be deterministic at these settings.
 rc=0
 LSQSCALE_BENCH="bzip,parser,vpr" LSQSCALE_INSTS="$CRASH_INSTS" \
     LSQSCALE_JOBS=2 LSQSCALE_ISOLATION=process \
-    LSQSCALE_INJECT="corrupt-lsq:1:1000" \
+    LSQSCALE_INJECT="corrupt-lsq:1:1000" LSQSCALE_CHECK=1 \
     LSQSCALE_JSON_DIR="$CRASH_DIR/corrupt" \
-    ./build-ci-checker/bench/paper --only fig7 >/dev/null 2>&1 || rc=$?
+    ./build-ci-release/bench/paper --only fig7 >/dev/null 2>&1 || rc=$?
 if [ "$rc" -eq 0 ]; then
     echo "crash-smoke: corrupted sweep exited 0" >&2
     exit 1

@@ -19,13 +19,13 @@
  *
  * The checker is a pure observer: it never touches the Lsq, so checked
  * and unchecked runs are cycle-for-cycle identical. Attach one with
- * Lsq::attachChecker(); build with -DLSQ_CHECKER=ON to have the
- * Simulator attach one to every run and panic on any mismatch.
+ * Lsq::attachChecker(); set LSQSCALE_CHECK=1 to have the Simulator
+ * attach one to every run and panic on any mismatch.
  */
 // lsqlint: layer(lsq) -- checker interface consumed by Lsq itself (lsq.cc drives the hooks); the oracle implementation stays in layer-3 lsq_checker.cc
 
-#ifndef LSQSCALE_CHECK_LSQ_CHECKER_HH
-#define LSQSCALE_CHECK_LSQ_CHECKER_HH
+#ifndef LSQSCALE_CHECK_LSQCHECKER_HH
+#define LSQSCALE_CHECK_LSQCHECKER_HH
 
 #include <cstdint>
 #include <deque>
@@ -77,6 +77,9 @@ enum class CheckErrorKind : std::uint8_t {
     /** A probe squashed a load the vulnerability rule exempts. */
     SpuriousProbeSquash,
 };
+
+/** Number of CheckErrorKind values (array sizing). */
+inline constexpr unsigned kNumCheckErrorKinds = 11;
 
 const char *checkErrorKindName(CheckErrorKind kind);
 
@@ -192,4 +195,4 @@ class LsqChecker
 
 } // namespace lsqscale
 
-#endif // LSQSCALE_CHECK_LSQ_CHECKER_HH
+#endif // LSQSCALE_CHECK_LSQCHECKER_HH

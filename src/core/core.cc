@@ -8,6 +8,7 @@
 #include "metrics/hostprof.hh"
 #include "obs/interval.hh"
 #include "obs/trace.hh"
+#include "workload/trace_generator.hh"
 
 namespace lsqscale {
 
@@ -15,12 +16,8 @@ Core::Core(const CoreParams &coreParams, const LsqParams &lsqParams,
            const MemoryParams &memParams,
            const BenchmarkProfile &profile, std::uint64_t seed,
            StatSet &stats)
-    : cp_(coreParams), lsqp_(lsqParams), stats_(stats),
-      stream_(profile, seed), mem_(memParams), lsq_(lsqParams, stats),
-      bp_(coreParams.branchPredictor), ssp_(coreParams.storeSet),
-      rob_(coreParams.robEntries), iq_(coreParams.iqEntries),
-      intRegs_(kNumIntArchRegs, coreParams.intPhysRegs),
-      fpRegs_(kNumFpArchRegs, coreParams.fpPhysRegs)
+    : Core(coreParams, lsqParams, memParams,
+           std::make_unique<TraceGenerator>(profile, seed), stats)
 {
 }
 
@@ -28,6 +25,9 @@ Core::Core(const CoreParams &coreParams, const LsqParams &lsqParams,
            const MemoryParams &memParams,
            std::unique_ptr<InstSource> source, StatSet &stats)
     : cp_(coreParams), lsqp_(lsqParams), stats_(stats),
+      loadCommitDelay_(stats.histogram("load.commitdelay", 512)),
+      loadIssueDelay_(stats.histogram("load.issuedelay", 256)),
+      loadDataLat_(stats.histogram("load.datalat", 256)),
       stream_(std::move(source)), mem_(memParams),
       lsq_(lsqParams, stats), bp_(coreParams.branchPredictor),
       ssp_(coreParams.storeSet), rob_(coreParams.robEntries),
@@ -272,8 +272,7 @@ Core::finishCommit(RobEntry &head)
     else if (head.op.isBranch())
         stats_.counter("core.committed.branches").inc();
     if (head.op.isLoad())
-        stats_.histogram("load.commitdelay", 512)
-            .sample(now_ - head.completeCycle);
+        loadCommitDelay_.sample(now_ - head.completeCycle);
     LSQ_TRACE_HOOK(tracer_, TraceEvent::Retire, now_, head.op.seq,
                    head.op.pc,
                    static_cast<std::uint8_t>(head.op.isStore()));
@@ -527,9 +526,8 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
     iq_.remove(op.seq);
     LSQ_TRACE_HOOK(tracer_, TraceEvent::Issue, now_, op.seq, op.pc);
     stats_.counter("loads.issued").inc();
-    stats_.histogram("load.issuedelay", 256)
-        .sample(now_ - re.dispatchCycle);
-    stats_.histogram("load.datalat", 256).sample(ready - now_);
+    loadIssueDelay_.sample(now_ - re.dispatchCycle);
+    loadDataLat_.sample(ready - now_);
 
     if (!out.llViolations.empty()) {
         SeqNum victim =

@@ -227,6 +227,13 @@ class Core
     LsqParams lsqp_;
     // lsqlint: no-serialize(measurement output, not architectural state)
     StatSet &stats_;
+    // Histograms in stats_, each registered once with its bucket count.
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    Histogram &loadCommitDelay_;
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    Histogram &loadIssueDelay_;
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    Histogram &loadDataLat_;
 
     // lsqlint: no-serialize(own checkpoint section STRM)
     InstStream stream_;

@@ -11,7 +11,8 @@
  *   hang          stop making progress forever (heartbeats cease; the
  *                 process-isolation watchdog must reap the cell)
  *   corrupt-lsq   flip address bits of resident store-queue entries; a
- *                 -DLSQ_CHECKER build detects the divergence and panics
+ *                 run with LSQSCALE_CHECK=1 detects the divergence and
+ *                 panics
  *   corrupt-pred  scramble store-set predictor tables — deliberately
  *                 SILENT (timing-only) corruption, for detection tooling
  *   io-fail       fail the next harness file write (JSON/CSV outputs)

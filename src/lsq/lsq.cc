@@ -22,6 +22,13 @@ namespace lsqscale {
 
 Lsq::Lsq(const LsqParams &params, StatSet &stats)
     : params_(params), stats_(stats),
+      lqOccupancy_(
+          stats.histogram("lq.occupancy", params.totalLqEntries() + 2)),
+      sqOccupancy_(
+          stats.histogram("sq.occupancy", params.totalSqEntries() + 2)),
+      oooInflight_(stats.histogram("ooo.inflight", 64)),
+      sqSearchSegments_(stats.histogram("sq.search.segments",
+                                        params.numSegments + 1)),
       lqAlloc_(params.numSegments, params.lqEntries, params.allocPolicy),
       sqAlloc_(params.numSegments, params.sqEntries, params.allocPolicy),
       lqPorts_(params.numSegments, params.searchPorts),
@@ -29,11 +36,6 @@ Lsq::Lsq(const LsqParams &params, StatSet &stats)
       lb_(params.loadBufferEntries,
           params.loadCheck != LoadCheckPolicy::LoadBuffer)
 {
-    // Pre-create histograms with appropriately sized bucket ranges.
-    stats_.histogram("lq.occupancy", params.totalLqEntries() + 2);
-    stats_.histogram("sq.occupancy", params.totalSqEntries() + 2);
-    stats_.histogram("ooo.inflight", 64);
-    stats_.histogram("sq.search.segments", params.numSegments + 1);
 }
 
 // ---------------------------------------------------- allocation ------
@@ -361,9 +363,7 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
     if (doSq) {
         sqPorts().reserveWalk(sqPlan.visit, now);
         stats_.counter("sq.searches").inc();
-        stats_.histogram("sq.search.segments",
-                         params_.numSegments + 1)
-            .sample(sqPlan.visit.size());
+        sqSearchSegments_.sample(sqPlan.visit.size());
         out.searchedSq = true;
         out.sqSegmentsVisited =
             static_cast<unsigned>(sqPlan.visit.size());
@@ -682,11 +682,9 @@ Lsq::squashFrom(SeqNum seq)
 void
 Lsq::sampleOccupancy()
 {
-    stats_.histogram("lq.occupancy", params_.totalLqEntries() + 2)
-        .sample(lqLive());
-    stats_.histogram("sq.occupancy", params_.totalSqEntries() + 2)
-        .sample(sqLive());
-    stats_.histogram("ooo.inflight", 64).sample(oooLive_);
+    lqOccupancy_.sample(lqLive());
+    sqOccupancy_.sample(sqLive());
+    oooInflight_.sample(oooLive_);
 }
 
 // ------------------------------------------------ fault injection -----

@@ -232,7 +232,7 @@ class Lsq
      * Deterministically corrupt resident store-queue state: flip one
      * address bit in every store whose address is valid (the bit
      * position derives from @p seed). Models a latent datapath fault;
-     * a -DLSQ_CHECKER build detects the divergence on the next
+     * a run with LSQSCALE_CHECK=1 detects the divergence on the next
      * affected forwarding/ordering decision and panics with
      * provenance. @return false when no store had a valid address yet
      * (nothing corrupted — the injector retries next cycle).
@@ -340,6 +340,15 @@ class Lsq
     LsqParams params_;
     // lsqlint: no-serialize(measurement output, not architectural state)
     StatSet &stats_;
+    // Histograms in stats_, each registered once with its bucket count.
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    Histogram &lqOccupancy_;
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    Histogram &sqOccupancy_;
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    Histogram &oooInflight_;
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    Histogram &sqSearchSegments_;
 
     std::deque<LoadEntry> lq_;
     std::deque<StoreEntry> sq_;

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "check/lsq_checker.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "core/core.hh"
@@ -22,10 +23,6 @@
 #include "workload/address_stream.hh"
 #include "workload/benchmark_profile.hh"
 #include "workload/trace_file.hh"
-
-#ifdef LSQSCALE_CHECKER
-#include "check/lsq_checker.hh"
-#endif
 
 namespace lsqscale {
 
@@ -118,15 +115,16 @@ Simulator::run()
     if (HostProfiler::enabled())
         core.enableHostProfile();
 
-#ifdef LSQSCALE_CHECKER
-    // Shadow-execute every load/store against the ordering oracle.
-    // The checker is a pure observer, so checked runs produce
-    // bit-identical timing/IPC to unchecked runs; any mismatch panics
-    // at the faulting operation with full provenance.
-    LsqChecker checker(config_.lsq);
-    checker.setAbortOnError(true);
-    core.lsq().attachChecker(&checker);
-#endif
+    // LSQSCALE_CHECK=1 shadow-executes every load/store against the
+    // ordering oracle. The checker is a pure observer, so checked runs
+    // produce byte-identical output to unchecked runs; any mismatch
+    // panics at the faulting operation with full provenance.
+    std::unique_ptr<LsqChecker> checker;
+    if (envU64("LSQSCALE_CHECK", 0) != 0) {
+        checker = std::make_unique<LsqChecker>(config_.lsq);
+        checker->setAbortOnError(true);
+        core.lsq().attachChecker(checker.get());
+    }
 
     std::uint64_t measured = effectiveInstructions(config_.instructions);
     std::uint64_t warmup = std::min(config_.warmup, measured / 4);
@@ -148,9 +146,7 @@ Simulator::run()
         // without measuring anything.
         ScopedHostPhase profSave(HostPhase::CkptSave);
         saveCheckpoint(core, config_, config_.saveCkptPath);
-#ifdef LSQSCALE_CHECKER
         core.lsq().attachChecker(nullptr);
-#endif
         return result;
     }
 
@@ -245,13 +241,12 @@ Simulator::run()
                             tracer->collect());
     }
 
-#ifdef LSQSCALE_CHECKER
-    if (checker.mismatches() != 0)
-        LSQ_PANIC("ordering oracle found mismatches:\n%s",
-                  checker.report().c_str());
-    result.stats.counter("check.ops").inc(checker.opsChecked());
-    core.lsq().attachChecker(nullptr);
-#endif
+    if (checker) {
+        if (checker->mismatches() != 0)
+            LSQ_PANIC("ordering oracle found mismatches:\n%s",
+                      checker->report().c_str());
+        core.lsq().attachChecker(nullptr);
+    }
     return result;
 }
 

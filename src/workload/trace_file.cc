@@ -46,16 +46,29 @@ pack(const MicroOp &op)
     return r;
 }
 
-MicroOp
-unpack(const TraceRecord &r, SeqNum seq)
+bool
+validReg(std::uint8_t reg)
 {
+    return reg < kNumArchRegs || reg == kNoArchReg;
+}
+
+/** Decode record `index`; a field out of range is fatal. */
+MicroOp
+unpack(const TraceRecord &r, SeqNum seq, std::uint64_t index)
+{
+    if (r.opClass >= kNumOpClasses)
+        LSQ_FATAL("corrupt trace: record %llu has op class %u",
+                  static_cast<unsigned long long>(index), r.opClass);
+    if (!validReg(r.src1) || !validReg(r.src2) || !validReg(r.dest))
+        LSQ_FATAL("corrupt trace: record %llu has register "
+                  "src1=%u src2=%u dest=%u (want < %u or %u)",
+                  static_cast<unsigned long long>(index), r.src1,
+                  r.src2, r.dest, kNumArchRegs, kNoArchReg);
     MicroOp op;
     op.seq = seq;
     op.pc = r.pc;
     op.addr = r.addr;
     op.target = r.target;
-    LSQ_ASSERT(r.opClass < kNumOpClasses, "corrupt trace: op class %u",
-               r.opClass);
     op.op = static_cast<OpClass>(r.opClass);
     op.src1 = r.src1;
     op.src2 = r.src2;
@@ -174,8 +187,7 @@ TraceFileReader::next()
         LSQ_FATAL("short read in trace (record %llu of %llu)",
                   static_cast<unsigned long long>(cursor_),
                   static_cast<unsigned long long>(count_));
-    ++cursor_;
-    return unpack(r, nextSeq_++);
+    return unpack(r, nextSeq_++, cursor_++);
 }
 
 // ------------------------------------------------ checkpointing -----

@@ -97,8 +97,8 @@ struct Cell
     const char *benchmark;
     /**
      * Allocations per 1000 measured cycles: the ratchet. Measured
-     * counts are identical in the release, checker, trace,
-     * sanitizer and coverage builds.
+     * counts are identical in the release, sanitizer and coverage
+     * builds.
      */
     std::uint64_t boundPerKcycle;
 };
@@ -182,12 +182,12 @@ TEST_P(AllocBound, PerCycleAllocationsWithinRatchet)
 
 INSTANTIATE_TEST_SUITE_P(
     PinnedCells, AllocBound,
-    ::testing::Values(Cell{"base-2port", "gzip", 6444},
-                      Cell{"base-2port", "mcf", 1421},
-                      Cell{"all-techniques-1port", "gzip", 6979},
-                      Cell{"all-techniques-1port", "mcf", 1688},
-                      Cell{"segmented-4x28-1port", "gzip", 7396},
-                      Cell{"segmented-4x28-1port", "mcf", 1600}),
+    ::testing::Values(Cell{"base-2port", "gzip", 5989},
+                      Cell{"base-2port", "mcf", 1311},
+                      Cell{"all-techniques-1port", "gzip", 6602},
+                      Cell{"all-techniques-1port", "mcf", 1633},
+                      Cell{"segmented-4x28-1port", "gzip", 6947},
+                      Cell{"segmented-4x28-1port", "mcf", 1490}),
     [](const ::testing::TestParamInfo<Cell> &info) {
         std::string name =
             std::string(info.param.design) + "_" + info.param.benchmark;

@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -145,33 +147,39 @@ TEST(CheckerClean, PairSchemeSquashReplayAccepted)
     EXPECT_EQ(c.mismatches(), 0u) << c.report();
 }
 
-// -------------------------------------------------- mutant: no search --
+// ------------------------------------------------------ mutant streams --
+
+// Each mutant stream replays the events a deliberately broken LSQ
+// would emit and returns the checker that watched them.
+// CheckerMutant.IsFlagged requires each to be flagged with its kind,
+// and CheckerTaxonomy.EveryKindIsFlagged requires the flagged kinds,
+// taken together, to cover every CheckErrorKind.
+
+namespace {
 
 // Mutant A1: the LSQ "searches" the SQ but its CAM match is broken —
 // an older matching addr-valid store is missed at issue time.
-TEST(CheckerMutant, BrokenSqSearchFlaggedAtIssue)
+LsqChecker
+brokenSqSearch()
 {
-    LsqParams p;
-    LsqChecker c(p);
+    LsqChecker c{LsqParams{}};
     c.onAllocateStore(0, 0x100);
     c.onAllocateLoad(1, 0x104);
     c.onStoreAddrReady(0, kA, 5, searched());
     c.onLoadIssue(1, kA, 10, issued(true));   // searched, found nothing
-    EXPECT_GE(c.mismatches(), 1u);
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::MissedForward)) << kinds(c);
-    const CheckError &e = c.errors().front();
-    EXPECT_EQ(e.seq, 1u);
-    EXPECT_EQ(e.expected, 0u);
+    EXPECT_EQ(c.errors().front().seq, 1u);
+    EXPECT_EQ(c.errors().front().expected, 0u);
+    return c;
 }
 
 // Mutant A2: the SQ search is skipped outright (broken gating) and no
 // later violation check compensates. Issue time cannot flag this —
 // skipping is legal under prediction — so the decisive check is the
 // golden-memory comparison at commit.
-TEST(CheckerMutant, SkippedSqSearchFlaggedAtCommit)
+LsqChecker
+skippedSqSearch()
 {
-    LsqParams p;
-    LsqChecker c(p);
+    LsqChecker c{LsqParams{}};
     c.onAllocateStore(0, 0x100);
     c.onAllocateLoad(1, 0x104);
     c.onStoreAddrReady(0, kA, 5, searched());
@@ -180,20 +188,17 @@ TEST(CheckerMutant, SkippedSqSearchFlaggedAtCommit)
 
     c.onStoreCommit(0, 20, searched());
     c.onLoadCommit(1);   // committed a stale value: store was visible
-    EXPECT_GE(c.mismatches(), 1u);
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::MissedForward)) << kinds(c);
+    return c;
 }
-
-// ---------------------------------------------- mutant: dropped squash --
 
 // Mutant B: a load executes before an older store's AGEN and the
 // violation machinery never reports it. Both defenses must fire: the
 // reference violator comparison at the store's search, and the golden
 // memory comparison at the load's commit.
-TEST(CheckerMutant, DroppedViolationFlaggedTwice)
+LsqChecker
+droppedViolation()
 {
-    LsqParams p;
-    LsqChecker c(p);
+    LsqChecker c{LsqParams{}};
     c.onAllocateStore(0, 0x100);
     c.onAllocateLoad(1, 0x104);
     c.onLoadIssue(1, kA, 5, issued(true));      // premature, clean so far
@@ -205,13 +210,13 @@ TEST(CheckerMutant, DroppedViolationFlaggedTwice)
 
     c.onStoreCommit(0, 20, searched());
     c.onLoadCommit(1);                          // stale value committed
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::MissedStoreLoadViolation))
-        << kinds(c);
     EXPECT_GE(c.mismatches(), 2u);
+    return c;
 }
 
 // Mutant B2 (pair scheme): commit-time detection is dropped.
-TEST(CheckerMutant, DroppedCommitTimeDetectionFlagged)
+LsqChecker
+droppedCommitTimeDetection()
 {
     LsqParams p;
     p.checkViolationsAtCommit = true;
@@ -221,66 +226,58 @@ TEST(CheckerMutant, DroppedCommitTimeDetectionFlagged)
     c.onLoadIssue(1, kA, 5, issued(false));
     c.onStoreAddrReady(0, kA, 10, searched());
     c.onStoreCommit(0, 20, searched());   // mutant: no violator reported
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::MissedStoreLoadDetection))
-        << kinds(c);
+    return c;
 }
 
 // Mutant B3: the violation CAM reports a violator that never touched
 // the store's address — an aliasing/mask bug selecting the wrong LQ
 // entry. The reference rule expects no violator, so the report itself
 // is the error.
-TEST(CheckerMutant, PhantomViolationFlagged)
+LsqChecker
+phantomViolation()
 {
-    LsqParams p;
-    LsqChecker c(p);
+    LsqChecker c{LsqParams{}};
     c.onAllocateStore(0, 0x100);
     c.onAllocateLoad(1, 0x104);
     c.onLoadIssue(1, kB, 5, issued(true));       // different address
     c.onStoreAddrReady(0, kA, 10, searched(1));  // phantom violator
-    EXPECT_GE(c.mismatches(), 1u);
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::PhantomStoreLoadViolation))
-        << kinds(c);
+    return c;
 }
-
-// ------------------------------------------- mutant: wrong forwarder --
 
 // Mutant C: the CAM priority encoder picks the *oldest* matching store
 // instead of the youngest older one.
-TEST(CheckerMutant, WrongForwarderFlagged)
+LsqChecker
+wrongForwarder()
 {
-    LsqParams p;
-    LsqChecker c(p);
+    LsqChecker c{LsqParams{}};
     c.onAllocateStore(0, 0x100);
     c.onAllocateStore(1, 0x104);
     c.onAllocateLoad(2, 0x108);
     c.onStoreAddrReady(0, kA, 2, searched());
     c.onStoreAddrReady(1, kA, 4, searched());
     c.onLoadIssue(2, kA, 10, issued(true, 0));   // should be store 1
-    EXPECT_GE(c.mismatches(), 1u);
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::WrongForwarder)) << kinds(c);
-    const CheckError &e = c.errors().front();
-    EXPECT_EQ(e.expected, 1u);
-    EXPECT_EQ(e.actual, 0u);
+    EXPECT_EQ(c.errors().front().expected, 1u);
+    EXPECT_EQ(c.errors().front().actual, 0u);
+    return c;
 }
 
 // Mutant C2: forwarding from thin air — no older matching store exists.
-TEST(CheckerMutant, PhantomForwardFlagged)
+LsqChecker
+phantomForward()
 {
-    LsqParams p;
-    LsqChecker c(p);
+    LsqChecker c{LsqParams{}};
     c.onAllocateStore(0, 0x100);
     c.onAllocateLoad(1, 0x104);
     c.onStoreAddrReady(0, kB, 2, searched());    // different address
     c.onLoadIssue(1, kA, 10, issued(true, 0));
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::PhantomForward)) << kinds(c);
+    return c;
 }
-
-// -------------------------------------- mutant: load-load mis-order ---
 
 // Mutant D: the load buffer (or LQ load-load search) fails to flag a
 // younger same-address load that issued early. Neither load's issue
 // reports a violation, both commit — the commit-order invariant fires.
-TEST(CheckerMutant, UndetectedLoadLoadOrderFlagged)
+LsqChecker
+undetectedLoadLoadOrder()
 {
     LsqParams p;
     p.loadCheck = LoadCheckPolicy::LoadBuffer;
@@ -292,14 +289,206 @@ TEST(CheckerMutant, UndetectedLoadLoadOrderFlagged)
     c.onLoadCommit(0);
     EXPECT_EQ(c.mismatches(), 0u) << c.report();
     c.onLoadCommit(1);
-    EXPECT_GE(c.mismatches(), 1u);
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::UndetectedLoadLoadOrder))
-        << kinds(c);
+    return c;
 }
 
-// With ordering deliberately unenforced (ablation), the same stream is
-// architecturally acceptable and must check clean.
-TEST(CheckerMutant, LoadLoadOrderIgnoredWhenPolicyNone)
+// Mutant D2: the ordering check cries wolf — reports a violating pair
+// that does not exist (different addresses).
+LsqChecker
+phantomLoadLoadViolation()
+{
+    LsqParams p;
+    p.loadCheck = LoadCheckPolicy::LoadBuffer;
+    LsqChecker c(p);
+    c.onAllocateLoad(0, 0x100);
+    c.onAllocateLoad(1, 0x104);
+    c.onLoadIssue(1, kB, 3, issued(true));   // younger, other address
+    LoadIssueOutcome out = issued(true);
+    out.llViolations.push_back(1);           // mutant: bogus report
+    c.onLoadIssue(0, kA, 8, out);
+    return c;
+}
+
+// Mutant P1: the load-buffer CAM misses on a probe — a vulnerable
+// load is resident but the snoop reports no victim.
+LsqChecker
+probeSnoopMiss()
+{
+    LsqParams p;
+    p.loadCheck = LoadCheckPolicy::LoadBuffer;
+    LsqChecker c(p);
+    c.onAllocateLoad(0, 0x100);
+    c.onAllocateLoad(1, 0x104);
+    c.onLoadIssue(1, kA, 3, issued(true));   // vulnerable resident
+    c.onInvalidate(kA, 6, searched());       // mutant: no victim found
+    EXPECT_EQ(c.errors().front().expected, 1u);
+    return c;
+}
+
+// Mutant P1b: same bug on a conventional design — the invalidation LQ
+// walk fails to report the outstanding load.
+LsqChecker
+probeWalkMiss()
+{
+    LsqChecker c{LsqParams{}};   // SearchLoadQueue
+    c.onAllocateLoad(0, 0x100);
+    c.onLoadIssue(0, kA, 2, issued(true));
+    c.onInvalidate(kA, 5, searched());       // mutant: walk found nothing
+    return c;
+}
+
+// Mutant P2: the snoop reports the right victim but the core drops
+// the squash — the victim retires with its stale value. Both the
+// pending-obligation check and the end-to-end remote-write rule fire.
+LsqChecker
+droppedProbeSquash()
+{
+    LsqParams p;
+    p.loadCheck = LoadCheckPolicy::LoadBuffer;
+    LsqChecker c(p);
+    c.onAllocateLoad(0, 0x100);
+    c.onAllocateLoad(1, 0x104);
+    c.onLoadIssue(1, kA, 3, issued(true));
+    c.onInvalidate(kA, 6, searched(1));      // agreement: squash owed
+    EXPECT_EQ(c.mismatches(), 0u) << c.report();
+    c.onLoadIssue(0, kB, 8, issued(true));   // mutant: no squash happens
+    c.onLoadCommit(0);
+    c.onLoadCommit(1);                       // stale value retires
+    return c;
+}
+
+// Mutant P3: the snoop cries wolf — an in-order-issued load (never in
+// the buffer, not vulnerable) is reported as a probe victim.
+LsqChecker
+spuriousProbeSquash()
+{
+    LsqParams p;
+    p.loadCheck = LoadCheckPolicy::LoadBuffer;
+    LsqChecker c(p);
+    c.onAllocateLoad(0, 0x100);
+    c.onLoadIssue(0, kA, 2, issued(true));   // oldest: issued in order
+    c.onInvalidate(kA, 5, searched(0));      // mutant: phantom victim
+    return c;
+}
+
+// Mutant P3b: over-squash — the snoop selects a load *older* than the
+// oldest vulnerable one, wiping work the probe did not invalidate.
+LsqChecker
+probeOverSquash()
+{
+    LsqParams p;
+    p.loadCheck = LoadCheckPolicy::LoadBuffer;
+    LsqChecker c(p);
+    c.onAllocateLoad(0, 0x100);
+    c.onAllocateLoad(1, 0x104);
+    c.onAllocateLoad(2, 0x108);
+    c.onLoadIssue(1, kA, 3, issued(true));   // the true victim
+    c.onLoadIssue(2, kA, 4, issued(true));
+    c.onInvalidate(kA, 6, searched(0));      // mutant: squashes seq 0
+    return c;
+}
+
+// Mutant E1: a load commits past the LQ head.
+LsqChecker
+outOfOrderCommit()
+{
+    LsqChecker c{LsqParams{}};
+    c.onAllocateLoad(0, 0x100);
+    c.onAllocateLoad(1, 0x104);
+    c.onLoadIssue(0, kA, 2, issued(true));
+    c.onLoadIssue(1, kA, 4, issued(true));
+    c.onLoadCommit(1);   // mutant: commits past the LQ head
+    return c;
+}
+
+// Mutant E2: a load issues twice with no squash in between.
+LsqChecker
+doubleIssue()
+{
+    LsqChecker c{LsqParams{}};
+    c.onAllocateLoad(0, 0x100);
+    c.onLoadIssue(0, kA, 2, issued(true));
+    c.onLoadIssue(0, kA, 5, issued(true));   // no squash in between
+    return c;
+}
+
+struct Mutant
+{
+    const char *name;
+    LsqChecker (*replay)();
+    CheckErrorKind kind;   ///< the kind it must be flagged with
+};
+
+void
+PrintTo(const Mutant &m, std::ostream *os)
+{
+    *os << m.name;
+}
+
+const Mutant kMutants[] = {
+    {"BrokenSqSearch", brokenSqSearch, CheckErrorKind::MissedForward},
+    {"SkippedSqSearch", skippedSqSearch, CheckErrorKind::MissedForward},
+    {"DroppedViolation", droppedViolation,
+     CheckErrorKind::MissedStoreLoadViolation},
+    {"DroppedCommitTimeDetection", droppedCommitTimeDetection,
+     CheckErrorKind::MissedStoreLoadDetection},
+    {"PhantomViolation", phantomViolation,
+     CheckErrorKind::PhantomStoreLoadViolation},
+    {"WrongForwarder", wrongForwarder, CheckErrorKind::WrongForwarder},
+    {"PhantomForward", phantomForward, CheckErrorKind::PhantomForward},
+    {"UndetectedLoadLoadOrder", undetectedLoadLoadOrder,
+     CheckErrorKind::UndetectedLoadLoadOrder},
+    {"PhantomLoadLoadViolation", phantomLoadLoadViolation,
+     CheckErrorKind::PhantomLoadLoadViolation},
+    {"ProbeSnoopMiss", probeSnoopMiss, CheckErrorKind::MissedProbeSquash},
+    {"ProbeWalkMiss", probeWalkMiss, CheckErrorKind::MissedProbeSquash},
+    {"DroppedProbeSquash", droppedProbeSquash,
+     CheckErrorKind::MissedProbeSquash},
+    {"SpuriousProbeSquash", spuriousProbeSquash,
+     CheckErrorKind::SpuriousProbeSquash},
+    {"ProbeOverSquash", probeOverSquash,
+     CheckErrorKind::SpuriousProbeSquash},
+    {"OutOfOrderCommit", outOfOrderCommit, CheckErrorKind::BrokenProtocol},
+    {"DoubleIssue", doubleIssue, CheckErrorKind::BrokenProtocol},
+};
+
+class CheckerMutant : public ::testing::TestWithParam<Mutant>
+{
+};
+
+TEST_P(CheckerMutant, IsFlagged)
+{
+    LsqChecker c = GetParam().replay();
+    EXPECT_TRUE(hasKind(c, GetParam().kind)) << kinds(c);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, CheckerMutant, ::testing::ValuesIn(kMutants),
+    [](const ::testing::TestParamInfo<Mutant> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(CheckerTaxonomy, EveryKindIsFlagged)
+{
+    // A CheckErrorKind no mutant provokes is an oracle path nobody has
+    // seen fire.
+    std::array<bool, kNumCheckErrorKinds> flagged{};
+    for (const Mutant &m : kMutants) {
+        LsqChecker c = m.replay();
+        for (const CheckError &e : c.errors())
+            flagged[static_cast<unsigned>(e.kind)] = true;
+    }
+    for (unsigned k = 0; k < kNumCheckErrorKinds; ++k)
+        EXPECT_TRUE(flagged[k])
+            << checkErrorKindName(static_cast<CheckErrorKind>(k))
+            << " is flagged by no mutant stream";
+}
+
+} // namespace
+
+// With ordering deliberately unenforced (ablation), the undetected
+// load-load stream is architecturally acceptable and must check clean.
+TEST(CheckerClean, LoadLoadOrderIgnoredWhenPolicyNone)
 {
     LsqParams p;
     p.loadCheck = LoadCheckPolicy::None;
@@ -312,25 +501,6 @@ TEST(CheckerMutant, LoadLoadOrderIgnoredWhenPolicyNone)
     c.onLoadCommit(1);
     EXPECT_EQ(c.mismatches(), 0u) << c.report();
 }
-
-// Mutant D2: the ordering check cries wolf — reports a violating pair
-// that does not exist (different addresses).
-TEST(CheckerMutant, PhantomLoadLoadViolationFlagged)
-{
-    LsqParams p;
-    p.loadCheck = LoadCheckPolicy::LoadBuffer;
-    LsqChecker c(p);
-    c.onAllocateLoad(0, 0x100);
-    c.onAllocateLoad(1, 0x104);
-    c.onLoadIssue(1, kB, 3, issued(true));   // younger, other address
-    LoadIssueOutcome out = issued(true);
-    out.llViolations.push_back(1);           // mutant: bogus report
-    c.onLoadIssue(0, kA, 8, out);
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::PhantomLoadLoadViolation))
-        << kinds(c);
-}
-
-// ---------------------------------------- mutant: probe snoop ---------
 
 // Clean reference stream: a probe hits a vulnerable load, the LSQ
 // reports it, the core squashes and replays. Every step is legal.
@@ -365,113 +535,6 @@ TEST(CheckerClean, RejectedProbeIsIgnored)
     c.onInvalidate(kA, 4, noPort);
     c.onLoadCommit(0);
     EXPECT_EQ(c.mismatches(), 0u) << c.report();
-}
-
-// Mutant P1: the load-buffer CAM misses on a probe — a vulnerable
-// load is resident but the snoop reports no victim.
-TEST(CheckerMutant, ProbeSnoopMissFlagged)
-{
-    LsqParams p;
-    p.loadCheck = LoadCheckPolicy::LoadBuffer;
-    LsqChecker c(p);
-    c.onAllocateLoad(0, 0x100);
-    c.onAllocateLoad(1, 0x104);
-    c.onLoadIssue(1, kA, 3, issued(true));   // vulnerable resident
-    c.onInvalidate(kA, 6, searched());       // mutant: no victim found
-    EXPECT_GE(c.mismatches(), 1u);
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::MissedProbeSquash))
-        << kinds(c);
-    EXPECT_EQ(c.errors().front().expected, 1u);
-}
-
-// Mutant P1b: same bug on a conventional design — the invalidation LQ
-// walk fails to report the outstanding load.
-TEST(CheckerMutant, ProbeWalkMissFlagged)
-{
-    LsqParams p;   // SearchLoadQueue
-    LsqChecker c(p);
-    c.onAllocateLoad(0, 0x100);
-    c.onLoadIssue(0, kA, 2, issued(true));
-    c.onInvalidate(kA, 5, searched());       // mutant: walk found nothing
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::MissedProbeSquash))
-        << kinds(c);
-}
-
-// Mutant P2: the snoop reports the right victim but the core drops
-// the squash — the victim retires with its stale value. Both the
-// pending-obligation check and the end-to-end remote-write rule fire.
-TEST(CheckerMutant, DroppedProbeSquashFlaggedAtCommit)
-{
-    LsqParams p;
-    p.loadCheck = LoadCheckPolicy::LoadBuffer;
-    LsqChecker c(p);
-    c.onAllocateLoad(0, 0x100);
-    c.onAllocateLoad(1, 0x104);
-    c.onLoadIssue(1, kA, 3, issued(true));
-    c.onInvalidate(kA, 6, searched(1));      // agreement: squash owed
-    EXPECT_EQ(c.mismatches(), 0u) << c.report();
-    c.onLoadIssue(0, kB, 8, issued(true));   // mutant: no squash happens
-    c.onLoadCommit(0);
-    c.onLoadCommit(1);                       // stale value retires
-    EXPECT_GE(c.mismatches(), 1u);
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::MissedProbeSquash))
-        << kinds(c);
-}
-
-// Mutant P3: the snoop cries wolf — an in-order-issued load (never in
-// the buffer, not vulnerable) is reported as a probe victim.
-TEST(CheckerMutant, SpuriousProbeSquashFlagged)
-{
-    LsqParams p;
-    p.loadCheck = LoadCheckPolicy::LoadBuffer;
-    LsqChecker c(p);
-    c.onAllocateLoad(0, 0x100);
-    c.onLoadIssue(0, kA, 2, issued(true));   // oldest: issued in order
-    c.onInvalidate(kA, 5, searched(0));      // mutant: phantom victim
-    EXPECT_GE(c.mismatches(), 1u);
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::SpuriousProbeSquash))
-        << kinds(c);
-}
-
-// Mutant P3b: over-squash — the snoop selects a load *older* than the
-// oldest vulnerable one, wiping work the probe did not invalidate.
-TEST(CheckerMutant, ProbeOverSquashFlagged)
-{
-    LsqParams p;
-    p.loadCheck = LoadCheckPolicy::LoadBuffer;
-    LsqChecker c(p);
-    c.onAllocateLoad(0, 0x100);
-    c.onAllocateLoad(1, 0x104);
-    c.onAllocateLoad(2, 0x108);
-    c.onLoadIssue(1, kA, 3, issued(true));   // the true victim
-    c.onLoadIssue(2, kA, 4, issued(true));
-    c.onInvalidate(kA, 6, searched(0));      // mutant: squashes seq 0
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::SpuriousProbeSquash))
-        << kinds(c);
-}
-
-// ------------------------------------------- mutant: broken protocol --
-
-TEST(CheckerMutant, OutOfOrderCommitFlagged)
-{
-    LsqParams p;
-    LsqChecker c(p);
-    c.onAllocateLoad(0, 0x100);
-    c.onAllocateLoad(1, 0x104);
-    c.onLoadIssue(0, kA, 2, issued(true));
-    c.onLoadIssue(1, kA, 4, issued(true));
-    c.onLoadCommit(1);   // mutant: commits past the LQ head
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::BrokenProtocol)) << kinds(c);
-}
-
-TEST(CheckerMutant, DoubleIssueFlagged)
-{
-    LsqParams p;
-    LsqChecker c(p);
-    c.onAllocateLoad(0, 0x100);
-    c.onLoadIssue(0, kA, 2, issued(true));
-    c.onLoadIssue(0, kA, 5, issued(true));   // no squash in between
-    EXPECT_TRUE(hasKind(c, CheckErrorKind::BrokenProtocol)) << kinds(c);
 }
 
 // --------------------------------------------- whole-core clean runs --

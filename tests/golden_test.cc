@@ -54,35 +54,12 @@ goldenPath(const std::string &name)
     return std::string(LSQSCALE_GOLDEN_DIR) + "/" + name + ".json";
 }
 
-/// The checker build flavor (-DLSQ_CHECKER=ON) shadow-executes every
-/// run and adds "check.*" counters; those are documented as the only
-/// permitted divergence from the release flavor (docs/CHECKING.md).
-/// Strip them so the committed release-flavor references stay valid
-/// in every flavor CI builds.
-std::string
-stripCheckerCounters(const std::string &json)
-{
-    std::string out;
-    out.reserve(json.size());
-    std::size_t pos = 0;
-    while (pos < json.size()) {
-        std::size_t eol = json.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = json.size() - 1;
-        std::string line = json.substr(pos, eol - pos + 1);
-        if (line.find("\"check.") == std::string::npos)
-            out += line;
-        pos = eol + 1;
-    }
-    return out;
-}
-
 void
 checkGolden(SimConfig cfg, const std::string &name)
 {
     cfg.instructions = 25000;
     SimResult result = Simulator(cfg).run();
-    std::string json = stripCheckerCounters(resultToJson(result, cfg));
+    std::string json = resultToJson(result, cfg);
 
     std::string path = goldenPath(name);
     if (refreshMode()) {

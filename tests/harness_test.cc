@@ -6,10 +6,10 @@
  * docs/HARNESS.md: a parallel sweep must be bit-identical to a serial
  * sweep and to the historical serial runner loop. The rest covers the
  * failure semantics (one attempt per cell, poisoned-cell reporting),
- * the sink API, process isolation and the result-transport decoder. Under -DLSQ_CHECKER=ON every
- * simulation below also shadow-executes against the ordering oracle
- * on pool workers, which is exactly the "checker under the pool"
- * configuration the TSan preset validates.
+ * the sink API, process isolation and the result-transport decoder.
+ * With LSQSCALE_CHECK=1 every simulation below also shadow-executes
+ * against the ordering oracle on pool workers, which is exactly the
+ * "checker under the pool" configuration CI runs under TSan.
  */
 
 #include <atomic>

@@ -220,12 +220,15 @@ TEST_F(InjectTest, PredictorCorruptionIsDeterministicInSeed)
 ProcOutcome
 runInjectedChild(const std::string &specText,
                  std::chrono::milliseconds watchdog =
-                     std::chrono::milliseconds(0))
+                     std::chrono::milliseconds(0),
+                 bool checked = false)
 {
     ProcOptions po;
     po.watchdog = watchdog;
     return runCellInProcess(
-        [specText] {
+        [specText, checked] {
+            if (checked)
+                setenv("LSQSCALE_CHECK", "1", 1);
             inject::FaultSpec spec;
             if (!inject::parseFaultSpec(specText, spec))
                 throw std::runtime_error("bad spec in test");
@@ -278,18 +281,21 @@ TEST_F(InjectCampaignTest, PredictorCorruptionIsSilent)
     EXPECT_GT(out.result.committed, 0u);
 }
 
-#ifdef LSQSCALE_CHECKER
 TEST_F(InjectCampaignTest, LsqCorruptionIsCaughtByTheChecker)
 {
     SKIP_UNDER_TSAN();
-    // Under -DLSQ_CHECKER=ON the ordering oracle detects the corrupted
-    // store-queue addresses and panics — which process isolation turns
-    // into a contained SIGABRT with the panic text as provenance.
-    ProcOutcome out = runInjectedChild("corrupt-lsq:42:50");
+    // With LSQSCALE_CHECK=1 (set in the child only) the ordering oracle
+    // detects the corrupted store-queue addresses and panics — which
+    // process isolation turns into a contained SIGABRT with the panic
+    // text in the child's stderr tail.
+    ProcOutcome out = runInjectedChild(
+        "corrupt-lsq:42:50", std::chrono::milliseconds(0), true);
     EXPECT_EQ(out.status, ProcStatus::Crashed);
     EXPECT_EQ(out.termSignal, SIGABRT);
+    EXPECT_NE(out.stderrTail.find("LSQ oracle mismatch"),
+              std::string::npos)
+        << out.stderrTail;
 }
-#endif
 
 TEST_F(InjectCampaignTest, ConcurrentForksDoNotCrossPoisonCells)
 {

@@ -22,25 +22,12 @@ narrow(std::uint64_t cycle)
     return static_cast<unsigned>(cycle + 1);
 }
 
-struct StatSetStub
-{
-    StatSetStub &histogram(const char *name, unsigned buckets);
-    void observe(std::uint64_t v);
-};
-
 void
-spawnAndReport(StatSetStub &stats)
+spawnAndReport()
 {
     std::thread worker(makeBuf);
     std::cout << "done\n";
-    stats.histogram("lintfix.lat", 8).observe(1);
     worker.join();
-}
-
-void
-reportAgain(StatSetStub &stats)
-{
-    stats.histogram("lintfix.lat", 16).observe(2);
 }
 
 } // namespace lsqscale

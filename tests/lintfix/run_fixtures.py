@@ -46,17 +46,12 @@ EXPECT = {
         "layer-cycle": 1,
         "layer-bad-rehome": 2,  # invalid claim + unknown subsystem name
     },
-    "broken_tax": {
-        "tax-check-emit": 1,
-        "tax-check-test": 1,
-    },
     "broken_legacy": {
         "raw-new": 1,
         "bare-assert": 1,
         "narrowing-cast": 1,
         "raw-thread": 1,
         "stat-dump": 1,
-        "stats-buckets": 2,   # one finding per inconsistent site
         "unchecked-syscall": 2,  # discarded fork() + bare fsync()
     },
     "clean": {},
@@ -66,7 +61,6 @@ EXPECT = {
 # What suppress/ reports once its allow(...) markers are mangled.
 SUPPRESS_UNMASKED = {
     "raw-new": 2,
-    "stats-buckets": 2,
     "hot-mutex": 1,
     "layer-upward-include": 1,
     "ser-member-coverage": 1,

@@ -9,7 +9,10 @@ holds each distinct (design, benchmark) cell exactly once, that
 `--only fig7` narrows the sweep to Figure 7's four designs, that a
 sweep whose cells crash still prints its table but exits 1, and that an
 unknown `--only` name fails and lists the valid names. Inherited
-LSQSCALE_* variables are dropped so the run is the same everywhere.
+LSQSCALE_* variables are dropped so the run is the same everywhere,
+and every run sets LSQSCALE_CHECK=1: each cell of the design catalog
+runs under the ordering oracle, which aborts the cell on any
+memory-ordering mismatch.
 """
 
 import json
@@ -45,7 +48,8 @@ def run(paper, args, json_dir, **extra_env):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("LSQSCALE_")}
     env.update(LSQSCALE_INSTS="2000", LSQSCALE_BENCH=",".join(BENCHES),
-               LSQSCALE_JSON_DIR=json_dir, **extra_env)
+               LSQSCALE_JSON_DIR=json_dir, LSQSCALE_CHECK="1",
+               **extra_env)
     return subprocess.run([paper, *args], env=env, capture_output=True,
                           text=True)
 

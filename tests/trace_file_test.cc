@@ -40,6 +40,18 @@ class TraceFileTest : public ::testing::Test
     std::vector<std::string> paths_;
 };
 
+/** A one-record trace whose op `forge` corrupted dies with `what`. */
+template <typename Forge>
+void
+expectRejected(const std::string &path, Forge forge, const char *what)
+{
+    MicroOp op = TraceGenerator(profileFor("gzip"), 1).next();
+    forge(op);
+    TraceFileWriter(path).append(op);
+    TraceFileReader r(path);
+    EXPECT_DEATH(r.next(), what);
+}
+
 } // namespace
 
 TEST_F(TraceFileTest, RoundTripPreservesEveryField)
@@ -89,6 +101,28 @@ TEST_F(TraceFileTest, RejectsGarbage)
     std::fputs("this is not a trace", f);
     std::fclose(f);
     EXPECT_DEATH({ TraceFileReader r(path); }, "bad magic");
+}
+
+TEST_F(TraceFileTest, RejectsForgedOpClass)
+{
+    expectRejected(
+        tempPath("forged_op.trace"),
+        [](MicroOp &op) { op.op = static_cast<OpClass>(kNumOpClasses); },
+        "corrupt trace: record 0 has op class");
+}
+
+TEST_F(TraceFileTest, RejectsForgedSourceRegister)
+{
+    expectRejected(tempPath("forged_src.trace"),
+                   [](MicroOp &op) { op.src1 = 100; },
+                   "corrupt trace: record 0 has register src1=100");
+}
+
+TEST_F(TraceFileTest, RejectsForgedDestRegister)
+{
+    expectRejected(tempPath("forged_dest.trace"),
+                   [](MicroOp &op) { op.dest = kNumArchRegs; },
+                   "corrupt trace: record 0 has register .* dest=");
 }
 
 TEST_F(TraceFileTest, RejectsMissingFile)

@@ -2,7 +2,7 @@
 suppression filtering and output.
 
 Facts extraction is per-file; the rules, which need cross-file views
-(serialization coverage, the include DAG, taxonomy), run over the
+(serialization coverage, the include DAG), run over the
 merged FactsDB. A serial run over the whole tree takes well under a
 second.
 """
@@ -62,11 +62,6 @@ class FactsDB:
             if p.startswith("src/"):
                 yield p, self.facts[p]
 
-    def tests(self):
-        for p in sorted(self.facts):
-            if p.startswith("tests/"):
-                yield p, self.facts[p]
-
     def suppressed(self, path, line, rule):
         facts = self.facts.get(path)
         if not facts:
@@ -89,8 +84,8 @@ class FactsDB:
 
 def collect_files(root):
     """Root-relative posix paths of everything the analyzer reads:
-    src/ and tools/ sources, plus top-level tests/*.cc (taxonomy
-    test-mention scan). Fixture trees and build dirs are excluded."""
+    src/ and tools/ sources. Fixture trees and build dirs are
+    excluded."""
     rels = []
     for top in ("src", "tools"):
         base = os.path.join(root, top)
@@ -107,11 +102,6 @@ def collect_files(root):
                     full = os.path.join(dirpath, fn)
                     rels.append(os.path.relpath(full, root)
                                 .replace(os.sep, "/"))
-    tests = os.path.join(root, "tests")
-    if os.path.isdir(tests):
-        for fn in sorted(os.listdir(tests)):
-            if fn.endswith((".cc", ".cpp")):
-                rels.append("tests/" + fn)
     return rels
 
 

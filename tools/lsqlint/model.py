@@ -2,14 +2,14 @@
 
 The output of `extract()` is a plain JSON-serializable dict ("facts")
 holding everything any rule needs from one file: the include list,
-enum definitions, classes with their data members / declared methods /
-virtual-method sets, function definitions with per-body summaries
-(identifier sets, outgoing calls, hot-path purity events, histogram
-registrations), and the annotations parsed from comments.
+classes with their data members / declared methods / virtual-method
+sets, function definitions with per-body summaries (identifier sets,
+outgoing calls, hot-path purity events), and the annotations parsed
+from comments.
 
 Facts are pure per-file data — cross-file reasoning (serialization
-coverage, hot-path propagation, layering, taxonomy) happens in the
-rules, over the merged FactsDB.
+coverage, hot-path propagation, layering) happens in the rules, over
+the merged FactsDB.
 
 The parser is heuristic (no preprocessing, no template
 instantiation), tuned to this repository's style, and must never
@@ -387,21 +387,13 @@ class _Extractor:
         for c in lexed.comments:
             for ln in range(c.line, c.end_line + 1):
                 self.comment_lines.add(ln)
-        self.enums = []
         self.classes = []
         self.functions = []
         self.events = {
             "new": [], "cast": [], "assert": [], "thread": [],
             "statdump": [], "syscall": [],
         }
-        self.hist_sites = []
         self.fourcc_defs = []
-        # File-wide Enum::Member references (taxonomy rules).
-        self.file_refs = {}
-        # Full identifier set, kept only for test files (taxonomy
-        # test-mention rule).
-        self.collect_idents = rel_path.startswith("tests/")
-        self.all_idents = set()
 
     # ------------------------------------------------------------------
     def run(self):
@@ -457,9 +449,10 @@ class _Extractor:
             self._statement(cur, class_stack, in_class=False)
 
     def _try_enum(self, cur):
-        """Parse `enum [class|struct] Name [: type] { ... };`.
-        Returns False (cursor untouched) for forward declarations or
-        anonymous enums used as constants."""
+        """Skip `enum [class|struct] Name [: type] { ... };` so its
+        enumerators are not read as declarations. Returns False
+        (cursor untouched) for forward declarations or anonymous enums
+        used as constants."""
         save = cur.i
         cur.next()  # 'enum'
         t = cur.peek()
@@ -470,8 +463,6 @@ class _Extractor:
         if t is None or t.kind != "id":
             cur.i = save
             return False
-        name = t.text
-        name_line = t.line
         cur.next()
         # optional ': underlying'
         while (cur.peek() is not None and
@@ -482,30 +473,7 @@ class _Extractor:
         if t is None or t.text == ";":
             cur.i = save
             return False
-        body_start = cur.i + 1
-        body_end = _match_forward(cur.toks, cur.i, "{", "}") - 1
-        members = []
-        depth = 0
-        expect_name = True
-        j = body_start
-        while j < body_end:
-            tok = cur.toks[j]
-            if tok.kind == "p":
-                if tok.text in ("(", "[", "{"):
-                    depth += 1
-                elif tok.text in (")", "]", "}"):
-                    depth -= 1
-                elif tok.text == "," and depth == 0:
-                    expect_name = True
-                elif tok.text == "=" and depth == 0:
-                    expect_name = False
-            elif tok.kind == "id" and depth == 0 and expect_name:
-                members.append({"name": tok.text, "line": tok.line})
-                expect_name = False
-            j += 1
-        self.enums.append({"name": name, "line": name_line,
-                           "members": members})
-        cur.i = body_end + 1
+        cur.i = _match_forward(cur.toks, cur.i, "{", "}")
         return True
 
     def _try_class(self, cur, class_stack):
@@ -888,8 +856,7 @@ class _Extractor:
 
     # ------------------------------------------- linear event scan ----
     def _scan_linear_events(self):
-        """File-wide token scan for the ported PR 1/2/3/5 rules and the
-        histogram collector."""
+        """File-wide token scan for the ported PR 1/2/3/5 rules."""
         toks = self.toks
         n = len(toks)
         i = 0
@@ -900,16 +867,6 @@ class _Extractor:
             if t.kind != "id":
                 i += 1
                 continue
-            if self.collect_idents:
-                self.all_idents.add(t.text)
-
-            # file-wide Enum::Member references (taxonomy rules)
-            if (t.text[:1].isupper() and nxt is not None and
-                    nxt.kind == "p" and nxt.text == "::" and
-                    i + 2 < n and toks[i + 2].kind == "id"):
-                self.file_refs.setdefault(t.text, {}).setdefault(
-                    toks[i + 2].text, t.line)
-
             # raw-new -----------------------------------------------
             if t.text == "new" and nxt is not None and (
                     nxt.kind == "id" or
@@ -994,22 +951,6 @@ class _Extractor:
                     op_end = _match_forward(toks, close, "(", ")")
                     self._cast_event(t.line, type_toks,
                                      toks[close + 1:op_end - 1])
-
-            # histogram sites ---------------------------------------
-            elif (t.text == "histogram" and prev is not None and
-                  prev.kind == "p" and prev.text == "." and
-                  nxt is not None and nxt.kind == "p" and
-                  nxt.text == "(" and i + 2 < n and
-                  toks[i + 2].kind == "str"):
-                arg_end = _match_forward(toks, i + 1, "(", ")")
-                name = toks[i + 2].text[1:-1]
-                rest = toks[i + 3:arg_end - 1]
-                if rest and rest[0].kind == "p" and rest[0].text == ",":
-                    rest = rest[1:]
-                shape = "".join(tt.text for tt in rest)
-                shape = shape.replace("_", "")
-                self.hist_sites.append({"line": t.line, "name": name,
-                                        "shape": shape})
             i += 1
 
         # C-style casts need a separate pass: '(' T ')' '('
@@ -1059,17 +1000,12 @@ class _Extractor:
             "includes": self.includes,
             "allows": {str(k): v for k, v in self.allows.items()},
             "layer_claim": self.layer_claim,
-            "enums": self.enums,
             "classes": self.classes,
             "functions": self.functions,
             "events": self.events,
-            "hist_sites": self.hist_sites,
             "phase_lines": {str(k): v
                             for k, v in self.phase_lines.items()},
             "fourcc_defs": self.fourcc_defs,
-            "file_refs": {k: dict(v)
-                          for k, v in self.file_refs.items()},
-            "all_idents": sorted(self.all_idents),
         }
 
 

@@ -3,7 +3,7 @@ output and `// lsqlint: allow(<rule>)` suppressions) and a severity.
 docs/STATIC_ANALYSIS.md is the human-facing catalog; keep it in sync.
 """
 
-from . import hotpath, layering, legacy, serialization, taxonomy
+from . import hotpath, layering, legacy, serialization
 
 # rule id -> (severity, one-line description)
 RULES = {
@@ -12,8 +12,6 @@ RULES = {
                 "ownership goes through containers or make_unique"),
     "narrowing-cast": ("error",
                        "64-bit cycle/seq arithmetic must not narrow"),
-    "stats-buckets": ("error",
-                      "histogram bucket shapes agree across sites"),
     "bare-assert": ("error",
                     "invariants use LSQ_ASSERT/LSQ_DCHECK, not"
                     " assert()"),
@@ -50,12 +48,6 @@ RULES = {
     "layer-bad-rehome": ("error",
                          "lsqlint: layer() claims are valid at the"
                          " claimed layer"),
-    # taxonomy consistency
-    "tax-check-emit": ("error",
-                       "every CheckErrorKind is emitted by the"
-                       " checker"),
-    "tax-check-test": ("error",
-                       "every CheckErrorKind is exercised by a test"),
 }
 
 RUNNERS = [
@@ -63,5 +55,4 @@ RUNNERS = [
     serialization.run,
     hotpath.run,
     layering.run,
-    taxonomy.run,
 ]

@@ -27,7 +27,6 @@ def _stat_dump_exempt(path):
 
 def run(db):
     findings = []
-    hist_sites = {}  # name -> [(path, line, shape)]
 
     for path, facts in db.src_and_tools():
         ev = facts["events"]
@@ -63,24 +62,4 @@ def run(db):
                     f"return value of {e['what']}() discarded in "
                     f"crash-isolation code: check it (or annotate why "
                     f"failure is tolerable)"))
-
-        for h in facts["hist_sites"]:
-            # Suppressed sites drop out of the shape comparison, like
-            # the old linter.
-            if db.suppressed(path, h["line"], "stats-buckets"):
-                continue
-            hist_sites.setdefault(h["name"], []).append(
-                (path, h["line"], h["shape"]))
-
-    for name, uses in sorted(hist_sites.items()):
-        shapes = {s for _, _, s in uses}
-        if len(shapes) > 1:
-            pretty = ", ".join(s or "<default>"
-                               for s in sorted(shapes))
-            for path, line, _ in uses:
-                findings.append(Finding(
-                    "stats-buckets", path, line,
-                    f'histogram "{name}" sized inconsistently across '
-                    f"call sites ({pretty}); the first registration "
-                    f"wins and later sizes are silently ignored"))
     return findings
