@@ -2,12 +2,17 @@
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot
  * structures: LSQ allocate/issue/commit round trips at several sizes
- * and port counts, segmented search planning, the load buffer, and the
- * predictors. These guard the simulator's own performance — the
- * experiment benches run millions of these operations.
+ * and port counts, port-blocked load retries, segmented search
+ * planning, the load buffer, and the predictors. These guard the
+ * simulator's own performance — the experiment benches run millions
+ * of these operations.
+ *
+ *   micro_lsq_structures --benchmark_format=json
  */
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -96,6 +101,80 @@ BM_LsqSegmented4x28(benchmark::State &state)
     lsqRoundTrip(state, paramsFor(28, 4, 2));
 }
 
+/**
+ * A port-blocked retry: the queues are full of unissued loads, the
+ * first loads to issue in a cycle take every search port of the
+ * segment the others' walks start at, and every other load then
+ * retries in that same cycle and is rejected. On the paper's 1-port
+ * design points most load issue attempts look like this. Only the
+ * retries are timed; "ns_per_reject" is the mean cost of one.
+ */
+void
+lsqPortBlockedRetry(benchmark::State &state, LsqParams params)
+{
+    StatSet stats;
+    Lsq lsq(params, stats);
+    Rng rng(11);
+    SeqNum seq = 0;
+    Cycle now = 0;
+    std::vector<SeqNum> loads;
+    double retryNs = 0;
+    std::uint64_t rejects = 0;
+
+    for (auto _ : state) {
+        (void)_;
+        // Fill both queues with interleaved loads and stores (one in
+        // four a store), exposing every store address.
+        loads.clear();
+        SeqNum first = seq;
+        unsigned fill = params.totalLqEntries();
+        for (unsigned i = 0; i < fill; ++i, ++seq) {
+            if (i % 4 == 3) {
+                lsq.allocateStore(seq, 0x1000 + seq * 4);
+                lsq.storeAddrReady(seq, 0x8000 + rng.below(64) * 8,
+                                   now++);
+            } else {
+                lsq.allocateLoad(seq, 0x1000 + seq * 4);
+                loads.push_back(seq);
+            }
+        }
+        // The youngest loads issue first and hold the ports.
+        now += 16;
+        std::size_t holders = params.searchPorts;
+        for (std::size_t h = 0; h < holders; ++h)
+            lsq.issueLoad(loads[loads.size() - 1 - h],
+                          0x9000 + rng.below(64) * 8, now, true);
+
+        auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t i = 0; i + holders < loads.size(); ++i) {
+            LoadIssueOutcome out =
+                lsq.issueLoad(loads[i], 0x9000, now, true);
+            benchmark::DoNotOptimize(out.status);
+        }
+        auto t1 = std::chrono::steady_clock::now();
+        double ns = std::chrono::duration<double, std::nano>(t1 - t0)
+                        .count();
+        state.SetIterationTime(ns * 1e-9);
+        retryNs += ns;
+        rejects += loads.size() - holders;
+
+        lsq.squashFrom(first);
+        now += 16;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(rejects));
+    state.counters["ns_per_reject"] =
+        rejects ? retryNs / static_cast<double>(rejects) : 0.0;
+}
+
+void
+BM_LsqPortBlockedRetry(benchmark::State &state)
+{
+    if (state.range(0) == 0)
+        lsqPortBlockedRetry(state, paramsFor(128, 1, 2));
+    else
+        lsqPortBlockedRetry(state, paramsFor(28, 4, 1));
+}
+
 void
 BM_LoadBufferSearch(benchmark::State &state)
 {
@@ -151,6 +230,8 @@ BM_HybridBranchPredictor(benchmark::State &state)
 BENCHMARK(BM_LsqFlat32_2p);
 BENCHMARK(BM_LsqFlat128_2p);
 BENCHMARK(BM_LsqSegmented4x28);
+// 0: flat-128-2port, 1: seg-4x28-1port.
+BENCHMARK(BM_LsqPortBlockedRetry)->Arg(0)->Arg(1)->UseManualTime();
 BENCHMARK(BM_LoadBufferSearch);
 BENCHMARK(BM_StoreSetPredictor);
 BENCHMARK(BM_HybridBranchPredictor);

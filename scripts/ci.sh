@@ -3,7 +3,13 @@
 # (docs/CHECKING.md, docs/HARNESS.md). Fails on the first problem.
 #
 #   1. release     — tier-1: the default RelWithDebInfo build + ctest
-#   2. asan-ubsan  — AddressSanitizer + UBSan, LSQ_DCHECK on
+#   2. asan-ubsan  — AddressSanitizer + UBSan, LSQ_DCHECK on; then
+#                    LSQSCALE_CHECK=1 lsqsim at 20k instructions on
+#                    lsqbench's lsq_heavy design points (segmented
+#                    4x28 1-port, flat 128-entry) x mgrid/equake/applu,
+#                    where most load issues are port-blocked retries:
+#                    the early-reject DCHECKs and the ordering oracle
+#                    see them under the sanitizers
 #   3. checked     — the release build's ctest again with
 #                    LSQSCALE_CHECK=1: every simulation shadow-executed
 #                    against the memory-ordering oracle; then
@@ -90,6 +96,17 @@ run_flavor() {
 
 run_flavor release
 run_flavor asan-ubsan -DLSQ_ASAN=ON -DLSQ_UBSAN=ON
+
+banner "flavor: asan-ubsan (port-blocked design points under the oracle)"
+# paper_smoke's 2000-instruction cells rarely block on a search port.
+for bench in mgrid equake applu; do
+    for point in "--segments 4 --lq 28 --sq 28 --ports 1" \
+        "--lq 128 --sq 128"; do
+        # shellcheck disable=SC2086  # word-split the design-point flags
+        LSQSCALE_CHECK=1 ./build-ci-asan-ubsan/tools/lsqsim \
+            --benchmark "$bench" --insts 20000 $point --json >/dev/null
+    done
+done
 
 banner "flavor: checked (release ctest under the oracle)"
 LSQSCALE_CHECK=1 ctest --test-dir build-ci-release --output-on-failure \

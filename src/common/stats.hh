@@ -177,6 +177,34 @@ class StatSet
 };
 
 /**
+ * A handle to one StatSet counter, bound on first touch. A hot path
+ * pays a pointer test per increment instead of a string-keyed lookup,
+ * and a counter never incremented stays out of StatSet::dump(), as
+ * with StatSet::counter(). The StatSet must outlive the handle, and
+ * must not be reloaded (StatSet::loadState) once the handle is bound.
+ */
+class LazyCounter
+{
+  public:
+    LazyCounter(StatSet &stats, const char *name)
+        : stats_(stats), name_(name)
+    {}
+
+    void
+    inc(std::uint64_t n = 1)
+    {
+        if (counter_ == nullptr) [[unlikely]]
+            counter_ = &stats_.counter(name_);
+        counter_->inc(n);
+    }
+
+  private:
+    StatSet &stats_;
+    const char *name_;
+    Counter *counter_ = nullptr;
+};
+
+/**
  * A time series of periodic metric snapshots ("interval stats").
  *
  * The simulator samples a fixed set of columns (IPC, queue

@@ -35,6 +35,7 @@ Core::Core(const CoreParams &coreParams, const LsqParams &lsqParams,
       intRegs_(kNumIntArchRegs, coreParams.intPhysRegs),
       fpRegs_(kNumFpArchRegs, coreParams.fpPhysRegs)
 {
+    issueCands_.reserve(coreParams.iqEntries);
 }
 
 PhysRegFile &
@@ -421,7 +422,7 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
             re.loadPred.waitForStore != kNoSeq &&
             rob_.find(re.loadPred.waitForStore) != nullptr &&
             lsq_.storePendingAddress(re.loadPred.waitForStore)) {
-            stats_.counter("loads.storeset.wait").inc();
+            loadStoreSetWaits_.inc();
             // One event per cycle spent waiting = cycles stalled.
             LSQ_TRACE_HOOK(tracer_, TraceEvent::PredWaitCycle, now_,
                            op.seq, re.loadPred.waitForStore);
@@ -444,11 +445,11 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
     // D-cache port (and an MSHR, should it miss) must be free up
     // front.
     if (mem_.l1d().freePorts(now_) == 0) {
-        stats_.counter("loads.dcache.portstall").inc();
+        loadDcachePortStalls_.inc();
         return false;
     }
     if (!mem_.canAcceptData(now_, op.addr)) {
-        stats_.counter("loads.mshr.stall").inc();
+        loadMshrStalls_.inc();
         return false;
     }
 
@@ -468,7 +469,7 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
         return false;
       case LoadIssueStatus::NoSqPort:
       case LoadIssueStatus::NoLqPort:
-        stats_.counter("loads.lsq.portstall").inc();
+        loadPortStalls_.inc();
         return false;
       case LoadIssueStatus::LoadBufferFull:
         return false;
@@ -563,7 +564,7 @@ Core::tryIssueStore(RobEntry &re, IqEntry &qe)
     if (profLap_) [[unlikely]]
         profLsqNs_ += hostNowNs() - lapT0;     // lsqlint: phase(lsq_search)
     if (!out.accepted) {
-        stats_.counter("stores.lsq.portstall").inc();
+        storePortStalls_.inc();
         return false;
     }
 
@@ -625,13 +626,11 @@ Core::issueStage()
 
     // Snapshot candidate seqs: issue attempts (and squashes) mutate
     // the queue, so each candidate is re-validated by lookup.
-    std::vector<SeqNum> cands;
-    for (IqEntry *e : iq_.selectReady(now_, ready))
-        cands.push_back(e->seq);
+    iq_.selectReady(now_, ready, issueCands_);
 
     unsigned issued = 0;
     unsigned intUsed = 0, fpUsed = 0;
-    for (SeqNum seq : cands) {
+    for (SeqNum seq : issueCands_) {
         if (issued >= cp_.issueWidth)
             break;
         IqEntry *qe = iq_.find(seq);
@@ -652,7 +651,7 @@ Core::issueStage()
         if (ok)
             ++issued;
     }
-    stats_.counter("core.issued").inc(issued);
+    issuedCount_.inc(issued);
 }
 
 // -------------------------------------------------------- dispatch ----
@@ -794,7 +793,7 @@ Core::fetchStage()
         if (available > now_)
             break;   // I-cache miss or port-out: stop this cycle
     }
-    stats_.counter("fetch.fetched").inc(fetched);
+    fetchedCount_.inc(fetched);
 }
 
 // -------------------------------------------------------- squash ------

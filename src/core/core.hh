@@ -234,6 +234,21 @@ class Core
     Histogram &loadIssueDelay_;
     // lsqlint: no-serialize(measurement output, not architectural state)
     Histogram &loadDataLat_;
+    // Counters on the retry and per-cycle paths, bound on first touch.
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter issuedCount_{stats_, "core.issued"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter fetchedCount_{stats_, "fetch.fetched"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter loadPortStalls_{stats_, "loads.lsq.portstall"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter storePortStalls_{stats_, "stores.lsq.portstall"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter loadStoreSetWaits_{stats_, "loads.storeset.wait"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter loadDcachePortStalls_{stats_, "loads.dcache.portstall"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter loadMshrStalls_{stats_, "loads.mshr.stall"};
 
     // lsqlint: no-serialize(own checkpoint section STRM)
     InstStream stream_;
@@ -258,6 +273,9 @@ class Core
     std::deque<FetchedInst> fetchQ_;
     // lsqlint: no-serialize(empty at quiescence; saveState asserts quiescent())
     std::multimap<Cycle, CompletionEvent> completions_;
+    /** issueStage's candidate seqs, reserved to the IQ's capacity. */
+    // lsqlint: no-serialize(per-cycle scratch, rebuilt by every issueStage)
+    std::vector<SeqNum> issueCands_;
 
     Cycle now_ = 0;
     std::uint64_t committed_ = 0;

@@ -6,6 +6,7 @@
 #ifndef LSQSCALE_CORE_ISSUE_QUEUE_HH
 #define LSQSCALE_CORE_ISSUE_QUEUE_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "common/logging.hh"
@@ -34,7 +35,8 @@ struct IqEntry
  *
  * Readiness is evaluated at select time against the physical register
  * ready bits (the core provides a callback), which models wakeup
- * without explicit broadcast bookkeeping.
+ * without explicit broadcast bookkeeping. Entries are kept in dispatch
+ * (program) order, so a lookup by sequence number is a binary search.
  */
 class IssueQueue
 {
@@ -49,6 +51,8 @@ class IssueQueue
     push(const IqEntry &e)
     {
         LSQ_ASSERT(!full(), "issue queue overflow");
+        LSQ_ASSERT(entries_.empty() || entries_.back().seq < e.seq,
+                   "issue queue entries must arrive in program order");
         entries_.push_back(e);
     }
 
@@ -56,14 +60,11 @@ class IssueQueue
     void
     remove(SeqNum seq)
     {
-        for (std::size_t i = 0; i < entries_.size(); ++i) {
-            if (entries_[i].seq == seq) {
-                entries_.erase(entries_.begin() + i);
-                return;
-            }
-        }
-        LSQ_PANIC("IssueQueue::remove: seq %llu not present",
-                  static_cast<unsigned long long>(seq));
+        IqEntry *e = find(seq);
+        if (e == nullptr)
+            LSQ_PANIC("IssueQueue::remove: seq %llu not present",
+                      static_cast<unsigned long long>(seq));
+        entries_.erase(entries_.begin() + (e - entries_.data()));
     }
 
     /** Remove every entry with seq >= @p seq (squash). */
@@ -76,34 +77,32 @@ class IssueQueue
     }
 
     /**
-     * Entries eligible this cycle, oldest first. @p ready is a
-     * predicate over (PhysReg, isFp).
+     * Replace @p out with the seqs of the entries eligible this cycle,
+     * oldest first. @p ready is a predicate over (PhysReg, isFp).
      */
     template <typename ReadyFn>
-    std::vector<IqEntry *>
-    selectReady(Cycle now, ReadyFn &&ready)
+    void
+    selectReady(Cycle now, ReadyFn &&ready, std::vector<SeqNum> &out) const
     {
-        std::vector<IqEntry *> out;
-        for (auto &e : entries_) {
+        out.clear();
+        for (const auto &e : entries_) {
             if (e.notBefore > now)
                 continue;
             if (e.src1 != kNoReg && !ready(e.src1, e.src1Fp))
                 continue;
             if (e.src2 != kNoReg && !ready(e.src2, e.src2Fp))
                 continue;
-            out.push_back(&e);
+            out.push_back(e.seq);
         }
-        // Entries are kept in dispatch order, so `out` is oldest-first.
-        return out;
     }
 
     IqEntry *
     find(SeqNum seq)
     {
-        for (auto &e : entries_)
-            if (e.seq == seq)
-                return &e;
-        return nullptr;
+        auto it = std::lower_bound(
+            entries_.begin(), entries_.end(), seq,
+            [](const IqEntry &e, SeqNum s) { return e.seq < s; });
+        return it != entries_.end() && it->seq == seq ? &*it : nullptr;
     }
 
   private:

@@ -52,7 +52,11 @@ struct RobEntry
     bool mispredicted = false;
 };
 
-/** In-order window of in-flight instructions. */
+/**
+ * In-order window of in-flight instructions. Sequence numbers are
+ * dense (InstStream), so the window always holds a contiguous range
+ * and an entry's position is its distance from the head.
+ */
 class Rob
 {
   public:
@@ -67,8 +71,13 @@ class Rob
     push(const MicroOp &op, Cycle now)
     {
         LSQ_ASSERT(!full(), "ROB overflow");
-        LSQ_ASSERT(entries_.empty() || entries_.back().op.seq < op.seq,
-                   "ROB entries must arrive in program order");
+        LSQ_ASSERT(entries_.empty() ||
+                       op.seq == entries_.back().op.seq + 1,
+                   "ROB entries must arrive in program order with dense "
+                   "sequence numbers (%llu after %llu)",
+                   static_cast<unsigned long long>(op.seq),
+                   static_cast<unsigned long long>(
+                       entries_.back().op.seq));
         entries_.emplace_back();
         RobEntry &e = entries_.back();
         e.op = op;
@@ -84,21 +93,14 @@ class Rob
     void popHead() { entries_.pop_front(); }
     void popBack() { entries_.pop_back(); }
 
-    /** Find by sequence number (binary search; nullptr if absent). */
+    /** Find by sequence number (nullptr if absent). */
     RobEntry *
     find(SeqNum seq)
     {
-        std::size_t lo = 0, hi = entries_.size();
-        while (lo < hi) {
-            std::size_t mid = (lo + hi) / 2;
-            if (entries_[mid].op.seq < seq)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        if (lo < entries_.size() && entries_[lo].op.seq == seq)
-            return &entries_[lo];
-        return nullptr;
+        if (entries_.empty() || seq < entries_.front().op.seq)
+            return nullptr;
+        std::uint64_t i = seq - entries_.front().op.seq;
+        return i < entries_.size() ? &entries_[i] : nullptr;
     }
 
     auto begin() { return entries_.begin(); }

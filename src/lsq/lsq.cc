@@ -1,6 +1,7 @@
 #include "lsq/lsq.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "check/lsq_checker.hh"
 #include "common/logging.hh"
@@ -20,6 +21,20 @@
 
 namespace lsqscale {
 
+namespace {
+
+/** First entry of a program-ordered queue with seq >= @p seq. */
+template <typename Queue>
+auto
+lowerBound(Queue &q, SeqNum seq)
+{
+    return std::lower_bound(
+        q.begin(), q.end(), seq,
+        [](const auto &e, SeqNum s) { return e.seq < s; });
+}
+
+} // namespace
+
 Lsq::Lsq(const LsqParams &params, StatSet &stats)
     : params_(params), stats_(stats),
       lqOccupancy_(
@@ -34,8 +49,11 @@ Lsq::Lsq(const LsqParams &params, StatSet &stats)
       lqPorts_(params.numSegments, params.searchPorts),
       sqPorts_(params.numSegments, params.searchPorts),
       lb_(params.loadBufferEntries,
-          params.loadCheck != LoadCheckPolicy::LoadBuffer)
+          params.loadCheck != LoadCheckPolicy::LoadBuffer),
+      segStamp_(params.numSegments, 0)
 {
+    sqVisit_.reserve(params.numSegments);
+    lqVisit_.reserve(params.numSegments);
 }
 
 // ---------------------------------------------------- allocation ------
@@ -79,28 +97,30 @@ Lsq::allocateStore(SeqNum seq, Pc pc)
 Lsq::LoadEntry *
 Lsq::findLoad(SeqNum seq)
 {
-    for (auto &e : lq_)
-        if (e.seq == seq)
-            return &e;
-    return nullptr;
+    auto it = lowerBound(lq_, seq);
+    return it != lq_.end() && it->seq == seq ? &*it : nullptr;
 }
 
 Lsq::StoreEntry *
 Lsq::findStore(SeqNum seq)
 {
-    for (auto &e : sq_)
-        if (e.seq == seq)
-            return &e;
-    return nullptr;
+    auto it = lowerBound(sq_, seq);
+    return it != sq_.end() && it->seq == seq ? &*it : nullptr;
 }
 
-const Lsq::LoadEntry *
-Lsq::oldestNonIssued() const
+unsigned
+Lsq::sqWalkStart(SeqNum loadSeq) const
 {
-    for (const auto &e : lq_)
-        if (!e.executed)
-            return &e;
-    return nullptr;
+    auto older = lowerBound(sq_, loadSeq);
+    return older == sq_.begin() ? storeAlloc().tailSegment()
+                                : std::prev(older)->segment;
+}
+
+unsigned
+Lsq::lqWalkStart(SeqNum seq, unsigned fallback) const
+{
+    auto younger = lowerBound(lq_, seq + 1);
+    return younger == lq_.end() ? fallback : younger->segment;
 }
 
 bool
@@ -115,10 +135,8 @@ Lsq::olderMatchingStore(SeqNum loadSeq, Addr addr) const
 bool
 Lsq::storePendingAddress(SeqNum seq) const
 {
-    for (const auto &s : sq_)
-        if (s.seq == seq)
-            return !s.addrValid;
-    return false;
+    auto it = lowerBound(sq_, seq);
+    return it != sq_.end() && it->seq == seq && !it->addrValid;
 }
 
 bool
@@ -135,91 +153,93 @@ Lsq::anyOlderStoreUnaddressed(SeqNum loadSeq) const
 
 // ---------------------------------------------------- search plans ----
 
+void
+Lsq::startPlan(std::vector<unsigned> &visit)
+{
+    visit.clear();
+    ++planStamp_;
+}
+
+void
+Lsq::noteVisit(std::vector<unsigned> &visit, unsigned seg)
+{
+    if (segStamp_[seg] != planStamp_) {
+        segStamp_[seg] = planStamp_;
+        visit.push_back(seg);
+    }
+}
+
 Lsq::SqSearchPlan
-Lsq::planSqSearch(SeqNum loadSeq, Addr addr) const
+Lsq::planSqSearch(SeqNum loadSeq, Addr addr)
 {
     SqSearchPlan plan;
+    auto older = lowerBound(sq_, loadSeq);
+    // If every older store sits in one segment the load's latency is
+    // knowable at issue (head-segment rule).
+    plan.endsAtHead =
+        std::all_of(sq_.begin(), older, [this](const StoreEntry &s) {
+            return s.segment == sq_.front().segment;
+        });
+
     // Walk stores from youngest-older toward the head; the search
     // pipeline advances one segment per cycle, so record the order of
     // distinct segments encountered.
-    unsigned allOlderSegs = 0;
-    {
-        // Count distinct segments over *all* older stores: if they fit
-        // in one segment the load's latency is knowable at issue
-        // (head-segment rule).
-        std::vector<unsigned> segs;
-        for (const auto &s : sq_) {
-            if (s.seq >= loadSeq)
-                break;
-            if (std::find(segs.begin(), segs.end(), s.segment) ==
-                segs.end())
-                segs.push_back(s.segment);
-        }
-        allOlderSegs = static_cast<unsigned>(segs.size());
-    }
-    plan.endsAtHead = allOlderSegs <= 1;
-
-    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-        if (it->seq >= loadSeq)
-            continue;
-        if (std::find(plan.visit.begin(), plan.visit.end(),
-                      it->segment) == plan.visit.end())
-            plan.visit.push_back(it->segment);
-        if (it->addrValid && it->addr == addr) {
-            plan.match = &*it;
+    startPlan(sqVisit_);
+    while (older != sq_.begin()) {
+        --older;
+        noteVisit(sqVisit_, older->segment);
+        if (older->addrValid && older->addr == addr) {
+            plan.match = &*older;
             break;
         }
     }
-    if (plan.visit.empty())
-        plan.visit.push_back(storeAlloc().tailSegment());
+    if (sqVisit_.empty())
+        sqVisit_.push_back(storeAlloc().tailSegment());
+    plan.visit = sqVisit_;
+    return plan;
+}
+
+template <typename IsViolator>
+Lsq::LqSearchPlan
+Lsq::planLqWalk(std::deque<LoadEntry>::const_iterator from,
+                unsigned fallback, IsViolator &&isViolator)
+{
+    LqSearchPlan plan;
+    startPlan(lqVisit_);
+    for (auto it = from; it != lq_.cend(); ++it) {
+        noteVisit(lqVisit_, it->segment);
+        if (isViolator(*it)) {
+            plan.violator = &*it;
+            break;
+        }
+    }
+    if (lqVisit_.empty())
+        lqVisit_.push_back(fallback);
+    plan.visit = lqVisit_;
     return plan;
 }
 
 Lsq::LqSearchPlan
-Lsq::planStoreLqSearch(SeqNum storeSeq, Addr addr) const
+Lsq::planStoreLqSearch(SeqNum storeSeq, Addr addr)
 {
-    LqSearchPlan plan;
-    for (const auto &e : lq_) {
-        if (e.seq <= storeSeq)
-            continue;
-        if (std::find(plan.visit.begin(), plan.visit.end(),
-                      e.segment) == plan.visit.end())
-            plan.visit.push_back(e.segment);
-        bool stale = e.forwardedFrom == kNoSeq ||
-                     e.forwardedFrom < storeSeq;
-        if (e.executed && e.addr == addr && stale) {
-            plan.violator = &e;
-            break;
-        }
-    }
-    if (plan.visit.empty())
-        plan.visit.push_back(loadAlloc().tailSegment());
-    return plan;
+    return planLqWalk(
+        lowerBound(lq_, storeSeq + 1), loadAlloc().tailSegment(),
+        [storeSeq, addr](const LoadEntry &e) {
+            bool stale = e.forwardedFrom == kNoSeq ||
+                         e.forwardedFrom < storeSeq;
+            return e.executed && e.addr == addr && stale;
+        });
 }
 
 Lsq::LqSearchPlan
-Lsq::planLoadLqSearch(SeqNum loadSeq, Addr addr,
-                      Cycle executeCycle) const
+Lsq::planLoadLqSearch(SeqNum loadSeq, Addr addr, Cycle executeCycle,
+                      unsigned ownSegment)
 {
-    LqSearchPlan plan;
-    unsigned ownSegment = loadAlloc().tailSegment();
-    for (const auto &e : lq_) {
-        if (e.seq == loadSeq)
-            ownSegment = e.segment;
-        if (e.seq <= loadSeq)
-            continue;
-        if (std::find(plan.visit.begin(), plan.visit.end(),
-                      e.segment) == plan.visit.end())
-            plan.visit.push_back(e.segment);
-        if (e.executed && e.addr == addr &&
-            e.executeCycle < executeCycle) {
-            plan.violator = &e;
-            break;
-        }
-    }
-    if (plan.visit.empty())
-        plan.visit.push_back(ownSegment);
-    return plan;
+    return planLqWalk(lowerBound(lq_, loadSeq + 1), ownSegment,
+                      [addr, executeCycle](const LoadEntry &e) {
+                          return e.executed && e.addr == addr &&
+                                 e.executeCycle < executeCycle;
+                      });
 }
 
 // ---------------------------------------------------- load issue ------
@@ -228,12 +248,8 @@ void
 Lsq::advanceNilp(LoadIssueOutcome &outcome, Cycle now)
 {
     bool useLb = params_.loadCheck == LoadCheckPolicy::LoadBuffer;
-    for (auto &e : lq_) {
-        if (!e.executed)
-            break;
-        if (e.passedByNilp)
-            continue;
-        e.passedByNilp = true;
+    for (; nilp_ < lq_.size() && lq_[nilp_].executed; ++nilp_) {
+        const LoadEntry &e = lq_[nilp_];
         if (!e.wasOoo)
             continue;
         LSQ_ASSERT(oooLive_ > 0, "oooLive underflow");
@@ -265,8 +281,7 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
                static_cast<unsigned long long>(seq));
     LSQ_ASSERT(!e->executed, "issueLoad: load issued twice");
 
-    const LoadEntry *oldest = oldestNonIssued();
-    bool isOldest = oldest && oldest->seq == seq;
+    bool isOldest = nilp_ < lq_.size() && lq_[nilp_].seq == seq;
 
     if (params_.inOrderLoads() && !isOldest) {
         out.status = LoadIssueStatus::InOrderStall;
@@ -283,27 +298,37 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
         return out;
     }
 
-    // Plan both searches before touching any port so the reservation
-    // is atomic.
+    // Accept or reject on the first segment of each walk before
+    // planning either: on a port-starved design most attempts are
+    // retries that end here.
     bool doSq = wantSqSearch;
-    SqSearchPlan sqPlan;
-    if (doSq)
-        sqPlan = planSqSearch(seq, addr);
-
     bool doLq =
         params_.loadCheck == LoadCheckPolicy::SearchLoadQueue ||
         params_.loadCheck == LoadCheckPolicy::InOrderAlwaysSearch;
-    LqSearchPlan lqPlan;
-    if (doLq)
-        lqPlan = planLoadLqSearch(seq, addr, now);
-
-    if (doSq && sqPorts().freePorts(sqPlan.visit[0], now) == 0) {
+    unsigned sqStart = doSq ? sqWalkStart(seq) : 0;
+    if (doSq && sqPorts().freePorts(sqStart, now) == 0) {
         out.status = LoadIssueStatus::NoSqPort;
         return out;
     }
-    if (doLq && lqPorts().freePorts(lqPlan.visit[0], now) == 0) {
+    unsigned lqStart = doLq ? lqWalkStart(seq, e->segment) : 0;
+    if (doLq && lqPorts().freePorts(lqStart, now) == 0) {
         out.status = LoadIssueStatus::NoLqPort;
         return out;
+    }
+
+    // Plan both searches before touching any port so the reservation
+    // is atomic.
+    SqSearchPlan sqPlan;
+    if (doSq) {
+        sqPlan = planSqSearch(seq, addr);
+        LSQ_DCHECK(sqPlan.visit[0] == sqStart,
+                   "SQ walk does not start at its checked segment");
+    }
+    LqSearchPlan lqPlan;
+    if (doLq) {
+        lqPlan = planLoadLqSearch(seq, addr, now, e->segment);
+        LSQ_DCHECK(lqPlan.visit[0] == lqStart,
+                   "LQ walk does not start at its checked segment");
     }
     bool sqOk = !doSq || sqPorts().canReserveWalk(sqPlan.visit, now);
     bool lqOk = !doLq || lqPorts().canReserveWalk(lqPlan.visit, now);
@@ -456,11 +481,14 @@ Lsq::storeAddrReady(SeqNum seq, Addr addr, Cycle now)
         return out;
     }
 
-    LqSearchPlan plan = planStoreLqSearch(seq, addr);
-    if (lqPorts().freePorts(plan.visit[0], now) == 0) {
+    unsigned start = lqWalkStart(seq, loadAlloc().tailSegment());
+    if (lqPorts().freePorts(start, now) == 0) {
         out.accepted = false;   // retry next cycle
         return out;
     }
+    LqSearchPlan plan = planStoreLqSearch(seq, addr);
+    LSQ_DCHECK(plan.visit[0] == start,
+               "LQ walk does not start at its checked segment");
     if (!lqPorts().canReserveWalk(plan.visit, now)) {
         // Delaying a store's execute-time search is harmless.
         out.accepted = false;
@@ -523,18 +551,11 @@ Lsq::invalidate(Addr addr, Cycle now)
     // Plan: all segments holding executed loads to @p addr; the
     // oldest match is the squash target (it and everything younger
     // refetch, like the R10000's outstanding-load check).
-    LqSearchPlan plan;
-    for (const auto &e : lq_) {
-        if (std::find(plan.visit.begin(), plan.visit.end(),
-                      e.segment) == plan.visit.end())
-            plan.visit.push_back(e.segment);
-        if (e.executed && e.addr == addr) {
-            plan.violator = &e;
-            break;
-        }
-    }
-    if (plan.visit.empty())
-        plan.visit.push_back(loadAlloc().tailSegment());
+    LqSearchPlan plan = planLqWalk(
+        lq_.cbegin(), loadAlloc().tailSegment(),
+        [addr](const LoadEntry &e) {
+            return e.executed && e.addr == addr;
+        });
 
     if (lqPorts().freePorts(plan.visit[0], now) == 0 ||
         !lqPorts().canReserveWalk(plan.visit, now)) {
@@ -567,9 +588,18 @@ Lsq::commitStore(SeqNum seq, Cycle now)
                static_cast<unsigned long long>(seq));
 
     if (params_.checkViolationsAtCommit) {
-        LqSearchPlan plan = planStoreLqSearch(seq, sq_.front().addr);
-        if (lqPorts().freePorts(plan.visit[0], now) == 0 ||
-            !lqPorts().canReserveWalk(plan.visit, now)) {
+        // A busy first segment skips planning: the commit is delayed
+        // either way.
+        unsigned start = lqWalkStart(seq, loadAlloc().tailSegment());
+        LqSearchPlan plan;
+        bool ok = lqPorts().freePorts(start, now) != 0;
+        if (ok) {
+            plan = planStoreLqSearch(seq, sq_.front().addr);
+            LSQ_DCHECK(plan.visit[0] == start,
+                       "LQ walk does not start at its checked segment");
+            ok = lqPorts().canReserveWalk(plan.visit, now);
+        }
+        if (!ok) {
             // Section 3.2: "easily solved by delaying the commit of
             // the store".
             stats_.counter("lsq.commit.delays").inc();
@@ -609,19 +639,29 @@ Lsq::commitLoad(SeqNum seq)
     LSQ_ASSERT(!lq_.empty() && lq_.front().seq == seq,
                "commitLoad: %llu is not the LQ head",
                static_cast<unsigned long long>(seq));
-    LoadEntry &e = lq_.front();
-    LSQ_ASSERT(e.executed, "committing an unexecuted load");
-    if (e.wasOoo && !e.passedByNilp) {
-        LSQ_ASSERT(oooLive_ > 0, "oooLive underflow at commit");
-        --oooLive_;
-        lb_.release(e.seq);
-    }
+    LSQ_ASSERT(lq_.front().executed, "committing an unexecuted load");
+    // An executed head load has been passed by the NILP.
+    LSQ_DCHECK(nilp_ > 0, "NILP behind an executed LQ head");
     lq_.pop_front();
+    --nilp_;
     loadAlloc().freeOldest();
     LSQ_CHECK_HOOK(onLoadCommit(seq));
 }
 
 // ---------------------------------------------------- recovery --------
+
+void
+Lsq::squashYoungestLoad()
+{
+    // A load at or past the NILP has not been passed, so an
+    // out-of-order one still counts as in flight.
+    if (lq_.back().wasOoo && nilp_ < lq_.size()) {
+        LSQ_ASSERT(oooLive_ > 0, "oooLive underflow at squash");
+        --oooLive_;
+    }
+    lq_.pop_back();
+    nilp_ = std::min(nilp_, lq_.size());
+}
 
 // lsqlint: hot
 void
@@ -637,17 +677,10 @@ Lsq::squashFrom(SeqNum seq)
             bool storeEligible = st != kNoSeq && st >= seq;
             if (!loadEligible && !storeEligible)
                 break;
-            if (loadEligible && (!storeEligible || lt > st)) {
-                LoadEntry &e = lq_.back();
-                if (e.wasOoo && !e.passedByNilp) {
-                    LSQ_ASSERT(oooLive_ > 0,
-                               "oooLive underflow at squash");
-                    --oooLive_;
-                }
-                lq_.pop_back();
-            } else {
+            if (loadEligible && (!storeEligible || lt > st))
+                squashYoungestLoad();
+            else
                 sq_.pop_back();
-            }
             lqAlloc_.freeYoungest();
         }
         lb_.squashFrom(seq);
@@ -656,12 +689,7 @@ Lsq::squashFrom(SeqNum seq)
     }
 
     while (!lq_.empty() && lq_.back().seq >= seq) {
-        LoadEntry &e = lq_.back();
-        if (e.wasOoo && !e.passedByNilp) {
-            LSQ_ASSERT(oooLive_ > 0, "oooLive underflow at squash");
-            --oooLive_;
-        }
-        lq_.pop_back();
+        squashYoungestLoad();
         lqAlloc_.freeYoungest();
     }
     while (!sq_.empty() && sq_.back().seq >= seq) {
@@ -717,7 +745,7 @@ void
 Lsq::saveState(SerialWriter &w) const
 {
     LSQ_ASSERT(lq_.empty() && sq_.empty() && lb_.size() == 0 &&
-                   oooLive_ == 0,
+                   oooLive_ == 0 && nilp_ == 0,
                "checkpointing a non-drained LSQ (lq=%zu sq=%zu)",
                lq_.size(), sq_.size());
     lqAlloc_.saveState(w);
@@ -728,7 +756,7 @@ void
 Lsq::loadState(SerialReader &r)
 {
     LSQ_ASSERT(lq_.empty() && sq_.empty() && lb_.size() == 0 &&
-                   oooLive_ == 0,
+                   oooLive_ == 0 && nilp_ == 0,
                "restoring into a non-drained LSQ");
     lqAlloc_.loadState(r);
     sqAlloc_.loadState(r);

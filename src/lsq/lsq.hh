@@ -24,6 +24,7 @@
 #define LSQSCALE_LSQ_LSQ_HH
 
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "common/stats.hh"
@@ -262,7 +263,6 @@ class Lsq
         Cycle executeCycle = kNoCycle;
         SeqNum forwardedFrom = kNoSeq;
         bool wasOoo = false;
-        bool passedByNilp = false;
     };
 
     struct StoreEntry
@@ -274,44 +274,83 @@ class Lsq
         bool addrValid = false;
     };
 
+    // Both queues hold entries in program order, so every lookup by
+    // sequence number is a binary search.
     LoadEntry *findLoad(SeqNum seq);
     StoreEntry *findStore(SeqNum seq);
-    const LoadEntry *oldestNonIssued() const;
+
+    /**
+     * First segment of the SQ forwarding walk for the load @p loadSeq:
+     * its youngest older store's, else the SQ tail segment.
+     */
+    unsigned sqWalkStart(SeqNum loadSeq) const;
+    /**
+     * First segment of an LQ walk over loads younger than @p seq: the
+     * first younger load's, else @p fallback.
+     */
+    unsigned lqWalkStart(SeqNum seq, unsigned fallback) const;
 
     /**
      * Plan the SQ forwarding search for (@p loadSeq, @p addr): the
      * ordered list of distinct segments visited (youngest-older store
-     * first, toward the head) and the match, if any.
+     * first, toward the head) and the match, if any. The visit list
+     * lives in sqVisit_ until the next SQ plan.
      */
     struct SqSearchPlan
     {
-        std::vector<unsigned> visit;
+        std::span<const unsigned> visit;
         const StoreEntry *match = nullptr;
         bool endsAtHead = false;   ///< search covered the oldest stores
     };
-    SqSearchPlan planSqSearch(SeqNum loadSeq, Addr addr) const;
+    SqSearchPlan planSqSearch(SeqNum loadSeq, Addr addr);
 
     /**
-     * Plan a store's LQ violation search: segments of loads younger
-     * than @p storeSeq (oldest first), stopping at the first violating
-     * load.
+     * An LQ search plan: segments visited (oldest load first, toward
+     * the tail), stopping at the first violating load. The visit list
+     * lives in lqVisit_ until the next LQ plan.
      */
     struct LqSearchPlan
     {
-        std::vector<unsigned> visit;
+        std::span<const unsigned> visit;
         const LoadEntry *violator = nullptr;
     };
-    LqSearchPlan planStoreLqSearch(SeqNum storeSeq, Addr addr) const;
+    /** A store's LQ violation search over loads younger than it. */
+    LqSearchPlan planStoreLqSearch(SeqNum storeSeq, Addr addr);
 
-    /** Plan a load's own LQ load-load search (conventional scheme). */
+    /**
+     * A load's own LQ load-load search (conventional scheme); a load
+     * with no younger load searches its own segment @p ownSegment.
+     */
     LqSearchPlan planLoadLqSearch(SeqNum loadSeq, Addr addr,
-                                  Cycle executeCycle) const;
+                                  Cycle executeCycle,
+                                  unsigned ownSegment);
+
+    /**
+     * Walk the LQ from @p from toward the tail, stopping at the first
+     * load for which @p isViolator holds; @p fallback is the one
+     * segment searched when the walk covers no load.
+     */
+    template <typename IsViolator>
+    LqSearchPlan planLqWalk(std::deque<LoadEntry>::const_iterator from,
+                            unsigned fallback, IsViolator &&isViolator);
+
+    /** Start a plan's visit list in @p visit. */
+    void startPlan(std::vector<unsigned> &visit);
+    /** Append @p seg to @p visit unless this plan already visits it. */
+    void noteVisit(std::vector<unsigned> &visit, unsigned seg);
 
     /**
      * Advance the NILP past issued loads, releasing load-buffer
      * entries and running their deferred ordering searches.
      */
     void advanceNilp(LoadIssueOutcome &outcome, Cycle now);
+
+    /**
+     * Squash the LQ's youngest load: settle its out-of-order count and
+     * keep the NILP within the queue. The caller frees its allocator
+     * entry.
+     */
+    void squashYoungestLoad();
 
     /** Allocator backing loads (shared in combined mode). */
     SegmentAllocator &loadAlloc() { return lqAlloc_; }
@@ -362,6 +401,25 @@ class Lsq
 
     /** Live loads issued out of order and not yet passed by the NILP. */
     unsigned oooLive_ = 0;
+
+    /**
+     * The NILP: index in lq_ of the oldest non-issued load, lq_.size()
+     * when every live load has issued. Loads before it are passed.
+     */
+    std::size_t nilp_ = 0;
+
+    // Search-plan scratch, reserved at construction so that planning a
+    // search never allocates.
+    // lsqlint: no-serialize(per-search scratch, rebuilt by every plan)
+    std::vector<unsigned> sqVisit_;
+    // lsqlint: no-serialize(per-search scratch, rebuilt by every plan)
+    std::vector<unsigned> lqVisit_;
+    /** Per segment, the last plan that visited it (dedupes a walk). */
+    // lsqlint: no-serialize(per-search scratch, rebuilt by every plan)
+    std::vector<std::uint64_t> segStamp_;
+    /** Number of plans started; the current plan's stamp. */
+    // lsqlint: no-serialize(per-search scratch, rebuilt by every plan)
+    std::uint64_t planStamp_ = 0;
 
     /** Attached ordering oracle, or nullptr (the common case). */
     // lsqlint: no-serialize(attached oracle, wired by the owning Simulator)

@@ -13,7 +13,10 @@
 #ifndef LSQSCALE_LSQ_PORT_SCHEDULE_HH
 #define LSQSCALE_LSQ_PORT_SCHEDULE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.hh"
@@ -27,7 +30,7 @@ class PortSchedule
   public:
     PortSchedule(unsigned segments, unsigned portsPerSegment)
         : segments_(segments), ports_(portsPerSegment),
-          slots_(segments * kWindow)
+          window_(windowFor(segments)), slots_(segments * window_)
     {
         LSQ_ASSERT(segments >= 1, "PortSchedule needs >= 1 segment");
         LSQ_ASSERT(portsPerSegment >= 1, "PortSchedule needs >= 1 port");
@@ -47,7 +50,7 @@ class PortSchedule
      * @p start + i can be fully booked.
      */
     bool
-    canReserveWalk(const std::vector<unsigned> &visitOrder,
+    canReserveWalk(std::span<const unsigned> visitOrder,
                    Cycle start) const
     {
         for (std::size_t i = 0; i < visitOrder.size(); ++i)
@@ -58,7 +61,7 @@ class PortSchedule
 
     /** Book the walk. Caller must have checked canReserveWalk. */
     void
-    reserveWalk(const std::vector<unsigned> &visitOrder, Cycle start)
+    reserveWalk(std::span<const unsigned> visitOrder, Cycle start)
     {
         for (std::size_t i = 0; i < visitOrder.size(); ++i)
             reserve(visitOrder[i], start + i);
@@ -91,24 +94,32 @@ class PortSchedule
     Slot &
     slot(unsigned segment, Cycle cycle)
     {
-        return slots_[segment * kWindow + cycle % kWindow];
+        return slots_[segment * window_ + (cycle & (window_ - 1))];
     }
 
     const Slot &
     slot(unsigned segment, Cycle cycle) const
     {
-        return slots_[segment * kWindow + cycle % kWindow];
+        return slots_[segment * window_ + (cycle & (window_ - 1))];
     }
 
     /**
-     * Rolling window length. Searches span at most numSegments
-     * consecutive cycles and numSegments <= 8 in every configuration
-     * we model, so 16 cycles of lookahead is ample.
+     * Rolling window length. A booking lies at most numSegments - 1
+     * cycles past its walk's start, and a combined queue's ordering
+     * walk starts up to 4 cycles late (Lsq::issueLoad's stagger), so
+     * every live booking falls in the next numSegments + 4 cycles.
+     * The window covers that horizon, rounded up to a power of two and
+     * never below 16, so no live booking shares a slot with another.
      */
-    static constexpr unsigned kWindow = 16;
+    static unsigned
+    windowFor(unsigned segments)
+    {
+        return std::max(16u, std::bit_ceil(segments + 4));
+    }
 
     unsigned segments_;
     unsigned ports_;
+    unsigned window_;
     std::vector<Slot> slots_;
 };
 

@@ -82,6 +82,9 @@ class InstStream
     {
         if (cursor_ == window_.size()) {
             window_.push_back(source_->next());
+            // Dense sequence numbers let the ROB index by seq.
+            LSQ_ASSERT(window_.back().seq == generated_,
+                       "instruction source skipped a sequence number");
             ++generated_;
         }
         return window_[cursor_++];

@@ -10,7 +10,7 @@
  *
  * The bounds are a ratchet: each is the count measured when the test
  * was written, and it may only go down as the cycle loop stops
- * allocating (ROADMAP item 2 takes it to 0). A change that adds one
+ * allocating (ROADMAP item 3 takes it to 0). A change that adds one
  * heap allocation per cycle raises a cell by 1000 and fails here.
  * Runs are deterministic, so the counts are exact, not sampled.
  */
@@ -182,12 +182,12 @@ TEST_P(AllocBound, PerCycleAllocationsWithinRatchet)
 
 INSTANTIATE_TEST_SUITE_P(
     PinnedCells, AllocBound,
-    ::testing::Values(Cell{"base-2port", "gzip", 5989},
-                      Cell{"base-2port", "mcf", 1311},
-                      Cell{"all-techniques-1port", "gzip", 6602},
-                      Cell{"all-techniques-1port", "mcf", 1633},
-                      Cell{"segmented-4x28-1port", "gzip", 6947},
-                      Cell{"segmented-4x28-1port", "mcf", 1490}),
+    ::testing::Values(Cell{"base-2port", "gzip", 2750},
+                      Cell{"base-2port", "mcf", 489},
+                      Cell{"all-techniques-1port", "gzip", 3076},
+                      Cell{"all-techniques-1port", "mcf", 398},
+                      Cell{"segmented-4x28-1port", "gzip", 2697},
+                      Cell{"segmented-4x28-1port", "mcf", 488}),
     [](const ::testing::TestParamInfo<Cell> &info) {
         std::string name =
             std::string(info.param.design) + "_" + info.param.benchmark;

@@ -249,6 +249,21 @@ TEST(Stats, CounterIncrements)
     EXPECT_TRUE(s.hasCounter("a"));
 }
 
+TEST(Stats, LazyCounterRegistersOnFirstTouch)
+{
+    // A bound-on-first-touch handle leaves dump() exactly as the
+    // string-keyed lookup would: absent until incremented.
+    StatSet s;
+    LazyCounter c(s, "lazy.count");
+    EXPECT_FALSE(s.hasCounter("lazy.count"));
+    c.inc(0);
+    EXPECT_TRUE(s.hasCounter("lazy.count"));
+    c.inc();
+    c.inc(2);
+    s.counter("lazy.count").inc();
+    EXPECT_EQ(s.value("lazy.count"), 4u);
+}
+
 TEST(Stats, RatioIsNanOnZeroDenominator)
 {
     StatSet s;

@@ -106,14 +106,57 @@ TEST(Rob, FindBinarySearch)
 {
     Rob rob(16);
     MicroOp op;
-    for (SeqNum i = 0; i < 10; i += 2) {
+    for (SeqNum i = 10; i < 20; ++i) {
         op.seq = i;
         rob.push(op, 0);
     }
-    EXPECT_NE(rob.find(4), nullptr);
-    EXPECT_EQ(rob.find(4)->op.seq, 4u);
-    EXPECT_EQ(rob.find(5), nullptr);
+    EXPECT_NE(rob.find(14), nullptr);
+    EXPECT_EQ(rob.find(14)->op.seq, 14u);
+    EXPECT_EQ(rob.find(9), nullptr);
+    EXPECT_EQ(rob.find(20), nullptr);
     EXPECT_EQ(rob.find(100), nullptr);
+}
+
+TEST(Rob, FindIndexesContiguousRange)
+{
+    Rob rob(8);
+    MicroOp op;
+    for (SeqNum i = 0; i < 8; ++i) {
+        op.seq = i;
+        rob.push(op, 0);
+    }
+    rob.popHead();
+    rob.popHead();   // commit 0, 1
+    for (SeqNum i = 2; i < 8; ++i) {
+        ASSERT_NE(rob.find(i), nullptr);
+        EXPECT_EQ(rob.find(i)->op.seq, i);
+    }
+    EXPECT_EQ(rob.find(1), nullptr);
+    EXPECT_EQ(rob.find(8), nullptr);
+    // Squash from 5, then refetch 5 and 6.
+    rob.popBack();
+    rob.popBack();
+    rob.popBack();
+    EXPECT_EQ(rob.find(5), nullptr);
+    for (SeqNum i = 5; i < 7; ++i) {
+        op.seq = i;
+        rob.push(op, 1);
+    }
+    ASSERT_NE(rob.find(5), nullptr);
+    EXPECT_EQ(rob.find(5)->dispatchCycle, 1u);
+    EXPECT_EQ(rob.find(6)->op.seq, 6u);
+    EXPECT_EQ(rob.find(7), nullptr);
+    EXPECT_EQ(rob.find(2)->op.seq, 2u);
+}
+
+TEST(Rob, SeqGapDies)
+{
+    Rob rob(4);
+    MicroOp op;
+    op.seq = 0;
+    rob.push(op, 0);
+    op.seq = 2;
+    EXPECT_DEATH({ rob.push(op, 0); }, "dense");
 }
 
 TEST(Rob, OutOfOrderPushDies)
@@ -153,8 +196,11 @@ TEST(IssueQueue, SelectRespectsReadiness)
 
     auto notReady = [](PhysReg, bool) { return false; };
     auto allReady = [](PhysReg, bool) { return true; };
-    EXPECT_EQ(iq.selectReady(5, notReady).size(), 1u);   // only seq 2
-    EXPECT_EQ(iq.selectReady(5, allReady).size(), 2u);
+    std::vector<SeqNum> ready;
+    iq.selectReady(5, notReady, ready);
+    EXPECT_EQ(ready, std::vector<SeqNum>{2});
+    iq.selectReady(5, allReady, ready);
+    EXPECT_EQ(ready.size(), 2u);
 }
 
 TEST(IssueQueue, SelectRespectsNotBefore)
@@ -165,8 +211,11 @@ TEST(IssueQueue, SelectRespectsNotBefore)
     e.notBefore = 10;
     iq.push(e);
     auto allReady = [](PhysReg, bool) { return true; };
-    EXPECT_TRUE(iq.selectReady(9, allReady).empty());
-    EXPECT_EQ(iq.selectReady(10, allReady).size(), 1u);
+    std::vector<SeqNum> ready;
+    iq.selectReady(9, allReady, ready);
+    EXPECT_TRUE(ready.empty());
+    iq.selectReady(10, allReady, ready);
+    EXPECT_EQ(ready.size(), 1u);
 }
 
 TEST(IssueQueue, OldestFirstOrder)
@@ -178,10 +227,11 @@ TEST(IssueQueue, OldestFirstOrder)
         iq.push(e);
     }
     auto allReady = [](PhysReg, bool) { return true; };
-    auto ready = iq.selectReady(0, allReady);
+    std::vector<SeqNum> ready;
+    iq.selectReady(0, allReady, ready);
     ASSERT_EQ(ready.size(), 3u);
-    EXPECT_EQ(ready[0]->seq, 3u);
-    EXPECT_EQ(ready[2]->seq, 9u);
+    EXPECT_EQ(ready[0], 3u);
+    EXPECT_EQ(ready[2], 9u);
 }
 
 TEST(IssueQueue, RemoveAndSquash)

@@ -47,11 +47,12 @@ TEST(PortSchedule, WalkReservation)
 TEST(PortSchedule, CollidingWalksDetected)
 {
     PortSchedule ps(4, 1);
-    ps.reserveWalk({1, 2}, 10);   // books (1,10), (2,11)
+    using Walk = std::vector<unsigned>;
+    ps.reserveWalk(Walk{1, 2}, 10);   // books (1,10), (2,11)
     // A walk arriving at segment 2 in cycle 11 collides.
-    EXPECT_FALSE(ps.canReserveWalk({2}, 11));
-    EXPECT_FALSE(ps.canReserveWalk({3, 2}, 10));
-    EXPECT_TRUE(ps.canReserveWalk({2}, 10));
+    EXPECT_FALSE(ps.canReserveWalk(Walk{2}, 11));
+    EXPECT_FALSE(ps.canReserveWalk(Walk{3, 2}, 10));
+    EXPECT_TRUE(ps.canReserveWalk(Walk{2}, 10));
 }
 
 TEST(PortSchedule, OverbookPanics)
@@ -68,6 +69,23 @@ TEST(PortSchedule, RollingWindowForgetsOldCycles)
     EXPECT_EQ(ps.freePorts(0, 16), 1u);   // 16 cycles later, same slot
     ps.reserve(0, 16);
     EXPECT_EQ(ps.freePorts(0, 16), 0u);
+}
+
+TEST(PortSchedule, LongWalksDoNotAlias)
+{
+    // A 20-segment walk (plus the combined queue's stagger) books up to
+    // 24 cycles ahead: bookings 16 cycles apart must both stay live.
+    PortSchedule ps(20, 1);
+    ps.reserve(5, 101);
+    ps.reserve(5, 117);
+    EXPECT_EQ(ps.freePorts(5, 101), 0u);
+    EXPECT_EQ(ps.freePorts(5, 117), 0u);
+    std::vector<unsigned> walk(20);
+    for (unsigned i = 0; i < 20; ++i)
+        walk[i] = 19 - i;
+    ps.reserveWalk(walk, 200);
+    for (unsigned i = 0; i < 20; ++i)
+        EXPECT_EQ(ps.freePorts(19 - i, 200 + i), 0u) << "step " << i;
 }
 
 // ------------------------------------------------ SegmentAllocator ----
@@ -1471,4 +1489,184 @@ TEST(LsqCombined, CrossDirectionContentionIsReachable)
     LoadIssueOutcome out = f.lsq.issueLoad(13, 0x9000, 21, true);
     EXPECT_EQ(out.status, LoadIssueStatus::Contention);
     EXPECT_GE(f.stats.value("lsq.contention.loads"), 1u);
+}
+
+// ------------------------------------------------ retry rules ---------
+//
+// A search is accepted or rejected on its first visited segment: no
+// free port there is NoSqPort/NoLqPort (the caller retries next cycle);
+// a free first segment with a booked downstream slot is contention.
+// These pin where each walk starts.
+
+TEST(LsqRetryRule, SqWalkStartsAtYoungestOlderStoreSegment)
+{
+    LsqParams p = segmented(SegAllocPolicy::NoSelfCircular, 4, 4, 1);
+    p.loadCheck = LoadCheckPolicy::None;
+    LsqFixture f(p);
+    // SQ seg0: stores 0-3; loads 4, 5; SQ seg1: stores 6-9; load 10.
+    SeqNum seq = 0;
+    for (; seq < 4; ++seq) {
+        f.lsq.allocateStore(seq, 0x1000 + 4 * seq);
+        f.lsq.storeAddrReady(seq, 0x5000 + 16 * seq, seq);
+    }
+    f.lsq.allocateLoad(4, 0x2000);
+    f.lsq.allocateLoad(5, 0x2004);
+    for (seq = 6; seq < 10; ++seq) {
+        f.lsq.allocateStore(seq, 0x1000 + 4 * seq);
+        f.lsq.storeAddrReady(seq, 0x6000 + 16 * seq, seq);
+    }
+    f.lsq.allocateLoad(10, 0x2008);
+    // Load 10 walks (seg1, 20) then (seg0, 21).
+    ASSERT_EQ(f.lsq.issueLoad(10, 0x9000, 20, true).status,
+              LoadIssueStatus::Accepted);
+    // Load 5's youngest older store (3) is in seg0, free in cycle 20,
+    // though the SQ's youngest store's segment (seg1) is booked.
+    EXPECT_EQ(f.lsq.issueLoad(5, 0x9000, 20, true).status,
+              LoadIssueStatus::Accepted);
+    // Load 4 starts at seg0 too, booked in cycle 21: a port rejection.
+    EXPECT_EQ(f.lsq.issueLoad(4, 0x9000, 21, true).status,
+              LoadIssueStatus::NoSqPort);
+    EXPECT_EQ(f.stats.value("lsq.contention.loads"), 0u);
+    EXPECT_EQ(f.lsq.issueLoad(4, 0x9000, 22, true).status,
+              LoadIssueStatus::Accepted);
+}
+
+TEST(LsqRetryRule, SqWalkWithNoOlderStoreStartsAtTailSegment)
+{
+    LsqParams p = segmented(SegAllocPolicy::NoSelfCircular, 4, 4, 1);
+    p.loadCheck = LoadCheckPolicy::None;
+    LsqFixture f(p);
+    // Load 0 has no older store. Stores 1-5 fill SQ seg0 and start
+    // seg1, so the SQ tail segment is seg1.
+    f.lsq.allocateLoad(0, 0x2000);
+    for (SeqNum s = 1; s <= 5; ++s) {
+        f.lsq.allocateStore(s, 0x1000 + 4 * s);
+        f.lsq.storeAddrReady(s, 0x5000 + 16 * s, s);
+    }
+    f.lsq.allocateLoad(6, 0x2004);
+    // Load 6 walks (seg1, 20) then (seg0, 21).
+    ASSERT_EQ(f.lsq.issueLoad(6, 0x9000, 20, true).status,
+              LoadIssueStatus::Accepted);
+    EXPECT_EQ(f.lsq.issueLoad(0, 0x9000, 20, true).status,
+              LoadIssueStatus::NoSqPort);
+    // (seg1, 21) is free; the booked (seg0, 21) is not on its walk.
+    LoadIssueOutcome out = f.lsq.issueLoad(0, 0x9000, 21, true);
+    EXPECT_EQ(out.status, LoadIssueStatus::Accepted);
+    EXPECT_EQ(out.sqSegmentsVisited, 1u);
+}
+
+TEST(LsqRetryRule, LqWalkStartsAtFirstYoungerLoadElseOwnSegment)
+{
+    LsqParams p = segmented(SegAllocPolicy::NoSelfCircular, 4, 4, 1);
+    LsqFixture f(p);
+    // LQ seg0: loads 1-4; seg1: loads 5-8; the LQ tail is seg2.
+    f.lsq.allocateStore(0, 0x1000);
+    for (SeqNum s = 1; s <= 8; ++s)
+        f.lsq.allocateLoad(s, 0x1000 + 4 * s);
+    // The store's violation walk books LQ (seg0, 20) and (seg1, 21).
+    StoreSearchOutcome st = f.lsq.storeAddrReady(0, 0x7000, 20);
+    ASSERT_TRUE(st.accepted);
+    ASSERT_EQ(st.segmentsVisited, 2u);
+    // Load 4 sits in seg0 but its first younger load (5) is in seg1,
+    // free in cycle 20.
+    EXPECT_EQ(f.lsq.issueLoad(4, 0x8000, 20, false).status,
+              LoadIssueStatus::Accepted);
+    // Load 8 has no younger load: its walk is its own segment (seg1),
+    // booked in cycle 21, not the free tail segment.
+    EXPECT_EQ(f.lsq.issueLoad(8, 0x8010, 21, false).status,
+              LoadIssueStatus::NoLqPort);
+    EXPECT_EQ(f.lsq.issueLoad(8, 0x8010, 22, false).status,
+              LoadIssueStatus::Accepted);
+}
+
+TEST(LsqRetryRule, StoreWithNoYoungerLoadStartsAtLqTailSegment)
+{
+    LsqParams p = segmented(SegAllocPolicy::NoSelfCircular, 4, 4, 1);
+    LsqFixture f(p);
+    // Loads 0-4 fill LQ seg0 and start seg1 (the tail); store 5 has
+    // no younger load.
+    for (SeqNum s = 0; s <= 4; ++s)
+        f.lsq.allocateLoad(s, 0x1000 + 4 * s);
+    f.lsq.allocateStore(5, 0x1014);
+    // Load 4's own-segment walk books (seg1, 20).
+    ASSERT_EQ(f.lsq.issueLoad(4, 0x8000, 20, false).status,
+              LoadIssueStatus::Accepted);
+    StoreSearchOutcome busy = f.lsq.storeAddrReady(5, 0x7000, 20);
+    EXPECT_FALSE(busy.accepted);
+    EXPECT_FALSE(busy.contention);
+    StoreSearchOutcome ok = f.lsq.storeAddrReady(5, 0x7000, 21);
+    EXPECT_TRUE(ok.accepted);
+    EXPECT_EQ(ok.segmentsVisited, 1u);
+}
+
+namespace {
+
+/**
+ * A combined 4-segment, 1-port queue (no-self-circular, 4 shared
+ * entries per segment) laid out so that head-ward SQ walks and
+ * tail-ward LQ walks cross:
+ *   seg0: store 0, loads 1-3
+ *   seg1: store 4, loads 5-7
+ *   seg2: store 8, loads 9-11
+ *   seg3: store 12, load 13
+ * Only store 4 has an address.
+ */
+LsqParams
+crossingLayout()
+{
+    LsqParams p = segmented(SegAllocPolicy::NoSelfCircular, 4, 4, 1);
+    p.combinedQueue = true;
+    p.loadCheck = LoadCheckPolicy::None;
+    return p;
+}
+
+void
+fillCrossingLayout(Lsq &lsq)
+{
+    for (SeqNum s = 0; s <= 13; ++s) {
+        if (s % 4 == 0)
+            lsq.allocateStore(s, 0x1000 + 4 * s);
+        else
+            lsq.allocateLoad(s, 0x1000 + 4 * s);
+    }
+    ASSERT_TRUE(lsq.storeAddrReady(4, 0x6000, 4).accepted);
+}
+
+} // namespace
+
+TEST(LsqRetryRule, StoreRejectedAtFirstSegmentContendsDownstream)
+{
+    LsqFixture f(crossingLayout());
+    fillCrossingLayout(f.lsq);
+    // Load 13's head-ward walk books (seg3,20), (seg2,21), (seg1,22),
+    // (seg0,23).
+    ASSERT_EQ(f.lsq.issueLoad(13, 0x9000, 20, true).status,
+              LoadIssueStatus::Accepted);
+    // Store 12's first younger load (13) is in seg3, booked in cycle
+    // 20: a plain port rejection.
+    StoreSearchOutcome first = f.lsq.storeAddrReady(12, 0x7000, 20);
+    EXPECT_FALSE(first.accepted);
+    EXPECT_FALSE(first.contention);
+    // Store 0's walk starts at (seg0, 21), free, then needs the booked
+    // (seg1, 22): contention.
+    StoreSearchOutcome down = f.lsq.storeAddrReady(0, 0x7000, 21);
+    EXPECT_FALSE(down.accepted);
+    EXPECT_TRUE(down.contention);
+}
+
+TEST(LsqRetryRule, LoadWithBookedDownstreamSlotContends)
+{
+    LsqFixture f(crossingLayout());
+    fillCrossingLayout(f.lsq);
+    // Store 0's tail-ward walk books (seg0,20), (seg1,21), (seg2,22),
+    // (seg3,23).
+    StoreSearchOutcome st = f.lsq.storeAddrReady(0, 0x7000, 20);
+    ASSERT_TRUE(st.accepted);
+    ASSERT_EQ(st.segmentsVisited, 4u);
+    // Load 13's walk starts at (seg3, 21), free, then needs the booked
+    // (seg2, 22).
+    EXPECT_EQ(f.stats.value("lsq.contention.loads"), 0u);
+    EXPECT_EQ(f.lsq.issueLoad(13, 0x9000, 21, true).status,
+              LoadIssueStatus::Contention);
+    EXPECT_EQ(f.stats.value("lsq.contention.loads"), 1u);
 }
