@@ -3,7 +3,8 @@
  * Microbenchmarks (google-benchmark) of the simulator's hot
  * structures: LSQ allocate/issue/commit round trips at several sizes
  * and port counts, port-blocked load retries, segmented search
- * planning, the load buffer, and the predictors. These guard the
+ * planning, issue-queue wakeup and select, the load buffer, and the
+ * predictors. These guard the
  * simulator's own performance — the experiment benches run millions
  * of these operations.
  *
@@ -16,6 +17,7 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "core/issue_queue.hh"
 #include "lsq/lsq.hh"
 #include "predictor/branch_predictor.hh"
 #include "predictor/store_set.hh"
@@ -175,6 +177,56 @@ BM_LsqPortBlockedRetry(benchmark::State &state)
         lsqPortBlockedRetry(state, paramsFor(28, 4, 1));
 }
 
+/**
+ * One scheduler cycle on a full 64-entry issue queue: k producers
+ * write back (wake), select issues up to 8 of the woken entries
+ * oldest first, and dispatch refills the queue. Seq s reads int
+ * register s % 256, renamed (not ready) when s dispatches, and the k
+ * oldest pending registers complete each cycle, so exactly k entries
+ * become ready per cycle.
+ */
+void
+BM_IssueQueueWakeupSelect(benchmark::State &state)
+{
+    constexpr unsigned kIq = 64, kRob = 256, kRegs = 356;
+    constexpr PhysReg kAlwaysReady = 300;
+    const unsigned k = static_cast<unsigned>(state.range(0));
+    IssueQueue iq(kIq, kRob, kRegs, kRegs);
+    std::vector<std::uint8_t> ready(kRegs, 1);
+    auto isReady = [&](PhysReg p, bool) { return ready[p] != 0; };
+    SeqNum tail = 0, woken = 0;
+    Cycle now = 0;
+    auto refill = [&] {
+        while (!iq.full()) {
+            IqEntry e;
+            e.seq = tail++;
+            e.src1 = static_cast<PhysReg>(e.seq % kRob);
+            e.src2 = kAlwaysReady;
+            e.notBefore = now + 1;
+            ready[e.src1] = 0;
+            iq.push(e, isReady);
+        }
+    };
+    refill();
+    std::uint64_t issued = 0;
+    for (auto _ : state) {
+        (void)_;
+        ++now;
+        for (unsigned i = 0; i < k && woken < tail; ++i, ++woken) {
+            PhysReg p = static_cast<PhysReg>(woken % kRob);
+            ready[p] = 1;
+            iq.wake(p, false);
+        }
+        issued += iq.select(now, 8, [&](IqEntry &e) {
+            iq.remove(e.seq);
+            return true;
+        });
+        benchmark::DoNotOptimize(issued);
+        refill();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(issued));
+}
+
 void
 BM_LoadBufferSearch(benchmark::State &state)
 {
@@ -232,6 +284,8 @@ BENCHMARK(BM_LsqFlat128_2p);
 BENCHMARK(BM_LsqSegmented4x28);
 // 0: flat-128-2port, 1: seg-4x28-1port.
 BENCHMARK(BM_LsqPortBlockedRetry)->Arg(0)->Arg(1)->UseManualTime();
+// k producers completing per cycle.
+BENCHMARK(BM_IssueQueueWakeupSelect)->Arg(1)->Arg(4)->Arg(8);
 BENCHMARK(BM_LoadBufferSearch);
 BENCHMARK(BM_StoreSetPredictor);
 BENCHMARK(BM_HybridBranchPredictor);

@@ -9,7 +9,12 @@
 #                    4x28 1-port, flat 128-entry) x mgrid/equake/applu,
 #                    where most load issues are port-blocked retries:
 #                    the early-reject DCHECKs and the ordering oracle
-#                    see them under the sanitizers
+#                    see them under the sanitizers; and on
+#                    lsqbench's issue_heavy programs (bzip/wupwise/
+#                    gzip) in base, --all-techniques and --scaled
+#                    (96-entry IQ, 12-wide), which put the issue
+#                    queue's wakeup lists (checked against polling
+#                    every cycle) and the rings under the sanitizers
 #   3. checked     — the release build's ctest again with
 #                    LSQSCALE_CHECK=1: every simulation shadow-executed
 #                    against the memory-ordering oracle; then
@@ -102,6 +107,15 @@ banner "flavor: asan-ubsan (port-blocked design points under the oracle)"
 for bench in mgrid equake applu; do
     for point in "--segments 4 --lq 28 --sq 28 --ports 1" \
         "--lq 128 --sq 128"; do
+        # shellcheck disable=SC2086  # word-split the design-point flags
+        LSQSCALE_CHECK=1 ./build-ci-asan-ubsan/tools/lsqsim \
+            --benchmark "$bench" --insts 20000 $point --json >/dev/null
+    done
+done
+
+banner "flavor: asan-ubsan (wakeup-driven issue under the oracle)"
+for bench in bzip wupwise gzip; do
+    for point in "" "--all-techniques" "--scaled"; do
         # shellcheck disable=SC2086  # word-split the design-point flags
         LSQSCALE_CHECK=1 ./build-ci-asan-ubsan/tools/lsqsim \
             --benchmark "$bench" --insts 20000 $point --json >/dev/null

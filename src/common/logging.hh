@@ -110,4 +110,14 @@ std::string strfmt(const char *fmt, ...)
     } while (0)
 #endif
 
+namespace lsqscale {
+/** True in the builds where LSQ_DCHECK checks: gates whole-structure
+ *  invariant sweeps that are too costly for release builds. */
+#if defined(LSQSCALE_ENABLE_DCHECK) || !defined(NDEBUG)
+inline constexpr bool kDchecksEnabled = true;
+#else
+inline constexpr bool kDchecksEnabled = false;
+#endif
+} // namespace lsqscale
+
 #endif // LSQSCALE_COMMON_LOGGING_HH

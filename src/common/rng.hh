@@ -58,7 +58,11 @@ class Rng
     below(std::uint64_t bound)
     {
         LSQ_ASSERT(bound > 0, "Rng::below(0)");
-        // Modulo bias is negligible for our bounds (<< 2^64).
+        // Modulo bias is negligible for our bounds (<< 2^64). A
+        // power-of-two bound (most footprints) masks: same value, no
+        // division.
+        if ((bound & (bound - 1)) == 0)
+            return next() & (bound - 1);
         return next() % bound;
     }
 
@@ -99,8 +103,16 @@ class Rng
             return 0;
         if (p <= 0.0)
             return cap;
+        // chance(p) is uniform() < p, i.e. (next() >> 11) < p * 2^53
+        // (scaling by 2^53 is exact), i.e. (next() >> 11) < ceil(p *
+        // 2^53): the same draws and outcome as looping on chance(p),
+        // with one integer compare per draw.
+        const double scaled = p * 9007199254740992.0;
+        std::uint64_t threshold = static_cast<std::uint64_t>(scaled);
+        if (static_cast<double>(threshold) < scaled)
+            ++threshold;
         std::uint64_t k = 0;
-        while (k < cap && !chance(p))
+        while (k < cap && (next() >> 11) >= threshold)
             ++k;
         return k;
     }

@@ -1,6 +1,7 @@
 #include "core/core.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.hh"
 #include "inject/inject.hh"
@@ -31,11 +32,15 @@ Core::Core(const CoreParams &coreParams, const LsqParams &lsqParams,
       stream_(std::move(source)), mem_(memParams),
       lsq_(lsqParams, stats), bp_(coreParams.branchPredictor),
       ssp_(coreParams.storeSet), rob_(coreParams.robEntries),
-      iq_(coreParams.iqEntries),
+      iq_(coreParams.iqEntries, coreParams.robEntries,
+          coreParams.intPhysRegs, coreParams.fpPhysRegs),
       intRegs_(kNumIntArchRegs, coreParams.intPhysRegs),
-      fpRegs_(kNumFpArchRegs, coreParams.fpPhysRegs)
+      fpRegs_(kNumFpArchRegs, coreParams.fpPhysRegs),
+      fetchQ_(2 * coreParams.fetchWidth)
 {
-    issueCands_.reserve(coreParams.iqEntries);
+    // Every in-flight instruction has at most one live event; stale
+    // events of squashed instructions add a few more.
+    completions_.reserve(2 * coreParams.robEntries);
 }
 
 PhysRegFile &
@@ -247,12 +252,12 @@ Core::coherenceStage()
     }
     bool squashed = out.violationLoad != kNoSeq;
     coherence_->delivered(addr, now_, out.violationLoad);
-    stats_.counter("probe.delivered").inc();
+    probeDelivered_.inc();
     LSQ_TRACE_HOOK(tracer_, TraceEvent::ProbeDeliver, now_,
                    out.violationLoad, addr,
                    static_cast<std::uint8_t>(squashed));
     if (squashed) {
-        stats_.counter("squash.invalidation").inc();
+        squashInvalidation_.inc();
         performSquash(out.violationLoad, SquashReason::Invalidation);
     }
 }
@@ -265,13 +270,13 @@ Core::finishCommit(RobEntry &head)
     if (head.op.hasDest() && head.prevPhys != kNoReg)
         fileFor(head.op.dest).releaseAtCommit(head.prevPhys);
     ++committed_;
-    stats_.counter("core.committed").inc();
+    committedCount_.inc();
     if (head.op.isLoad())
-        stats_.counter("core.committed.loads").inc();
+        committedLoads_.inc();
     else if (head.op.isStore())
-        stats_.counter("core.committed.stores").inc();
+        committedStores_.inc();
     else if (head.op.isBranch())
-        stats_.counter("core.committed.branches").inc();
+        committedBranches_.inc();
     if (head.op.isLoad())
         loadCommitDelay_.sample(now_ - head.completeCycle);
     LSQ_TRACE_HOOK(tracer_, TraceEvent::Retire, now_, head.op.seq,
@@ -313,7 +318,7 @@ Core::commitStage()
             if (mem_.l1d().freePorts(now_) == 0)
                 break;
             if (!mem_.canAcceptData(now_, head.op.addr)) {
-                stats_.counter("stores.mshr.stall").inc();
+                storeMshrStalls_.inc();
                 break;
             }
             StoreSearchOutcome out = lsq_.commitStore(head.op.seq, now_);
@@ -331,7 +336,7 @@ Core::commitStage()
             if (out.violationLoad != kNoSeq) {
                 // Pair-scheme violation detected at commit: the store
                 // itself retires, then the premature load refetches.
-                stats_.counter("squash.storeload.commit").inc();
+                squashStoreLoadCommit_.inc();
                 ssp_.trainPair(head.op.pc, out.violationLoadPc);
                 SeqNum victim = out.violationLoad;
                 LSQ_DCHECK(victim > head.op.seq,
@@ -366,27 +371,33 @@ Core::commitStage()
 void
 Core::writebackStage()
 {
-    auto it = completions_.begin();
-    while (it != completions_.end() && it->first <= now_) {
-        const CompletionEvent &ev = it->second;
+    constexpr std::greater<CompletionEvent> later;
+    while (!completions_.empty() && completions_.front().when <= now_) {
+        std::pop_heap(completions_.begin(), completions_.end(), later);
+        const CompletionEvent ev = completions_.back();
+        completions_.pop_back();
         RobEntry *re = rob_.find(ev.seq);
         if (re && ev.robId == re->id && re->state == RobState::Issued) {
             re->state = RobState::Completed;
             re->completeCycle = now_;
-            if (re->destPhys != kNoReg)
+            if (re->destPhys != kNoReg) {
                 fileFor(re->op.dest).setReady(re->destPhys);
+                iq_.wake(re->destPhys, isFpReg(re->op.dest));
+            }
             LSQ_TRACE_HOOK(tracer_, TraceEvent::Complete, now_,
                            re->op.seq, re->op.pc);
         }
-        it = completions_.erase(it);
     }
 }
 
 void
 Core::scheduleCompletion(const RobEntry &re, Cycle when)
 {
-    completions_.emplace(std::max(when, now_ + 1),
-                         CompletionEvent{re.op.seq, re.id});
+    completions_.push_back(CompletionEvent{std::max(when, now_ + 1),
+                                           nextCompletionOrder_++,
+                                           re.op.seq, re.id});
+    std::push_heap(completions_.begin(), completions_.end(),
+                   std::greater<CompletionEvent>());
 }
 
 // -------------------------------------------------------- issue -------
@@ -431,7 +442,7 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
         break;
       case MemDepPolicy::TotalOrder:
         if (lsq_.anyOlderStoreUnaddressed(op.seq)) {
-            stats_.counter("loads.totalorder.wait").inc();
+            loadTotalOrderWaits_.inc();
             return false;
         }
         break;
@@ -465,7 +476,7 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
       case LoadIssueStatus::Contention:
         // Paper: squash to the memory stage and replay.
         qe.notBefore = now_ + lsqp_.contentionReplayDelay;
-        stats_.counter("loads.contention.replay").inc();
+        loadContentionReplays_.inc();
         return false;
       case LoadIssueStatus::NoSqPort:
       case LoadIssueStatus::NoLqPort:
@@ -481,9 +492,9 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
     re.forwarded = out.forwarded;
 
     if (lsqp_.sqPolicy == SqSearchPolicy::Pair && want) {
-        stats_.counter("pair.pred.dependent").inc();
+        pairPredDependent_.inc();
         if (!out.forwarded) {
-            stats_.counter("pair.pred.dependent.nomatch").inc();
+            pairPredNoMatch_.inc();
             LSQ_TRACE_HOOK(tracer_, TraceEvent::PredFalseDep, now_,
                            op.seq, op.addr);
         }
@@ -496,7 +507,7 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
     Cycle ready;
     if (out.forwarded) {
         ready = now_ + out.sqSegmentsVisited + 1;
-        stats_.counter("loads.forwarded").inc();
+        loadsForwarded_.inc();
         // The pair predictor tracks *all* matching pairs (Figure 2),
         // so matches train it even without a violation.
         if (lsqp_.sqPolicy == SqSearchPolicy::Pair)
@@ -526,7 +537,7 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
     scheduleCompletion(re, ready);
     iq_.remove(op.seq);
     LSQ_TRACE_HOOK(tracer_, TraceEvent::Issue, now_, op.seq, op.pc);
-    stats_.counter("loads.issued").inc();
+    loadsIssued_.inc();
     loadIssueDelay_.sample(now_ - re.dispatchCycle);
     loadDataLat_.sample(ready - now_);
 
@@ -534,7 +545,7 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
         SeqNum victim =
             *std::min_element(out.llViolations.begin(),
                               out.llViolations.end());
-        stats_.counter("squash.loadload").inc();
+        squashLoadLoad_.inc();
         performSquash(victim, SquashReason::LoadLoad);
     }
     return true;
@@ -553,7 +564,7 @@ Core::tryIssueStore(RobEntry &re, IqEntry &qe)
         re.storePred.waitForStore != kNoSeq &&
         rob_.find(re.storePred.waitForStore) != nullptr &&
         lsq_.storePendingAddress(re.storePred.waitForStore)) {
-        stats_.counter("stores.storeset.wait").inc();
+        storeStoreSetWaits_.inc();
         return false;
     }
 
@@ -573,11 +584,11 @@ Core::tryIssueStore(RobEntry &re, IqEntry &qe)
     scheduleCompletion(re, now_ + execLatency(OpClass::Store));
     iq_.remove(op.seq);
     LSQ_TRACE_HOOK(tracer_, TraceEvent::Issue, now_, op.seq, op.pc);
-    stats_.counter("stores.issued").inc();
+    storesIssued_.inc();
 
     if (out.violationLoad != kNoSeq) {
         // Conventional execute-time detection.
-        stats_.counter("squash.storeload.exec").inc();
+        squashStoreLoadExec_.inc();
         ssp_.trainPair(op.pc, out.violationLoadPc);
         performSquash(out.violationLoad, SquashReason::StoreLoadExec);
     }
@@ -617,40 +628,35 @@ Core::tryIssueAlu(RobEntry &re, IqEntry &qe, unsigned &intUsed,
     return true;
 }
 
+bool
+Core::regReady(PhysReg p, bool fp) const
+{
+    return (fp ? fpRegs_ : intRegs_).isReady(p);
+}
+
 void
 Core::issueStage()
 {
-    auto ready = [this](PhysReg p, bool fp) {
-        return (fp ? fpRegs_ : intRegs_).isReady(p);
-    };
-
-    // Snapshot candidate seqs: issue attempts (and squashes) mutate
-    // the queue, so each candidate is re-validated by lookup.
-    iq_.selectReady(now_, ready, issueCands_);
-
-    unsigned issued = 0;
-    unsigned intUsed = 0, fpUsed = 0;
-    for (SeqNum seq : issueCands_) {
-        if (issued >= cp_.issueWidth)
-            break;
-        IqEntry *qe = iq_.find(seq);
-        if (!qe)
-            continue;   // squashed earlier this cycle
-        RobEntry *re = rob_.find(seq);
-        LSQ_ASSERT(re != nullptr, "IQ entry without ROB entry");
-        if (re->state != RobState::Dispatched)
-            continue;
-
-        bool ok;
-        if (re->op.isLoad())
-            ok = tryIssueLoad(*re, *qe);
-        else if (re->op.isStore())
-            ok = tryIssueStore(*re, *qe);
-        else
-            ok = tryIssueAlu(*re, *qe, intUsed, fpUsed);
-        if (ok)
-            ++issued;
+    if constexpr (kDchecksEnabled) {
+        iq_.checkWakeups(
+            [this](PhysReg p, bool fp) { return regReady(p, fp); });
     }
+
+    // Entries the issue helpers remove (issued or squashed) drop out
+    // of the walk; readiness cannot change within the stage.
+    unsigned intUsed = 0, fpUsed = 0;
+    unsigned issued = iq_.select(now_, cp_.issueWidth, [&](IqEntry &qe) {
+        RobEntry *re = rob_.find(qe.seq);
+        LSQ_ASSERT(re != nullptr, "IQ entry without ROB entry");
+        LSQ_DCHECK(re->state == RobState::Dispatched,
+                   "IQ entry %llu already issued",
+                   static_cast<unsigned long long>(qe.seq));
+        if (re->op.isLoad())
+            return tryIssueLoad(*re, qe);
+        if (re->op.isStore())
+            return tryIssueStore(*re, qe);
+        return tryIssueAlu(*re, qe, intUsed, fpUsed);
+    });
     issuedCount_.inc(issued);
 }
 
@@ -668,15 +674,15 @@ Core::dispatchStage()
         if (rob_.full() || iq_.full())
             break;
         if (op.isLoad() && !lsq_.canAllocateLoad()) {
-            stats_.counter("dispatch.lqfull").inc();
+            dispatchLqFull_.inc();
             break;
         }
         if (op.isStore() && !lsq_.canAllocateStore()) {
-            stats_.counter("dispatch.sqfull").inc();
+            dispatchSqFull_.inc();
             break;
         }
         if (op.hasDest() && !fileFor(op.dest).hasFreeReg()) {
-            stats_.counter("dispatch.noregs").inc();
+            dispatchNoRegs_.inc();
             break;
         }
 
@@ -716,7 +722,7 @@ Core::dispatchStage()
             lsq_.allocateStore(op.seq, op.pc);
         }
 
-        iq_.push(qe);
+        iq_.push(qe, [this](PhysReg p, bool fp) { return regReady(p, fp); });
         fetchQ_.pop_front();
         ++n;
     }
@@ -743,7 +749,7 @@ Core::fetchStage()
         const MicroOp &op = stream_.fetch();
         Cycle available = now_;
 
-        Addr block = op.pc / mem_.params().l1i.blockBytes;
+        Addr block = mem_.l1i().blockOf(op.pc);
         if (block != lastFetchBlock_) {
             lastFetchBlock_ = block;
             if (!mem_.l1i().tryPort(now_)) {
@@ -783,7 +789,7 @@ Core::fetchStage()
                 pendingBranch_ = op.seq;
                 fetchQ_.push_back(f);
                 ++fetched;
-                stats_.counter("fetch.mispredicts").inc();
+                fetchMispredicts_.inc();
                 break;   // fetch stalls until resolution
             }
         }
@@ -801,7 +807,7 @@ Core::fetchStage()
 void
 Core::performSquash(SeqNum from, SquashReason reason)
 {
-    stats_.counter("squash.total").inc();
+    squashTotal_.inc();
     LSQ_TRACE_HOOK(tracer_, TraceEvent::ViolationSquash, now_, from, 0,
                    static_cast<std::uint8_t>(reason));
 
@@ -818,8 +824,7 @@ Core::performSquash(SeqNum from, SquashReason reason)
         rob_.popBack();
         ++squashed;
     }
-    stats_.counter("squash.instructions").inc(squashed +
-                                              fetchQ_.size());
+    squashInsts_.inc(squashed + fetchQ_.size());
 
     iq_.squashFrom(from);
     lsq_.squashFrom(from);
@@ -881,11 +886,11 @@ Core::fastForward(std::uint64_t numInsts)
                "fast-forward requires a quiesced pipeline\n%s",
                debugDump().c_str());
     for (std::uint64_t i = 0; i < numInsts; ++i) {
-        const MicroOp op = stream_.fetch();
+        const MicroOp op = stream_.fetchAndRetire();
 
         // Warm the I-cache on fetch-block transitions, mirroring the
         // detailed fetch stage's access pattern.
-        Addr block = op.pc / mem_.params().l1i.blockBytes;
+        Addr block = mem_.l1i().blockOf(op.pc);
         if (block != lastFetchBlock_) {
             lastFetchBlock_ = block;
             mem_.accessInst(now_, op.pc);
@@ -904,7 +909,6 @@ Core::fastForward(std::uint64_t numInsts)
             mem_.accessData(now_, op.addr, true);
         }
 
-        stream_.retireUpTo(op.seq);
         ++committed_;
         // Nominal IPC-4 clock advance keeps cycle-keyed memory state
         // (pending fills) moving without the detailed pipeline.

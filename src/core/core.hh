@@ -14,10 +14,10 @@
 #ifndef LSQSCALE_CORE_CORE_HH
 #define LSQSCALE_CORE_CORE_HH
 
-#include <deque>
-#include <map>
 #include <memory>
+#include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/core_params.hh"
@@ -171,10 +171,22 @@ class Core
         bool mispredicted = false;
     };
 
+    /** A scheduled writeback. Events retire in (when, order). */
     struct CompletionEvent
     {
+        Cycle when;
+        /** Scheduling sequence number: same-cycle events retire in
+         *  the order they were scheduled. */
+        std::uint64_t order;
         SeqNum seq;
         std::uint64_t robId;
+
+        /** Heap order: the *later* event compares greater. */
+        friend bool
+        operator>(const CompletionEvent &a, const CompletionEvent &b)
+        {
+            return a.when != b.when ? a.when > b.when : a.order > b.order;
+        }
     };
 
     // Pipeline stages (called newest-to-oldest each tick).
@@ -219,6 +231,7 @@ class Core
     void finishCommit(RobEntry &head);
 
     PhysRegFile &fileFor(ArchReg flat);
+    bool regReady(PhysReg p, bool fp) const;
     static unsigned classIndex(ArchReg flat);
 
     // lsqlint: no-serialize(construction config, fixed for the run)
@@ -249,6 +262,55 @@ class Core
     LazyCounter loadDcachePortStalls_{stats_, "loads.dcache.portstall"};
     // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadMshrStalls_{stats_, "loads.mshr.stall"};
+    // Every other counter the core bumps, bound the same way.
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter probeDelivered_{stats_, "probe.delivered"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter committedCount_{stats_, "core.committed"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter committedLoads_{stats_, "core.committed.loads"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter committedStores_{stats_, "core.committed.stores"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter committedBranches_{stats_, "core.committed.branches"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter storeMshrStalls_{stats_, "stores.mshr.stall"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter loadTotalOrderWaits_{stats_, "loads.totalorder.wait"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter loadContentionReplays_{stats_, "loads.contention.replay"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter pairPredDependent_{stats_, "pair.pred.dependent"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter pairPredNoMatch_{stats_, "pair.pred.dependent.nomatch"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter loadsForwarded_{stats_, "loads.forwarded"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter loadsIssued_{stats_, "loads.issued"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter storeStoreSetWaits_{stats_, "stores.storeset.wait"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter storesIssued_{stats_, "stores.issued"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter dispatchLqFull_{stats_, "dispatch.lqfull"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter dispatchSqFull_{stats_, "dispatch.sqfull"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter dispatchNoRegs_{stats_, "dispatch.noregs"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter fetchMispredicts_{stats_, "fetch.mispredicts"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter squashTotal_{stats_, "squash.total"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter squashInsts_{stats_, "squash.instructions"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter squashInvalidation_{stats_, "squash.invalidation"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter squashStoreLoadCommit_{stats_, "squash.storeload.commit"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter squashStoreLoadExec_{stats_, "squash.storeload.exec"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter squashLoadLoad_{stats_, "squash.loadload"};
 
     // lsqlint: no-serialize(own checkpoint section STRM)
     InstStream stream_;
@@ -270,12 +332,13 @@ class Core
     PhysRegFile fpRegs_;
 
     // lsqlint: no-serialize(empty at quiescence; saveState asserts quiescent())
-    std::deque<FetchedInst> fetchQ_;
+    Ring<FetchedInst> fetchQ_;
+    /** Min-heap (std::greater) of scheduled writebacks. */
     // lsqlint: no-serialize(empty at quiescence; saveState asserts quiescent())
-    std::multimap<Cycle, CompletionEvent> completions_;
-    /** issueStage's candidate seqs, reserved to the IQ's capacity. */
-    // lsqlint: no-serialize(per-cycle scratch, rebuilt by every issueStage)
-    std::vector<SeqNum> issueCands_;
+    std::vector<CompletionEvent> completions_;
+    /** Next CompletionEvent::order. */
+    // lsqlint: no-serialize(orders pending events only; none are pending at quiescence)
+    std::uint64_t nextCompletionOrder_ = 0;
 
     Cycle now_ = 0;
     std::uint64_t committed_ = 0;

@@ -7,6 +7,7 @@
 #ifndef LSQSCALE_CORE_PHYS_REG_FILE_HH
 #define LSQSCALE_CORE_PHYS_REG_FILE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.hh"
@@ -27,14 +28,14 @@ class PhysRegFile
 {
   public:
     PhysRegFile(unsigned numArch, unsigned numPhys)
-        : numArch_(numArch), ready_(numPhys, false), map_(numArch)
+        : numArch_(numArch), ready_(numPhys, 0), map_(numArch)
     {
         LSQ_ASSERT(numPhys > numArch,
                    "need more physical than architectural registers");
         // Initial mapping: arch i -> phys i, all ready.
         for (unsigned i = 0; i < numArch; ++i) {
             map_[i] = static_cast<PhysReg>(i);
-            ready_[i] = true;
+            ready_[i] = 1;
         }
         for (unsigned p = numPhys; p-- > numArch;)
             freeList_.push_back(static_cast<PhysReg>(p));
@@ -62,7 +63,7 @@ class PhysRegFile
         LSQ_ASSERT(!freeList_.empty(), "rename without a free register");
         PhysReg fresh = freeList_.back();
         freeList_.pop_back();
-        ready_[fresh] = false;
+        ready_[fresh] = 0;
         PhysReg prev = map_[arch];
         map_[arch] = fresh;
         return prev;
@@ -85,12 +86,24 @@ class PhysRegFile
         freeList_.push_back(prev);
     }
 
-    bool isReady(PhysReg p) const { return ready_.at(p); }
-    void setReady(PhysReg p) { ready_.at(p) = true; }
+    bool
+    isReady(PhysReg p) const
+    {
+        LSQ_DCHECK(p < ready_.size(), "phys reg %u out of range", p);
+        return ready_[p] != 0;
+    }
+
+    void
+    setReady(PhysReg p)
+    {
+        LSQ_DCHECK(p < ready_.size(), "phys reg %u out of range", p);
+        ready_[p] = 1;
+    }
 
   private:
     unsigned numArch_;
-    std::vector<bool> ready_;
+    /** One byte per register: no bit-packing on the wakeup path. */
+    std::vector<std::uint8_t> ready_;
     std::vector<PhysReg> map_;
     std::vector<PhysReg> freeList_;
 };

@@ -6,9 +6,8 @@
 #ifndef LSQSCALE_CORE_ROB_HH
 #define LSQSCALE_CORE_ROB_HH
 
-#include <deque>
-
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "predictor/store_set.hh"
 #include "workload/micro_op.hh"
@@ -60,7 +59,9 @@ struct RobEntry
 class Rob
 {
   public:
-    explicit Rob(unsigned capacity) : capacity_(capacity) {}
+    explicit Rob(unsigned capacity)
+        : capacity_(capacity), entries_(capacity)
+    {}
 
     bool full() const { return entries_.size() >= capacity_; }
     bool empty() const { return entries_.empty(); }
@@ -78,8 +79,7 @@ class Rob
                    static_cast<unsigned long long>(op.seq),
                    static_cast<unsigned long long>(
                        entries_.back().op.seq));
-        entries_.emplace_back();
-        RobEntry &e = entries_.back();
+        RobEntry &e = entries_.emplace_back();
         e.op = op;
         e.dispatchCycle = now;
         return e;
@@ -110,7 +110,7 @@ class Rob
 
   private:
     unsigned capacity_;
-    std::deque<RobEntry> entries_;
+    Ring<RobEntry> entries_;
 };
 
 } // namespace lsqscale

@@ -44,6 +44,9 @@ Lsq::Lsq(const LsqParams &params, StatSet &stats)
       oooInflight_(stats.histogram("ooo.inflight", 64)),
       sqSearchSegments_(stats.histogram("sq.search.segments",
                                         params.numSegments + 1)),
+      lq_(params.totalLqEntries()),
+      sq_(params.combinedQueue ? params.totalLqEntries()
+                               : params.totalSqEntries()),
       lqAlloc_(params.numSegments, params.lqEntries, params.allocPolicy),
       sqAlloc_(params.numSegments, params.sqEntries, params.allocPolicy),
       lqPorts_(params.numSegments, params.searchPorts),
@@ -201,7 +204,7 @@ Lsq::planSqSearch(SeqNum loadSeq, Addr addr)
 
 template <typename IsViolator>
 Lsq::LqSearchPlan
-Lsq::planLqWalk(std::deque<LoadEntry>::const_iterator from,
+Lsq::planLqWalk(Ring<LoadEntry>::const_iterator from,
                 unsigned fallback, IsViolator &&isViolator)
 {
     LqSearchPlan plan;
@@ -263,7 +266,7 @@ Lsq::advanceNilp(LoadIssueOutcome &outcome, Cycle now)
             lb_.release(e.seq);
             LSQ_TRACE_HOOK(tracer_, TraceEvent::LbRelease, now, e.seq,
                            e.addr);
-            stats_.counter("lb.searches").inc();
+            lbSearches_.inc();
             SeqNum v = lb_.findViolation(e.seq, e.addr, e.executeCycle);
             if (v != kNoSeq)
                 outcome.llViolations.push_back(v);
@@ -291,7 +294,7 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
     bool useLb = params_.loadCheck == LoadCheckPolicy::LoadBuffer;
     bool needLbEntry = useLb && !isOldest;
     if (needLbEntry && lb_.full()) {
-        stats_.counter("lb.stallfull").inc();
+        lbStallFull_.inc();
         LSQ_TRACE_HOOK(tracer_, TraceEvent::LbFullStall, now, seq,
                        addr);
         out.status = LoadIssueStatus::LoadBufferFull;
@@ -368,7 +371,7 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
     if (!sqOk || !lqOk) {
         // First segment had a port but a downstream slot is booked by
         // an earlier-initiated search: the paper's contention case.
-        stats_.counter("lsq.contention.loads").inc();
+        loadContention_.inc();
         LSQ_TRACE_HOOK(
             tracer_, TraceEvent::SqSearchContention, now, seq, addr,
             static_cast<std::uint8_t>(!sqOk),
@@ -387,13 +390,13 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
 
     if (doSq) {
         sqPorts().reserveWalk(sqPlan.visit, now);
-        stats_.counter("sq.searches").inc();
+        sqSearches_.inc();
         sqSearchSegments_.sample(sqPlan.visit.size());
         out.searchedSq = true;
         out.sqSegmentsVisited =
             static_cast<unsigned>(sqPlan.visit.size());
         if (sqPlan.match) {
-            stats_.counter("sq.searches.matched").inc();
+            sqSearchesMatched_.inc();
             out.forwarded = true;
             out.forwardedFrom = sqPlan.match->seq;
             out.forwardedFromPc = sqPlan.match->pc;
@@ -408,7 +411,7 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
     }
     if (doLq) {
         lqPorts().reserveWalk(lqPlan.visit, now + lqOffset);
-        stats_.counter("lq.searches.byload").inc();
+        lqSearchesByLoad_.inc();
         LSQ_TRACE_HOOK(tracer_, TraceEvent::LqSearch, now, seq, addr, 0,
                        static_cast<std::uint16_t>(lqPlan.visit.size()));
         if (lqPlan.violator)
@@ -436,13 +439,13 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
         ++oooLive_;
         if (useLb) {
             lb_.insert(seq, addr, now);
-            stats_.counter("lb.inserts").inc();
+            lbInserts_.inc();
             LSQ_TRACE_HOOK(tracer_, TraceEvent::LbInsert, now, seq,
                            addr);
         }
     } else if (useLb) {
         // In-order load: immediate load-buffer ordering search.
-        stats_.counter("lb.searches").inc();
+        lbSearches_.inc();
         SeqNum v = lb_.findViolation(seq, addr, now);
         if (v != kNoSeq)
             out.llViolations.push_back(v);
@@ -496,7 +499,7 @@ Lsq::storeAddrReady(SeqNum seq, Addr addr, Cycle now)
         return out;
     }
     lqPorts().reserveWalk(plan.visit, now);
-    stats_.counter("lq.searches.bystore").inc();
+    lqSearchesByStore_.inc();
     LSQ_TRACE_HOOK(tracer_, TraceEvent::StoreSearch, now, seq, addr, 0,
                    static_cast<std::uint16_t>(plan.visit.size()));
 
@@ -530,7 +533,7 @@ Lsq::invalidate(Addr addr, Cycle now)
         // LQ search ports (that is the point of the scheme; in-order
         // issue keeps the buffer empty, so nothing is ever vulnerable).
         SeqNum victim = lb_.findMatch(addr);
-        stats_.counter("lb.probes").inc();
+        lbProbes_.inc();
         LSQ_TRACE_HOOK(tracer_, TraceEvent::LbProbe, now,
                        victim, addr,
                        static_cast<std::uint8_t>(victim != kNoSeq));
@@ -563,7 +566,7 @@ Lsq::invalidate(Addr addr, Cycle now)
         return out;
     }
     lqPorts().reserveWalk(plan.visit, now);
-    stats_.counter("lq.searches.invalidation").inc();
+    lqSearchesByInval_.inc();
     LSQ_TRACE_HOOK(tracer_, TraceEvent::InvalSearch, now,
                    plan.violator ? plan.violator->seq : kNoSeq, addr, 0,
                    static_cast<std::uint16_t>(plan.visit.size()));
@@ -602,14 +605,14 @@ Lsq::commitStore(SeqNum seq, Cycle now)
         if (!ok) {
             // Section 3.2: "easily solved by delaying the commit of
             // the store".
-            stats_.counter("lsq.commit.delays").inc();
+            commitDelays_.inc();
             LSQ_TRACE_HOOK(tracer_, TraceEvent::StoreCommitDelay, now,
                            seq, sq_.front().addr);
             out.accepted = false;
             return out;
         }
         lqPorts().reserveWalk(plan.visit, now);
-        stats_.counter("lq.searches.bystore").inc();
+        lqSearchesByStore_.inc();
         LSQ_TRACE_HOOK(tracer_, TraceEvent::StoreCommitSearch, now, seq,
                        sq_.front().addr, 0,
                        static_cast<std::uint16_t>(plan.visit.size()));

@@ -23,10 +23,10 @@
 #ifndef LSQSCALE_LSQ_LSQ_HH
 #define LSQSCALE_LSQ_LSQ_HH
 
-#include <deque>
 #include <span>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "lsq/load_buffer.hh"
@@ -331,7 +331,7 @@ class Lsq
      * segment searched when the walk covers no load.
      */
     template <typename IsViolator>
-    LqSearchPlan planLqWalk(std::deque<LoadEntry>::const_iterator from,
+    LqSearchPlan planLqWalk(Ring<LoadEntry>::const_iterator from,
                             unsigned fallback, IsViolator &&isViolator);
 
     /** Start a plan's visit list in @p visit. */
@@ -388,9 +388,33 @@ class Lsq
     Histogram &oooInflight_;
     // lsqlint: no-serialize(measurement output, not architectural state)
     Histogram &sqSearchSegments_;
+    // Counters, bound on first touch.
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter lbSearches_{stats_, "lb.searches"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter lbStallFull_{stats_, "lb.stallfull"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter lbInserts_{stats_, "lb.inserts"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter lbProbes_{stats_, "lb.probes"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter loadContention_{stats_, "lsq.contention.loads"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter commitDelays_{stats_, "lsq.commit.delays"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter sqSearches_{stats_, "sq.searches"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter sqSearchesMatched_{stats_, "sq.searches.matched"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter lqSearchesByLoad_{stats_, "lq.searches.byload"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter lqSearchesByStore_{stats_, "lq.searches.bystore"};
+    // lsqlint: no-serialize(measurement output, not architectural state)
+    LazyCounter lqSearchesByInval_{stats_, "lq.searches.invalidation"};
 
-    std::deque<LoadEntry> lq_;
-    std::deque<StoreEntry> sq_;
+    // Sized to the queues' capacities: pushes never allocate.
+    Ring<LoadEntry> lq_;
+    Ring<StoreEntry> sq_;
     SegmentAllocator lqAlloc_;
     SegmentAllocator sqAlloc_;
     // lsqlint: no-serialize(rolling reservation table; slots self-invalidate by cycle tag)

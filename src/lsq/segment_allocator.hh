@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "lsq/lsq_params.hh"
 #include "sample/serialize.hh"
 
@@ -34,7 +35,8 @@ class SegmentAllocator
     SegmentAllocator(unsigned segments, unsigned entriesPerSegment,
                      SegAllocPolicy policy)
         : segments_(segments), perSegment_(entriesPerSegment),
-          policy_(policy), occupancy_(segments, 0)
+          policy_(policy), occupancy_(segments, 0),
+          allocSegs_(segments * entriesPerSegment)
     {
         LSQ_ASSERT(segments >= 1 && entriesPerSegment >= 1,
                    "degenerate segmented queue");
@@ -88,7 +90,7 @@ class SegmentAllocator
     {
         LSQ_ASSERT(!allocSegs_.empty(), "freeOldest on empty queue");
         unsigned seg = allocSegs_.front();
-        allocSegs_.erase(allocSegs_.begin());
+        allocSegs_.pop_front();
         LSQ_DCHECK(occupancy_[seg] > 0, "occupancy underflow");
         --occupancy_[seg];
         --live_;
@@ -175,10 +177,9 @@ class SegmentAllocator
         if (liveEntries > r.remaining() / 4)
             throw SerialError("allocator live-entry count exceeds its "
                               "payload");
-        std::vector<unsigned> allocSegs;
-        allocSegs.reserve(liveEntries);
-        for (std::uint64_t i = 0; i < liveEntries; ++i)
-            allocSegs.push_back(r.u32());
+        std::vector<unsigned> allocSegs(liveEntries);
+        for (unsigned &seg : allocSegs)
+            seg = r.u32();
         unsigned live = r.u32();
         if (live != allocSegs.size())
             throw SerialError("allocator live-count mismatch");
@@ -197,6 +198,8 @@ class SegmentAllocator
         for (unsigned seg : allocSegs)
             if (seg >= segments_)
                 throw SerialError("allocated segment out of range");
+        if (live > segments_ * perSegment_)
+            throw SerialError("allocator holds more entries than fit");
         if (tailSlot >= segments_ * perSegment_ ||
             current >= segments_) {
             // Same segment count, different per-segment size: only an
@@ -208,7 +211,9 @@ class SegmentAllocator
             return;
         }
         occupancy_ = occ;
-        allocSegs_ = std::move(allocSegs);
+        allocSegs_.clear();
+        for (unsigned seg : allocSegs)
+            allocSegs_.push_back(seg);
         live_ = live;
         tailSlot_ = tailSlot;
         current_ = current;
@@ -224,7 +229,7 @@ class SegmentAllocator
 
     std::vector<unsigned> occupancy_;
     /** Segment of each live entry, oldest first. */
-    std::vector<unsigned> allocSegs_;
+    Ring<unsigned> allocSegs_;
     unsigned live_ = 0;
 
     unsigned tailSlot_ = 0;   ///< NoSelfCircular global position

@@ -1,5 +1,7 @@
 #include "memory/cache.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace lsqscale {
@@ -23,32 +25,40 @@ Cache::Cache(const CacheParams &params) : params_(params)
     LSQ_ASSERT(numSets_ >= 1 && isPow2(numSets_),
                "%s: sets=%llu not a power of two", params_.name.c_str(),
                static_cast<unsigned long long>(numSets_));
-    lines_.resize(numSets_ * params_.assoc);
+    blockShift_ = static_cast<unsigned>(std::countr_zero(
+        static_cast<std::uint64_t>(params_.blockBytes)));
+    setShift_ = static_cast<unsigned>(std::countr_zero(numSets_));
+    LSQ_ASSERT(blockShift_ + setShift_ > 0,
+               "%s: one set of one-byte blocks leaves no room for the "
+               "empty-way tag", params_.name.c_str());
+    tags_.assign(numSets_ * params_.assoc, kEmpty);
+    lru_.assign(numSets_ * params_.assoc, 0);
 }
 
 std::uint64_t
 Cache::setIndex(Addr addr) const
 {
-    return (addr / params_.blockBytes) & (numSets_ - 1);
+    return blockOf(addr) & (numSets_ - 1);
 }
 
 std::uint64_t
 Cache::tagOf(Addr addr) const
 {
-    return (addr / params_.blockBytes) / numSets_;
+    return blockOf(addr) >> setShift_;
 }
 
 bool
 Cache::access(Addr addr)
 {
-    std::uint64_t set = setIndex(addr);
+    std::uint64_t base = setIndex(addr) * params_.assoc;
     std::uint64_t tag = tagOf(addr);
-    Line *base = &lines_[set * params_.assoc];
+    std::uint64_t *tags = &tags_[base];
+    std::uint64_t *lru = &lru_[base];
 
     ++stamp_;
     for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lru = stamp_;
+        if (tags[w] == tag) {
+            lru[w] = stamp_;
             ++hits_;
             return true;
         }
@@ -57,16 +67,15 @@ Cache::access(Addr addr)
     // Miss: fill into the LRU way.
     unsigned victim = 0;
     for (unsigned w = 1; w < params_.assoc; ++w) {
-        if (!base[w].valid) {
+        if (tags[w] == kEmpty) {
             victim = w;
             break;
         }
-        if (base[w].lru < base[victim].lru)
+        if (lru[w] < lru[victim])
             victim = w;
     }
-    base[victim].valid = true;
-    base[victim].tag = tag;
-    base[victim].lru = stamp_;
+    tags[victim] = tag;
+    lru[victim] = stamp_;
     ++misses_;
     return false;
 }
@@ -74,11 +83,10 @@ Cache::access(Addr addr)
 bool
 Cache::probe(Addr addr) const
 {
-    std::uint64_t set = setIndex(addr);
+    const std::uint64_t *tags = &tags_[setIndex(addr) * params_.assoc];
     std::uint64_t tag = tagOf(addr);
-    const Line *base = &lines_[set * params_.assoc];
     for (unsigned w = 0; w < params_.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
+        if (tags[w] == tag)
             return true;
     return false;
 }
@@ -116,11 +124,13 @@ Cache::exportStats(StatSet &stats) const
 void
 Cache::saveState(SerialWriter &w) const
 {
-    w.u64(lines_.size());
-    for (const Line &l : lines_) {
-        w.u64(l.tag);
-        w.b(l.valid);
-        w.u64(l.lru);
+    // Per way: tag, valid, stamp (an empty way's tag reads 0).
+    w.u64(tags_.size());
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        bool valid = tags_[i] != kEmpty;
+        w.u64(valid ? tags_[i] : 0);
+        w.b(valid);
+        w.u64(lru_[i]);
     }
     w.u64(stamp_);
     w.u64(hits_);
@@ -133,14 +143,17 @@ void
 Cache::loadState(SerialReader &r)
 {
     std::uint64_t n = r.u64();
-    if (n != lines_.size())
+    if (n != tags_.size())
         throw SerialError(params_.name +
                           ": cache geometry mismatch "
                           "(checkpoint from a different config?)");
-    for (Line &l : lines_) {
-        l.tag = r.u64();
-        l.valid = r.b();
-        l.lru = r.u64();
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        std::uint64_t tag = r.u64();
+        bool valid = r.b();
+        if (valid && tag == kEmpty)
+            throw SerialError(params_.name + ": tag out of range");
+        tags_[i] = valid ? tag : kEmpty;
+        lru_[i] = r.u64();
     }
     stamp_ = r.u64();
     hits_ = r.u64();

@@ -61,6 +61,8 @@ class Cache
     unsigned freePorts(Cycle now) const;
 
     const CacheParams &params() const { return params_; }
+    /** Block number of @p addr (addr / blockBytes). */
+    Addr blockOf(Addr addr) const { return addr >> blockShift_; }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
@@ -80,14 +82,20 @@ class Cache
     CacheParams params_;
     // lsqlint: no-serialize(derived from params at construction)
     std::uint64_t numSets_;
+    // Both powers of two, so index and tag are shifts, not divisions.
+    // lsqlint: no-serialize(derived from params at construction)
+    unsigned blockShift_;
+    // lsqlint: no-serialize(derived from params at construction)
+    unsigned setShift_;
 
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        std::uint64_t lru = 0;   ///< last-touch stamp
-    };
-    std::vector<Line> lines_;    ///< numSets * assoc, set-major
+    /**
+     * Ways are numSets * assoc, set-major. Tags and stamps are kept
+     * apart so a hit scans one set's tags contiguously; an empty way
+     * holds kEmpty, which no tag reaches (a tag has at most 63 bits).
+     */
+    static constexpr std::uint64_t kEmpty = ~0ULL;
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> lru_;   ///< last-touch stamp
     std::uint64_t stamp_ = 0;
 
     std::uint64_t hits_ = 0;

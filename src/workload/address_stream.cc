@@ -67,7 +67,10 @@ AddressStream::stackAddr(Pc pc)
 Addr
 AddressStream::strideAddr(unsigned streamId)
 {
-    Stream &s = streams_[streamId % streams_.size()];
+    // Generator stream ids are already below the stream count.
+    Stream &s = streams_[streamId < streams_.size()
+                             ? streamId
+                             : streamId % streams_.size()];
     Addr a = s.base + s.cursor;
     s.cursor += s.stride;
     if (s.cursor >= s.size)

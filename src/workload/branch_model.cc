@@ -9,16 +9,16 @@ namespace lsqscale {
 BranchModel::BranchModel(const BenchmarkProfile &profile, Rng rng)
     : profile_(profile), rng_(rng), codeBase_(kCodeBase),
       codeBytes_(static_cast<Addr>(
-          std::max<std::uint32_t>(profile.codeFootprintKb, 4)) * 1024)
+          std::max<std::uint32_t>(profile.codeFootprintKb, 4)) * 1024),
+      branches_(codeBase_, codeBytes_)
 {
 }
 
 BranchModel::StaticBranch &
 BranchModel::lookup(Pc pc)
 {
-    auto it = branches_.find(pc);
-    if (it != branches_.end())
-        return it->second;
+    if (StaticBranch *known = branches_.find(pc))
+        return *known;
 
     // Derive the static behaviour deterministically from the address so
     // the mapping is stable even across different visit orders. A
@@ -62,7 +62,7 @@ BranchModel::lookup(Pc pc)
         b.period = 0;
         b.target = target;
     }
-    return branches_.emplace(pc, b).first->second;
+    return branches_.insert(pc, b);
 }
 
 BranchOutcome
@@ -96,23 +96,17 @@ BranchModel::saveState(SerialWriter &w) const
 {
     w.u64(rng_.state());
     // Static branches materialize lazily but deterministically from
-    // (pc, profile); the map is saved sorted so identical logical
-    // state always yields identical checkpoint bytes.
-    std::vector<Pc> pcs;
-    pcs.reserve(branches_.size());
-    for (const auto &kv : branches_)
-        pcs.push_back(kv.first);
-    std::sort(pcs.begin(), pcs.end());
-    w.u64(pcs.size());
-    for (Pc pc : pcs) {
-        const StaticBranch &b = branches_.at(pc);
+    // (pc, profile); the table is saved in PC order so identical
+    // logical state always yields identical checkpoint bytes.
+    w.u64(branches_.size());
+    branches_.forEach([&](Pc pc, const StaticBranch &b) {
         w.u64(pc);
         w.u8(static_cast<std::uint8_t>(b.kind));
         w.f64(b.takenBias);
         w.u32(b.period);
         w.u32(b.count);
         w.u64(b.target);
-    }
+    });
 }
 
 void
@@ -132,7 +126,13 @@ BranchModel::loadState(SerialReader &r)
         b.period = r.u32();
         b.count = r.u32();
         b.target = r.u64();
-        branches_.emplace(pc, b);
+        // The generator follows a taken branch's target, so both PCs
+        // must index the code region.
+        if (!branches_.inRegion(pc) || !branches_.inRegion(b.target))
+            throw SerialError("static branch outside the code region");
+        if (branches_.find(pc))
+            throw SerialError("duplicate static branch");
+        branches_.insert(pc, b);
     }
 }
 

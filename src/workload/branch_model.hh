@@ -18,12 +18,12 @@
 #define LSQSCALE_WORKLOAD_BRANCH_MODEL_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "sample/serialize.hh"
 #include "workload/benchmark_profile.hh"
+#include "workload/pc_table.hh"
 
 namespace lsqscale {
 
@@ -79,7 +79,7 @@ class BranchModel
     Pc codeBase_;
     // lsqlint: no-serialize(derived from the profile at construction)
     Addr codeBytes_;
-    std::unordered_map<Pc, StaticBranch> branches_;
+    PcTable<StaticBranch> branches_;
 };
 
 } // namespace lsqscale

@@ -13,11 +13,11 @@
 #ifndef LSQSCALE_WORKLOAD_INST_STREAM_HH
 #define LSQSCALE_WORKLOAD_INST_STREAM_HH
 
-#include <deque>
 #include <memory>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "workload/inst_source.hh"
 #include "workload/trace_generator.hh"
 
@@ -76,7 +76,10 @@ class InstStream
         LSQ_ASSERT(source_ != nullptr, "null instruction source");
     }
 
-    /** Fetch the next dynamic instruction (advances the cursor). */
+    /**
+     * Fetch the next dynamic instruction (advances the cursor). The
+     * reference is valid until the next fetch(): a full window grows.
+     */
     const MicroOp &
     fetch()
     {
@@ -88,6 +91,26 @@ class InstStream
             ++generated_;
         }
         return window_[cursor_++];
+    }
+
+    /**
+     * fetch() and retireUpTo() the fetched op in one step, for
+     * fast-forward. With nothing held for replay the op never enters
+     * the window.
+     */
+    MicroOp
+    fetchAndRetire()
+    {
+        if (window_.empty()) {
+            MicroOp op = source_->next();
+            LSQ_ASSERT(op.seq == generated_,
+                       "instruction source skipped a sequence number");
+            ++generated_;
+            return op;
+        }
+        MicroOp op = fetch();
+        retireUpTo(op.seq);
+        return op;
     }
 
     /** Sequence number the next fetch() will return. */
@@ -184,8 +207,11 @@ class InstStream
         return generated_;
     }
 
+    /** Initial window ring size; it doubles while warm-up fills it. */
+    static constexpr std::size_t kInitialWindow = 256;
+
     std::unique_ptr<InstSource> source_;
-    std::deque<MicroOp> window_;
+    Ring<MicroOp> window_{kInitialWindow};
     std::size_t cursor_ = 0;
     SeqNum generated_ = 0;
 };

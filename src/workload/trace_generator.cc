@@ -11,6 +11,7 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
       rng_(seed ^ 0xabcdef0123456789ULL),
       addrs_(profile, rng_.split()),
       branches_(profile, rng_.split()),
+      program_(branches_.codeBase(), branches_.codeBytes()),
       pc_(kCodeBase)
 {
 }
@@ -36,12 +37,11 @@ TraceGenerator::pickByDeficit(const double *targets,
     return best;
 }
 
-const TraceGenerator::StaticInst &
+TraceGenerator::PcState &
 TraceGenerator::staticAt(Pc pc)
 {
-    auto it = program_.find(pc);
-    if (it != program_.end())
-        return it->second;
+    if (PcState *known = program_.find(pc))
+        return *known;
 
     // Static attributes are fixed at first visit and cached, so loop
     // bodies replay identically. Category choices are stratified over
@@ -127,7 +127,9 @@ TraceGenerator::staticAt(Pc pc)
         si.fpDest = local.chance(profile_.fpFrac);
     }
 
-    return program_.emplace(pc, si).first->second;
+    PcState state;
+    state.si = si;
+    return program_.insert(pc, state);
 }
 
 ArchReg
@@ -155,8 +157,11 @@ TraceGenerator::pickSourceWithMean(bool fp, double mean_in)
         d = ring.size();
     }
     std::size_t pos = fp ? fpRingPos_ : intRingPos_;
-    // ring is circular with pos = next write slot = oldest entry.
-    std::size_t idx = (pos + ring.size() - d) % ring.size();
+    // ring is circular with pos = next write slot = oldest entry;
+    // pos < size and 1 <= d <= size, so one wrap at most.
+    std::size_t idx = pos + ring.size() - d;
+    if (idx >= ring.size())
+        idx -= ring.size();
     return ring[idx];
 }
 
@@ -197,15 +202,17 @@ TraceGenerator::pickAluAddrSource()
         1 + rng_.geometric(0.5, recentIntAluDests_.size() - 1);
     if (d > recentIntAluDests_.size())
         d = recentIntAluDests_.size();
-    std::size_t idx = (intAluRingPos_ + recentIntAluDests_.size() - d) %
-                      recentIntAluDests_.size();
+    std::size_t idx = intAluRingPos_ + recentIntAluDests_.size() - d;
+    if (idx >= recentIntAluDests_.size())
+        idx -= recentIntAluDests_.size();
     return recentIntAluDests_[idx];
 }
 
 MicroOp
 TraceGenerator::next()
 {
-    const StaticInst &si = staticAt(pc_);
+    PcState &state = staticAt(pc_);
+    const StaticInst &si = state.si;
 
     MicroOp op;
     op.seq = nextSeq_++;
@@ -220,16 +227,16 @@ TraceGenerator::next()
             // latest address written by its partner store PC (bound on
             // first execution) — the spill/reload and struct-field
             // pattern the store-load pair predictor learns.
-            auto pit = reloadPartner_.find(op.pc);
-            if (pit == reloadPartner_.end() && lastStorePc_ != 0) {
-                pit = reloadPartner_.emplace(op.pc, lastStorePc_).first;
+            if (!state.hasPartner && lastStorePc_ != 0) {
+                state.partner = lastStorePc_;
+                state.hasPartner = true;
             }
             Addr a = 0;
             bool reuse = false;
-            if (pit != reloadPartner_.end() && rng_.chance(0.85)) {
-                auto ait = lastStoreAddrByPc_.find(pit->second);
-                if (ait != lastStoreAddrByPc_.end()) {
-                    a = ait->second;
+            if (state.hasPartner && rng_.chance(0.85)) {
+                const PcState *store = program_.find(state.partner);
+                if (store && store->hasLastAddr) {
+                    a = store->lastAddr;
                     reuse = true;
                 }
             }
@@ -242,17 +249,17 @@ TraceGenerator::next()
             // of a partner load PC (the pattern the load-load ordering
             // rule polices). Binding to a fixed partner keeps the pair
             // predictor's store sets from merging transitively.
-            auto pit = repeatPartner_.find(op.pc);
-            if (pit == repeatPartner_.end() && lastLoadPc_ != 0 &&
+            if (!state.hasPartner && lastLoadPc_ != 0 &&
                 lastLoadPc_ != op.pc) {
-                pit = repeatPartner_.emplace(op.pc, lastLoadPc_).first;
+                state.partner = lastLoadPc_;
+                state.hasPartner = true;
             }
             Addr a = 0;
             bool reuse = false;
-            if (pit != repeatPartner_.end() && rng_.chance(0.75)) {
-                auto ait = lastLoadAddrByPc_.find(pit->second);
-                if (ait != lastLoadAddrByPc_.end()) {
-                    a = ait->second;
+            if (state.hasPartner && rng_.chance(0.75)) {
+                const PcState *load = program_.find(state.partner);
+                if (load && load->hasLastAddr) {
+                    a = load->lastAddr;
                     reuse = true;
                 }
             }
@@ -271,7 +278,8 @@ TraceGenerator::next()
             break;
         }
         addrs_.noteLoad(op.addr);
-        lastLoadAddrByPc_[op.pc] = op.addr;
+        state.lastAddr = op.addr;
+        state.hasLastAddr = true;
         lastLoadPc_ = op.pc;
         // Address base: an in-flight producer (dependent chain) or a
         // long-ready induction register (modeled by the zero register).
@@ -285,7 +293,8 @@ TraceGenerator::next()
       case OpClass::Store: {
         op.addr = addrs_.fromRegion(si.region, si.streamId, op.pc);
         addrs_.noteStore(op.addr);
-        lastStoreAddrByPc_[op.pc] = op.addr;
+        state.lastAddr = op.addr;
+        state.hasLastAddr = true;
         lastStorePc_ = op.pc;
         op.src1 = rng_.chance(profile_.addrChainProb)
                       ? pickSourceWithMean(false, 2.0)
@@ -337,40 +346,6 @@ TraceGenerator::next()
 
 namespace {
 
-/** Keys of an unordered Pc-keyed map in sorted (deterministic) order. */
-template <typename Map>
-std::vector<Pc>
-sortedKeys(const Map &map)
-{
-    std::vector<Pc> keys;
-    keys.reserve(map.size());
-    for (const auto &kv : map)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-void
-savePcU64Map(SerialWriter &w, const std::unordered_map<Pc, Addr> &map)
-{
-    w.u64(map.size());
-    for (Pc pc : sortedKeys(map)) {
-        w.u64(pc);
-        w.u64(map.at(pc));
-    }
-}
-
-void
-loadPcU64Map(SerialReader &r, std::unordered_map<Pc, Addr> &map)
-{
-    map.clear();
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Pc pc = r.u64();
-        map[pc] = r.u64();
-    }
-}
-
 void
 saveRing(SerialWriter &w, const std::vector<ArchReg> &ring,
          std::size_t pos)
@@ -398,6 +373,71 @@ loadRing(SerialReader &r, std::vector<ArchReg> &ring, std::size_t &pos,
 
 } // namespace
 
+bool
+TraceGenerator::fieldApplies(const StaticInst &si, Field f)
+{
+    switch (f) {
+      case Field::StoreAddr:
+        return si.cls == OpClass::Store;
+      case Field::LoadAddr:
+        return si.cls == OpClass::Load;
+      case Field::ReloadPartner:
+        return si.cls == OpClass::Load && si.role == LoadRole::ReloadStore;
+      case Field::RepeatPartner:
+        return si.cls == OpClass::Load && si.role == LoadRole::RepeatLoad;
+    }
+    return false;
+}
+
+bool
+TraceGenerator::isPartnerField(Field f)
+{
+    return f == Field::ReloadPartner || f == Field::RepeatPartner;
+}
+
+void
+TraceGenerator::saveField(SerialWriter &w, Field f) const
+{
+    const bool partner = isPartnerField(f);
+    auto holds = [&](const PcState &s) {
+        return fieldApplies(s.si, f) &&
+               (partner ? s.hasPartner : s.hasLastAddr);
+    };
+    std::uint64_t n = 0;
+    program_.forEach([&](Pc, const PcState &s) { n += holds(s); });
+    w.u64(n);
+    program_.forEach([&](Pc pc, const PcState &s) {
+        if (holds(s)) {
+            w.u64(pc);
+            w.u64(partner ? s.partner : s.lastAddr);
+        }
+    });
+}
+
+void
+TraceGenerator::loadField(SerialReader &r, Field f)
+{
+    const bool partner = isPartnerField(f);
+    std::uint64_t n = r.u64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Pc pc = r.u64();
+        std::uint64_t value = r.u64();
+        PcState *s = program_.inRegion(pc) ? program_.find(pc) : nullptr;
+        if (!s || !fieldApplies(s->si, f))
+            throw SerialError("per-PC generator state for a PC that "
+                              "is not a matching static instruction");
+        if (partner) {
+            if (!program_.inRegion(value))
+                throw SerialError("load partner outside the code region");
+            s->partner = value;
+            s->hasPartner = true;
+        } else {
+            s->lastAddr = value;
+            s->hasLastAddr = true;
+        }
+    }
+}
+
 void
 TraceGenerator::saveState(SerialWriter &w) const
 {
@@ -406,15 +446,14 @@ TraceGenerator::saveState(SerialWriter &w) const
     branches_.saveState(w);
 
     w.u64(program_.size());
-    for (Pc pc : sortedKeys(program_)) {
-        const StaticInst &si = program_.at(pc);
+    program_.forEach([&](Pc pc, const PcState &s) {
         w.u64(pc);
-        w.u8(static_cast<std::uint8_t>(si.cls));
-        w.u8(static_cast<std::uint8_t>(si.region));
-        w.u32(si.streamId);
-        w.u8(static_cast<std::uint8_t>(si.role));
-        w.b(si.fpDest);
-    }
+        w.u8(static_cast<std::uint8_t>(s.si.cls));
+        w.u8(static_cast<std::uint8_t>(s.si.region));
+        w.u32(s.si.streamId);
+        w.u8(static_cast<std::uint8_t>(s.si.role));
+        w.b(s.si.fpDest);
+    });
     for (std::uint64_t c : classAssigned_)
         w.u64(c);
     for (std::uint64_t c : roleAssigned_)
@@ -423,11 +462,11 @@ TraceGenerator::saveState(SerialWriter &w) const
         w.u64(c);
     w.u32(streamRr_);
 
-    savePcU64Map(w, lastStoreAddrByPc_);
-    savePcU64Map(w, reloadPartner_);
+    saveField(w, Field::StoreAddr);
+    saveField(w, Field::ReloadPartner);
     w.u64(lastStorePc_);
-    savePcU64Map(w, lastLoadAddrByPc_);
-    savePcU64Map(w, repeatPartner_);
+    saveField(w, Field::LoadAddr);
+    saveField(w, Field::RepeatPartner);
     w.u64(lastLoadPc_);
 
     w.u64(nextSeq_);
@@ -466,7 +505,13 @@ TraceGenerator::loadState(SerialReader &r)
             throw SerialError("static load role out of range");
         si.role = static_cast<LoadRole>(role);
         si.fpDest = r.b();
-        program_.emplace(pc, si);
+        if (!program_.inRegion(pc))
+            throw SerialError("static instruction outside the code region");
+        if (program_.find(pc))
+            throw SerialError("duplicate static instruction");
+        PcState state;
+        state.si = si;
+        program_.insert(pc, state);
     }
     for (std::uint64_t &c : classAssigned_)
         c = r.u64();
@@ -476,15 +521,20 @@ TraceGenerator::loadState(SerialReader &r)
         c = r.u64();
     streamRr_ = r.u32();
 
-    loadPcU64Map(r, lastStoreAddrByPc_);
-    loadPcU64Map(r, reloadPartner_);
+    loadField(r, Field::StoreAddr);
+    loadField(r, Field::ReloadPartner);
     lastStorePc_ = r.u64();
-    loadPcU64Map(r, lastLoadAddrByPc_);
-    loadPcU64Map(r, repeatPartner_);
+    loadField(r, Field::LoadAddr);
+    loadField(r, Field::RepeatPartner);
     lastLoadPc_ = r.u64();
 
     nextSeq_ = r.u64();
     pc_ = r.u64();
+    // pc_ and the last PCs (0 = none yet) index the static program.
+    if (!program_.inRegion(pc_) ||
+        (lastStorePc_ != 0 && !program_.inRegion(lastStorePc_)) ||
+        (lastLoadPc_ != 0 && !program_.inRegion(lastLoadPc_)))
+        throw SerialError("generator PC outside the code region");
 
     loadRing(r, recentIntDests_, intRingPos_, kDestRing);
     loadRing(r, recentFpDests_, fpRingPos_, kDestRing);

@@ -23,7 +23,6 @@
 #define LSQSCALE_WORKLOAD_TRACE_GENERATOR_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -33,6 +32,7 @@
 #include "workload/branch_model.hh"
 #include "workload/inst_source.hh"
 #include "workload/micro_op.hh"
+#include "workload/pc_table.hh"
 
 namespace lsqscale {
 
@@ -70,7 +70,37 @@ class TraceGenerator : public InstSource
         bool fpDest;         ///< loads: FP destination
     };
 
-    const StaticInst &staticAt(Pc pc);
+    /** Everything the generator keeps per static instruction. */
+    struct PcState
+    {
+        StaticInst si;
+        /** lastAddr is set: this memory PC has executed. */
+        bool hasLastAddr = false;
+        /** partner is bound: a ReloadStore or RepeatLoad load ran. */
+        bool hasPartner = false;
+        /** Latest address this load read or this store wrote. */
+        Addr lastAddr = 0;
+        /** ReloadStore: its store PC; RepeatLoad: its load PC. */
+        Pc partner = 0;
+    };
+
+    PcState &staticAt(Pc pc);
+
+    /** A per-PC checkpoint section after the statics (saveState). */
+    enum class Field : std::uint8_t {
+        StoreAddr,     ///< a store's lastAddr
+        ReloadPartner, ///< a reloader's partner store PC
+        LoadAddr,      ///< a load's lastAddr
+        RepeatPartner, ///< a repeater's partner load PC
+    };
+
+    /** True if a static with attributes @p si can carry field @p f. */
+    static bool fieldApplies(const StaticInst &si, Field f);
+    static bool isPartnerField(Field f);
+    /** Write field @p f as a count and PC-sorted (pc, value) pairs. */
+    void saveField(SerialWriter &w, Field f) const;
+    /** Inverse of saveField; the statics must be loaded already. */
+    void loadField(SerialReader &r, Field f);
 
     /**
      * Largest-deficit selector: pick the category whose assigned share
@@ -107,7 +137,15 @@ class TraceGenerator : public InstSource
     AddressStream addrs_;
     BranchModel branches_;
 
-    std::unordered_map<Pc, StaticInst> program_;
+    /**
+     * The static program plus each memory PC's reuse state: the last
+     * address of every static load and store, and the partner each
+     * reloader (a store PC) or repeater (a load PC) binds to on first
+     * execution. A checkpoint writes it as five PC-sorted sections:
+     * the statics, store addresses, reload partners, load addresses
+     * and repeat partners (saveState).
+     */
+    PcTable<PcState> program_;
 
     /** Stratification state for class/role/region assignment. */
     std::uint64_t classAssigned_[4] = {0, 0, 0, 0};
@@ -115,16 +153,7 @@ class TraceGenerator : public InstSource
     std::uint64_t regionAssigned_[3] = {0, 0, 0};
     unsigned streamRr_ = 0;
 
-    /** Last address written by each static store (producer tracking). */
-    std::unordered_map<Pc, Addr> lastStoreAddrByPc_;
-    /** Reloader loads bind to a partner store PC on first execution. */
-    std::unordered_map<Pc, Pc> reloadPartner_;
     Pc lastStorePc_ = 0;
-
-    /** Last address read by each static load (for repeat pairs). */
-    std::unordered_map<Pc, Addr> lastLoadAddrByPc_;
-    /** Repeater loads bind to a partner load PC on first execution. */
-    std::unordered_map<Pc, Pc> repeatPartner_;
     Pc lastLoadPc_ = 0;
 
     SeqNum nextSeq_ = 0;

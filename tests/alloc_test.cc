@@ -13,6 +13,12 @@
  * allocating (ROADMAP item 3 takes it to 0). A change that adds one
  * heap allocation per cycle raises a cell by 1000 and fails here.
  * Runs are deterministic, so the counts are exact, not sampled.
+ *
+ * What is left is rare events, not per-cycle work: the load-load
+ * violation list of a load issue that finds one, the first touch of a
+ * commit-stall counter, and the workload generator's and branch
+ * model's static records growing (by doubling) as new static
+ * instructions appear.
  */
 
 #include <gtest/gtest.h>
@@ -182,12 +188,12 @@ TEST_P(AllocBound, PerCycleAllocationsWithinRatchet)
 
 INSTANTIATE_TEST_SUITE_P(
     PinnedCells, AllocBound,
-    ::testing::Values(Cell{"base-2port", "gzip", 2750},
-                      Cell{"base-2port", "mcf", 489},
-                      Cell{"all-techniques-1port", "gzip", 3076},
-                      Cell{"all-techniques-1port", "mcf", 398},
-                      Cell{"segmented-4x28-1port", "gzip", 2697},
-                      Cell{"segmented-4x28-1port", "mcf", 488}),
+    ::testing::Values(Cell{"base-2port", "gzip", 2},
+                      Cell{"base-2port", "mcf", 1},
+                      Cell{"all-techniques-1port", "gzip", 2},
+                      Cell{"all-techniques-1port", "mcf", 1},
+                      Cell{"segmented-4x28-1port", "gzip", 2},
+                      Cell{"segmented-4x28-1port", "mcf", 1}),
     [](const ::testing::TestParamInfo<Cell> &info) {
         std::string name =
             std::string(info.param.design) + "_" + info.param.benchmark;

@@ -5,16 +5,109 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 
 using namespace lsqscale;
+
+// ------------------------------------------------------------ Ring ----
+
+TEST(Ring, CapacityRoundsUpToPowerOfTwo)
+{
+    EXPECT_EQ(Ring<int>(5).capacity(), 8u);
+    EXPECT_EQ(Ring<int>(8).capacity(), 8u);
+    EXPECT_EQ(Ring<int>(0).capacity(), 1u);
+}
+
+TEST(Ring, WrapAroundKeepsFifoOrder)
+{
+    Ring<int> r(4);
+    for (int i = 0; i < 3; ++i)
+        r.push_back(i);
+    r.pop_front();
+    r.pop_front();
+    for (int i = 3; i < 6; ++i)   // 4 and 5 wrap to slots 0 and 1
+        r.push_back(i);
+    EXPECT_TRUE(r.full());
+    EXPECT_EQ(r.capacity(), 4u);
+    EXPECT_EQ(r.front(), 2);
+    EXPECT_EQ(r.back(), 5);
+    for (std::size_t i = 0; i < r.size(); ++i)
+        EXPECT_EQ(r[i], static_cast<int>(i) + 2);
+    std::vector<int> seen(r.begin(), r.end());
+    EXPECT_EQ(seen, (std::vector<int>{2, 3, 4, 5}));
+}
+
+TEST(Ring, PopBackAcrossWrap)
+{
+    Ring<int> r(4);
+    for (int i = 0; i < 4; ++i)
+        r.push_back(i);
+    r.pop_front();
+    r.pop_front();
+    r.push_back(4);   // slot 0
+    r.push_back(5);   // slot 1
+    r.pop_back();
+    r.pop_back();
+    r.pop_back();     // back across the wrap, to slot 3
+    EXPECT_EQ(r.size(), 1u);
+    EXPECT_EQ(r.back(), 2);
+    r.push_back(7);
+    EXPECT_EQ(r.back(), 7);
+    EXPECT_EQ(r[1], 7);
+    r.clear();
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, GrowthKeepsOrder)
+{
+    Ring<int> r(4);
+    for (int i = 0; i < 3; ++i)
+        r.push_back(i);
+    r.pop_front();   // the live range now starts mid-storage
+    for (int i = 3; i < 20; ++i)
+        r.push_back(i);
+    EXPECT_EQ(r.capacity(), 32u);
+    ASSERT_EQ(r.size(), 19u);
+    for (std::size_t i = 0; i < r.size(); ++i)
+        EXPECT_EQ(r[i], static_cast<int>(i) + 1);
+}
+
+TEST(Ring, LowerBoundOverWrappedRange)
+{
+    Ring<int> r(8);
+    for (int i = 0; i < 6; ++i)
+        r.push_back(i * 10);
+    for (int i = 0; i < 5; ++i)
+        r.pop_front();
+    for (int i = 6; i < 12; ++i)   // 60..110, wrapping at 80
+        r.push_back(i * 10);
+    ASSERT_EQ(r.size(), 7u);
+    for (int v = 45; v <= 115; v += 5) {
+        auto it = std::lower_bound(r.cbegin(), r.cend(), v);
+        int want = v <= 50 ? 50 : (v + 9) / 10 * 10;
+        if (want > 110) {
+            EXPECT_EQ(it, r.cend());
+        } else {
+            ASSERT_NE(it, r.cend());
+            EXPECT_EQ(*it, want) << "lower_bound of " << v;
+        }
+    }
+    // Iterator arithmetic: distance, prev, and mutable-to-const.
+    Ring<int>::iterator mid = r.begin() + 3;
+    Ring<int>::const_iterator cmid = mid;
+    EXPECT_EQ(cmid - r.cbegin(), 3);
+    EXPECT_EQ(*std::prev(cmid), 70);
+    EXPECT_EQ(r.end() - r.begin(), 7);
+}
 
 // ----------------------------------------------------------- Rng ------
 
@@ -129,6 +222,54 @@ TEST(Rng, GeometricCapRespected)
     // Degenerate p never loops forever.
     EXPECT_EQ(r.geometric(0.0, 5), 5u);
     EXPECT_EQ(r.geometric(1.0), 0u);
+}
+
+TEST(Rng, GeometricMatchesChanceLoop)
+{
+    // geometric compares raw draws against an integer threshold; it
+    // must take the same draws and return the same count as looping
+    // on chance(p), for every p (including ones whose scaled value is
+    // not an integer and ones next to 0 and 1) and every cap.
+    const double ps[] = {0.5,    1.0 / 3,   1.0 / 12, 1.0 / 24, 0.999999,
+                         1e-300, 0x1p-53,   0x1.8p-53, 0.1,     0.75};
+    for (double p : ps) {
+        for (std::uint64_t cap : {0, 1, 2, 7, 64, 512}) {
+            Rng fast(41), slow(41);
+            for (int i = 0; i < 2000; ++i) {
+                std::uint64_t k = 0;
+                while (k < cap && !slow.chance(p))
+                    ++k;
+                ASSERT_EQ(fast.geometric(p, cap), k) << p << " " << cap;
+                ASSERT_EQ(fast.state(), slow.state()) << p << " " << cap;
+            }
+        }
+    }
+    // Random draws almost never land next to the threshold, so place
+    // p on a known draw d (53 bits): at d, half a step above, one step
+    // above. chance() succeeds iff d < p * 2^53.
+    std::uint64_t seed = 41;
+    while ((Rng(seed).next() >> 11) >= (1ULL << 52))
+        ++seed;
+    const std::uint64_t d = Rng(seed).next() >> 11;
+    const double at = std::ldexp(static_cast<double>(d), -53);
+    const double half = std::ldexp(static_cast<double>(2 * d + 1), -54);
+    const double above = std::ldexp(static_cast<double>(d + 1), -53);
+    for (double p : {at, half, above}) {
+        Rng fast(seed), slow(seed);
+        const bool first = slow.chance(p);
+        EXPECT_EQ(first, p > at);
+        EXPECT_EQ(fast.geometric(p, 1) == 0, first) << p;
+        EXPECT_EQ(fast.state(), slow.state()) << p;
+    }
+}
+
+TEST(Rng, BelowPowerOfTwoMatchesModulo)
+{
+    Rng fast(43), slow(43);
+    for (std::uint64_t bound : {1ULL, 2ULL, 8ULL, 4096ULL, 1ULL << 40}) {
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(fast.below(bound), slow.next() % bound) << bound;
+    }
 }
 
 TEST(Rng, SplitProducesIndependentStream)

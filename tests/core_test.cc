@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "core/core.hh"
 #include "core/issue_queue.hh"
 #include "core/phys_reg_file.hh"
@@ -181,54 +182,120 @@ TEST(Rob, OverflowDies)
     EXPECT_DEATH({ rob.push(op, 0); }, "overflow");
 }
 
+TEST(Rob, FindAcrossWrap)
+{
+    // Capacity 4 is the ring's storage size: seqs 4 and 5 land in the
+    // slots 0 and 1 vacated by the two commits.
+    Rob rob(4);
+    MicroOp op;
+    for (SeqNum i = 0; i < 4; ++i) {
+        op.seq = i;
+        rob.push(op, 0);
+    }
+    rob.popHead();
+    rob.popHead();
+    for (SeqNum i = 4; i < 6; ++i) {
+        op.seq = i;
+        rob.push(op, 1);
+    }
+    EXPECT_TRUE(rob.full());
+    for (SeqNum i = 2; i < 6; ++i) {
+        ASSERT_NE(rob.find(i), nullptr);
+        EXPECT_EQ(rob.find(i)->op.seq, i);
+    }
+    EXPECT_EQ(rob.find(1), nullptr);
+    EXPECT_EQ(rob.find(6), nullptr);
+    // Squash back across the wrap, then refetch.
+    rob.popBack();
+    rob.popBack();
+    rob.popBack();
+    EXPECT_EQ(rob.back().op.seq, 2u);
+    EXPECT_EQ(rob.find(3), nullptr);
+    op.seq = 3;
+    rob.push(op, 2);
+    EXPECT_EQ(rob.find(3)->dispatchCycle, 2u);
+    SeqNum expect = 2;
+    for (const RobEntry &e : rob)
+        EXPECT_EQ(e.op.seq, expect++);
+}
+
 // ----------------------------------------------------- IssueQueue -----
+
+namespace {
+
+/** A register file the tests drive by hand: a ready byte per reg. */
+struct TestRegs
+{
+    std::vector<std::uint8_t> ready[2];
+
+    explicit TestRegs(unsigned n)
+    {
+        ready[0].assign(n, 1);
+        ready[1].assign(n, 1);
+    }
+
+    auto
+    fn() const
+    {
+        return [this](PhysReg p, bool fp) { return ready[fp][p] != 0; };
+    }
+};
+
+/** Seqs select() offers at @p now, oldest first, issuing none. */
+std::vector<SeqNum>
+offered(IssueQueue &iq, Cycle now)
+{
+    std::vector<SeqNum> out;
+    iq.select(now, ~0u, [&](IqEntry &e) {
+        out.push_back(e.seq);
+        return false;
+    });
+    return out;
+}
+
+IqEntry
+entry(SeqNum seq, PhysReg src1 = kNoReg, PhysReg src2 = kNoReg)
+{
+    IqEntry e;
+    e.seq = seq;
+    e.src1 = src1;
+    e.src2 = src2;
+    return e;
+}
+
+auto allReady = [](PhysReg, bool) { return true; };
+
+} // namespace
 
 TEST(IssueQueue, SelectRespectsReadiness)
 {
-    IssueQueue iq(8);
-    IqEntry e;
-    e.seq = 1;
-    e.src1 = 10;
-    iq.push(e);
-    e.seq = 2;
-    e.src1 = kNoReg;
-    iq.push(e);
-
-    auto notReady = [](PhysReg, bool) { return false; };
-    auto allReady = [](PhysReg, bool) { return true; };
-    std::vector<SeqNum> ready;
-    iq.selectReady(5, notReady, ready);
-    EXPECT_EQ(ready, std::vector<SeqNum>{2});
-    iq.selectReady(5, allReady, ready);
-    EXPECT_EQ(ready.size(), 2u);
+    IssueQueue iq(8, 16, 32, 32);
+    TestRegs regs(32);
+    regs.ready[0][10] = 0;
+    iq.push(entry(1, 10), regs.fn());
+    iq.push(entry(2), regs.fn());
+    EXPECT_EQ(offered(iq, 5), std::vector<SeqNum>{2});
+    regs.ready[0][10] = 1;
+    iq.wake(10, false);
+    EXPECT_EQ(offered(iq, 5), (std::vector<SeqNum>{1, 2}));
 }
 
 TEST(IssueQueue, SelectRespectsNotBefore)
 {
-    IssueQueue iq(8);
-    IqEntry e;
-    e.seq = 1;
+    IssueQueue iq(8, 16, 32, 32);
+    IqEntry e = entry(1);
     e.notBefore = 10;
-    iq.push(e);
-    auto allReady = [](PhysReg, bool) { return true; };
-    std::vector<SeqNum> ready;
-    iq.selectReady(9, allReady, ready);
-    EXPECT_TRUE(ready.empty());
-    iq.selectReady(10, allReady, ready);
-    EXPECT_EQ(ready.size(), 1u);
+    iq.push(e, allReady);
+    EXPECT_TRUE(offered(iq, 9).empty());
+    EXPECT_EQ(offered(iq, 10).size(), 1u);
 }
 
 TEST(IssueQueue, OldestFirstOrder)
 {
-    IssueQueue iq(8);
-    IqEntry e;
-    for (SeqNum s : {3u, 7u, 9u}) {
-        e.seq = s;
-        iq.push(e);
-    }
-    auto allReady = [](PhysReg, bool) { return true; };
-    std::vector<SeqNum> ready;
-    iq.selectReady(0, allReady, ready);
+    IssueQueue iq(8, 16, 32, 32);
+    for (SeqNum s : {3u, 7u, 9u})
+        iq.push(entry(s), allReady);
+    std::vector<SeqNum> ready = offered(iq, 0);
     ASSERT_EQ(ready.size(), 3u);
     EXPECT_EQ(ready[0], 3u);
     EXPECT_EQ(ready[2], 9u);
@@ -236,12 +303,9 @@ TEST(IssueQueue, OldestFirstOrder)
 
 TEST(IssueQueue, RemoveAndSquash)
 {
-    IssueQueue iq(8);
-    IqEntry e;
-    for (SeqNum s = 0; s < 6; ++s) {
-        e.seq = s;
-        iq.push(e);
-    }
+    IssueQueue iq(8, 16, 32, 32);
+    for (SeqNum s = 0; s < 6; ++s)
+        iq.push(entry(s), allReady);
     iq.remove(2);
     EXPECT_EQ(iq.size(), 5u);
     EXPECT_EQ(iq.find(2), nullptr);
@@ -253,21 +317,292 @@ TEST(IssueQueue, RemoveAndSquash)
 
 TEST(IssueQueue, RemoveMissingDies)
 {
-    IssueQueue iq(4);
+    IssueQueue iq(4, 8, 32, 32);
     EXPECT_DEATH({ iq.remove(9); }, "not present");
 }
 
 TEST(IssueQueue, FullStops)
 {
-    IssueQueue iq(2);
-    IqEntry e;
-    e.seq = 0;
-    iq.push(e);
-    e.seq = 1;
-    iq.push(e);
+    IssueQueue iq(2, 8, 32, 32);
+    iq.push(entry(0), allReady);
+    iq.push(entry(1), allReady);
     EXPECT_TRUE(iq.full());
-    e.seq = 2;
-    EXPECT_DEATH({ iq.push(e); }, "overflow");
+    EXPECT_DEATH({ iq.push(entry(2), allReady); }, "overflow");
+}
+
+TEST(IssueQueue, StaleWaiterAfterSquashAndRefetch)
+{
+    // Seq 5 waits on int reg 3, is squashed, and is refetched reading
+    // int reg 4 instead. Waking reg 3 must not wake the refetched 5.
+    IssueQueue iq(8, 16, 32, 32);
+    TestRegs regs(32);
+    regs.ready[0][3] = 0;
+    regs.ready[0][4] = 0;
+    iq.push(entry(4, 3), regs.fn());
+    iq.push(entry(5, 3), regs.fn());
+    iq.squashFrom(5);
+    iq.push(entry(5, 4), regs.fn());
+    regs.ready[0][3] = 1;
+    iq.wake(3, false);
+    EXPECT_EQ(offered(iq, 0), std::vector<SeqNum>{4});
+    regs.ready[0][4] = 1;
+    iq.wake(4, false);
+    EXPECT_EQ(offered(iq, 0), (std::vector<SeqNum>{4, 5}));
+    iq.checkWakeups(regs.fn());
+}
+
+TEST(IssueQueue, RepeatedWakeIsIdempotent)
+{
+    IssueQueue iq(8, 16, 32, 32);
+    TestRegs regs(32);
+    regs.ready[1][7] = 0;
+    IqEntry e = entry(1, 7, 7);   // both sources on one register
+    e.src1Fp = e.src2Fp = true;
+    iq.push(e, regs.fn());
+    iq.wake(7, false);             // the int register 7: no waiters
+    EXPECT_TRUE(offered(iq, 0).empty());
+    regs.ready[1][7] = 1;
+    iq.wake(7, true);
+    iq.wake(7, true);
+    EXPECT_EQ(offered(iq, 0), std::vector<SeqNum>{1});
+    iq.remove(1);
+    // Renamed again: a new reader waits, and the next wake frees it.
+    regs.ready[1][7] = 0;
+    e = entry(2, 7);
+    e.src1Fp = true;
+    iq.push(e, regs.fn());
+    iq.push(entry(3, 7), regs.fn());   // int reg 7 is ready
+    EXPECT_EQ(offered(iq, 0), std::vector<SeqNum>{3});
+    iq.checkWakeups(regs.fn());
+    regs.ready[1][7] = 1;
+    iq.wake(7, true);
+    EXPECT_EQ(offered(iq, 0), (std::vector<SeqNum>{2, 3}));
+}
+
+TEST(IssueQueue, SelectOrderAcrossSlotWrap)
+{
+    // An 8-seq window: seqs 6..9 occupy slots 6, 7, 0, 1.
+    IssueQueue iq(8, 8, 32, 32);
+    for (SeqNum s = 6; s < 10; ++s)
+        iq.push(entry(s), allReady);
+    EXPECT_EQ(offered(iq, 0), (std::vector<SeqNum>{6, 7, 8, 9}));
+    iq.remove(6);
+    iq.remove(7);
+    for (SeqNum s = 10; s < 14; ++s)
+        iq.push(entry(s), allReady);
+    EXPECT_EQ(offered(iq, 0),
+              (std::vector<SeqNum>{8, 9, 10, 11, 12, 13}));
+    // A seq a whole window past a live one would share its slot.
+    EXPECT_DEATH({ iq.push(entry(16), allReady); }, "holds seq 8");
+}
+
+TEST(IssueQueue, SelectStopsAtIssueWidth)
+{
+    IssueQueue iq(8, 16, 32, 32);
+    for (SeqNum s = 0; s < 5; ++s)
+        iq.push(entry(s), allReady);
+    std::vector<SeqNum> seen;
+    unsigned issued = iq.select(0, 2, [&](IqEntry &e) {
+        seen.push_back(e.seq);
+        if (e.seq == 0)
+            return false;   // e.g. no free unit: not issued
+        iq.remove(e.seq);
+        return true;
+    });
+    EXPECT_EQ(issued, 2u);
+    EXPECT_EQ(seen, (std::vector<SeqNum>{0, 1, 2}));
+    EXPECT_EQ(offered(iq, 0), (std::vector<SeqNum>{0, 3, 4}));
+}
+
+namespace {
+
+/**
+ * The polled issue queue the wakeup-driven one replaced: a
+ * program-ordered vector whose select re-tests every entry's sources.
+ * Kept only as the reference model.
+ */
+class PolledIssueQueue
+{
+  public:
+    void push(const IqEntry &e) { entries_.push_back(e); }
+
+    void
+    remove(SeqNum seq)
+    {
+        std::erase_if(entries_,
+                      [seq](const IqEntry &e) { return e.seq == seq; });
+    }
+
+    void
+    squashFrom(SeqNum seq)
+    {
+        std::erase_if(entries_,
+                      [seq](const IqEntry &e) { return e.seq >= seq; });
+    }
+
+    IqEntry *
+    find(SeqNum seq)
+    {
+        for (IqEntry &e : entries_)
+            if (e.seq == seq)
+                return &e;
+        return nullptr;
+    }
+
+    template <typename ReadyFn>
+    std::vector<SeqNum>
+    selectReady(Cycle now, ReadyFn &&ready) const
+    {
+        std::vector<SeqNum> out;
+        for (const auto &e : entries_) {
+            if (e.notBefore > now)
+                continue;
+            if (e.src1 != kNoReg && !ready(e.src1, e.src1Fp))
+                continue;
+            if (e.src2 != kNoReg && !ready(e.src2, e.src2Fp))
+                continue;
+            out.push_back(e.seq);
+        }
+        return out;
+    }
+
+    bool
+    reads(PhysReg p, bool fp) const
+    {
+        for (const IqEntry &e : entries_)
+            if ((e.src1 == p && e.src1Fp == fp) ||
+                (e.src2 == p && e.src2Fp == fp))
+                return true;
+        return false;
+    }
+
+    std::size_t size() const { return entries_.size(); }
+
+  private:
+    std::vector<IqEntry> entries_;
+};
+
+/**
+ * Drive the wakeup-driven queue and the polled reference through one
+ * random schedule of dispatch, wake, issue, contention replay,
+ * commit, squash and refetch, comparing the eligible seqs every cycle
+ * and the offer order of every issue.
+ */
+void
+runDifferential(std::uint64_t seed)
+{
+    constexpr unsigned kCap = 16, kWindow = 24, kRegs = 12;
+    Rng rng(seed);
+    IssueQueue iq(kCap, kWindow, kRegs, kRegs);
+    PolledIssueQueue ref;
+    TestRegs regs(kRegs);
+    SeqNum head = 0, tail = 0;   // the ROB's live range
+
+    auto randomSrc = [&](PhysReg &src, bool &fp) {
+        if (rng.chance(0.25))
+            return;
+        src = static_cast<PhysReg>(rng.below(kRegs));
+        fp = rng.chance(0.5);
+    };
+
+    for (Cycle now = 1; now < 6000; ++now) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " cycle "
+                                        << now);
+        // Writeback: wake a few registers, sometimes one already ready.
+        for (unsigned i = 0; i < 3; ++i) {
+            PhysReg p = static_cast<PhysReg>(rng.below(kRegs));
+            bool fp = rng.chance(0.5);
+            if (regs.ready[fp][p] && !rng.chance(0.2))
+                continue;
+            regs.ready[fp][p] = 1;
+            iq.wake(p, fp);
+        }
+        // Rename: a register no live entry reads may go unready.
+        for (unsigned i = 0; i < 2; ++i) {
+            PhysReg p = static_cast<PhysReg>(rng.below(kRegs));
+            bool fp = rng.chance(0.5);
+            if (!ref.reads(p, fp))
+                regs.ready[fp][p] = 0;
+        }
+
+        iq.checkWakeups(regs.fn());
+        std::vector<SeqNum> want = ref.selectReady(now, regs.fn());
+        ASSERT_EQ(offered(iq, now), want);
+
+        // Issue: replay the polled loop's decisions in the new walk.
+        unsigned width = 1 + static_cast<unsigned>(rng.below(4));
+        std::size_t next = 0;
+        bool mismatch = false;
+        unsigned issued = iq.select(now, width, [&](IqEntry &e) {
+            while (next < want.size() && ref.find(want[next]) == nullptr)
+                ++next;
+            if (next >= want.size() || want[next] != e.seq) {
+                mismatch = true;
+                return false;
+            }
+            ++next;
+            std::uint64_t roll = rng.below(10);
+            if (roll < 2) {
+                // Contention replay: the entry waits a few cycles.
+                e.notBefore = now + 1 + rng.below(3);
+                ref.find(e.seq)->notBefore = e.notBefore;
+                return false;
+            }
+            if (roll < 4)
+                return false;   // no unit or port this cycle
+            SeqNum seq = e.seq;
+            iq.remove(seq);
+            ref.remove(seq);
+            if (roll == 9 && seq + 1 < tail) {
+                // The issue found a violation: squash younger seqs.
+                SeqNum from = seq + 1 + rng.below(tail - seq - 1);
+                iq.squashFrom(from);
+                ref.squashFrom(from);
+                tail = from;
+            }
+            return true;
+        });
+        ASSERT_FALSE(mismatch) << "select offered a seq out of order";
+        if (issued < width) {
+            while (next < want.size() && ref.find(want[next]) == nullptr)
+                ++next;
+            ASSERT_EQ(next, want.size()) << "select stopped early";
+        }
+
+        // Commit: retire issued seqs from the head.
+        unsigned commits = static_cast<unsigned>(rng.below(4));
+        while (commits-- > 0 && head < tail && ref.find(head) == nullptr)
+            ++head;
+
+        // Squash and refetch: the refetched seqs get new registers.
+        if (tail > head && rng.chance(0.03)) {
+            SeqNum from = head + rng.below(tail - head);
+            iq.squashFrom(from);
+            ref.squashFrom(from);
+            tail = from;
+        }
+
+        // Dispatch.
+        unsigned n = static_cast<unsigned>(rng.below(4));
+        while (n-- > 0 && tail - head < kWindow && !iq.full()) {
+            IqEntry e;
+            e.seq = tail++;
+            e.notBefore = now + 1;
+            randomSrc(e.src1, e.src1Fp);
+            randomSrc(e.src2, e.src2Fp);
+            iq.push(e, regs.fn());
+            ref.push(e);
+        }
+        ASSERT_EQ(iq.size(), ref.size());
+    }
+}
+
+} // namespace
+
+TEST(IssueQueue, MatchesPolledReference)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        runDifferential(seed);
 }
 
 // ----------------------------------------------------------- Core -----

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -14,6 +15,7 @@
 #include "workload/benchmark_profile.hh"
 #include "workload/branch_model.hh"
 #include "workload/inst_stream.hh"
+#include "workload/pc_table.hh"
 #include "workload/trace_generator.hh"
 
 using namespace lsqscale;
@@ -239,6 +241,74 @@ TEST(BranchModel, LoopBranchesExitPeriodically)
     EXPECT_TRUE(foundLoop);
 }
 
+TEST(BranchModel, CheckpointRejectsTargetOutsideCodeRegion)
+{
+    BranchModel m(profileFor("gcc"), Rng(23));
+    m.resolve(0x400100);
+    SerialWriter w;
+    m.saveState(w);
+    std::string bytes = w.buffer();
+    {
+        BranchModel back(profileFor("gcc"), Rng(23));
+        SerialReader r(bytes);
+        back.loadState(r);
+        EXPECT_EQ(back.resolve(0x400100).target,
+                  m.resolve(0x400100).target);
+    }
+    // rng state, count, pc, kind, bias, period, count, then target.
+    const std::size_t targetAt = 8 + 8 + 8 + 1 + 8 + 4 + 4;
+    for (Pc forged : {Pc{0}, m.codeBase() + m.codeBytes(),
+                      m.codeBase() + 2}) {
+        std::string mutant = bytes;
+        for (std::size_t i = 0; i < 8; ++i)
+            mutant[targetAt + i] = static_cast<char>(forged >> (8 * i));
+        BranchModel back(profileFor("gcc"), Rng(23));
+        SerialReader r(mutant);
+        EXPECT_THROW(back.loadState(r), SerialError) << forged;
+    }
+}
+
+// ------------------------------------------------------ pc table ------
+
+TEST(PcTable, IndexesTheCodeRegionInPcOrder)
+{
+    PcTable<int> t(0x400000, 64);
+    EXPECT_TRUE(t.inRegion(0x400000));
+    EXPECT_TRUE(t.inRegion(0x40003c));
+    EXPECT_FALSE(t.inRegion(0x400040));   // one past the end
+    EXPECT_FALSE(t.inRegion(0x3ffffc));
+    EXPECT_FALSE(t.inRegion(0x400002));   // misaligned
+    EXPECT_EQ(t.find(0x400010), nullptr);
+
+    t.insert(0x400020, 2);
+    t.insert(0x400000, 0);
+    t.insert(0x40003c, 15);
+    ASSERT_NE(t.find(0x400020), nullptr);
+    EXPECT_EQ(*t.find(0x400020), 2);
+    *t.find(0x400020) = 8;
+    EXPECT_EQ(*t.find(0x400020), 8);
+    EXPECT_EQ(t.size(), 3u);
+
+    std::vector<std::pair<Pc, int>> seen;
+    t.forEach([&](Pc pc, int v) { seen.emplace_back(pc, v); });
+    const std::vector<std::pair<Pc, int>> sorted = {
+        {0x400000, 0}, {0x400020, 8}, {0x40003c, 15}};
+    EXPECT_EQ(seen, sorted);
+
+    t.clear();
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.find(0x400020), nullptr);
+    t.insert(0x400020, 3);
+    EXPECT_EQ(*t.find(0x400020), 3);
+}
+
+TEST(PcTable, DuplicateInsertDies)
+{
+    PcTable<int> t(0x400000, 64);
+    t.insert(0x400008, 1);
+    EXPECT_DEATH(t.insert(0x400008, 2), "duplicate static record");
+}
+
 // ------------------------------------------------ trace generator -----
 
 TEST(TraceGenerator, DeterministicForSeed)
@@ -382,6 +452,35 @@ TEST(TraceGenerator, BranchDensityReasonable)
     EXPECT_NEAR(static_cast<double>(branches) / n, p.branchFrac, 0.08);
 }
 
+TEST(TraceGenerator, CheckpointRoundTripContinuesIdentically)
+{
+    // gcc's 160 KB footprint: thousands of statics, loads and stores
+    // with reuse partners, all in the per-PC table.
+    TraceGenerator a(profileFor("gcc"), 9);
+    for (int i = 0; i < 50000; ++i)
+        a.next();
+    SerialWriter w;
+    a.saveState(w);
+
+    TraceGenerator b(profileFor("gcc"), 9);
+    SerialReader r(w.buffer());
+    b.loadState(r);
+    SerialWriter again;
+    b.saveState(again);
+    EXPECT_EQ(again.buffer(), w.buffer());
+
+    for (int i = 0; i < 20000; ++i) {
+        MicroOp x = a.next();
+        MicroOp y = b.next();
+        ASSERT_EQ(x.pc, y.pc) << i;
+        ASSERT_EQ(x.addr, y.addr) << i;
+        ASSERT_EQ(x.src1, y.src1) << i;
+        ASSERT_EQ(x.src2, y.src2) << i;
+        ASSERT_EQ(x.dest, y.dest) << i;
+        ASSERT_EQ(x.taken, y.taken) << i;
+    }
+}
+
 // -------------------------------------------------- inst stream -------
 
 TEST(InstStream, FetchMatchesGenerator)
@@ -450,6 +549,29 @@ TEST(InstStream, NextSeqTracksCursor)
     EXPECT_EQ(s.nextSeq(), 2u);
     s.squashTo(1);
     EXPECT_EQ(s.nextSeq(), 1u);
+}
+
+TEST(InstStream, SquashReplayAcrossRingWrap)
+{
+    // The window ring starts with 256 slots. Retiring 150 and fetching
+    // 200 more puts the live range across the wrap without growing it.
+    InstStream s(profileFor("gcc"), 35);
+    std::vector<MicroOp> ops;
+    for (int i = 0; i < 200; ++i)
+        ops.push_back(s.fetch());
+    s.retireUpTo(149);
+    for (int i = 200; i < 400; ++i)
+        ops.push_back(s.fetch());
+    ASSERT_EQ(s.windowSize(), 250u);
+    s.squashTo(240);   // 240..399 cross storage slot 255 -> 0
+    EXPECT_EQ(s.nextSeq(), 240u);
+    for (int i = 240; i < 400; ++i) {
+        const MicroOp &op = s.fetch();
+        EXPECT_EQ(op.seq, ops[i].seq);
+        EXPECT_EQ(op.addr, ops[i].addr);
+        EXPECT_EQ(op.pc, ops[i].pc);
+    }
+    EXPECT_EQ(s.fetch().seq, 400u);
 }
 
 TEST(InstStream, RepeatedSquashReplay)
