@@ -313,14 +313,9 @@ Core::commitStage()
         }
 
         if (head.op.isStore()) {
-            // The cache write needs a D-cache port (and, on a miss,
-            // an MSHR) this cycle.
+            // The cache write needs a D-cache port this cycle.
             if (mem_.l1d().freePorts(now_) == 0)
                 break;
-            if (!mem_.canAcceptData(now_, head.op.addr)) {
-                storeMshrStalls_.inc();
-                break;
-            }
             StoreSearchOutcome out = lsq_.commitStore(head.op.seq, now_);
             if (!out.accepted)
                 break;  // commit delayed (port contention)
@@ -453,14 +448,9 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
     bool want = wantSqSearch(re, op.addr);
 
     // The cache access proceeds in parallel with the SQ search, so a
-    // D-cache port (and an MSHR, should it miss) must be free up
-    // front.
+    // D-cache port must be free up front.
     if (mem_.l1d().freePorts(now_) == 0) {
         loadDcachePortStalls_.inc();
-        return false;
-    }
-    if (!mem_.canAcceptData(now_, op.addr)) {
-        loadMshrStalls_.inc();
         return false;
     }
 
@@ -516,7 +506,6 @@ Core::tryIssueLoad(RobEntry &re, IqEntry &qe)
         bool ok = mem_.l1d().tryPort(now_);
         LSQ_ASSERT(ok, "D-cache port vanished under load");
         MemAccessResult res = mem_.accessData(now_, op.addr, false);
-        LSQ_ASSERT(!res.rejected, "MSHR vanished under load");
         ready = std::max(res.readyCycle, out.searchDoneCycle);
         // Loads that avoid CAM searches skip disambiguation stages:
         // Section 2.1's predicted-independent loads go straight to the

@@ -260,8 +260,6 @@ class Core
     LazyCounter loadStoreSetWaits_{stats_, "loads.storeset.wait"};
     // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadDcachePortStalls_{stats_, "loads.dcache.portstall"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
-    LazyCounter loadMshrStalls_{stats_, "loads.mshr.stall"};
     // Every other counter the core bumps, bound the same way.
     // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter probeDelivered_{stats_, "probe.delivered"};
@@ -273,8 +271,6 @@ class Core
     LazyCounter committedStores_{stats_, "core.committed.stores"};
     // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter committedBranches_{stats_, "core.committed.branches"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
-    LazyCounter storeMshrStalls_{stats_, "stores.mshr.stall"};
     // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadTotalOrderWaits_{stats_, "loads.totalorder.wait"};
     // lsqlint: no-serialize(measurement output, not architectural state)

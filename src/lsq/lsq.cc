@@ -57,6 +57,7 @@ Lsq::Lsq(const LsqParams &params, StatSet &stats)
 {
     sqVisit_.reserve(params.numSegments);
     lqVisit_.reserve(params.numSegments);
+    llViolations_.reserve(params.loadBufferEntries + 1);
 }
 
 // ---------------------------------------------------- allocation ------
@@ -248,7 +249,7 @@ Lsq::planLoadLqSearch(SeqNum loadSeq, Addr addr, Cycle executeCycle,
 // ---------------------------------------------------- load issue ------
 
 void
-Lsq::advanceNilp(LoadIssueOutcome &outcome, Cycle now)
+Lsq::advanceNilp(Cycle now)
 {
     bool useLb = params_.loadCheck == LoadCheckPolicy::LoadBuffer;
     for (; nilp_ < lq_.size() && lq_[nilp_].executed; ++nilp_) {
@@ -269,7 +270,7 @@ Lsq::advanceNilp(LoadIssueOutcome &outcome, Cycle now)
             lbSearches_.inc();
             SeqNum v = lb_.findViolation(e.seq, e.addr, e.executeCycle);
             if (v != kNoSeq)
-                outcome.llViolations.push_back(v);
+                llViolations_.push_back(v);
         }
     }
 }
@@ -388,6 +389,7 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
         return out;
     }
 
+    llViolations_.clear();
     if (doSq) {
         sqPorts().reserveWalk(sqPlan.visit, now);
         sqSearches_.inc();
@@ -415,7 +417,7 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
         LSQ_TRACE_HOOK(tracer_, TraceEvent::LqSearch, now, seq, addr, 0,
                        static_cast<std::uint16_t>(lqPlan.visit.size()));
         if (lqPlan.violator)
-            out.llViolations.push_back(lqPlan.violator->seq);
+            llViolations_.push_back(lqPlan.violator->seq);
     }
 
     std::size_t spanSq = doSq ? sqPlan.visit.size() : 0;
@@ -448,10 +450,11 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
         lbSearches_.inc();
         SeqNum v = lb_.findViolation(seq, addr, now);
         if (v != kNoSeq)
-            out.llViolations.push_back(v);
+            llViolations_.push_back(v);
     }
 
-    advanceNilp(out, now);
+    advanceNilp(now);
+    out.llViolations = llViolations_;
     out.status = LoadIssueStatus::Accepted;
 
     // NILP/LIV consistency: the load buffer only ever holds live

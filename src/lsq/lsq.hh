@@ -73,8 +73,9 @@ struct LoadIssueOutcome
      * Load-load order violations detected by this issue (the issuing
      * load's own search plus any deferred searches triggered by NILP
      * advancing). Values are the *violating* (younger) loads' seqs.
+     * Views the Lsq's scratch buffer: valid until the next issueLoad().
      */
-    std::vector<SeqNum> llViolations;
+    std::span<const SeqNum> llViolations;
 };
 
 /** Result of a store-initiated LQ search (execute- or commit-time). */
@@ -343,7 +344,7 @@ class Lsq
      * Advance the NILP past issued loads, releasing load-buffer
      * entries and running their deferred ordering searches.
      */
-    void advanceNilp(LoadIssueOutcome &outcome, Cycle now);
+    void advanceNilp(Cycle now);
 
     /**
      * Squash the LQ's youngest load: settle its out-of-order count and
@@ -444,6 +445,13 @@ class Lsq
     /** Number of plans started; the current plan's stamp. */
     // lsqlint: no-serialize(per-search scratch, rebuilt by every plan)
     std::uint64_t planStamp_ = 0;
+    /**
+     * The load-load violations of the current issueLoad(), which its
+     * outcome views. One issue finds at most one per passed load-buffer
+     * entry plus its own search, so the reserve is never outgrown.
+     */
+    // lsqlint: no-serialize(per-issue scratch, cleared by every issueLoad)
+    std::vector<SeqNum> llViolations_;
 
     /** Attached ordering oracle, or nullptr (the common case). */
     // lsqlint: no-serialize(attached oracle, wired by the owning Simulator)

@@ -4,10 +4,10 @@
  *
  * Tag-only (no data array — the simulator tracks timing, not values),
  * true-LRU replacement, pipelined hits, and per-cycle port accounting.
- * Misses fill immediately on lookup (non-blocking, unbounded MSHRs):
- * memory-level parallelism is then bounded by the load/store queue
- * capacity, which is exactly the effect the paper's segmentation study
- * depends on.
+ * Misses fill immediately on lookup (non-blocking, no limit on
+ * outstanding misses): memory-level parallelism is then bounded by the
+ * load/store queue capacity, which is exactly the effect the paper's
+ * segmentation study depends on.
  */
 
 #ifndef LSQSCALE_MEMORY_CACHE_HH

@@ -1,7 +1,5 @@
 #include "memory/memory_system.hh"
 
-#include <algorithm>
-
 namespace lsqscale {
 
 MemorySystem::MemorySystem(const MemoryParams &params)
@@ -29,73 +27,11 @@ MemorySystem::walk(Cycle now, Addr addr, Cache &l1)
     return res;
 }
 
-void
-MemorySystem::pruneFills(Cycle now)
-{
-    for (auto it = pendingFills_.begin(); it != pendingFills_.end();) {
-        if (it->second <= now)
-            it = pendingFills_.erase(it);
-        else
-            ++it;
-    }
-}
-
-std::size_t
-MemorySystem::outstandingFills(Cycle now) const
-{
-    std::size_t n = 0;
-    for (const auto &kv : pendingFills_)
-        n += kv.second > now;
-    return n;
-}
-
-bool
-MemorySystem::canAcceptData(Cycle now, Addr addr)
-{
-    if (params_.l1dMshrs == 0)
-        return true;
-    pruneFills(now);
-    Addr block = addr / params_.l1d.blockBytes;
-    if (pendingFills_.count(block))
-        return true;
-    return l1d_.probe(addr) ||
-           pendingFills_.size() < params_.l1dMshrs;
-}
-
 MemAccessResult
 MemorySystem::accessData(Cycle now, Addr addr, bool isWrite)
 {
     (void)isWrite;  // write-allocate: timing identical for our model
-    if (params_.l1dMshrs == 0)
-        return walk(now, addr, l1d_);
-
-    pruneFills(now);
-    Addr block = addr / params_.l1d.blockBytes;
-
-    auto fill = pendingFills_.find(block);
-    if (fill != pendingFills_.end()) {
-        // Secondary miss / hit-under-fill: merge into the in-flight
-        // MSHR; data arrives with the fill.
-        MemAccessResult res{};
-        res.l1Hit = l1d_.probe(addr);
-        res.readyCycle =
-            std::max<Cycle>(fill->second,
-                            now + params_.l1d.hitLatency);
-        return res;
-    }
-
-    // Primary access: a miss needs a free MSHR.
-    if (!l1d_.probe(addr) &&
-        pendingFills_.size() >= params_.l1dMshrs) {
-        MemAccessResult res{};
-        res.rejected = true;
-        res.readyCycle = now + 1;
-        return res;
-    }
-    MemAccessResult res = walk(now, addr, l1d_);
-    if (!res.l1Hit)
-        pendingFills_.emplace(block, res.readyCycle);
-    return res;
+    return walk(now, addr, l1d_);
 }
 
 MemAccessResult
@@ -120,11 +56,6 @@ MemorySystem::saveState(SerialWriter &w) const
     l1i_.saveState(w);
     l1d_.saveState(w);
     l2_.saveState(w);
-    w.u64(pendingFills_.size());
-    for (const auto &kv : pendingFills_) {
-        w.u64(kv.first);
-        w.u64(kv.second);
-    }
 }
 
 void
@@ -133,12 +64,6 @@ MemorySystem::loadState(SerialReader &r)
     l1i_.loadState(r);
     l1d_.loadState(r);
     l2_.loadState(r);
-    pendingFills_.clear();
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Addr block = r.u64();
-        pendingFills_[block] = r.u64();
-    }
 }
 
 } // namespace lsqscale

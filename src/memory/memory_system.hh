@@ -10,8 +10,6 @@
 #ifndef LSQSCALE_MEMORY_MEMORY_SYSTEM_HH
 #define LSQSCALE_MEMORY_MEMORY_SYSTEM_HH
 
-#include <map>
-
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "memory/cache.hh"
@@ -25,15 +23,6 @@ struct MemoryParams
     CacheParams l1d{"l1d", 64 * 1024, 2, 32, 2, 4};
     CacheParams l2{"l2", 2 * 1024 * 1024, 8, 64, 12, 4};
     unsigned memLatency = 150;
-    /**
-     * L1-D miss-status holding registers: the maximum number of
-     * outstanding (distinct-block) misses. Accesses to a block with a
-     * fill in flight merge into its MSHR; primary misses beyond the
-     * limit are rejected and the core retries. 0 = unlimited (the
-     * paper does not specify an MSHR count; memory-level parallelism
-     * is then bounded by the load queue, see DESIGN.md §4).
-     */
-    unsigned l1dMshrs = 0;
 };
 
 /** Result of a timing access. */
@@ -42,15 +31,15 @@ struct MemAccessResult
     Cycle readyCycle;   ///< cycle the data (or write ack) is available
     bool l1Hit;
     bool l2Hit;         ///< meaningful only when !l1Hit
-    /** No MSHR free for a new miss: retry next cycle. */
-    bool rejected = false;
 };
 
 /**
  * Timing-only memory system.
  *
  * Accesses are non-blocking: each access independently computes its
- * completion cycle from the levels it traverses. Port limits apply at
+ * completion cycle from the levels it traverses, with no limit on
+ * outstanding misses (the paper names none; memory-level parallelism
+ * is bounded by the load queue, see DESIGN.md §4). Port limits apply at
  * the L1s (the caller checks/consumes D-cache ports before issuing a
  * load; fetch consumes I-cache ports).
  */
@@ -62,13 +51,6 @@ class MemorySystem
     /** Data access (load or committed store). */
     MemAccessResult accessData(Cycle now, Addr addr, bool isWrite);
 
-    /**
-     * True if accessData(now, addr, ...) would be accepted (i.e. the
-     * access hits, merges into an in-flight fill, or a free MSHR
-     * exists). Always true with unlimited MSHRs.
-     */
-    bool canAcceptData(Cycle now, Addr addr);
-
     /** Instruction fetch access for the block containing @p pc. */
     MemAccessResult accessInst(Cycle now, Addr pc);
 
@@ -77,28 +59,21 @@ class MemorySystem
     Cache &l2() { return l2_; }
     const MemoryParams &params() const { return params_; }
 
-    /** Outstanding L1-D fills (for tests/stats). */
-    std::size_t outstandingFills(Cycle now) const;
-
     void exportStats(StatSet &stats) const;
 
-    /** Serialize all caches + MSHRs (checkpointing, docs/SAMPLING.md). */
+    /** Serialize all caches (checkpointing, docs/SAMPLING.md). */
     void saveState(SerialWriter &w) const;
     /** Restore state written by saveState (geometry must match). */
     void loadState(SerialReader &r);
 
   private:
     MemAccessResult walk(Cycle now, Addr addr, Cache &l1);
-    void pruneFills(Cycle now);
 
     // lsqlint: no-serialize(construction config, fixed for the run)
     MemoryParams params_;
     Cache l1i_;
     Cache l1d_;
     Cache l2_;
-
-    /** In-flight L1-D fills: block number -> data-arrival cycle. */
-    std::map<Addr, Cycle> pendingFills_;
 };
 
 } // namespace lsqscale

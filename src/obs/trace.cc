@@ -279,6 +279,37 @@ Tracer::collect()
 
 // ---------------------------------------------------------------- file
 
+bool
+readTraceStream(std::FILE *f, std::vector<TraceRecord> &out,
+                std::string &err)
+{
+    out.clear();
+    TraceFileHeader hdr;
+    if (std::fread(&hdr, sizeof(hdr), 1, f) != 1) {
+        err = "truncated header";
+        return false;
+    }
+    if (hdr.magic != kEventTraceMagic || hdr.version != kEventTraceVersion ||
+        hdr.recordSize != sizeof(TraceRecord)) {
+        err = "bad header (not an lsqscale trace?)";
+        return false;
+    }
+    TraceRecord rec;
+    std::size_t got;
+    while ((got = std::fread(&rec, 1, sizeof(rec), f)) == sizeof(rec))
+        out.push_back(rec);
+    if (std::ferror(f)) {
+        err = strfmt("read error after %zu records", out.size());
+        return false;
+    }
+    if (got != 0) {
+        err = strfmt("record %zu truncated (%zu of %zu bytes)",
+                     out.size(), got, sizeof(rec));
+        return false;
+    }
+    return true;
+}
+
 std::vector<TraceRecord>
 readTraceFile(const std::string &path)
 {
@@ -287,22 +318,12 @@ readTraceFile(const std::string &path)
         LSQ_FATAL("cannot open trace file %s: %s", path.c_str(),
                   std::strerror(errno));
     }
-    TraceFileHeader hdr;
-    if (std::fread(&hdr, sizeof(hdr), 1, f) != 1) {
-        std::fclose(f);
-        LSQ_FATAL("trace file %s: truncated header", path.c_str());
-    }
-    if (hdr.magic != kEventTraceMagic || hdr.version != kEventTraceVersion ||
-        hdr.recordSize != sizeof(TraceRecord)) {
-        std::fclose(f);
-        LSQ_FATAL("trace file %s: bad header (not an lsqscale trace?)",
-                  path.c_str());
-    }
     std::vector<TraceRecord> out;
-    TraceRecord rec;
-    while (std::fread(&rec, sizeof(rec), 1, f) == 1)
-        out.push_back(rec);
+    std::string err;
+    bool ok = readTraceStream(f, out, err);
     std::fclose(f);
+    if (!ok)
+        LSQ_FATAL("corrupt trace: %s: %s", path.c_str(), err.c_str());
     return out;
 }
 

@@ -126,7 +126,7 @@ static_assert(std::is_trivially_copyable_v<TraceRecord>,
 
 /**
  * Binary event-trace file header constants (little-endian, host
- * order). Distinct from workload/trace_file.hh's replay-trace format.
+ * order).
  */
 inline constexpr std::uint64_t kEventTraceMagic =
     0x314352545153ULL; // "SQTRC1"
@@ -254,8 +254,18 @@ class Tracer
 };
 
 /**
- * Read a binary trace written by a Tracer.
- * Calls LSQ_FATAL on a missing file or a bad header.
+ * Read a binary trace written by a Tracer from @p f, positioned at its
+ * start. Fails with @p err set on a short or foreign header, a read
+ * error, or a body that is not a whole number of records. Field values
+ * are not checked: consumers render events and arguments they do not
+ * know.
+ */
+bool readTraceStream(std::FILE *f, std::vector<TraceRecord> &out,
+                     std::string &err);
+
+/**
+ * Read a binary trace file. Calls LSQ_FATAL on a missing file, and
+ * with "corrupt trace: " on anything readTraceStream rejects.
  */
 std::vector<TraceRecord> readTraceFile(const std::string &path);
 

@@ -151,7 +151,6 @@ readHeader(SerialReader &r)
             std::to_string(meta.version) + " (this build reads " +
             std::to_string(kCkptVersion) + ")");
     meta.benchmark = r.str();
-    meta.tracePath = r.str();
     meta.seed = r.u64();
     meta.instCount = r.u64();
     meta.cycle = r.u64();
@@ -174,14 +173,12 @@ functionalFingerprint(const SimConfig &config)
     ScopedHostPhase prof(HostPhase::Fingerprint);
     Fingerprint fp;
     fp.mix(config.benchmark);
-    fp.mix(config.tracePath);
     fp.mix(config.seed);
 
     mixCache(fp, config.memory.l1i);
     mixCache(fp, config.memory.l1d);
     mixCache(fp, config.memory.l2);
     fp.mix(config.memory.memLatency);
-    fp.mix(config.memory.l1dMshrs);
 
     const BranchPredictorParams &bp = config.core.branchPredictor;
     fp.mix(static_cast<std::uint64_t>(bp.kind));
@@ -238,7 +235,6 @@ saveCheckpoint(Core &core, const SimConfig &config,
     file.raw(kCkptMagic, sizeof(kCkptMagic));
     file.u32(kCkptVersion);
     file.str(config.benchmark);
-    file.str(config.tracePath);
     file.u64(config.seed);
     file.u64(core.committed());
     file.u64(core.cycle());

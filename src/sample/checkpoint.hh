@@ -1,10 +1,10 @@
 /**
  * @file
- * The lsqscale-ckpt-v1 checkpoint format (docs/SAMPLING.md).
+ * The lsqscale-ckpt checkpoint format, version 2 (docs/SAMPLING.md).
  *
  * A checkpoint captures the *functional* state of a run at a quiesced
  * pipeline boundary: workload generator (RNGs, program layout, replay
- * window), memory image (cache tags, LRU, in-flight fills), branch
+ * window), memory image (cache tags and LRU state), branch
  * predictor tables, store-set predictor tables, and the LSQ's segment
  * rotation state. Microarchitectural in-flight state is excluded by
  * construction — checkpoints are only taken when Core::quiescent()
@@ -17,7 +17,6 @@
  *   magic     8 bytes  "LSQCKPT1"
  *   version   u32      kCkptVersion
  *   benchmark str      (u64 length + bytes)
- *   tracePath str
  *   seed      u64
  *   instCount u64      committed instructions at save time
  *   cycle     u64      core cycle at save time
@@ -48,15 +47,17 @@ struct SimConfig;
 inline constexpr char kCkptMagic[8] = {'L', 'S', 'Q', 'C',
                                        'K', 'P', 'T', '1'};
 
-/** Current format version. */
-inline constexpr std::uint32_t kCkptVersion = 1;
+/**
+ * Current format version. Bump it with any layout change, so that an
+ * older file is rejected by version instead of misparsed.
+ */
+inline constexpr std::uint32_t kCkptVersion = 2;
 
 /** Header metadata of a checkpoint file. */
 struct CheckpointMeta
 {
     std::uint32_t version = kCkptVersion;
     std::string benchmark;
-    std::string tracePath;
     std::uint64_t seed = 0;
     std::uint64_t instCount = 0;  ///< committed instructions at save
     std::uint64_t cycle = 0;      ///< core cycle at save
@@ -82,7 +83,7 @@ struct CheckpointInfo
 
 /**
  * Hash of the configuration knobs that determine *functional*
- * behavior: benchmark/trace identity, seed, memory-hierarchy geometry
+ * behavior: benchmark, seed, memory-hierarchy geometry
  * and latencies, and branch-predictor and store-set geometry. LSQ
  * design-point knobs (ports, segments, queue sizes, policies) are
  * excluded so one checkpoint serves a whole design-space sweep.

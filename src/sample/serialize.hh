@@ -4,7 +4,7 @@
  *
  * Fixed-width little-endian encoders/decoders over a growable byte
  * buffer. Components expose saveState(SerialWriter&)/loadState(
- * SerialReader&) member pairs built on these; the lsqscale-ckpt-v1
+ * SerialReader&) member pairs built on these; the lsqscale-ckpt-v2
  * container format (header, sections, CRC) lives one layer up in
  * sample/checkpoint.hh. See docs/SAMPLING.md.
  *

@@ -14,7 +14,6 @@
 #include "sample/serialize.hh"
 #include "sim/simulator.hh"
 #include "workload/benchmark_profile.hh"
-#include "workload/trace_file.hh"
 
 namespace lsqscale {
 
@@ -44,14 +43,9 @@ cliUsage()
         "workload:\n"
         "  --benchmark NAME     synthetic SPEC2K-like workload "
         "(default bzip)\n"
-        "  --trace PATH         replay a recorded .trace file\n"
         "  --insts N            measured instructions (default 500000)\n"
         "  --warmup N           warm-up instructions (default 50000)\n"
         "  --seed N             workload seed (default 1)\n"
-        "  --record PATH        record the synthetic trace to PATH and "
-        "exit\n"
-        "  --record-insts N     trace length for --record "
-        "(default 1000000)\n"
         "  --list-benchmarks    print the 18 built-in profiles and "
         "exit\n"
         "\n"
@@ -80,8 +74,7 @@ cliUsage()
         "                       corrupt-pred, io-fail (also\n"
         "                       LSQSCALE_INJECT)\n"
         "\n"
-        "observability (docs/OBSERVABILITY.md; --trace replays, these "
-        "record):\n"
+        "observability (docs/OBSERVABILITY.md):\n"
         "  --trace-events LIST  record events: comma list of names or\n"
         "                       categories (pipe,lsq,pred,squash,all)\n"
         "  --trace-out PATH     write the full binary event trace\n"
@@ -107,7 +100,7 @@ cliUsage()
         "                       (LSQSCALE_SAMPLE does the same globally)\n"
         "  --ff N               functionally fast-forward N instructions\n"
         "                       before measuring (skips --warmup)\n"
-        "  --save-ckpt PATH     write an lsqscale-ckpt-v1 checkpoint\n"
+        "  --save-ckpt PATH     write an lsqscale-ckpt-v2 checkpoint\n"
         "                       (after --ff) and exit without measuring\n"
         "  --load-ckpt PATH     resume from a checkpoint (skips "
         "--warmup)\n"
@@ -146,18 +139,6 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
                 return "unknown benchmark '" + v +
                        "' (see --list-benchmarks)";
             opts.config.benchmark = v;
-        } else if (a == "--trace") {
-            if (!value(v))
-                return "--trace needs a path";
-            opts.config.tracePath = v;
-        } else if (a == "--record") {
-            if (!value(v))
-                return "--record needs a path";
-            opts.recordPath = v;
-        } else if (a == "--record-insts") {
-            if (!value(v) || !parseDigitsU64(v, opts.recordCount) ||
-                opts.recordCount == 0)
-                return "--record-insts needs a positive count";
         } else if (a == "--insts") {
             if (!value(v) || !parseDigitsU64(v, opts.config.instructions) ||
                 opts.config.instructions == 0)
@@ -320,12 +301,11 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
 }
 
 std::string
-resultToJson(const SimResult &result, const SimConfig &config)
+resultToJson(const SimResult &result)
 {
     std::ostringstream os;
     os << "{\n";
     os << "  \"benchmark\": \"" << result.benchmark << "\",\n";
-    os << "  \"trace\": \"" << config.tracePath << "\",\n";
     os << "  \"cycles\": " << result.cycles << ",\n";
     os << "  \"committed\": " << result.committed << ",\n";
     // jsonNumber keeps finite values byte-identical to the historical
@@ -391,15 +371,6 @@ runCli(const CliOptions &opts)
         }
         return 0;
     }
-    if (!opts.recordPath.empty()) {
-        recordSyntheticTrace(opts.config.benchmark, opts.config.seed,
-                             opts.recordCount, opts.recordPath);
-        std::printf("recorded %llu instructions of %s to %s\n",
-                    static_cast<unsigned long long>(opts.recordCount),
-                    opts.config.benchmark.c_str(),
-                    opts.recordPath.c_str());
-        return 0;
-    }
 
     bool hostProfile = opts.hostProfile ||
                        !opts.hostProfileJsonPath.empty() ||
@@ -428,12 +399,9 @@ runCli(const CliOptions &opts)
     {
     ScopedHostPhase profReport(HostPhase::Report);
     if (opts.jsonOutput) {
-        std::fputs(resultToJson(result, opts.config).c_str(), stdout);
+        std::fputs(resultToJson(result).c_str(), stdout);
     } else {
         std::printf("benchmark   %s\n", result.benchmark.c_str());
-        if (!opts.config.tracePath.empty())
-            std::printf("trace       %s\n",
-                        opts.config.tracePath.c_str());
         std::printf("committed   %llu\n",
                     static_cast<unsigned long long>(result.committed));
         std::printf("cycles      %llu\n",

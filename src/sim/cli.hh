@@ -35,10 +35,6 @@ struct CliOptions
      */
     std::string inject;
 
-    /** Record a synthetic trace to this path and exit. */
-    std::string recordPath;
-    std::uint64_t recordCount = 1000000;
-
     /**
      * --host-profile: render the host wall-clock phase tree
      * (docs/OBSERVABILITY.md) to stderr after the run. Also enabled
@@ -66,8 +62,7 @@ std::string cliUsage();
 int runCli(const CliOptions &opts);
 
 /** JSON rendering of a result (stable key order). */
-std::string resultToJson(const SimResult &result,
-                         const SimConfig &config);
+std::string resultToJson(const SimResult &result);
 
 } // namespace lsqscale
 

@@ -27,13 +27,6 @@ namespace lsqscale {
 struct SimConfig
 {
     std::string benchmark = "bzip";
-    /**
-     * Optional recorded trace (workload/trace_file.hh). When set, the
-     * simulator replays this file instead of synthesizing the
-     * benchmark's stream; `benchmark` is then only a label. Trace
-     * runs start with cold caches (no profile-based pre-warm).
-     */
-    std::string tracePath;
     std::uint64_t instructions = 500000;  ///< measured instructions
     std::uint64_t warmup = 50000;         ///< warm-up instructions
     std::uint64_t seed = 1;
@@ -80,7 +73,7 @@ struct SimConfig
     std::uint64_t ffInsts = 0;
 
     /**
-     * Save an lsqscale-ckpt-v1 checkpoint after the fast-forward and
+     * Save an lsqscale-ckpt-v2 checkpoint after the fast-forward and
      * exit without measuring (--save-ckpt PATH).
      */
     std::string saveCkptPath;

@@ -22,7 +22,6 @@
 #include "sample/sampler.hh"
 #include "workload/address_stream.hh"
 #include "workload/benchmark_profile.hh"
-#include "workload/trace_file.hh"
 
 namespace lsqscale {
 
@@ -91,25 +90,11 @@ Simulator::run()
     std::unique_ptr<Core> corePtr;
     {
         ScopedHostPhase profSetup(HostPhase::Setup);
-        if (!config_.tracePath.empty()) {
-            corePtr = std::make_unique<Core>(
-                config_.core, config_.lsq, config_.memory,
-                std::make_unique<TraceFileReader>(config_.tracePath),
-                result.stats);
-            // If the label names a built-in profile, its region
-            // layout still describes the trace's addresses: pre-warm
-            // as usual.
-            if (profileExists(config_.benchmark))
-                prewarmCaches(corePtr->memory(),
-                              profileFor(config_.benchmark));
-        } else {
-            const BenchmarkProfile &profile =
-                profileFor(config_.benchmark);
-            corePtr = std::make_unique<Core>(
-                config_.core, config_.lsq, config_.memory, profile,
-                config_.seed, result.stats);
-            prewarmCaches(corePtr->memory(), profile);
-        }
+        const BenchmarkProfile &profile = profileFor(config_.benchmark);
+        corePtr = std::make_unique<Core>(
+            config_.core, config_.lsq, config_.memory, profile,
+            config_.seed, result.stats);
+        prewarmCaches(corePtr->memory(), profile);
     }
     Core &core = *corePtr;
     if (HostProfiler::enabled())

@@ -3,10 +3,10 @@
  * Abstract instruction source.
  *
  * The pipeline consumes MicroOps from an InstSource through the
- * replayable InstStream window. The synthetic TraceGenerator is one
- * implementation; TraceFileReader (workload/trace_file.hh) replays
- * recorded traces, letting users bring externally captured workloads
- * (e.g. from a binary-instrumentation tool) to the same simulator.
+ * replayable InstStream window. There are two implementations: the
+ * synthetic TraceGenerator that every benchmark run uses, and the
+ * litmus engine's LitmusSource (mcm/litmus.cc), which feeds one
+ * thread's fixed test program and is not checkpointable.
  */
 
 #ifndef LSQSCALE_WORKLOAD_INST_SOURCE_HH

@@ -69,7 +69,7 @@ class InstStream
         : source_(std::make_unique<TraceGenerator>(profile, seed))
     {}
 
-    /** Drive from any InstSource (e.g. a TraceFileReader). */
+    /** Drive from any InstSource (e.g. a litmus thread's program). */
     explicit InstStream(std::unique_ptr<InstSource> source)
         : source_(std::move(source))
     {

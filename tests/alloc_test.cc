@@ -14,11 +14,11 @@
  * heap allocation per cycle raises a cell by 1000 and fails here.
  * Runs are deterministic, so the counts are exact, not sampled.
  *
- * What is left is rare events, not per-cycle work: the load-load
- * violation list of a load issue that finds one, the first touch of a
- * commit-stall counter, and the workload generator's and branch
+ * What is left is rare events, not per-cycle work: the first touch of
+ * a commit-stall counter, and the workload generator's and branch
  * model's static records growing (by doubling) as new static
- * instructions appear.
+ * instructions appear. That is at most 8 allocations per cell, under
+ * one per 1000 cycles, but not yet the 0 the ratchet aims for.
  */
 
 #include <gtest/gtest.h>
@@ -188,11 +188,11 @@ TEST_P(AllocBound, PerCycleAllocationsWithinRatchet)
 
 INSTANTIATE_TEST_SUITE_P(
     PinnedCells, AllocBound,
-    ::testing::Values(Cell{"base-2port", "gzip", 2},
+    ::testing::Values(Cell{"base-2port", "gzip", 1},
                       Cell{"base-2port", "mcf", 1},
-                      Cell{"all-techniques-1port", "gzip", 2},
+                      Cell{"all-techniques-1port", "gzip", 1},
                       Cell{"all-techniques-1port", "mcf", 1},
-                      Cell{"segmented-4x28-1port", "gzip", 2},
+                      Cell{"segmented-4x28-1port", "gzip", 1},
                       Cell{"segmented-4x28-1port", "mcf", 1}),
     [](const ::testing::TestParamInfo<Cell> &info) {
         std::string name =

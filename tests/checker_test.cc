@@ -304,7 +304,8 @@ phantomLoadLoadViolation()
     c.onAllocateLoad(1, 0x104);
     c.onLoadIssue(1, kB, 3, issued(true));   // younger, other address
     LoadIssueOutcome out = issued(true);
-    out.llViolations.push_back(1);           // mutant: bogus report
+    const SeqNum bogus[] = {1};
+    out.llViolations = bogus;                // mutant: bogus report
     c.onLoadIssue(0, kA, 8, out);
     return c;
 }

@@ -112,10 +112,6 @@ TEST(Cli, ModeFlags)
     EXPECT_TRUE(parseOk({"--list-benchmarks"}).listBenchmarks);
     EXPECT_TRUE(parseOk({"--json"}).jsonOutput);
     EXPECT_TRUE(parseOk({"--dump-stats"}).dumpStats);
-    CliOptions rec = parseOk({"--record", "/tmp/x.trace",
-                              "--record-insts", "5000"});
-    EXPECT_EQ(rec.recordPath, "/tmp/x.trace");
-    EXPECT_EQ(rec.recordCount, 5000u);
 }
 
 TEST(Cli, MissingValuesAreErrors)
@@ -133,17 +129,21 @@ TEST(Cli, UnknownOptionIsError)
     EXPECT_NE(parseErr({"--frobnicate"}), "");
 }
 
-TEST(Cli, SweepFlagsAreRejected)
+TEST(Cli, RetiredFlagsAreRejected)
 {
     // lsqsim runs one simulation; sweeps are configured through
     // SweepOptions and the LSQSCALE_JOBS/ISOLATION variables only, and
-    // a sweep is rerun, not resumed.
+    // a sweep is rerun, not resumed. There is no replay-trace format.
+    // A script that still passes these fails loudly instead of running
+    // something else.
     for (const char *flag :
-         {"--jobs", "--isolation", "--journal", "--resume"}) {
+         {"--jobs", "--isolation", "--journal", "--resume", "--trace",
+          "--record", "--record-insts"}) {
         std::string err = parseErr({flag, "2"});
         EXPECT_NE(err.find("unknown option"), std::string::npos)
             << flag << ": " << err;
     }
+    EXPECT_EQ(cliUsage().find("--record"), std::string::npos);
 }
 
 TEST(Cli, CountsAreDigitsOnly)
@@ -161,9 +161,9 @@ TEST(Cli, UsageMentionsEveryOption)
 {
     std::string u = cliUsage();
     for (const char *flag :
-         {"--benchmark", "--trace", "--insts", "--ports", "--segments",
+         {"--benchmark", "--insts", "--ports", "--segments",
           "--predictor", "--load-buffer", "--all-techniques",
-          "--scaled", "--json", "--record", "--inject"})
+          "--scaled", "--json", "--trace-out", "--inject"})
         EXPECT_NE(u.find(flag), std::string::npos) << flag;
 }
 
@@ -173,7 +173,7 @@ TEST(Cli, JsonOutputIsWellFormedish)
     cfg.instructions = 3000;
     cfg.warmup = 500;
     SimResult r = Simulator(cfg).run();
-    std::string json = resultToJson(r, cfg);
+    std::string json = resultToJson(r);
     EXPECT_EQ(json.front(), '{');
     EXPECT_NE(json.find("\"ipc\":"), std::string::npos);
     EXPECT_NE(json.find("\"counters\":"), std::string::npos);

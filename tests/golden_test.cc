@@ -59,7 +59,7 @@ checkGolden(SimConfig cfg, const std::string &name)
 {
     cfg.instructions = 25000;
     SimResult result = Simulator(cfg).run();
-    std::string json = resultToJson(result, cfg);
+    std::string json = resultToJson(result);
 
     std::string path = goldenPath(name);
     if (refreshMode()) {

@@ -226,9 +226,8 @@ TEST(SinkRoundTrip, CliJsonWithNanSamplingFieldsParsesStrictly)
     result.sampling.ipcMean = 1.5;
     result.sampling.ipcStddev = std::nan("");
     result.sampling.ipcErr95 = std::nan("");
-    SimConfig config = configs::base("gzip");
 
-    std::string json = resultToJson(result, config);
+    std::string json = resultToJson(result);
     ASSERT_NE(json.find("\"ipc_stddev\": null"), std::string::npos)
         << json;
     ASSERT_NE(json.find("\"ipc_err95\": null"), std::string::npos)

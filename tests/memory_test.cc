@@ -8,8 +8,6 @@
 #include "memory/cache.hh"
 #include "memory/memory_system.hh"
 #include "sample/serialize.hh"
-#include "sim/sim_config.hh"
-#include "sim/simulator.hh"
 
 using namespace lsqscale;
 
@@ -278,93 +276,3 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
                        ::testing::Values(16u, 32u, 64u)));
-
-// ------------------------------------------------------ MSHRs ---------
-
-namespace {
-
-MemoryParams
-withMshrs(unsigned n)
-{
-    MemoryParams p;
-    p.l1dMshrs = n;
-    return p;
-}
-
-} // namespace
-
-TEST(Mshr, UnlimitedByDefault)
-{
-    MemorySystem m;
-    for (int i = 0; i < 100; ++i) {
-        MemAccessResult r =
-            m.accessData(0, 0x100000 + 4096 * i, false);
-        EXPECT_FALSE(r.rejected);
-    }
-    EXPECT_TRUE(m.canAcceptData(0, 0x9999990));
-}
-
-TEST(Mshr, PrimaryMissesLimited)
-{
-    MemorySystem m(withMshrs(2));
-    EXPECT_FALSE(m.accessData(0, 0x10000, false).rejected);
-    EXPECT_FALSE(m.accessData(0, 0x20000, false).rejected);
-    EXPECT_EQ(m.outstandingFills(0), 2u);
-    // A third distinct-block miss in the same window is rejected.
-    EXPECT_FALSE(m.canAcceptData(0, 0x30000));
-    EXPECT_TRUE(m.accessData(0, 0x30000, false).rejected);
-}
-
-TEST(Mshr, SecondaryMissMerges)
-{
-    MemorySystem m(withMshrs(1));
-    MemAccessResult first = m.accessData(0, 0x10000, false);
-    EXPECT_FALSE(first.rejected);
-    // Same block: merges, no rejection, data with the fill.
-    MemAccessResult second = m.accessData(1, 0x10008, false);
-    EXPECT_FALSE(second.rejected);
-    EXPECT_EQ(second.readyCycle, first.readyCycle);
-    EXPECT_EQ(m.outstandingFills(1), 1u);
-}
-
-TEST(Mshr, HitsNeverRejected)
-{
-    MemorySystem m(withMshrs(1));
-    m.accessData(0, 0x10000, false);       // fills & occupies the MSHR
-    m.accessData(0, 0x20000, false);       // rejected (full)... checked:
-    // A resident block hits regardless of MSHR pressure. Install one
-    // first, far in the past so its fill completed.
-    MemorySystem m2(withMshrs(1));
-    m2.accessData(0, 0x10000, false);
-    Cycle later = 10000;
-    EXPECT_TRUE(m2.canAcceptData(later, 0x10000));
-    MemAccessResult r = m2.accessData(later, 0x10000, false);
-    EXPECT_FALSE(r.rejected);
-    EXPECT_TRUE(r.l1Hit);
-}
-
-TEST(Mshr, FreedAfterFillCompletes)
-{
-    MemorySystem m(withMshrs(1));
-    MemAccessResult r = m.accessData(0, 0x10000, false);
-    EXPECT_FALSE(m.canAcceptData(1, 0x20000));
-    EXPECT_TRUE(m.canAcceptData(r.readyCycle, 0x20000));
-    EXPECT_FALSE(m.accessData(r.readyCycle, 0x20000, false).rejected);
-}
-
-TEST(Mshr, CoreRunsWithTightMshrs)
-{
-    // End-to-end: a 2-MSHR machine still makes progress (loads retry)
-    // and a memory-bound workload gets slower than with unlimited
-    // MSHRs.
-    SimConfig base = configs::base("swim");
-    base.instructions = 8000;
-    base.warmup = 2000;
-    SimConfig tight = base;
-    tight.memory.l1dMshrs = 2;
-    SimResult u = Simulator(base).run();
-    SimResult t = Simulator(tight).run();
-    EXPECT_GE(t.committed, 8000u);
-    EXPECT_GT(t.stats.value("loads.mshr.stall"), 0u);
-    EXPECT_LT(t.ipc(), u.ipc());
-}

@@ -13,8 +13,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <tuple>
 
@@ -31,6 +34,7 @@
 #include "sim/experiment.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
+#include "workload/op_class.hh"
 
 namespace lsqscale {
 namespace {
@@ -491,6 +495,175 @@ TEST(Konata, MutatedTextParsesOrFailsWithError)
 
     // Fixed-seed byte flips: single bit flips and random bytes.
     Rng rng(19);
+    for (std::size_t k = 0; k < 2000; ++k) {
+        std::string m = text;
+        for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) {
+            char &b = m[rng.below(m.size())];
+            if (k % 2 == 0)
+                b = static_cast<char>(b ^ (1u << rng.below(8)));
+            else
+                b = static_cast<char>(rng.below(256));
+        }
+        check(m, "byte flip", k);
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+// -------------------------------------------- event-trace reader -----
+
+/** Run @p bytes through readTraceStream, as if read from a file. */
+bool
+readTraceBytes(const std::string &bytes, std::vector<TraceRecord> &out,
+               std::string &err)
+{
+    std::FILE *f = std::tmpfile();
+    if (f == nullptr) {
+        ADD_FAILURE() << "tmpfile failed";
+        return false;
+    }
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+              bytes.size());
+    std::rewind(f);
+    bool ok = readTraceStream(f, out, err);
+    std::fclose(f);
+    return ok;
+}
+
+/** The whole binary trace of a short real run, header included. */
+std::string
+realTraceBytes()
+{
+    std::string path = tempPath("mutant_src.evtrace");
+    SimConfig cfg = tinyConfig();
+    cfg.instructions = 40;
+    cfg.warmup = 0;
+    cfg.trace.enabled = true;
+    cfg.trace.binaryPath = path;
+    Simulator(cfg).run();
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    return bytes;
+}
+
+TEST(TraceFile, TruncatedBodyIsFatal)
+{
+    std::string path = tempPath("truncated.evtrace");
+    TraceConfig cfg;
+    cfg.enabled = true;
+    cfg.binaryPath = path;
+    {
+        Tracer t(cfg);
+        for (SeqNum s = 0; s < 4; ++s)
+            t.record(TraceEvent::Issue, s, s);
+        t.finish();
+    }
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size() - 5));
+    }
+    EXPECT_EXIT(readTraceFile(path), ::testing::ExitedWithCode(1),
+                "corrupt trace: .*record 3 truncated \\(27 of 32 bytes\\)");
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, MutatedBytesAreRejectedOrRendered)
+{
+    // The reader takes files from outside the process (lsqtrace), so
+    // every mutant of a real trace must be rejected with a message or
+    // read, and whatever it reads must go through every consumer
+    // (lsqtrace stalls, konata and dump) without a crash or a
+    // sanitizer report.
+    const std::string text = realTraceBytes();
+    std::vector<TraceRecord> original;
+    std::string err;
+    ASSERT_TRUE(readTraceBytes(text, original, err)) << err;
+    constexpr std::size_t kRec = sizeof(TraceRecord);
+    const std::size_t header = text.size() - original.size() * kRec;
+    ASSERT_EQ(header, 24u);
+    ASSERT_GT(original.size(), 100u);
+    ASSERT_FALSE(reconstructLifecycles(original).empty());
+
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    auto check = [&](const std::string &mutant, const char *what,
+                     std::size_t k) {
+        std::vector<TraceRecord> recs;
+        std::string why;
+        if (!readTraceBytes(mutant, recs, why)) {
+            EXPECT_FALSE(why.empty()) << what << " " << k;
+            ++rejected;
+            return false;
+        }
+        ++accepted;
+        EXPECT_EQ(recs.size() * kRec + header, mutant.size())
+            << what << " " << k;
+        StallAttribution att = attributeStalls(recs);
+        EXPECT_LE(att.retired, recs.size()) << what << " " << k;
+        EXPECT_FALSE(renderStallTable(att).empty());
+        std::vector<InstLifecycle> insts = reconstructLifecycles(recs);
+        EXPECT_LE(insts.size(), recs.size()) << what << " " << k;
+        exportO3PipeView(insts);
+        for (const TraceRecord &r : recs)
+            EXPECT_FALSE(traceRecordToString(r).empty());
+        return true;
+    };
+
+    EXPECT_TRUE(check(text, "original", 0));
+
+    // Truncation inside the header, at every record boundary (a
+    // shorter valid trace) and inside every record (rejected).
+    for (std::size_t cut = 0; cut < header; ++cut)
+        EXPECT_FALSE(check(text.substr(0, cut), "cut in header", cut));
+    for (std::size_t n = 0; n <= original.size(); ++n) {
+        std::size_t at = header + n * kRec;
+        EXPECT_TRUE(check(text.substr(0, at), "cut at record", n));
+        if (n == original.size())
+            break;
+        for (std::size_t in : {std::size_t{1}, kRec / 2, kRec - 1})
+            EXPECT_FALSE(
+                check(text.substr(0, at + in), "cut inside record", n));
+    }
+
+    // The event, a and b fields of every record forged to values the
+    // writer never produces: the record still reads and renders.
+    for (std::size_t n = 0; n < original.size(); ++n) {
+        std::size_t at = header + n * kRec;
+        auto forge = [&](std::size_t offset, const void *v,
+                         std::size_t len, const char *what) {
+            std::string forged = text;
+            std::memcpy(forged.data() + at + offset, v, len);
+            EXPECT_TRUE(check(forged, what, n));
+        };
+        for (std::uint8_t ev :
+             {std::uint8_t{kNumTraceEvents}, std::uint8_t{0x80},
+              std::uint8_t{0xff}}) {
+            forge(offsetof(TraceRecord, event), &ev, 1, "forged event");
+            TraceRecord r = original[n];
+            r.event = ev;
+            EXPECT_NE(traceRecordToString(r).find(" ? "),
+                      std::string::npos);
+        }
+        for (std::uint8_t a : {std::uint8_t{kNumOpClasses},
+                               std::uint8_t{0xff}})
+            forge(offsetof(TraceRecord, a), &a, 1, "forged a");
+        for (std::uint16_t b : {std::uint16_t{0}, std::uint16_t{0xffff}})
+            forge(offsetof(TraceRecord, b), &b, 2, "forged b");
+    }
+
+    // Fixed-seed byte flips: single bit flips and random bytes. A flip
+    // in the magic, version or record size rejects the file; anywhere
+    // else the trace reads.
+    Rng rng(24);
     for (std::size_t k = 0; k < 2000; ++k) {
         std::string m = text;
         for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) {

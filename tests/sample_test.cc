@@ -256,6 +256,45 @@ TEST_F(SampleTest, RejectsWrongVersion)
     EXPECT_THROW(sim.run(), SerialError);
 }
 
+TEST_F(SampleTest, RejectsVersionOneFile)
+{
+    // A version-1 header also carried a trace path, so its fields sit
+    // at other offsets: the version check must stop it before any
+    // field is read.
+    SimConfig cfg = configs::base("bzip");
+    std::string ckpt = saveAt(cfg, 5000, "v1.ckpt");
+    CheckpointMeta meta = inspectCheckpoint(ckpt).meta;
+    std::string bytes = readBytes(ckpt);
+    std::string payload = bytes.substr(bytes.size() - meta.payloadBytes);
+    SerialWriter w;
+    w.raw(kCkptMagic, sizeof(kCkptMagic));
+    w.u32(1);
+    w.str(meta.benchmark);
+    w.str("");  // the version-1 trace path
+    w.u64(meta.seed);
+    w.u64(meta.instCount);
+    w.u64(meta.cycle);
+    w.u64(meta.fingerprint);
+    w.u64(payload.size());
+    w.u32(crc32(payload.data(), payload.size()));
+    w.raw(payload.data(), payload.size());
+    writeBytes(ckpt, w.buffer());
+
+    cfg.loadCkptPath = ckpt;
+    cfg.instructions = 1000;
+    Simulator sim(cfg);
+    try {
+        sim.run();
+        ADD_FAILURE() << "a version-1 checkpoint loaded";
+    } catch (const SerialError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported checkpoint version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(inspectCheckpoint(ckpt), SerialError);
+}
+
 TEST_F(SampleTest, RejectsBadMagic)
 {
     SimConfig cfg = configs::base("bzip");
@@ -298,7 +337,6 @@ checkpointImage(const CheckpointMeta &meta, const std::string &payload)
     w.raw(kCkptMagic, sizeof(kCkptMagic));
     w.u32(meta.version);
     w.str(meta.benchmark);
-    w.str(meta.tracePath);
     w.u64(meta.seed);
     w.u64(meta.instCount);
     w.u64(meta.cycle);

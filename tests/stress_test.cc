@@ -120,13 +120,6 @@ TEST(Stress, TinyCaches)
     runCore(CoreParams(), LsqParams(), mp, "mcf", 2000);
 }
 
-TEST(Stress, OneMshr)
-{
-    MemoryParams mp;
-    mp.l1dMshrs = 1;
-    runCore(CoreParams(), LsqParams(), mp, "swim", 3000);
-}
-
 TEST(Stress, TinyPredictorTables)
 {
     CoreParams cp;

@@ -1,6 +1,6 @@
 /**
  * @file
- * lsqckpt — inspect and verify lsqscale-ckpt-v1 checkpoint files
+ * lsqckpt — inspect and verify lsqscale-ckpt-v2 checkpoint files
  * (docs/SAMPLING.md).
  *
  *   lsqckpt inspect FILE   print header metadata and section sizes
@@ -38,8 +38,6 @@ inspect(const std::string &path)
     std::printf("file        %s\n", path.c_str());
     std::printf("format      lsqscale-ckpt-v%u\n", m.version);
     std::printf("benchmark   %s\n", m.benchmark.c_str());
-    if (!m.tracePath.empty())
-        std::printf("trace       %s\n", m.tracePath.c_str());
     std::printf("seed        %llu\n",
                 static_cast<unsigned long long>(m.seed));
     std::printf("insts       %llu\n",

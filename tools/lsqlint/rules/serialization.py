@@ -9,7 +9,7 @@ at save time is this codebase's way of documenting why it has no bytes
 in the stream.
 
 ser-ckpt-sections — every fourcc section constant (the six
-lsqscale-ckpt-v1 sections: CORE/STRM/MEM/BP/SSP/LSQ) must be threaded
+lsqscale-ckpt-v2 sections: CORE/STRM/MEM/BP/SSP/LSQ) must be threaded
 through both a save-path and a load-path function in its defining
 file, and tags must be unique. A section appended but never opened is
 exactly the save/load asymmetry that corrupts resumed runs.
