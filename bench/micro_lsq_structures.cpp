@@ -3,8 +3,8 @@
  * Microbenchmarks (google-benchmark) of the simulator's hot
  * structures: LSQ allocate/issue/commit round trips at several sizes
  * and port counts, port-blocked load retries, segmented search
- * planning, issue-queue wakeup and select, the load buffer, and the
- * predictors. These guard the
+ * planning, issue-queue wakeup and select, the load buffer, the
+ * predictors, and the checkpoint CRC and restore. These guard the
  * simulator's own performance — the experiment benches run millions
  * of these operations.
  *
@@ -14,13 +14,21 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "core/core.hh"
 #include "core/issue_queue.hh"
 #include "lsq/lsq.hh"
 #include "predictor/branch_predictor.hh"
 #include "predictor/store_set.hh"
+#include "sample/checkpoint.hh"
+#include "sim/sim_config.hh"
+#include "sim/simulator.hh"
+#include "workload/benchmark_profile.hh"
 
 using namespace lsqscale;
 
@@ -277,6 +285,48 @@ BM_HybridBranchPredictor(benchmark::State &state)
     }
 }
 
+void
+BM_Crc32(benchmark::State &state)
+{
+    Rng rng(5);
+    std::vector<unsigned char> buf(1 << 20);
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.below(256));
+    for (auto _ : state) {
+        (void)_;
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(buf.size()));
+}
+
+/**
+ * loadCheckpoint of an mcf checkpoint taken after a 100k-instruction
+ * fast-forward, into a freshly constructed core (construction is not
+ * timed): reading the file, the CRC, and decoding every section.
+ */
+void
+BM_CheckpointRestore(benchmark::State &state)
+{
+    SimConfig cfg = configs::base("mcf");
+    cfg.ffInsts = 100000;
+    cfg.saveCkptPath = (std::filesystem::temp_directory_path() /
+                        "micro_restore_mcf.ckpt").string();
+    Simulator(cfg).run();
+    const BenchmarkProfile &profile = profileFor(cfg.benchmark);
+    for (auto _ : state) {
+        (void)_;
+        state.PauseTiming();
+        StatSet stats;
+        Core core(cfg.core, cfg.lsq, cfg.memory, profile, cfg.seed,
+                  stats);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(
+            loadCheckpoint(core, cfg, cfg.saveCkptPath).instCount);
+    }
+    std::remove(cfg.saveCkptPath.c_str());
+}
+
 } // namespace
 
 BENCHMARK(BM_LsqFlat32_2p);
@@ -289,5 +339,7 @@ BENCHMARK(BM_IssueQueueWakeupSelect)->Arg(1)->Arg(4)->Arg(8);
 BENCHMARK(BM_LoadBufferSearch);
 BENCHMARK(BM_StoreSetPredictor);
 BENCHMARK(BM_HybridBranchPredictor);
+BENCHMARK(BM_Crc32);
+BENCHMARK(BM_CheckpointRestore)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -81,17 +81,6 @@ Cache::access(Addr addr)
 }
 
 bool
-Cache::probe(Addr addr) const
-{
-    const std::uint64_t *tags = &tags_[setIndex(addr) * params_.assoc];
-    std::uint64_t tag = tagOf(addr);
-    for (unsigned w = 0; w < params_.assoc; ++w)
-        if (tags[w] == tag)
-            return true;
-    return false;
-}
-
-bool
 Cache::tryPort(Cycle now)
 {
     if (portCycle_ != now) {
@@ -147,13 +136,17 @@ Cache::loadState(SerialReader &r)
         throw SerialError(params_.name +
                           ": cache geometry mismatch "
                           "(checkpoint from a different config?)");
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        std::uint64_t tag = r.u64();
-        bool valid = r.b();
+    // The way array is n fixed 17-byte records (saveState): check its
+    // length once, then decode it in place.
+    constexpr std::size_t kWayBytes = 8 + 1 + 8;
+    const char *p = r.take(tags_.size() * kWayBytes);
+    for (std::size_t i = 0; i < tags_.size(); ++i, p += kWayBytes) {
+        std::uint64_t tag = loadLe<std::uint64_t>(p);
+        bool valid = p[8] != 0;
         if (valid && tag == kEmpty)
             throw SerialError(params_.name + ": tag out of range");
         tags_[i] = valid ? tag : kEmpty;
-        lru_[i] = r.u64();
+        lru_[i] = loadLe<std::uint64_t>(p + 9);
     }
     stamp_ = r.u64();
     hits_ = r.u64();

@@ -48,9 +48,6 @@ class Cache
      */
     bool access(Addr addr);
 
-    /** True if the block is resident; no LRU/state update. */
-    bool probe(Addr addr) const;
-
     /**
      * Per-cycle port arbitration: returns true and consumes a port if
      * one is free in cycle @p now.

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include <sys/stat.h>
+
 #include "common/logging.hh"
 #include "core/core.hh"
 #include "metrics/hostprof.hh"
@@ -79,24 +81,11 @@ mixCache(Fingerprint &fp, const CacheParams &c)
     fp.mix(c.ports);
 }
 
-void
-appendSection(SerialWriter &payload, std::uint32_t tag,
-              const SerialWriter &body)
-{
-    payload.u32(tag);
-    payload.u64(body.size());
-    payload.raw(body.buffer().data(), body.size());
-}
-
-/** One carved-out payload section (owns its bytes). */
-struct Section
-{
-    std::string bytes;
-    SerialReader reader() const { return SerialReader(bytes); }
-};
-
-/** Read one tag+len section, validating the expected tag. */
-Section
+/**
+ * Read one tag+len section header, checking the tag against
+ * @p expectTag, and return a view of the section's bytes.
+ */
+SerialReader
 openSection(SerialReader &payload, std::uint32_t expectTag)
 {
     std::uint32_t tag = payload.u32();
@@ -108,11 +97,31 @@ openSection(SerialReader &payload, std::uint32_t expectTag)
     if (len > payload.remaining())
         throw SerialError("checkpoint section " + tagName(tag) +
                           " truncated");
-    Section s;
-    s.bytes.resize(static_cast<std::size_t>(len));
-    if (len > 0)
-        payload.raw(s.bytes.data(), static_cast<std::size_t>(len));
-    return s;
+    auto n = static_cast<std::size_t>(len);
+    return SerialReader(payload.take(n), n);
+}
+
+/** Restore @p part from one section, which it must consume whole. */
+template <typename Part>
+void
+loadSection(SerialReader &payload, std::uint32_t tag, const char *what,
+            Part &part)
+{
+    SerialReader body = openSection(payload, tag);
+    part.loadState(body);
+    body.expectEnd(what);
+}
+
+/** Append @p part's state as one tag+len section. */
+template <typename Part>
+void
+saveSection(SerialWriter &payload, std::uint32_t tag, const Part &part)
+{
+    payload.u32(tag);
+    std::size_t lenAt = payload.size();
+    payload.u64(0);
+    part.saveState(payload);
+    payload.patchU64(lenAt, payload.size() - (lenAt + 8));
 }
 
 std::string
@@ -121,12 +130,13 @@ readFile(const std::string &path)
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         throw SerialError("cannot open checkpoint file: " + path);
-    std::string data;
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.append(buf, n);
-    bool bad = std::ferror(f) != 0;
+    struct stat st;
+    if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+        std::fclose(f);
+        throw SerialError("not a regular checkpoint file: " + path);
+    }
+    std::string data(static_cast<std::size_t>(st.st_size), '\0');
+    bool bad = std::fread(data.data(), 1, data.size(), f) != data.size();
     std::fclose(f);
     if (bad)
         throw SerialError("error reading checkpoint file: " + path);
@@ -200,55 +210,31 @@ saveCheckpoint(Core &core, const SimConfig &config,
                const std::string &path)
 {
     SerialWriter payload;
-    {
-        SerialWriter body;
-        core.saveState(body);
-        appendSection(payload, kSecCore, body);
-    }
-    {
-        SerialWriter body;
-        core.stream().saveState(body);
-        appendSection(payload, kSecStream, body);
-    }
-    {
-        SerialWriter body;
-        core.memory().saveState(body);
-        appendSection(payload, kSecMemory, body);
-    }
-    {
-        SerialWriter body;
-        core.branchPredictorMut().saveState(body);
-        appendSection(payload, kSecBp, body);
-    }
-    {
-        SerialWriter body;
-        core.storeSets().saveState(body);
-        appendSection(payload, kSecSsp, body);
-    }
-    {
-        SerialWriter body;
-        core.lsq().saveState(body);
-        appendSection(payload, kSecLsq, body);
-    }
+    saveSection(payload, kSecCore, core);
+    saveSection(payload, kSecStream, core.stream());
+    saveSection(payload, kSecMemory, core.memory());
+    saveSection(payload, kSecBp, core.branchPredictorMut());
+    saveSection(payload, kSecSsp, core.storeSets());
+    saveSection(payload, kSecLsq, core.lsq());
 
-    SerialWriter file;
-    file.raw(kCkptMagic, sizeof(kCkptMagic));
-    file.u32(kCkptVersion);
-    file.str(config.benchmark);
-    file.u64(config.seed);
-    file.u64(core.committed());
-    file.u64(core.cycle());
-    file.u64(functionalFingerprint(config));
-    file.u64(payload.size());
-    file.u32(crc32(payload.buffer().data(), payload.size()));
-    file.raw(payload.buffer().data(), payload.size());
-    const std::string &bytes = file.buffer();
+    SerialWriter header;
+    header.raw(kCkptMagic, sizeof(kCkptMagic));
+    header.u32(kCkptVersion);
+    header.str(config.benchmark);
+    header.u64(config.seed);
+    header.u64(core.committed());
+    header.u64(core.cycle());
+    header.u64(functionalFingerprint(config));
+    header.u64(payload.size());
+    header.u32(crc32(payload.buffer().data(), payload.size()));
     std::FILE *f = std::fopen(path.c_str(), "wb");
     LSQ_ASSERT(f != nullptr, "cannot create checkpoint file %s",
                path.c_str());
-    std::size_t wrote = std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::size_t wrote =
+        std::fwrite(header.buffer().data(), 1, header.size(), f) +
+        std::fwrite(payload.buffer().data(), 1, payload.size(), f);
     bool flushed = std::fclose(f) == 0;
-    LSQ_ASSERT(wrote == bytes.size() && flushed,
+    LSQ_ASSERT(wrote == header.size() + payload.size() && flushed,
                "short write to checkpoint file %s", path.c_str());
 }
 
@@ -275,42 +261,12 @@ loadCheckpoint(Core &core, const SimConfig &config,
             "' seed " + std::to_string(meta.seed) +
             " with different functional parameters");
 
-    {
-        Section sec = openSection(r, kSecCore);
-        SerialReader body = sec.reader();
-        core.loadState(body);
-        body.expectEnd("CORE section");
-    }
-    {
-        Section sec = openSection(r, kSecStream);
-        SerialReader body = sec.reader();
-        core.stream().loadState(body);
-        body.expectEnd("STRM section");
-    }
-    {
-        Section sec = openSection(r, kSecMemory);
-        SerialReader body = sec.reader();
-        core.memory().loadState(body);
-        body.expectEnd("MEM section");
-    }
-    {
-        Section sec = openSection(r, kSecBp);
-        SerialReader body = sec.reader();
-        core.branchPredictorMut().loadState(body);
-        body.expectEnd("BP section");
-    }
-    {
-        Section sec = openSection(r, kSecSsp);
-        SerialReader body = sec.reader();
-        core.storeSets().loadState(body);
-        body.expectEnd("SSP section");
-    }
-    {
-        Section sec = openSection(r, kSecLsq);
-        SerialReader body = sec.reader();
-        core.lsq().loadState(body);
-        body.expectEnd("LSQ section");
-    }
+    loadSection(r, kSecCore, "CORE section", core);
+    loadSection(r, kSecStream, "STRM section", core.stream());
+    loadSection(r, kSecMemory, "MEM section", core.memory());
+    loadSection(r, kSecBp, "BP section", core.branchPredictorMut());
+    loadSection(r, kSecSsp, "SSP section", core.storeSets());
+    loadSection(r, kSecLsq, "LSQ section", core.lsq());
     r.expectEnd("checkpoint payload");
     return meta;
 }
@@ -332,10 +288,7 @@ inspectCheckpoint(const std::string &path)
         if (len > r.remaining())
             throw SerialError("checkpoint section " + tagName(tag) +
                               " truncated");
-        std::string skip;
-        skip.resize(static_cast<std::size_t>(len));
-        if (len > 0)
-            r.raw(skip.data(), static_cast<std::size_t>(len));
+        r.take(static_cast<std::size_t>(len));
         info.sections.push_back({tagName(tag), len});
     }
     return info;

@@ -2,11 +2,12 @@
  * @file
  * Byte-level serialization primitives for the checkpoint subsystem.
  *
- * Fixed-width little-endian encoders/decoders over a growable byte
- * buffer. Components expose saveState(SerialWriter&)/loadState(
- * SerialReader&) member pairs built on these; the lsqscale-ckpt-v2
- * container format (header, sections, CRC) lives one layer up in
- * sample/checkpoint.hh. See docs/SAMPLING.md.
+ * Fixed-width little-endian encoders over a growable byte buffer and
+ * decoders over a borrowed one. Components expose
+ * saveState(SerialWriter&)/loadState(SerialReader&) member pairs
+ * built on these; the lsqscale-ckpt-v2 container format (header,
+ * sections, CRC) lives one layer up in sample/checkpoint.hh. See
+ * docs/SAMPLING.md.
  *
  * Determinism contract: a component's saveState must produce identical
  * bytes for identical logical state — unordered containers are sorted
@@ -23,6 +24,7 @@
 #ifndef LSQSCALE_SAMPLE_SERIALIZE_HH
 #define LSQSCALE_SAMPLE_SERIALIZE_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -39,38 +41,29 @@ class SerialError : public std::runtime_error
     {}
 };
 
+// The encoders copy whole host words: the formats are little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "serialized formats are little-endian host words");
+
+/** The little-endian @p T stored at @p p. */
+template <typename T>
+T
+loadLe(const char *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
 /** Appends fixed-width little-endian fields to a byte buffer. */
 class SerialWriter
 {
   public:
-    void
-    u8(std::uint8_t v)
-    {
-        buf_.push_back(static_cast<char>(v));
-    }
-
+    void u8(std::uint8_t v) { word(v); }
     void b(bool v) { u8(v ? 1 : 0); }
-
-    void
-    u16(std::uint16_t v)
-    {
-        u8(static_cast<std::uint8_t>(v & 0xff));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        u16(static_cast<std::uint16_t>(v & 0xffff));
-        u16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        u32(static_cast<std::uint32_t>(v & 0xffffffffu));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
+    void u16(std::uint16_t v) { word(v); }
+    void u32(std::uint32_t v) { word(v); }
+    void u64(std::uint64_t v) { word(v); }
 
     /** Raw IEEE-754 bit pattern: bit-exact and deterministic. */
     void
@@ -95,14 +88,33 @@ class SerialWriter
         buf_.append(static_cast<const char *>(data), n);
     }
 
+    /** Overwrite the u64 written at byte offset @p at. */
+    void
+    patchU64(std::size_t at, std::uint64_t v)
+    {
+        std::memcpy(buf_.data() + at, &v, sizeof(v));
+    }
+
     const std::string &buffer() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
 
   private:
+    template <typename T>
+    void
+    word(T v)
+    {
+        char bytes[sizeof(T)];
+        std::memcpy(bytes, &v, sizeof(T));
+        buf_.append(bytes, sizeof(T));
+    }
+
     std::string buf_;
 };
 
-/** Consumes fields written by SerialWriter; throws SerialError. */
+/**
+ * Consumes fields written by SerialWriter from a borrowed buffer (it
+ * never copies); throws SerialError.
+ */
 class SerialReader
 {
   public:
@@ -114,38 +126,11 @@ class SerialReader
         : data_(buf.data()), size_(buf.size())
     {}
 
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return static_cast<std::uint8_t>(data_[pos_++]);
-    }
-
+    std::uint8_t u8() { return word<std::uint8_t>(); }
     bool b() { return u8() != 0; }
-
-    std::uint16_t
-    u16()
-    {
-        std::uint16_t lo = u8();
-        std::uint16_t hi = u8();
-        return static_cast<std::uint16_t>(lo | (hi << 8));
-    }
-
-    std::uint32_t
-    u32()
-    {
-        std::uint32_t lo = u16();
-        std::uint32_t hi = u16();
-        return lo | (hi << 16);
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t lo = u32();
-        std::uint64_t hi = u32();
-        return lo | (hi << 32);
-    }
+    std::uint16_t u16() { return word<std::uint16_t>(); }
+    std::uint32_t u32() { return word<std::uint32_t>(); }
+    std::uint64_t u64() { return word<std::uint64_t>(); }
 
     double
     f64()
@@ -161,17 +146,27 @@ class SerialReader
     {
         std::uint64_t n = u64();
         need(n);
-        std::string s(data_ + pos_, static_cast<std::size_t>(n));
-        pos_ += static_cast<std::size_t>(n);
-        return s;
+        return std::string(take(static_cast<std::size_t>(n)),
+                           static_cast<std::size_t>(n));
     }
 
     void
     raw(void *out, std::size_t n)
     {
+        std::memcpy(out, take(n), n);
+    }
+
+    /**
+     * Consume the next @p n bytes and return where they start, for a
+     * decoder that checks a whole array's length once.
+     */
+    const char *
+    take(std::size_t n)
+    {
         need(n);
-        std::memcpy(out, data_ + pos_, n);
+        const char *p = data_ + pos_;
         pos_ += n;
+        return p;
     }
 
     std::size_t remaining() const { return size_ - pos_; }
@@ -187,6 +182,13 @@ class SerialReader
     }
 
   private:
+    template <typename T>
+    T
+    word()
+    {
+        return loadLe<T>(take(sizeof(T)));
+    }
+
     void
     need(std::uint64_t n)
     {

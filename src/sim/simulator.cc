@@ -94,7 +94,10 @@ Simulator::run()
         corePtr = std::make_unique<Core>(
             config_.core, config_.lsq, config_.memory, profile,
             config_.seed, result.stats);
-        prewarmCaches(corePtr->memory(), profile);
+        // A restore's MEM section overwrites every cache field, so
+        // warming the caches first would be wasted work.
+        if (config_.loadCkptPath.empty())
+            prewarmCaches(corePtr->memory(), profile);
     }
     Core &core = *corePtr;
     if (HostProfiler::enabled())

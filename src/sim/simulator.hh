@@ -107,6 +107,8 @@ std::uint64_t effectiveInstructions(std::uint64_t configured);
  * paper fast-forwards 3 billion instructions before measuring, so the
  * stream arrays, the hot pointer-chase subset, the stack window, and
  * the code footprint are all resident in whatever level fits them.
+ * Simulator::run skips it when it restores a checkpoint, whose MEM
+ * section replaces all cache state.
  */
 void prewarmCaches(MemorySystem &mem, const BenchmarkProfile &profile);
 

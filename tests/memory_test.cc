@@ -27,6 +27,14 @@ tiny(unsigned sizeBytes = 1024, unsigned assoc = 2,
     return p;
 }
 
+/** Whether @p addr's block is resident, seen by accessing a copy. */
+bool
+resident(const Cache &c, Addr addr)
+{
+    Cache copy = c;
+    return copy.access(addr);
+}
+
 } // namespace
 
 TEST(Cache, MissThenHit)
@@ -56,17 +64,9 @@ TEST(Cache, LruEviction)
     c.access(setStride);           // way 1
     c.access(0x0);                 // touch way 0 (LRU is now way 1)
     c.access(2 * setStride);       // evicts setStride
-    EXPECT_TRUE(c.probe(0x0));
-    EXPECT_FALSE(c.probe(setStride));
-    EXPECT_TRUE(c.probe(2 * setStride));
-}
-
-TEST(Cache, ProbeDoesNotAllocate)
-{
-    Cache c(tiny());
-    EXPECT_FALSE(c.probe(0x4000));
-    EXPECT_FALSE(c.probe(0x4000));
-    EXPECT_EQ(c.misses(), 0u);
+    EXPECT_TRUE(resident(c, 0x0));
+    EXPECT_FALSE(resident(c, setStride));
+    EXPECT_TRUE(resident(c, 2 * setStride));
 }
 
 TEST(Cache, DirectMapped)
@@ -75,7 +75,7 @@ TEST(Cache, DirectMapped)
     Addr setStride = 32 * 32;
     c.access(0x0);
     c.access(setStride);   // same set, evicts
-    EXPECT_FALSE(c.probe(0x0));
+    EXPECT_FALSE(resident(c, 0x0));
 }
 
 TEST(Cache, FullyUsedCapacity)
@@ -85,7 +85,7 @@ TEST(Cache, FullyUsedCapacity)
     for (Addr a = 0; a < 1024; a += 32)
         c.access(a);
     for (Addr a = 0; a < 1024; a += 32)
-        EXPECT_TRUE(c.probe(a)) << "addr " << a;
+        EXPECT_TRUE(resident(c, a)) << "addr " << a;
 }
 
 TEST(Cache, PortsPerCycle)

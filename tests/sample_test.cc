@@ -170,6 +170,43 @@ TEST_F(SampleTest, CheckpointServesDesignSweep)
     EXPECT_EQ(viaLoad.committed, viaFf.committed);
 }
 
+TEST_F(SampleTest, RestoreIgnoresPrewarm)
+{
+    // Simulator::run skips prewarmCaches under a restore because the
+    // MEM section overwrites every cache field. So restoring into a
+    // prewarmed core and into a fresh one must measure the same run,
+    // cache counters included.
+    const std::uint64_t kMeasure = 15000;
+    std::string ckpt = saveAt(configs::base("mcf"), 30000,
+                              "prewarm.ckpt");
+    const SimConfig designs[] = {
+        configs::base("mcf"),
+        configs::withPorts(
+            configs::withSegmentation(configs::base("mcf"), 4, 28,
+                                      SegAllocPolicy::SelfCircular),
+            1),
+    };
+    for (const SimConfig &cfg : designs) {
+        std::string dumps[2];
+        for (int prewarm = 0; prewarm < 2; ++prewarm) {
+            StatSet stats;
+            const BenchmarkProfile &profile = profileFor(cfg.benchmark);
+            Core core(cfg.core, cfg.lsq, cfg.memory, profile, cfg.seed,
+                      stats);
+            if (prewarm) {
+                prewarmCaches(core.memory(), profile);
+                ASSERT_GT(core.memory().l2().misses(), 0u);
+            }
+            loadCheckpoint(core, cfg, ckpt);
+            core.run(core.committed() + kMeasure);
+            core.memory().exportStats(stats);
+            dumps[prewarm] = stats.dump();
+        }
+        EXPECT_EQ(dumps[0], dumps[1]) << cfg.lsq.numSegments
+                                      << " segment(s)";
+    }
+}
+
 // ----------------------------------------------------- rejection ------
 
 TEST_F(SampleTest, RejectsMissingFile)
@@ -179,6 +216,18 @@ TEST_F(SampleTest, RejectsMissingFile)
     cfg.instructions = 1000;
     Simulator sim(cfg);
     EXPECT_THROW(sim.run(), SerialError);
+}
+
+TEST_F(SampleTest, RejectsDirectory)
+{
+    // The loader sizes its buffer from the file: a path that is not a
+    // regular file has no size to trust and must be refused.
+    SimConfig cfg = configs::base("bzip");
+    cfg.loadCkptPath = ::testing::TempDir();
+    cfg.instructions = 1000;
+    Simulator sim(cfg);
+    EXPECT_THROW(sim.run(), SerialError);
+    EXPECT_THROW(inspectCheckpoint(cfg.loadCkptPath), SerialError);
 }
 
 TEST_F(SampleTest, RejectsZeroLengthFile)
@@ -595,4 +644,45 @@ TEST_F(SampleTest, SampledRunIsReproducible)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.committed, b.committed);
     EXPECT_EQ(a.sampling.intervalIpc, b.sampling.intervalIpc);
+}
+
+// ------------------------------------------------------------ CRC ------
+
+namespace {
+
+/** Bit-at-a-time CRC-32 (IEEE, reflected): the reference. */
+std::uint32_t
+crc32Reference(const unsigned char *p, std::size_t n)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+} // namespace
+
+TEST(Crc32, KnownVector)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment)
+{
+    Rng rng(25);
+    std::vector<unsigned char> buf(1 << 20);
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.below(256));
+
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 1024; ++len)
+            ASSERT_EQ(crc32(buf.data() + offset, len),
+                      crc32Reference(buf.data() + offset, len))
+                << "offset " << offset << " length " << len;
+    EXPECT_EQ(crc32(buf.data(), buf.size()),
+              crc32Reference(buf.data(), buf.size()));
 }
