@@ -237,10 +237,15 @@ banner "flavor: trace-smoke (tracing on, timing bit-identical)"
 TRACE_DIR="build-ci-release/trace-smoke"
 rm -rf "$TRACE_DIR"
 mkdir -p "$TRACE_DIR"
+# The last two are memory-bound points where Core::run skips the most
+# quiet cycles: plain runs skip them all, traced runs only fully idle
+# ones, and checked and profiled runs must still match the plain ones.
 POINTS=(
     ""
     "--all-techniques"
     "--segments 4 --lq 28 --sq 28 --ports 1"
+    "--benchmark mcf --all-techniques"
+    "--benchmark art --load-buffer 2"
 )
 for i in "${!POINTS[@]}"; do
     # shellcheck disable=SC2086  # word-split the design-point flags

@@ -198,6 +198,13 @@ class LazyCounter
         counter_->inc(n);
     }
 
+    /** The counter's value; 0 while it is unbound. */
+    std::uint64_t
+    value() const
+    {
+        return counter_ != nullptr ? counter_->value() : 0;
+    }
+
   private:
     StatSet &stats_;
     const char *name_;

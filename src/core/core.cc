@@ -82,9 +82,10 @@ Core::enableHostProfile()
 void
 Core::tick()
 {
-    // Host-profile sample cycle (src/metrics/hostprof.hh). Disarmed,
-    // the mask is all-ones, so only cycle 0 reaches enabled().
-    if ((now_ & profMask_) == 0 && HostProfiler::enabled()) [[unlikely]]
+    // Host-profile sample tick (src/metrics/hostprof.hh). Disarmed,
+    // the mask is all-ones, so only the first tick reaches enabled().
+    if ((profTicks_++ & profMask_) == 0 && HostProfiler::enabled())
+        [[unlikely]]
         tickStages<true>(); // lsqlint: phase(run)
     else
         tickStages<false>();
@@ -135,18 +136,118 @@ Core::tickStages()
     }
 }
 
+Core::Progress
+Core::progress() const
+{
+    return Progress{committed_,
+                    nextRobId_,
+                    nextCompletionOrder_,
+                    completions_.size(),
+                    fetchQ_.size(),
+                    loadPortStalls_.value() + storePortStalls_.value() +
+                        loadDcachePortStalls_.value() +
+                        loadContentionReplays_.value()};
+}
+
+std::array<LazyCounter *, Core::kNumWaits>
+Core::waitCounters()
+{
+    return {&loadStoreSetWaits_, &storeStoreSetWaits_,
+            &loadTotalOrderWaits_, &lsq_.lbStallCounter()};
+}
+
+Core::TickMark
+Core::markTick()
+{
+    TickMark m{progress(), {}};
+    std::array<LazyCounter *, kNumWaits> waits = waitCounters();
+    for (std::size_t i = 0; i < kNumWaits; ++i)
+        m.waits[i] = waits[i]->value();
+    return m;
+}
+
+// lsqlint: hot
+void
+Core::step(Cycle limit)
+{
+    const TickMark mark = markTick();
+    tick();
+    if (progress() == mark.progress)
+        skipQuietCycles(mark, limit);
+}
+
+void
+Core::skipQuietCycles(const TickMark &mark, Cycle limit)
+{
+    // A probe or a pending fault acts at a cycle of its own that no
+    // event below announces, so neither run skips.
+    if (coherence_ != nullptr || (inject::active() && inject::faultPending()))
+        return;
+    // A completed head left behind waits on a D-cache or search port.
+    if (!rob_.empty() && rob_.head().state == RobState::Completed)
+        return;
+    std::array<LazyCounter *, kNumWaits> waits = waitCounters();
+    std::uint64_t perCycle[kNumWaits];
+    bool waited = false;
+    for (std::size_t i = 0; i < kNumWaits; ++i) {
+        perCycle[i] = waits[i]->value() - mark.waits[i];
+        waited |= perCycle[i] != 0;
+    }
+    // PredWaitCycle and LbFullStall are traced once per waiting cycle.
+    if (waited && tracer_ != nullptr)
+        return;
+
+    // The tick at cycle now_ - 1 repeats itself until one of these
+    // cycles: a writeback, a fetch redirect or I-cache fill, the
+    // fetch-queue head reaching rename, an IQ entry's notBefore, the
+    // next interval sample.
+    Cycle next = std::min(limit, nextSampleAt_);
+    auto consider = [&](Cycle c) {
+        if (c >= now_ && c < next)
+            next = c;
+    };
+    if (!completions_.empty())
+        consider(completions_.front().when);
+    consider(fetchResumeCycle_);
+    if (!fetchQ_.empty())
+        consider(fetchQ_.front().fetchCycle + cp_.decodeDepth);
+    consider(iq_.nextNotBefore(now_));
+    if (next <= now_)
+        return;
+
+    // Add the skipped cycles to every per-cycle accumulator at once.
+    const Cycle k = next - now_;
+    if (!rob_.empty())
+        commitBlockCounter(rob_.head()).inc(k);
+    if (!fetchQ_.empty() &&
+        fetchQ_.front().fetchCycle + cp_.decodeDepth < now_ &&
+        !rob_.full() && !iq_.full()) {
+        if (LazyCounter *stall = dispatchStall(fetchQ_.front().op))
+            stall->inc(k);
+    }
+    for (std::size_t i = 0; i < kNumWaits; ++i) {
+        if (perCycle[i] != 0)
+            waits[i]->inc(perCycle[i] * k);
+    }
+    lsq_.sampleOccupancy(k);
+    now_ = next;
+}
+
 // lsqlint: hot
 void
 Core::run(std::uint64_t numInsts)
 {
+    constexpr Cycle kWatchdog = 100000;
     std::uint64_t lastCommitted = 0;
     Cycle lastProgress = 0;
     while (committed_ < numInsts) {
-        tick();
-        // Interval stats piggyback on the per-tick progress check; a
-        // per-event hook cannot see quiet cycles. The next-due cycle
-        // is cached (UINT64_MAX when detached) so both the detached
-        // and the not-yet-due case cost one predictable compare.
+        // A skip stops where the watchdog would fire, so it fires at
+        // the same cycle as under tick().
+        step(lastProgress + kWatchdog + 1);
+        // Interval stats piggyback on the per-step progress check;
+        // step() never skips past the next-due cycle. It is cached
+        // (UINT64_MAX when detached) so both the detached and the
+        // not-yet-due case cost one predictable compare.
         if (now_ >= nextSampleAt_) [[unlikely]] {
             sampler_->poll();
             nextSampleAt_ = sampler_->nextSampleAt();
@@ -158,7 +259,7 @@ Core::run(std::uint64_t numInsts)
         if (committed_ != lastCommitted) {
             lastCommitted = committed_;
             lastProgress = now_;
-        } else if (now_ - lastProgress > 100000) {
+        } else if (now_ - lastProgress > kWatchdog) {
             LSQ_PANIC("no forward progress for 100k cycles at cycle "
                       "%llu (committed %llu)\n%s",
                       static_cast<unsigned long long>(now_),
@@ -287,6 +388,24 @@ Core::finishCommit(RobEntry &head)
     stream_.retireUpTo(seq);
 }
 
+Counter &
+Core::commitBlockCounter(const RobEntry &head)
+{
+    // Cached per-(class, state) counters: a stalled head bumps one
+    // every cycle, so avoid rebuilding the stat name.
+    static_assert(kNumOpClasses <= 8, "widen the cache");
+    unsigned idx = static_cast<unsigned>(head.op.op) * 2 +
+                   (head.state == RobState::Dispatched ? 0 : 1);
+    if (!commitBlockCounters_[idx]) {
+        commitBlockCounters_[idx] = &stats_.counter(
+            // First-touch only: each cached counter name is built at
+            // most once per run.
+            std::string("commit.block.") + opName(head.op.op) +
+            (head.state == RobState::Dispatched ? ".disp" : ".exec"));
+    }
+    return *commitBlockCounters_[idx];
+}
+
 void
 Core::commitStage()
 {
@@ -294,21 +413,7 @@ Core::commitStage()
     while (n < cp_.commitWidth && !rob_.empty()) {
         RobEntry &head = rob_.head();
         if (head.state != RobState::Completed) {
-            // Cached per-(class, state) counters: this runs every
-            // stalled cycle, so avoid rebuilding the stat name.
-            static_assert(kNumOpClasses <= 8, "widen the cache");
-            unsigned idx =
-                static_cast<unsigned>(head.op.op) * 2 +
-                (head.state == RobState::Dispatched ? 0 : 1);
-            if (!commitBlockCounters_[idx]) {
-                commitBlockCounters_[idx] = &stats_.counter(
-                    // First-touch only: each cached counter name is
-                    // built at most once per run.
-                    std::string("commit.block.") + opName(head.op.op) +
-                    (head.state == RobState::Dispatched ? ".disp"
-                                                        : ".exec"));
-            }
-            commitBlockCounters_[idx]->inc();
+            commitBlockCounter(head).inc();
             break;
         }
 
@@ -651,6 +756,18 @@ Core::issueStage()
 
 // -------------------------------------------------------- dispatch ----
 
+LazyCounter *
+Core::dispatchStall(const MicroOp &op)
+{
+    if (op.isLoad() && !lsq_.canAllocateLoad())
+        return &dispatchLqFull_;
+    if (op.isStore() && !lsq_.canAllocateStore())
+        return &dispatchSqFull_;
+    if (op.hasDest() && !fileFor(op.dest).hasFreeReg())
+        return &dispatchNoRegs_;
+    return nullptr;
+}
+
 void
 Core::dispatchStage()
 {
@@ -662,16 +779,8 @@ Core::dispatchStage()
         const MicroOp &op = f.op;
         if (rob_.full() || iq_.full())
             break;
-        if (op.isLoad() && !lsq_.canAllocateLoad()) {
-            dispatchLqFull_.inc();
-            break;
-        }
-        if (op.isStore() && !lsq_.canAllocateStore()) {
-            dispatchSqFull_.inc();
-            break;
-        }
-        if (op.hasDest() && !fileFor(op.dest).hasFreeReg()) {
-            dispatchNoRegs_.inc();
+        if (LazyCounter *stall = dispatchStall(op)) {
+            stall->inc();
             break;
         }
 
@@ -852,11 +961,12 @@ Core::quiescent() const
 void
 Core::drain()
 {
+    constexpr Cycle kDrainLimit = 1000000;
     draining_ = true;
     Cycle start = now_;
     while (!rob_.empty() || !fetchQ_.empty() || !completions_.empty()) {
-        tick();
-        LSQ_ASSERT(now_ - start < 1000000,
+        step(start + kDrainLimit);
+        LSQ_ASSERT(now_ - start < kDrainLimit,
                    "pipeline failed to drain\n%s", debugDump().c_str());
     }
     draining_ = false;

@@ -14,6 +14,7 @@
 #ifndef LSQSCALE_CORE_CORE_HH
 #define LSQSCALE_CORE_CORE_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -59,10 +60,15 @@ class Core
          const MemoryParams &memParams,
          std::unique_ptr<InstSource> source, StatSet &stats);
 
-    /** Advance one cycle. */
+    /** Advance one cycle: the reference that run()'s skipping matches. */
     void tick();
 
-    /** Run until @p numInsts have committed (panics on no progress). */
+    /**
+     * Run until @p numInsts have committed (panics on no progress).
+     * Equivalent to calling tick() until then, but a quiet tick (one
+     * that changed nothing but per-cycle accumulators) jumps the clock
+     * to the next event in one step (DESIGN.md §5).
+     */
     void run(std::uint64_t numInsts);
 
     Cycle cycle() const { return now_; }
@@ -157,9 +163,11 @@ class Core
     /**
      * Arm the host-profiler's burst sampling of tick() stages
      * (src/metrics/hostprof.hh): every 2^HostProfiler::kSampleShift-th
-     * cycle runs tickStages<true>(). Simulation behavior is
-     * bit-identical — the profiled instance only adds clock reads.
-     * Disarmed, the per-cycle cost is one always-false mask compare.
+     * executed tick runs tickStages<true>(). Counting executed ticks,
+     * not cycles, keeps skipped quiet cycles out of the choice.
+     * Simulation behavior is bit-identical — the profiled instance
+     * only adds clock reads. Disarmed, the per-tick cost is one
+     * always-false mask compare.
      */
     void enableHostProfile();
 
@@ -210,6 +218,48 @@ class Core
     void tickStages();
 
     /**
+     * What a tick changes when it is busy, compared before and after
+     * it: a quiet tick commits, writes back, issues, dispatches and
+     * fetches nothing, and retries no issue that a free port or a
+     * passing cycle alone could unblock.
+     */
+    struct Progress
+    {
+        std::uint64_t committed;
+        std::uint64_t dispatched;   ///< nextRobId_
+        std::uint64_t scheduled;    ///< nextCompletionOrder_
+        std::uint64_t pending;      ///< completions_.size()
+        std::uint64_t fetchQueued;  ///< fetchQ_.size()
+        /** Issue retries on a port, a booking or a contention replay. */
+        std::uint64_t timedRetries;
+
+        bool operator==(const Progress &) const = default;
+    };
+    /** Event-bound issue retries: only an event unblocks them. */
+    static constexpr std::size_t kNumWaits = 4;
+    /** The state of one tick's start. */
+    struct TickMark
+    {
+        Progress progress;
+        /** Each event-bound retry counter, as waitCounters() lists them. */
+        std::uint64_t waits[kNumWaits];
+    };
+
+    Progress progress() const;
+    TickMark markTick();
+    /** The counters of issue retries that only an event can unblock. */
+    std::array<LazyCounter *, kNumWaits> waitCounters();
+
+    /**
+     * tick(), then, if that tick was quiet, jump the clock to the next
+     * event (at most to @p limit) and add the skipped cycles to every
+     * per-cycle accumulator. The step of run() and drain().
+     */
+    void step(Cycle limit);
+    /** The jump of step(), after a tick that started at @p mark. */
+    void skipQuietCycles(const TickMark &mark, Cycle limit);
+
+    /**
      * Service the fault-injection / heartbeat hook (src/inject): emit
      * a due heartbeat and apply a due state-corruption fault. Out of
      * line so run()'s per-cycle cost is one predicted-false test.
@@ -225,6 +275,14 @@ class Core
 
     /** Decide whether this load should search the store queue. */
     bool wantSqSearch(const RobEntry &re, Addr addr) const;
+
+    /** The cached commit-stall counter of a head that is not done. */
+    Counter &commitBlockCounter(const RobEntry &head);
+    /**
+     * The stall counter of a dispatch of @p op that the LQ, SQ or the
+     * free-register list blocks, or nullptr when none of them does.
+     */
+    LazyCounter *dispatchStall(const MicroOp &op);
 
     void scheduleCompletion(const RobEntry &re, Cycle when);
     void performSquash(SeqNum from, SquashReason reason);
@@ -373,9 +431,13 @@ class Core
     Cycle nextSampleAt_ = ~Cycle(0);
 
     /** Host-profile stage-sampling mask: tick() takes the profiled
-     *  stage sequence when (now_ & mask) == 0. All-ones = disarmed. */
+     *  stage sequence when (profTicks_ & mask) == 0. All-ones =
+     *  disarmed. */
     // lsqlint: no-serialize(host-profiler sampling mask, observer-only)
     std::uint64_t profMask_ = ~std::uint64_t(0);
+    /** Ticks executed so far (skipped cycles excluded). */
+    // lsqlint: no-serialize(host-profiler tick count, observer-only)
+    std::uint64_t profTicks_ = 0;
     /** True inside a profiled tick: issue helpers lap the LSQ search. */
     // lsqlint: no-serialize(transient host-profiler flag, false between ticks)
     bool profLap_ = false;

@@ -203,6 +203,28 @@ class IssueQueue
         return issued;
     }
 
+    /**
+     * The earliest notBefore at or after @p from among entries whose
+     * sources are all ready, or kNoCycle when there is none: the first
+     * such cycle at which select() offers an entry it did not offer
+     * before @p from.
+     */
+    Cycle
+    nextNotBefore(Cycle from) const
+    {
+        Cycle next = kNoCycle;
+        for (std::size_t w = 0; w < ready_.size(); ++w) {
+            for (std::uint64_t bits = ready_[w]; bits != 0;
+                 bits &= bits - 1) {
+                unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+                Cycle nb = slots_[w * 64 + b].e.notBefore;
+                if (nb >= from && nb < next)
+                    next = nb;
+            }
+        }
+        return next;
+    }
+
     IqEntry *
     find(SeqNum seq)
     {

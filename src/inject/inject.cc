@@ -154,6 +154,12 @@ faultArmed()
     return gArmed.load(std::memory_order_relaxed);
 }
 
+bool
+faultPending()
+{
+    return gPending.load(std::memory_order_relaxed);
+}
+
 FaultSpec
 armedFault()
 {

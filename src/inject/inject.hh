@@ -81,6 +81,12 @@ void armFault(const FaultSpec &spec);
 void disarmFault();
 
 bool faultArmed();
+/**
+ * True while an armed fault waits for its trigger cycle or for
+ * markApplied(). Core::run ticks every cycle while it holds, so the
+ * fault lands on the cycle it would without quiet-cycle skipping.
+ */
+bool faultPending();
 /** The armed spec; only meaningful when faultArmed(). */
 FaultSpec armedFault();
 

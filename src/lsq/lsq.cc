@@ -714,11 +714,11 @@ Lsq::squashFrom(SeqNum seq)
 
 // lsqlint: hot
 void
-Lsq::sampleOccupancy()
+Lsq::sampleOccupancy(std::uint64_t cycles)
 {
-    lqOccupancy_.sample(lqLive());
-    sqOccupancy_.sample(sqLive());
-    oooInflight_.sample(oooLive_);
+    lqOccupancy_.sample(lqLive(), cycles);
+    sqOccupancy_.sample(sqLive(), cycles);
+    oooInflight_.sample(oooLive_, cycles);
 }
 
 // ------------------------------------------------ fault injection -----

@@ -185,8 +185,19 @@ class Lsq
     void squashFrom(SeqNum seq);
 
     // ------------------------------------------------ stats ----------
-    /** Call once per cycle to sample occupancy histograms. */
-    void sampleOccupancy();
+    /**
+     * Sample the occupancy histograms once per cycle; @p cycles
+     * samples the same occupancies for that many cycles at once (a
+     * skipped quiet stretch, Core::run).
+     */
+    void sampleOccupancy(std::uint64_t cycles = 1);
+
+    /**
+     * The load-buffer-full stall counter: a full load buffer blocks a
+     * load until an event frees an entry, so Core::run adds a skipped
+     * quiet stretch to it in one step.
+     */
+    LazyCounter &lbStallCounter() { return lbStallFull_; }
 
     unsigned lqLive() const
     {

@@ -174,8 +174,8 @@ renderHostProfile(const HostProfileSnapshot &snap)
         totalNs = 1; // render zeros, not NaN%, on an empty profile
 
     std::ostringstream os;
-    os << strfmt("host profile (stage sampling: every %u cycles, "
-                 "%llu sampled)\n",
+    os << strfmt("host profile (stage sampling: every %uth executed "
+                 "cycle, %llu sampled)\n",
                  1u << snap.sampleShift,
                  static_cast<unsigned long long>(snap.sampledCycles));
     os << strfmt("  %-22s %12s %12s %8s %12s\n", "phase", "time",

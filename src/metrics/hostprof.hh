@@ -18,7 +18,8 @@
  *  * The four inner stages of the run loop (fetch/rename,
  *    issue/wakeup, LSQ search+forward, commit) tick billions of times
  *    and cannot afford per-cycle clock reads. Core::tick burst-samples
- *    them instead: every 2^kSampleShift-th cycle (every 64th) runs the
+ *    them instead: every 2^kSampleShift-th executed tick (every 64th;
+ *    cycles that Core::run skips as quiet are not ticks) runs the
  *    profiled instance of the stage sequence, which takes lap-style
  *    clock reads at stage boundaries. Reports scale each
  *    stage's sampled share to the *exactly measured* enclosing Run
@@ -29,7 +30,7 @@
  * When profiling is off (the default) every instrumentation point
  * costs exactly one predictable branch: ScopedHostPhase tests one
  * relaxed atomic bool, and Core::tick's sampling mask is all-ones so
- * only cycle 0 also tests enabled(). Profiled runs are
+ * only a core's first tick also tests enabled(). Profiled runs are
  * bit-identical to plain runs — the profiler only ever *reads* the
  * clock; output goes to stderr or a side file, never `--json` stdout.
  */
@@ -120,7 +121,7 @@ class HostProfiler
      */
     static void setEnabled(bool on);
 
-    /** log2 of the run-loop sampling period: every 64th cycle. */
+    /** log2 of the run-loop sampling period: every 64th executed tick. */
     static constexpr unsigned kSampleShift = 6;
 
     /** Record one exactly timed scope or one sampled stage lap. */

@@ -44,7 +44,8 @@ cliUsage()
         "  --benchmark NAME     synthetic SPEC2K-like workload "
         "(default bzip)\n"
         "  --insts N            measured instructions (default 500000)\n"
-        "  --warmup N           warm-up instructions (default 50000)\n"
+        "  --warmup N           warm-up instructions (default 50000;\n"
+        "                       at most a quarter of --insts)\n"
         "  --seed N             workload seed (default 1)\n"
         "  --list-benchmarks    print the 18 built-in profiles and "
         "exit\n"
@@ -146,6 +147,7 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
         } else if (a == "--warmup") {
             if (!value(v) || !parseDigitsU64(v, opts.config.warmup))
                 return "--warmup needs a count";
+            opts.warmupGiven = true;
         } else if (a == "--seed") {
             if (!value(v) || !parseDigitsU64(v, opts.config.seed))
                 return "--seed needs a number";
@@ -348,6 +350,24 @@ resultToJson(const SimResult &result)
     return os.str();
 }
 
+std::string
+warmupCapWarning(const CliOptions &opts)
+{
+    const SimConfig &c = opts.config;
+    // A fast-forward, a restore or a sampled run skips the warm-up.
+    if (!opts.warmupGiven || c.ffInsts > 0 || !c.loadCkptPath.empty() ||
+        !c.saveCkptPath.empty() || c.sample.enabled())
+        return "";
+    std::uint64_t measured = effectiveInstructions(c.instructions);
+    if (c.warmup <= measured / 4)
+        return "";
+    return strfmt("--warmup %llu exceeds a quarter of the %llu measured "
+                  "instructions; warming up for %llu instructions",
+                  static_cast<unsigned long long>(c.warmup),
+                  static_cast<unsigned long long>(measured),
+                  static_cast<unsigned long long>(measured / 4));
+}
+
 int
 runCli(const CliOptions &opts)
 {
@@ -377,6 +397,9 @@ runCli(const CliOptions &opts)
                        envU64("LSQSCALE_HOST_PROFILE", 0) != 0;
     if (hostProfile)
         HostProfiler::setEnabled(true);
+
+    if (std::string warn = warmupCapWarning(opts); !warn.empty())
+        std::fprintf(stderr, "lsqsim: warning: %s\n", warn.c_str());
 
     Simulator sim(opts.config);
     SimResult result;

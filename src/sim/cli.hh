@@ -28,6 +28,8 @@ struct CliOptions
     bool listBenchmarks = false;
     bool jsonOutput = false;
     bool dumpStats = false;
+    /** --warmup was given (warmupCapWarning checks only then). */
+    bool warmupGiven = false;
 
     /**
      * --inject: deterministic fault to arm, "kind:seed:cycle"
@@ -54,6 +56,14 @@ std::string parseCli(const std::vector<std::string> &args,
 
 /** The --help text. */
 std::string cliUsage();
+
+/**
+ * Simulator::run warms up for at most a quarter of the measured
+ * instructions. When an explicit --warmup exceeds that cap, the
+ * warning lsqsim prints to stderr, naming the warm-up that runs;
+ * else an empty string.
+ */
+std::string warmupCapWarning(const CliOptions &opts);
 
 /**
  * Execute a parsed request; output goes to stdout.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "sim/cli.hh"
 
 using namespace lsqscale;
@@ -48,6 +50,30 @@ TEST(Cli, WorkloadOptions)
     EXPECT_EQ(opts.config.instructions, 12345u);
     EXPECT_EQ(opts.config.warmup, 100u);
     EXPECT_EQ(opts.config.seed, 9u);
+}
+
+TEST(Cli, WarmupCapWarns)
+{
+    if (std::getenv("LSQSCALE_INSTS") != nullptr)
+        GTEST_SKIP() << "LSQSCALE_INSTS overrides --insts";
+    // Simulator::run caps the warm-up at a quarter of the measured
+    // instructions; an explicit --warmup above that is named.
+    CliOptions capped =
+        parseOk({"--warmup", "2700000", "--insts", "300000"});
+    EXPECT_EQ(warmupCapWarning(capped),
+              "--warmup 2700000 exceeds a quarter of the 300000 "
+              "measured instructions; warming up for 75000 "
+              "instructions");
+
+    // At the cap, by default, and with a fast-forward (which skips
+    // the warm-up) nothing is said.
+    EXPECT_EQ(warmupCapWarning(
+                  parseOk({"--warmup", "75000", "--insts", "300000"})),
+              "");
+    EXPECT_EQ(warmupCapWarning(parseOk({"--insts", "1000"})), "");
+    EXPECT_EQ(warmupCapWarning(parseOk({"--warmup", "2700000", "--insts",
+                                        "300000", "--ff", "1000"})),
+              "");
 }
 
 TEST(Cli, UnknownBenchmarkRejected)

@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hh"
 #include "core/core.hh"
 #include "core/issue_queue.hh"
 #include "core/phys_reg_file.hh"
 #include "core/rob.hh"
 #include "memory/probe_agent.hh"
+#include "metrics/hostprof.hh"
+#include "obs/interval.hh"
+#include "obs/trace.hh"
+#include "sim/sim_config.hh"
 #include "workload/benchmark_profile.hh"
 
 using namespace lsqscale;
@@ -959,4 +965,161 @@ TEST(Core, CombinedQueueContentionOccursInPractice)
     CoreFixture f("vortex", CoreParams(), lp);
     f.core.run(30000);
     EXPECT_GT(f.stats.value("lsq.contention.loads"), 0u);
+}
+
+// ------------------------------------------- quiet-cycle skipping -----
+
+namespace {
+
+/**
+ * A core of @p cfg, functionally fast-forwarded so that its memory
+ * stalls are in steady state when the detailed run starts.
+ */
+struct SkipTwin
+{
+    StatSet stats;
+    Core core;
+
+    explicit SkipTwin(const SimConfig &cfg)
+        : core(cfg.core, cfg.lsq, cfg.memory, profileFor(cfg.benchmark),
+               cfg.seed, stats)
+    {
+        core.fastForward(20000);
+    }
+
+    /** The bare reference loop run() must match. */
+    void
+    tickUntil(std::uint64_t n)
+    {
+        while (core.committed() < n)
+            core.tick();
+    }
+};
+
+constexpr std::uint64_t kSkipInsts = 4000;
+
+/** The designs whose per-cycle accumulators differ the most. */
+std::vector<std::pair<std::string, SimConfig>>
+skipDesigns(const std::string &bench)
+{
+    SimConfig base = configs::base(bench);
+    SimConfig totalOrder = base;
+    totalOrder.core.memDepPolicy = MemDepPolicy::TotalOrder;
+    SimConfig blind = base;
+    blind.core.memDepPolicy = MemDepPolicy::BlindSpeculation;
+    return {
+        {"base-2port", configs::withPorts(base, 2)},
+        {"base-1port", configs::withPorts(base, 1)},
+        {"seg-4x28-1port",
+         configs::withSegmentation(configs::withPorts(base, 1), 4, 28,
+                                   SegAllocPolicy::SelfCircular)},
+        {"all-techniques", configs::allTechniques(base)},
+        {"load-buffer-2", configs::withLoadBuffer(base, 2)},
+        {"in-order-search", configs::withInOrderLoads(base, true)},
+        {"total-order", totalOrder},
+        {"blind", blind},
+        {"scaled", configs::scaledProcessor(base)},
+    };
+}
+
+bool
+sameRecords(const std::vector<TraceRecord> &a,
+            const std::vector<TraceRecord> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(),
+                        a.size() * sizeof(TraceRecord)) == 0);
+}
+
+} // namespace
+
+TEST(CoreTest, RunMatchesTickLoop)
+{
+    // run() skips quiet cycles; tick() never does. Equal cycles and
+    // byte-identical stats on every benchmark and design show that the
+    // skip adds each skipped cycle to every accumulator a tick bumps.
+    for (const std::string &bench : allBenchmarks()) {
+        for (const auto &[name, cfg] : skipDesigns(bench)) {
+            SkipTwin ticked(cfg), run(cfg);
+            std::uint64_t end = run.core.committed() + kSkipInsts;
+            ticked.tickUntil(end);
+            run.core.run(end);
+            EXPECT_EQ(run.core.cycle(), ticked.core.cycle())
+                << bench << " " << name;
+            EXPECT_EQ(run.stats.dump(), ticked.stats.dump())
+                << bench << " " << name;
+        }
+    }
+
+    // Observers: each observed run() matches the plain run(), and the
+    // observer saw what it sees under the tick loop.
+    SimConfig cfg = configs::withLoadBuffer(configs::base("mcf"), 2);
+    SkipTwin plain(cfg);
+    const std::uint64_t end = plain.core.committed() + kSkipInsts;
+    plain.core.run(end);
+
+    {
+        // Interval sampler: run() stops at each sample cycle.
+        SkipTwin run(cfg), ticked(cfg);
+        IntervalSampler runSampler(run.core, 500);
+        IntervalSampler tickSampler(ticked.core, 500);
+        run.core.attachSampler(&runSampler);
+        run.core.run(end);
+        run.core.attachSampler(nullptr);
+        while (ticked.core.committed() < end) {
+            ticked.core.tick();
+            if (ticked.core.cycle() >= tickSampler.nextSampleAt())
+                tickSampler.poll();
+        }
+        EXPECT_EQ(run.stats.dump(), plain.stats.dump());
+        EXPECT_GT(runSampler.series().size(), 10u);
+        EXPECT_EQ(runSampler.series().toJson(),
+                  tickSampler.series().toJson());
+    }
+    {
+        // Tracer: only fully idle ticks skip, so the per-cycle wait
+        // events all appear.
+        TraceConfig tc;
+        tc.enabled = true;
+        tc.ringCapacity = 1u << 20;
+        SkipTwin run(cfg), ticked(cfg);
+        Tracer runTracer(tc), tickTracer(tc);
+        run.core.attachTracer(&runTracer);
+        ticked.core.attachTracer(&tickTracer);
+        run.core.run(end);
+        ticked.tickUntil(end);
+        run.core.attachTracer(nullptr);
+        ticked.core.attachTracer(nullptr);
+        EXPECT_EQ(run.stats.dump(), plain.stats.dump());
+        std::vector<TraceRecord> runRecs = runTracer.collect();
+        EXPECT_LT(runRecs.size(), tc.ringCapacity);
+        EXPECT_TRUE(sameRecords(runRecs, tickTracer.collect()));
+    }
+    {
+        // Host profiler: it samples executed ticks, and only reads the
+        // clock.
+        SkipTwin run(cfg);
+        HostProfiler::setEnabled(true);
+        run.core.enableHostProfile();
+        run.core.run(end);
+        HostProfiler::setEnabled(false);
+        HostProfiler::instance().reset();
+        EXPECT_EQ(run.stats.dump(), plain.stats.dump());
+        EXPECT_EQ(run.core.cycle(), plain.core.cycle());
+    }
+    {
+        // Probe agent: it draws a probe per cycle, so nothing skips;
+        // the observed run still matches its tick loop.
+        ProbeAgent runProbes(randomProbes(2.0));
+        ProbeAgent tickProbes(randomProbes(2.0));
+        SkipTwin run(cfg), ticked(cfg);
+        run.core.attachCoherenceAgent(&runProbes);
+        ticked.core.attachCoherenceAgent(&tickProbes);
+        run.core.run(end);
+        ticked.tickUntil(end);
+        EXPECT_EQ(run.core.cycle(), ticked.core.cycle());
+        EXPECT_EQ(run.stats.dump(), ticked.stats.dump());
+        EXPECT_GT(run.stats.value("probe.delivered"), 0u);
+    }
 }
