@@ -34,6 +34,9 @@ using namespace lsqscale;
 
 namespace {
 
+/** Span of live seqs an LSQ covers: Table 1's ROB. */
+constexpr unsigned kWindow = 256;
+
 LsqParams
 paramsFor(unsigned entries, unsigned segments, unsigned ports)
 {
@@ -49,7 +52,7 @@ void
 lsqRoundTrip(benchmark::State &state, LsqParams params)
 {
     StatSet stats;
-    Lsq lsq(params, stats);
+    Lsq lsq(params, kWindow, stats);
     Rng rng(7);
     SeqNum seq = 0;
     Cycle now = 0;
@@ -123,7 +126,7 @@ void
 lsqPortBlockedRetry(benchmark::State &state, LsqParams params)
 {
     StatSet stats;
-    Lsq lsq(params, stats);
+    Lsq lsq(params, kWindow, stats);
     Rng rng(11);
     SeqNum seq = 0;
     Cycle now = 0;

@@ -237,15 +237,19 @@ banner "flavor: trace-smoke (tracing on, timing bit-identical)"
 TRACE_DIR="build-ci-release/trace-smoke"
 rm -rf "$TRACE_DIR"
 mkdir -p "$TRACE_DIR"
-# The last two are memory-bound points where Core::run skips the most
-# quiet cycles: plain runs skip them all, traced runs only fully idle
-# ones, and checked and profiled runs must still match the plain ones.
+# Points 3 and 4 are memory-bound points where Core::run skips the
+# most quiet cycles: plain runs skip them all, traced runs only fully
+# idle ones, and checked and profiled runs must still match the plain
+# ones. Points 5 and 6 drive the LSQ's positional lookups: a flat
+# 128-entry queue, and the combined queue's interleaved squashes.
 POINTS=(
     ""
     "--all-techniques"
     "--segments 4 --lq 28 --sq 28 --ports 1"
     "--benchmark mcf --all-techniques"
     "--benchmark art --load-buffer 2"
+    "--benchmark equake --lq 128 --sq 128"
+    "--benchmark mgrid --segments 4 --lq 28 --sq 28 --ports 1 --combined"
 )
 for i in "${!POINTS[@]}"; do
     # shellcheck disable=SC2086  # word-split the design-point flags

@@ -1,7 +1,6 @@
 #include "core/core.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/logging.hh"
 #include "inject/inject.hh"
@@ -12,6 +11,28 @@
 #include "workload/trace_generator.hh"
 
 namespace lsqscale {
+
+namespace {
+
+/**
+ * The longest latency the configuration can schedule a writeback at:
+ * a load that misses to memory, the longest LSQ search plus the
+ * forwarding cycle, or the longest execute latency, plus the
+ * late-wakeup and rollback penalties.
+ */
+Cycle
+completionHorizon(const CoreParams &cp, const LsqParams &lp,
+                  const MemoryParams &mp, const Lsq &lsq)
+{
+    Cycle longest = mp.l1d.hitLatency + mp.l2.hitLatency + mp.memLatency;
+    longest = std::max<Cycle>(longest, lsq.longestSearch() + 1);
+    for (unsigned c = 0; c < kNumOpClasses; ++c)
+        longest = std::max<Cycle>(longest,
+                                  execLatency(static_cast<OpClass>(c)));
+    return longest + lp.lateWakeupPenalty + cp.pairRollbackPenalty;
+}
+
+} // namespace
 
 Core::Core(const CoreParams &coreParams, const LsqParams &lsqParams,
            const MemoryParams &memParams,
@@ -30,17 +51,18 @@ Core::Core(const CoreParams &coreParams, const LsqParams &lsqParams,
       loadIssueDelay_(stats.histogram("load.issuedelay", 256)),
       loadDataLat_(stats.histogram("load.datalat", 256)),
       stream_(std::move(source)), mem_(memParams),
-      lsq_(lsqParams, stats), bp_(coreParams.branchPredictor),
+      lsq_(lsqParams, coreParams.robEntries, stats),
+      bp_(coreParams.branchPredictor),
       ssp_(coreParams.storeSet), rob_(coreParams.robEntries),
       iq_(coreParams.iqEntries, coreParams.robEntries,
           coreParams.intPhysRegs, coreParams.fpPhysRegs),
       intRegs_(kNumIntArchRegs, coreParams.intPhysRegs),
       fpRegs_(kNumFpArchRegs, coreParams.fpPhysRegs),
-      fetchQ_(2 * coreParams.fetchWidth)
+      fetchQ_(2 * coreParams.fetchWidth),
+      completions_(coreParams.robEntries,
+                   completionHorizon(coreParams, lsqParams, memParams,
+                                     lsq_))
 {
-    // Every in-flight instruction has at most one live event; stale
-    // events of squashed instructions add a few more.
-    completions_.reserve(2 * coreParams.robEntries);
 }
 
 PhysRegFile &
@@ -141,7 +163,7 @@ Core::progress() const
 {
     return Progress{committed_,
                     nextRobId_,
-                    nextCompletionOrder_,
+                    completions_.scheduled(),
                     completions_.size(),
                     fetchQ_.size(),
                     loadPortStalls_.value() + storePortStalls_.value() +
@@ -206,8 +228,7 @@ Core::skipQuietCycles(const TickMark &mark, Cycle limit)
         if (c >= now_ && c < next)
             next = c;
     };
-    if (!completions_.empty())
-        consider(completions_.front().when);
+    consider(completions_.next(now_));
     consider(fetchResumeCycle_);
     if (!fetchQ_.empty())
         consider(fetchQ_.front().fetchCycle + cp_.decodeDepth);
@@ -471,33 +492,30 @@ Core::commitStage()
 void
 Core::writebackStage()
 {
-    constexpr std::greater<CompletionEvent> later;
-    while (!completions_.empty() && completions_.front().when <= now_) {
-        std::pop_heap(completions_.begin(), completions_.end(), later);
-        const CompletionEvent ev = completions_.back();
-        completions_.pop_back();
-        RobEntry *re = rob_.find(ev.seq);
-        if (re && ev.robId == re->id && re->state == RobState::Issued) {
-            re->state = RobState::Completed;
-            re->completeCycle = now_;
-            if (re->destPhys != kNoReg) {
-                fileFor(re->op.dest).setReady(re->destPhys);
-                iq_.wake(re->destPhys, isFpReg(re->op.dest));
-            }
-            LSQ_TRACE_HOOK(tracer_, TraceEvent::Complete, now_,
-                           re->op.seq, re->op.pc);
+    // A squash cancels its instructions' events, so every event
+    // belongs to the live, issued dispatch that scheduled it.
+    completions_.retire(now_, [this](SeqNum seq, std::uint64_t robId) {
+        RobEntry *re = rob_.find(seq);
+        LSQ_DCHECK(re != nullptr && re->id == robId &&
+                       re->state == RobState::Issued,
+                   "stale writeback event for seq %llu",
+                   static_cast<unsigned long long>(seq));
+        re->state = RobState::Completed;
+        re->completeCycle = now_;
+        if (re->destPhys != kNoReg) {
+            fileFor(re->op.dest).setReady(re->destPhys);
+            iq_.wake(re->destPhys, isFpReg(re->op.dest));
         }
-    }
+        LSQ_TRACE_HOOK(tracer_, TraceEvent::Complete, now_, re->op.seq,
+                       re->op.pc);
+    });
 }
 
 void
 Core::scheduleCompletion(const RobEntry &re, Cycle when)
 {
-    completions_.push_back(CompletionEvent{std::max(when, now_ + 1),
-                                           nextCompletionOrder_++,
-                                           re.op.seq, re.id});
-    std::push_heap(completions_.begin(), completions_.end(),
-                   std::greater<CompletionEvent>());
+    completions_.schedule(re.op.seq, re.id, std::max(when, now_ + 1),
+                          now_);
 }
 
 // -------------------------------------------------------- issue -------
@@ -919,6 +937,8 @@ Core::performSquash(SeqNum from, SquashReason reason)
                                               e.destPhys, e.prevPhys);
         if (e.op.isStore())
             ssp_.storeSquashed(e.storePred, e.op.seq);
+        if (e.state == RobState::Issued)
+            completions_.cancel(e.op.seq);
         rob_.popBack();
         ++squashed;
     }

@@ -21,6 +21,7 @@
 #include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "core/completion_calendar.hh"
 #include "core/core_params.hh"
 #include "core/issue_queue.hh"
 #include "core/phys_reg_file.hh"
@@ -179,24 +180,6 @@ class Core
         bool mispredicted = false;
     };
 
-    /** A scheduled writeback. Events retire in (when, order). */
-    struct CompletionEvent
-    {
-        Cycle when;
-        /** Scheduling sequence number: same-cycle events retire in
-         *  the order they were scheduled. */
-        std::uint64_t order;
-        SeqNum seq;
-        std::uint64_t robId;
-
-        /** Heap order: the *later* event compares greater. */
-        friend bool
-        operator>(const CompletionEvent &a, const CompletionEvent &b)
-        {
-            return a.when != b.when ? a.when > b.when : a.order > b.order;
-        }
-    };
-
     // Pipeline stages (called newest-to-oldest each tick).
     void invalidationStage();
     /** Probe delivery from an attached coherence agent (out of line
@@ -227,7 +210,7 @@ class Core
     {
         std::uint64_t committed;
         std::uint64_t dispatched;   ///< nextRobId_
-        std::uint64_t scheduled;    ///< nextCompletionOrder_
+        std::uint64_t scheduled;    ///< completions_.scheduled()
         std::uint64_t pending;      ///< completions_.size()
         std::uint64_t fetchQueued;  ///< fetchQ_.size()
         /** Issue retries on a port, a booking or a contention replay. */
@@ -387,12 +370,9 @@ class Core
 
     // lsqlint: no-serialize(empty at quiescence; saveState asserts quiescent())
     Ring<FetchedInst> fetchQ_;
-    /** Min-heap (std::greater) of scheduled writebacks. */
+    /** Scheduled writebacks. */
     // lsqlint: no-serialize(empty at quiescence; saveState asserts quiescent())
-    std::vector<CompletionEvent> completions_;
-    /** Next CompletionEvent::order. */
-    // lsqlint: no-serialize(orders pending events only; none are pending at quiescence)
-    std::uint64_t nextCompletionOrder_ = 0;
+    CompletionCalendar completions_;
 
     Cycle now_ = 0;
     std::uint64_t committed_ = 0;

@@ -1,7 +1,7 @@
 #include "lsq/lsq.hh"
 
 #include <algorithm>
-#include <iterator>
+#include <bit>
 
 #include "check/lsq_checker.hh"
 #include "common/logging.hh"
@@ -21,21 +21,7 @@
 
 namespace lsqscale {
 
-namespace {
-
-/** First entry of a program-ordered queue with seq >= @p seq. */
-template <typename Queue>
-auto
-lowerBound(Queue &q, SeqNum seq)
-{
-    return std::lower_bound(
-        q.begin(), q.end(), seq,
-        [](const auto &e, SeqNum s) { return e.seq < s; });
-}
-
-} // namespace
-
-Lsq::Lsq(const LsqParams &params, StatSet &stats)
+Lsq::Lsq(const LsqParams &params, unsigned window, StatSet &stats)
     : params_(params), stats_(stats),
       lqOccupancy_(
           stats.histogram("lq.occupancy", params.totalLqEntries() + 2)),
@@ -53,6 +39,7 @@ Lsq::Lsq(const LsqParams &params, StatSet &stats)
       sqPorts_(params.numSegments, params.searchPorts),
       lb_(params.loadBufferEntries,
           params.loadCheck != LoadCheckPolicy::LoadBuffer),
+      window_(window), tickets_(std::bit_ceil(window), 0),
       segStamp_(params.numSegments, 0)
 {
     sqVisit_.reserve(params.numSegments);
@@ -73,9 +60,13 @@ Lsq::allocateLoad(SeqNum seq, Pc pc)
     e.seq = seq;
     e.pc = pc;
     e.segment = loadAlloc().allocate();
+    e.sqNext = sqNextTicket();
     LSQ_DCHECK(e.segment < params_.numSegments,
                "segment index out of range");
+    notePosition(seq, lqNextTicket());
     lq_.push_back(e);
+    if constexpr (kDchecksEnabled)
+        checkPositions();
     LSQ_CHECK_HOOK(onAllocateLoad(seq, pc));
 }
 
@@ -90,57 +81,84 @@ Lsq::allocateStore(SeqNum seq, Pc pc)
     e.seq = seq;
     e.pc = pc;
     e.segment = storeAlloc().allocate();
+    e.lqNext = lqNextTicket();
     LSQ_DCHECK(e.segment < params_.numSegments,
                "segment index out of range");
+    notePosition(seq, sqNextTicket());
     sq_.push_back(e);
+    if constexpr (kDchecksEnabled)
+        checkPositions();
     LSQ_CHECK_HOOK(onAllocateStore(seq, pc));
 }
 
 // ---------------------------------------------------- lookups ---------
 
-Lsq::LoadEntry *
-Lsq::findLoad(SeqNum seq)
+void
+Lsq::notePosition(SeqNum seq, std::uint64_t ticket)
 {
-    auto it = lowerBound(lq_, seq);
-    return it != lq_.end() && it->seq == seq ? &*it : nullptr;
+    // Two live seqs never share a slot while the live span stays
+    // within the window.
+    SeqNum oldest = seq;
+    if (!lq_.empty())
+        oldest = std::min(oldest, lq_.front().seq);
+    if (!sq_.empty())
+        oldest = std::min(oldest, sq_.front().seq);
+    LSQ_ASSERT(seq - oldest < window_,
+               "live LSQ seqs %llu..%llu span more than the window of %u",
+               static_cast<unsigned long long>(oldest),
+               static_cast<unsigned long long>(seq), window_);
+    tickets_[seq & (tickets_.size() - 1)] = ticket;
 }
 
-Lsq::StoreEntry *
-Lsq::findStore(SeqNum seq)
+std::size_t
+Lsq::loadPos(SeqNum seq) const
 {
-    auto it = lowerBound(sq_, seq);
-    return it != sq_.end() && it->seq == seq ? &*it : nullptr;
+    // A stale or foreign ticket lands outside the ring (the
+    // subtraction wraps) or on another seq.
+    std::size_t i = tickets_[seq & (tickets_.size() - 1)] - lqHead_;
+    return i < lq_.size() && lq_[i].seq == seq ? i : lq_.size();
+}
+
+std::size_t
+Lsq::storePos(SeqNum seq) const
+{
+    std::size_t i = tickets_[seq & (tickets_.size() - 1)] - sqHead_;
+    return i < sq_.size() && sq_[i].seq == seq ? i : sq_.size();
 }
 
 unsigned
-Lsq::sqWalkStart(SeqNum loadSeq) const
+Lsq::sqWalkStart(const LoadEntry &e) const
 {
-    auto older = lowerBound(sq_, loadSeq);
-    return older == sq_.begin() ? storeAlloc().tailSegment()
-                                : std::prev(older)->segment;
+    std::size_t older = e.sqNext - sqHead_;
+    LSQ_DCHECK(older <= sq_.size(), "load's sqNext outside the SQ");
+    return older == 0 ? storeAlloc().tailSegment()
+                      : sq_[older - 1].segment;
 }
 
 unsigned
-Lsq::lqWalkStart(SeqNum seq, unsigned fallback) const
+Lsq::lqWalkStart(std::size_t from, unsigned fallback) const
 {
-    auto younger = lowerBound(lq_, seq + 1);
-    return younger == lq_.end() ? fallback : younger->segment;
+    LSQ_DCHECK(from <= lq_.size(), "LQ walk starts outside the LQ");
+    return from == lq_.size() ? fallback : lq_[from].segment;
 }
 
 bool
 Lsq::olderMatchingStore(SeqNum loadSeq, Addr addr) const
 {
-    for (const auto &s : sq_)
-        if (s.seq < loadSeq && s.addrValid && s.addr == addr)
+    for (const auto &s : sq_) {
+        if (s.seq >= loadSeq)
+            break;
+        if (s.addrValid && s.addr == addr)
             return true;
+    }
     return false;
 }
 
 bool
 Lsq::storePendingAddress(SeqNum seq) const
 {
-    auto it = lowerBound(sq_, seq);
-    return it != sq_.end() && it->seq == seq && !it->addrValid;
+    std::size_t i = storePos(seq);
+    return i < sq_.size() && !sq_[i].addrValid;
 }
 
 bool
@@ -153,6 +171,43 @@ Lsq::anyOlderStoreUnaddressed(SeqNum loadSeq) const
             return true;
     }
     return false;
+}
+
+void
+Lsq::checkPositions() const
+{
+    // One merge walk in program order: before each load, count the
+    // stores older than it, and before each store the older loads.
+    std::size_t s = 0;
+    for (std::size_t l = 0; l < lq_.size(); ++l) {
+        const LoadEntry &e = lq_[l];
+        for (; s < sq_.size() && sq_[s].seq < e.seq; ++s) {
+            LSQ_ASSERT(sq_[s].lqNext == lqHead_ + l,
+                       "store %llu: lqNext %llu, program order says %llu",
+                       static_cast<unsigned long long>(sq_[s].seq),
+                       static_cast<unsigned long long>(sq_[s].lqNext),
+                       static_cast<unsigned long long>(lqHead_ + l));
+        }
+        LSQ_ASSERT(e.sqNext == sqHead_ + s,
+                   "load %llu: sqNext %llu, program order says %llu",
+                   static_cast<unsigned long long>(e.seq),
+                   static_cast<unsigned long long>(e.sqNext),
+                   static_cast<unsigned long long>(sqHead_ + s));
+        LSQ_ASSERT(loadPos(e.seq) == l, "load %llu: ticket off its slot",
+                   static_cast<unsigned long long>(e.seq));
+    }
+    for (; s < sq_.size(); ++s) {
+        LSQ_ASSERT(sq_[s].lqNext == lqNextTicket(),
+                   "store %llu: lqNext %llu, program order says %llu",
+                   static_cast<unsigned long long>(sq_[s].seq),
+                   static_cast<unsigned long long>(sq_[s].lqNext),
+                   static_cast<unsigned long long>(lqNextTicket()));
+    }
+    for (std::size_t i = 0; i < sq_.size(); ++i) {
+        LSQ_ASSERT(storePos(sq_[i].seq) == i,
+                   "store %llu: ticket off its slot",
+                   static_cast<unsigned long long>(sq_[i].seq));
+    }
 }
 
 // ---------------------------------------------------- search plans ----
@@ -174,16 +229,11 @@ Lsq::noteVisit(std::vector<unsigned> &visit, unsigned seg)
 }
 
 Lsq::SqSearchPlan
-Lsq::planSqSearch(SeqNum loadSeq, Addr addr)
+Lsq::planSqSearch(const LoadEntry &load, Addr addr)
 {
     SqSearchPlan plan;
-    auto older = lowerBound(sq_, loadSeq);
-    // If every older store sits in one segment the load's latency is
-    // knowable at issue (head-segment rule).
-    plan.endsAtHead =
-        std::all_of(sq_.begin(), older, [this](const StoreEntry &s) {
-            return s.segment == sq_.front().segment;
-        });
+    const auto olderEnd = sq_.begin() + (load.sqNext - sqHead_);
+    auto older = olderEnd;
 
     // Walk stores from youngest-older toward the head; the search
     // pipeline advances one segment per cycle, so record the order of
@@ -199,6 +249,13 @@ Lsq::planSqSearch(SeqNum loadSeq, Addr addr)
     }
     if (sqVisit_.empty())
         sqVisit_.push_back(storeAlloc().tailSegment());
+    // If every older store sits in one segment the load's latency is
+    // knowable at issue (head-segment rule).
+    plan.oneSegment =
+        params_.segmented() && sqVisit_.size() == 1 &&
+        std::all_of(sq_.begin(), olderEnd, [this](const StoreEntry &s) {
+            return s.segment == sqVisit_[0];
+        });
     plan.visit = sqVisit_;
     return plan;
 }
@@ -224,10 +281,11 @@ Lsq::planLqWalk(Ring<LoadEntry>::const_iterator from,
 }
 
 Lsq::LqSearchPlan
-Lsq::planStoreLqSearch(SeqNum storeSeq, Addr addr)
+Lsq::planStoreLqSearch(const StoreEntry &store, Addr addr)
 {
+    SeqNum storeSeq = store.seq;
     return planLqWalk(
-        lowerBound(lq_, storeSeq + 1), loadAlloc().tailSegment(),
+        lq_.cbegin() + (store.lqNext - lqHead_), loadAlloc().tailSegment(),
         [storeSeq, addr](const LoadEntry &e) {
             bool stale = e.forwardedFrom == kNoSeq ||
                          e.forwardedFrom < storeSeq;
@@ -236,10 +294,9 @@ Lsq::planStoreLqSearch(SeqNum storeSeq, Addr addr)
 }
 
 Lsq::LqSearchPlan
-Lsq::planLoadLqSearch(SeqNum loadSeq, Addr addr, Cycle executeCycle,
-                      unsigned ownSegment)
+Lsq::planLoadLqSearch(std::size_t pos, Addr addr, Cycle executeCycle)
 {
-    return planLqWalk(lowerBound(lq_, loadSeq + 1), ownSegment,
+    return planLqWalk(lq_.cbegin() + pos + 1, lq_[pos].segment,
                       [addr, executeCycle](const LoadEntry &e) {
                           return e.executed && e.addr == addr &&
                                  e.executeCycle < executeCycle;
@@ -280,12 +337,13 @@ LoadIssueOutcome
 Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
 {
     LoadIssueOutcome out;
-    LoadEntry *e = findLoad(seq);
-    LSQ_ASSERT(e != nullptr, "issueLoad: unknown load %llu",
+    const std::size_t pos = loadPos(seq);
+    LSQ_ASSERT(pos < lq_.size(), "issueLoad: unknown load %llu",
                static_cast<unsigned long long>(seq));
+    LoadEntry *e = &lq_[pos];
     LSQ_ASSERT(!e->executed, "issueLoad: load issued twice");
 
-    bool isOldest = nilp_ < lq_.size() && lq_[nilp_].seq == seq;
+    bool isOldest = nilp_ == pos;
 
     if (params_.inOrderLoads() && !isOldest) {
         out.status = LoadIssueStatus::InOrderStall;
@@ -309,12 +367,12 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
     bool doLq =
         params_.loadCheck == LoadCheckPolicy::SearchLoadQueue ||
         params_.loadCheck == LoadCheckPolicy::InOrderAlwaysSearch;
-    unsigned sqStart = doSq ? sqWalkStart(seq) : 0;
+    unsigned sqStart = doSq ? sqWalkStart(*e) : 0;
     if (doSq && sqPorts().freePorts(sqStart, now) == 0) {
         out.status = LoadIssueStatus::NoSqPort;
         return out;
     }
-    unsigned lqStart = doLq ? lqWalkStart(seq, e->segment) : 0;
+    unsigned lqStart = doLq ? lqWalkStart(pos + 1, e->segment) : 0;
     if (doLq && lqPorts().freePorts(lqStart, now) == 0) {
         out.status = LoadIssueStatus::NoLqPort;
         return out;
@@ -324,13 +382,13 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
     // is atomic.
     SqSearchPlan sqPlan;
     if (doSq) {
-        sqPlan = planSqSearch(seq, addr);
+        sqPlan = planSqSearch(*e, addr);
         LSQ_DCHECK(sqPlan.visit[0] == sqStart,
                    "SQ walk does not start at its checked segment");
     }
     LqSearchPlan lqPlan;
     if (doLq) {
-        lqPlan = planLoadLqSearch(seq, addr, now, e->segment);
+        lqPlan = planLoadLqSearch(pos, addr, now);
         LSQ_DCHECK(lqPlan.visit[0] == lqStart,
                    "LQ walk does not start at its checked segment");
     }
@@ -339,13 +397,13 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
 
     // Combined queue: both walks book the *same* schedule, so their
     // per-(segment, cycle) demands add up. The port arbiter staggers
-    // the ordering walk by up to a few cycles to fit both (a single
-    // port cannot serve two walks in one slot).
+    // the ordering walk by up to kMaxStagger cycles to fit both (a
+    // single port cannot serve two walks in one slot).
     Cycle lqOffset = 0;
     if (params_.combinedQueue && doSq && doLq && sqOk && lqOk) {
         PortSchedule &ps = lqPorts();
         bool found = false;
-        while (lqOffset <= 4 && !found) {
+        while (lqOffset <= kMaxStagger && !found) {
             bool ok = true;
             for (std::size_t i = 0; ok && i < sqPlan.visit.size();
                  ++i) {
@@ -427,8 +485,7 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
     out.searchDoneCycle = now + std::max<std::size_t>(
                                     1, std::max(spanSq, spanLq));
     out.constantLatency =
-        !params_.segmented() || !doSq ||
-        (sqPlan.visit.size() == 1 && sqPlan.endsAtHead);
+        !params_.segmented() || !doSq || sqPlan.oneSegment;
 
     // Commit the issue.
     e->addr = addr;
@@ -461,6 +518,8 @@ Lsq::issueLoad(SeqNum seq, Addr addr, Cycle now, bool wantSqSearch)
     // loads that issued out of order and were not yet passed.
     LSQ_DCHECK(!useLb || lb_.size() <= oooLive_,
                "load buffer holds more entries than OOO loads live");
+    if constexpr (kDchecksEnabled)
+        checkPositions();
     LSQ_CHECK_HOOK(onLoadIssue(seq, addr, now, out));
     return out;
 }
@@ -472,9 +531,10 @@ StoreSearchOutcome
 Lsq::storeAddrReady(SeqNum seq, Addr addr, Cycle now)
 {
     StoreSearchOutcome out;
-    StoreEntry *s = findStore(seq);
-    LSQ_ASSERT(s != nullptr, "storeAddrReady: unknown store %llu",
+    const std::size_t pos = storePos(seq);
+    LSQ_ASSERT(pos < sq_.size(), "storeAddrReady: unknown store %llu",
                static_cast<unsigned long long>(seq));
+    StoreEntry *s = &sq_[pos];
 
     if (params_.checkViolationsAtCommit) {
         // Pair-predictor scheme: no execute-time search; the address
@@ -483,16 +543,19 @@ Lsq::storeAddrReady(SeqNum seq, Addr addr, Cycle now)
         s->addrValid = true;
         out.accepted = true;
         out.searchDoneCycle = now;
+        if constexpr (kDchecksEnabled)
+            checkPositions();
         LSQ_CHECK_HOOK(onStoreAddrReady(seq, addr, now, out));
         return out;
     }
 
-    unsigned start = lqWalkStart(seq, loadAlloc().tailSegment());
+    unsigned start =
+        lqWalkStart(s->lqNext - lqHead_, loadAlloc().tailSegment());
     if (lqPorts().freePorts(start, now) == 0) {
         out.accepted = false;   // retry next cycle
         return out;
     }
-    LqSearchPlan plan = planStoreLqSearch(seq, addr);
+    LqSearchPlan plan = planStoreLqSearch(*s, addr);
     LSQ_DCHECK(plan.visit[0] == start,
                "LQ walk does not start at its checked segment");
     if (!lqPorts().canReserveWalk(plan.visit, now)) {
@@ -517,6 +580,8 @@ Lsq::storeAddrReady(SeqNum seq, Addr addr, Cycle now)
         out.violationLoad = plan.violator->seq;
         out.violationLoadPc = plan.violator->pc;
     }
+    if constexpr (kDchecksEnabled)
+        checkPositions();
     LSQ_CHECK_HOOK(onStoreAddrReady(seq, addr, now, out));
     return out;
 }
@@ -544,11 +609,11 @@ Lsq::invalidate(Addr addr, Cycle now)
         out.searchDoneCycle = now;
         if (victim != kNoSeq) {
             out.violationLoad = victim;
-            const LoadEntry *e = findLoad(victim);
-            LSQ_DCHECK(e != nullptr,
+            std::size_t i = loadPos(victim);
+            LSQ_DCHECK(i < lq_.size(),
                        "load-buffer resident missing from the LQ");
-            if (e != nullptr)
-                out.violationLoadPc = e->pc;
+            if (i < lq_.size())
+                out.violationLoadPc = lq_[i].pc;
         }
         LSQ_CHECK_HOOK(onInvalidate(addr, now, out));
         return out;
@@ -596,11 +661,13 @@ Lsq::commitStore(SeqNum seq, Cycle now)
     if (params_.checkViolationsAtCommit) {
         // A busy first segment skips planning: the commit is delayed
         // either way.
-        unsigned start = lqWalkStart(seq, loadAlloc().tailSegment());
+        const StoreEntry &head = sq_.front();
+        unsigned start =
+            lqWalkStart(head.lqNext - lqHead_, loadAlloc().tailSegment());
         LqSearchPlan plan;
         bool ok = lqPorts().freePorts(start, now) != 0;
         if (ok) {
-            plan = planStoreLqSearch(seq, sq_.front().addr);
+            plan = planStoreLqSearch(head, head.addr);
             LSQ_DCHECK(plan.visit[0] == start,
                        "LQ walk does not start at its checked segment");
             ok = lqPorts().canReserveWalk(plan.visit, now);
@@ -632,8 +699,11 @@ Lsq::commitStore(SeqNum seq, Cycle now)
     LSQ_DCHECK(sq_.front().addrValid,
                "committing a store that never exposed its address");
     sq_.pop_front();
+    ++sqHead_;
     storeAlloc().freeOldest();
     out.accepted = true;
+    if constexpr (kDchecksEnabled)
+        checkPositions();
     LSQ_CHECK_HOOK(onStoreCommit(seq, now, out));
     return out;
 }
@@ -649,8 +719,11 @@ Lsq::commitLoad(SeqNum seq)
     // An executed head load has been passed by the NILP.
     LSQ_DCHECK(nilp_ > 0, "NILP behind an executed LQ head");
     lq_.pop_front();
+    ++lqHead_;
     --nilp_;
     loadAlloc().freeOldest();
+    if constexpr (kDchecksEnabled)
+        checkPositions();
     LSQ_CHECK_HOOK(onLoadCommit(seq));
 }
 
@@ -690,6 +763,8 @@ Lsq::squashFrom(SeqNum seq)
             lqAlloc_.freeYoungest();
         }
         lb_.squashFrom(seq);
+        if constexpr (kDchecksEnabled)
+            checkPositions();
         LSQ_CHECK_HOOK(onSquash(seq));
         return;
     }
@@ -707,6 +782,8 @@ Lsq::squashFrom(SeqNum seq)
                "squash left a too-young load behind");
     LSQ_DCHECK(sq_.empty() || sq_.back().seq < seq,
                "squash left a too-young store behind");
+    if constexpr (kDchecksEnabled)
+        checkPositions();
     LSQ_CHECK_HOOK(onSquash(seq));
 }
 

@@ -93,7 +93,12 @@ struct StoreSearchOutcome
 class Lsq
 {
   public:
-    Lsq(const LsqParams &params, StatSet &stats);
+    /**
+     * @param window the span that live sequence numbers can cover (the
+     *        ROB size): a seq-indexed slot array of that many entries,
+     *        rounded up to a power of two, finds any live entry.
+     */
+    Lsq(const LsqParams &params, unsigned window, StatSet &stats);
 
     // ------------------------------------------------ allocation -----
     bool canAllocateLoad() const { return loadAlloc().canAllocate(); }
@@ -103,6 +108,17 @@ class Lsq
     }
     void allocateLoad(SeqNum seq, Pc pc);
     void allocateStore(SeqNum seq, Pc pc);
+
+    /**
+     * The most cycles after its issue that a load's searches can end
+     * (LoadIssueOutcome::searchDoneCycle - now): a walk over every
+     * segment, staggered by the combined queue's largest offset.
+     */
+    unsigned
+    longestSearch() const
+    {
+        return params_.numSegments + kMaxStagger;
+    }
 
     // ------------------------------------------------ oracle ---------
     /**
@@ -264,12 +280,25 @@ class Lsq
     /** Restore state written by saveState (geometry must match). */
     void loadState(SerialReader &r);
 
+    /**
+     * Check that every live entry's ticket, and every load's sqNext
+     * and store's lqNext, agree with a recomputation from program
+     * order. Debug builds run it after every mutation.
+     */
+    void checkPositions() const;
+
   private:
+    /** Largest delay of a combined queue's ordering walk behind its
+     *  forwarding walk. */
+    static constexpr unsigned kMaxStagger = 4;
+
     struct LoadEntry
     {
         SeqNum seq;
         Pc pc;
         unsigned segment;
+        /** The SQ's next ticket at allocation: older stores precede it. */
+        std::uint64_t sqNext;
         Addr addr = 0;
         bool executed = false;
         Cycle executeCycle = kNoCycle;
@@ -282,28 +311,44 @@ class Lsq
         SeqNum seq;
         Pc pc;
         unsigned segment;
+        /** The LQ's next ticket at allocation: younger loads start here. */
+        std::uint64_t lqNext;
         Addr addr = 0;
         bool addrValid = false;
     };
 
-    // Both queues hold entries in program order, so every lookup by
-    // sequence number is a binary search.
-    LoadEntry *findLoad(SeqNum seq);
-    StoreEntry *findStore(SeqNum seq);
+    // Positions. Each queue numbers its allocations with tickets, so
+    // an entry's ring index is its ticket minus the head's, and a
+    // squash, which pops from the back, hands the tickets out again.
+    // A seq-indexed slot array maps a live seq to its ticket, so a
+    // lookup by sequence number is one index. A load keeps the SQ's
+    // next ticket from its allocation (sqNext) and a store the LQ's
+    // (lqNext), so where a search starts is one index too: stores
+    // older than a load sit before its sqNext, loads younger than a
+    // store from its lqNext on (DESIGN.md §5).
+
+    /** Ring index of the load @p seq, or lq_.size() if not live. */
+    std::size_t loadPos(SeqNum seq) const;
+    /** Ring index of the store @p seq, or sq_.size() if not live. */
+    std::size_t storePos(SeqNum seq) const;
+    std::uint64_t lqNextTicket() const { return lqHead_ + lq_.size(); }
+    std::uint64_t sqNextTicket() const { return sqHead_ + sq_.size(); }
+    /** Record that the entry about to take @p ticket holds @p seq. */
+    void notePosition(SeqNum seq, std::uint64_t ticket);
 
     /**
-     * First segment of the SQ forwarding walk for the load @p loadSeq:
-     * its youngest older store's, else the SQ tail segment.
+     * First segment of the SQ forwarding walk for the load @p e: its
+     * youngest older store's, else the SQ tail segment.
      */
-    unsigned sqWalkStart(SeqNum loadSeq) const;
+    unsigned sqWalkStart(const LoadEntry &e) const;
     /**
-     * First segment of an LQ walk over loads younger than @p seq: the
-     * first younger load's, else @p fallback.
+     * First segment of an LQ walk that starts at ring index @p from:
+     * that load's, else (no load there) @p fallback.
      */
-    unsigned lqWalkStart(SeqNum seq, unsigned fallback) const;
+    unsigned lqWalkStart(std::size_t from, unsigned fallback) const;
 
     /**
-     * Plan the SQ forwarding search for (@p loadSeq, @p addr): the
+     * Plan the SQ forwarding search for (@p load, @p addr): the
      * ordered list of distinct segments visited (youngest-older store
      * first, toward the head) and the match, if any. The visit list
      * lives in sqVisit_ until the next SQ plan.
@@ -312,9 +357,13 @@ class Lsq
     {
         std::span<const unsigned> visit;
         const StoreEntry *match = nullptr;
-        bool endsAtHead = false;   ///< search covered the oldest stores
+        /**
+         * Segmented queues: every older store sits in the one segment
+         * visited, so the load's latency is knowable at issue.
+         */
+        bool oneSegment = false;
     };
-    SqSearchPlan planSqSearch(SeqNum loadSeq, Addr addr);
+    SqSearchPlan planSqSearch(const LoadEntry &load, Addr addr);
 
     /**
      * An LQ search plan: segments visited (oldest load first, toward
@@ -327,15 +376,15 @@ class Lsq
         const LoadEntry *violator = nullptr;
     };
     /** A store's LQ violation search over loads younger than it. */
-    LqSearchPlan planStoreLqSearch(SeqNum storeSeq, Addr addr);
+    LqSearchPlan planStoreLqSearch(const StoreEntry &store, Addr addr);
 
     /**
-     * A load's own LQ load-load search (conventional scheme); a load
-     * with no younger load searches its own segment @p ownSegment.
+     * A load's own LQ load-load search (conventional scheme) for the
+     * load at ring index @p pos; a load with no younger load searches
+     * its own segment.
      */
-    LqSearchPlan planLoadLqSearch(SeqNum loadSeq, Addr addr,
-                                  Cycle executeCycle,
-                                  unsigned ownSegment);
+    LqSearchPlan planLoadLqSearch(std::size_t pos, Addr addr,
+                                  Cycle executeCycle);
 
     /**
      * Walk the LQ from @p from toward the tail, stopping at the first
@@ -434,6 +483,17 @@ class Lsq
     // lsqlint: no-serialize(rolling reservation table; slots self-invalidate by cycle tag)
     PortSchedule sqPorts_;
     LoadBuffer lb_;
+
+    // lsqlint: no-serialize(construction config, fixed for the run)
+    unsigned window_;
+    /** Per seq & (size - 1), the ticket of the live entry holding it. */
+    // lsqlint: no-serialize(positions of live entries; the queues are empty at quiescence)
+    std::vector<std::uint64_t> tickets_;
+    /** Tickets of the LQ and SQ heads. */
+    // lsqlint: no-serialize(positions of live entries; only differences between tickets matter)
+    std::uint64_t lqHead_ = 0;
+    // lsqlint: no-serialize(positions of live entries; only differences between tickets matter)
+    std::uint64_t sqHead_ = 0;
 
     /** Live loads issued out of order and not yet passed by the NILP. */
     unsigned oooLive_ = 0;

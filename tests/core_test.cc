@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "common/rng.hh"
+#include "core/completion_calendar.hh"
 #include "core/core.hh"
 #include "core/issue_queue.hh"
 #include "core/phys_reg_file.hh"
@@ -611,6 +612,78 @@ TEST(IssueQueue, MatchesPolledReference)
         runDifferential(seed);
 }
 
+// ---------------------------------------------- CompletionCalendar ---
+
+namespace {
+
+/** The events a calendar retires at @p now, in order. */
+std::vector<SeqNum>
+retireAt(CompletionCalendar &cal, Cycle now)
+{
+    std::vector<SeqNum> out;
+    cal.retire(now, [&](SeqNum seq, std::uint64_t) { out.push_back(seq); });
+    return out;
+}
+
+} // namespace
+
+TEST(CompletionCalendar, SameCycleEventsRetireInScheduleOrder)
+{
+    // A bucket is a FIFO: within a cycle, schedule order decides, so
+    // the younger seq scheduled first goes first.
+    CompletionCalendar cal(256, 200);
+    cal.schedule(9, 1, 12, 10);
+    cal.schedule(4, 2, 12, 10);
+    cal.schedule(7, 3, 11, 10);
+    cal.schedule(5, 4, 12, 11);
+    EXPECT_EQ(cal.size(), 4u);
+    EXPECT_EQ(cal.scheduled(), 4u);
+    EXPECT_EQ(cal.next(11), 11u);
+    EXPECT_EQ(retireAt(cal, 11), std::vector<SeqNum>({7}));
+    EXPECT_EQ(cal.next(12), 12u);
+    EXPECT_EQ(retireAt(cal, 12), (std::vector<SeqNum>{9, 4, 5}));
+    EXPECT_TRUE(cal.empty());
+    EXPECT_EQ(cal.next(13), kNoCycle);
+}
+
+TEST(CompletionCalendar, CancelKeepsTheOthersInOrder)
+{
+    CompletionCalendar cal(8, 20);
+    for (SeqNum s = 0; s < 5; ++s)
+        cal.schedule(s, s, 30, 25);
+    cal.cancel(0);   // head of the bucket
+    cal.cancel(2);   // middle
+    cal.cancel(4);   // tail
+    cal.schedule(4, 9, 30, 26);   // the refetched seq reuses its node
+    EXPECT_EQ(retireAt(cal, 30), (std::vector<SeqNum>{1, 3, 4}));
+    EXPECT_TRUE(cal.empty());
+}
+
+TEST(CompletionCalendar, NextEventAcrossTheWrap)
+{
+    // A 64-bucket wheel: from cycle 60, an event 50 cycles out sits in
+    // a lower bucket than now's, and an earlier one must still win.
+    CompletionCalendar cal(16, 63);
+    EXPECT_EQ(cal.buckets(), 64u);
+    cal.schedule(1, 1, 110, 60);
+    EXPECT_EQ(cal.next(60), 110u);
+    cal.schedule(2, 2, 123, 60);
+    EXPECT_EQ(cal.next(60), 110u);
+    cal.schedule(3, 3, 61, 60);
+    EXPECT_EQ(cal.next(60), 61u);
+    EXPECT_EQ(retireAt(cal, 61), std::vector<SeqNum>({3}));
+    EXPECT_EQ(cal.next(62), 110u);
+    EXPECT_EQ(retireAt(cal, 110), std::vector<SeqNum>({1}));
+    EXPECT_EQ(cal.next(111), 123u);
+}
+
+TEST(CompletionCalendar, EventPastTheWheelDies)
+{
+    CompletionCalendar cal(16, 63);
+    cal.schedule(1, 1, 10 + 63, 10);   // the last bucket is fine
+    EXPECT_DEATH({ cal.schedule(2, 2, 10 + 64, 10); }, "lies past");
+}
+
 // ----------------------------------------------------------- Core -----
 
 namespace {
@@ -1121,5 +1194,44 @@ TEST(CoreTest, RunMatchesTickLoop)
         EXPECT_EQ(run.core.cycle(), ticked.core.cycle());
         EXPECT_EQ(run.stats.dump(), ticked.stats.dump());
         EXPECT_GT(run.stats.value("probe.delivered"), 0u);
+    }
+}
+
+TEST(CoreTest, RunMatchesTickLoopNearCalendarHorizon)
+{
+    // The writeback calendar has W = bit_ceil(horizon + 1) buckets.
+    // Here the horizon is L1 2 + L2 12 + memory 238 + late wakeup 2 +
+    // rollback 1 = 255, so W = 256 and a miss writes back up to 254
+    // cycles out, one bucket short of the wheel's wrap.
+    for (const std::string bench : {"mcf", "art", "equake", "gzip"}) {
+        for (auto [name, cfg] : skipDesigns(bench)) {
+            cfg.memory.memLatency = 238;
+            SkipTwin ticked(cfg), run(cfg);
+            std::uint64_t end = run.core.committed() + kSkipInsts;
+            ticked.tickUntil(end);
+            run.core.run(end);
+            EXPECT_EQ(run.core.cycle(), ticked.core.cycle())
+                << bench << " " << name;
+            EXPECT_EQ(run.stats.dump(), ticked.stats.dump())
+                << bench << " " << name;
+        }
+    }
+}
+
+TEST(CoreTest, RunMatchesTickLoopThroughSquashes)
+{
+    // A squash cancels the pending writebacks of what it removes, and
+    // the refetched instructions reuse those seqs and calendar nodes.
+    // Dropping the events early only changes which ticks are quiet.
+    SimConfig base = configs::base("mgrid");
+    for (const SimConfig &cfg :
+         {configs::withLoadBuffer(base, 2), configs::allTechniques(base)}) {
+        SkipTwin ticked(cfg), run(cfg);
+        std::uint64_t end = run.core.committed() + 5 * kSkipInsts;
+        ticked.tickUntil(end);
+        run.core.run(end);
+        EXPECT_GT(run.stats.value("squash.instructions"), 100u);
+        EXPECT_EQ(run.core.cycle(), ticked.core.cycle());
+        EXPECT_EQ(run.stats.dump(), ticked.stats.dump());
     }
 }

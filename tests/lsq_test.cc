@@ -274,12 +274,15 @@ flat(unsigned ports = 2, unsigned entries = 32)
     return p;
 }
 
+/** Span of live seqs the tests' LSQs cover: Table 1's ROB. */
+constexpr unsigned kWindow = 256;
+
 struct LsqFixture
 {
     StatSet stats;
     Lsq lsq;
 
-    explicit LsqFixture(const LsqParams &p) : lsq(p, stats) {}
+    explicit LsqFixture(const LsqParams &p) : lsq(p, kWindow, stats) {}
 };
 
 } // namespace
@@ -362,7 +365,7 @@ TEST(Lsq, SkippedSearchDoesNotConsumePort)
     LsqParams p = flat(1);
     p.loadCheck = LoadCheckPolicy::LoadBuffer;
     StatSet stats2;
-    Lsq lsq2(p, stats2);
+    Lsq lsq2(p, kWindow, stats2);
     lsq2.allocateLoad(1, 0x1000);
     lsq2.allocateLoad(2, 0x1004);
     EXPECT_EQ(lsq2.issueLoad(1, 0xE0, 0, true).status,
@@ -842,7 +845,7 @@ TEST_P(LsqConfigSweep, RoundTripConsistency)
     p.searchPorts = ports;
     p.allocPolicy = policy;
     StatSet stats;
-    Lsq lsq(p, stats);
+    Lsq lsq(p, kWindow, stats);
 
     Cycle now = 0;
     SeqNum seq = 0;

@@ -87,48 +87,96 @@ struct ShadowStore
 {
     SeqNum seq;
     bool executed = false;
+    Addr addr = 0;
 };
+
+/** Span of live seqs the fuzzed LSQs cover, like a small ROB. */
+constexpr unsigned kFuzzWindow = 64;
+
+/** Oldest live seq of the shadow queues, or @p next when both are empty. */
+SeqNum
+oldestLive(const std::deque<ShadowLoad> &loads,
+           const std::deque<ShadowStore> &stores, SeqNum next)
+{
+    SeqNum lo = next;
+    if (!loads.empty())
+        lo = std::min(lo, loads.front().seq);
+    if (!stores.empty())
+        lo = std::min(lo, stores.front().seq);
+    return lo;
+}
+
+/** The fuzzed designs: flat, segmented, combined. */
+LsqParams
+fuzzDesign(int design)
+{
+    LsqParams params;
+    params.lqEntries = 8;
+    params.sqEntries = 8;
+    params.searchPorts = 2;
+    params.allocPolicy = SegAllocPolicy::SelfCircular;
+    if (design >= 1)
+        params.numSegments = 2;
+    params.combinedQueue = design == 2;
+    return params;
+}
 
 } // namespace
 
 class LsqFuzz
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>>
 {
 };
 
-TEST_P(LsqFuzz, ShadowModelAgreesOnOccupancy)
+TEST_P(LsqFuzz, ShadowModelAgreesOnOccupancyAndOrder)
 {
-    auto [seed, combined] = GetParam();
-    LsqParams params;
-    params.lqEntries = 8;
-    params.sqEntries = 8;
-    params.numSegments = 2;
-    params.searchPorts = 2;
-    params.allocPolicy = SegAllocPolicy::SelfCircular;
-    params.combinedQueue = combined;
+    // Positions are tickets, so the shadow checks every answer that
+    // depends on them: occupancy, which stores are older than a load,
+    // whether a store is still unaddressed, and the forwarding source.
+    auto [seed, design] = GetParam();
+    LsqParams params = fuzzDesign(design);
+    const unsigned capacity =
+        params.totalLqEntries() + (params.combinedQueue
+                                       ? 0
+                                       : params.totalSqEntries());
 
     StatSet stats;
-    Lsq lsq(params, stats);
+    Lsq lsq(params, kFuzzWindow, stats);
     Rng rng(seed);
 
     std::deque<ShadowLoad> loads;
     std::deque<ShadowStore> stores;
     SeqNum nextSeq = 0;
     Cycle now = 0;
+    std::uint64_t longRuns = 0, replays = 0, forwards = 0;
+    // Few addresses, so that loads often have an older matching store.
+    auto addrOf = [](SeqNum seq) { return 0x8000 + 8 * (seq % 5); };
 
     for (int step = 0; step < 30000; ++step) {
         ++now;
+        // The window is a ROB: nothing dispatches past its end.
+        const SeqNum room =
+            oldestLive(loads, stores, nextSeq) + kFuzzWindow - nextSeq;
         double r = rng.uniform();
-        if (r < 0.30) {
+        if (r < 0.04) {
+            // A run of non-memory ops longer than the LQ and SQ hold.
+            SeqNum run = capacity + 1 + rng.below(capacity);
+            if (run < room) {
+                nextSeq += run;
+                ++longRuns;
+            }
+        } else if (r < 0.30) {
             // Allocate a memory op.
             bool isLoad = rng.chance(0.7);
-            if (isLoad && lsq.canAllocateLoad()) {
+            if (room == 0) {
+                // Window full: dispatch waits.
+            } else if (isLoad && lsq.canAllocateLoad()) {
                 lsq.allocateLoad(nextSeq, 0x1000 + 4 * nextSeq);
                 loads.push_back({nextSeq, false});
                 ++nextSeq;
             } else if (!isLoad && lsq.canAllocateStore()) {
                 lsq.allocateStore(nextSeq, 0x1000 + 4 * nextSeq);
-                stores.push_back({nextSeq, false});
+                stores.push_back({nextSeq, false, 0});
                 ++nextSeq;
             } else {
                 ++nextSeq;   // arithmetic op, seq advances
@@ -141,23 +189,41 @@ TEST_P(LsqFuzz, ShadowModelAgreesOnOccupancy)
                     cands.push_back(&l);
             if (!cands.empty()) {
                 ShadowLoad *l = cands[rng.below(cands.size())];
-                Addr addr = 0x8000 + 8 * (l->seq % 32);
+                Addr addr = addrOf(l->seq);
+                SeqNum expect = kNoSeq;
+                for (const auto &st : stores)
+                    if (st.seq < l->seq && st.executed && st.addr == addr)
+                        expect = st.seq;
+                ASSERT_EQ(lsq.olderMatchingStore(l->seq, addr),
+                          expect != kNoSeq)
+                    << "step " << step;
+                bool search = rng.chance(0.8);
                 LoadIssueOutcome out =
-                    lsq.issueLoad(l->seq, addr, now, rng.chance(0.8));
-                if (out.status == LoadIssueStatus::Accepted)
+                    lsq.issueLoad(l->seq, addr, now, search);
+                if (out.status == LoadIssueStatus::Accepted) {
                     l->executed = true;
+                    ASSERT_EQ(out.forwarded, search && expect != kNoSeq)
+                        << "step " << step;
+                    if (out.forwarded) {
+                        ASSERT_EQ(out.forwardedFrom, expect)
+                            << "step " << step;
+                        ++forwards;
+                    }
+                }
             }
         } else if (r < 0.65) {
             // AGEN a random non-executed store.
             std::vector<ShadowStore *> cands;
-            for (auto &s : stores)
-                if (!s.executed)
-                    cands.push_back(&s);
+            for (auto &st : stores)
+                if (!st.executed)
+                    cands.push_back(&st);
             if (!cands.empty()) {
-                ShadowStore *s = cands[rng.below(cands.size())];
-                Addr addr = 0x8000 + 8 * (s->seq % 32);
-                if (lsq.storeAddrReady(s->seq, addr, now).accepted)
-                    s->executed = true;
+                ShadowStore *st = cands[rng.below(cands.size())];
+                Addr addr = addrOf(st->seq);
+                if (lsq.storeAddrReady(st->seq, addr, now).accepted) {
+                    st->executed = true;
+                    st->addr = addr;
+                }
             }
         } else if (r < 0.85) {
             // Commit the oldest memory op if it has executed.
@@ -177,32 +243,65 @@ TEST_P(LsqFuzz, ShadowModelAgreesOnOccupancy)
                     stores.pop_front();
             }
         } else if (r < 0.90 && (loads.size() + stores.size()) > 0) {
-            // Squash from a random live seq.
-            SeqNum lo = kNoSeq;
-            if (!loads.empty())
-                lo = loads.front().seq;
-            if (!stores.empty())
-                lo = lo == kNoSeq ? stores.front().seq
-                                  : std::min(lo, stores.front().seq);
+            // Squash from a random live seq; the stream replays from
+            // the target, so the same seqs allocate again.
+            SeqNum lo = oldestLive(loads, stores, nextSeq);
             SeqNum target = lo + rng.below(nextSeq - lo + 1);
             lsq.squashFrom(target);
             while (!loads.empty() && loads.back().seq >= target)
                 loads.pop_back();
             while (!stores.empty() && stores.back().seq >= target)
                 stores.pop_back();
-            // The stream replays: reuse seq numbers from the target.
-            nextSeq = std::max(target, lo);
+            replays += target < nextSeq;
+            nextSeq = target;
         }
 
         ASSERT_EQ(lsq.lqLive(), loads.size());
         ASSERT_EQ(lsq.sqLive(), stores.size());
+        // Lookups by seq, live and not: every store, and the seqs
+        // around the live range.
+        bool unaddressed = false;
+        for (const auto &st : stores)
+            ASSERT_EQ(lsq.storePendingAddress(st.seq), !st.executed);
+        ASSERT_FALSE(lsq.storePendingAddress(nextSeq));
+        for (const auto &l : loads) {
+            ASSERT_FALSE(lsq.storePendingAddress(l.seq));
+            bool expect = false;
+            for (const auto &st : stores)
+                expect |= st.seq < l.seq && !st.executed;
+            ASSERT_EQ(lsq.anyOlderStoreUnaddressed(l.seq), expect)
+                << "step " << step;
+        }
+        for (const auto &st : stores)
+            unaddressed |= !st.executed;
+        ASSERT_EQ(lsq.anyOlderStoreUnaddressed(nextSeq), unaddressed);
+        lsq.checkPositions();
     }
+    EXPECT_GT(longRuns, 100u);
+    EXPECT_GT(replays, 100u);
+    EXPECT_GT(forwards, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, LsqFuzz,
     ::testing::Combine(::testing::Values(3u, 11u, 42u, 500u, 9001u),
-                       ::testing::Bool()));
+                       ::testing::Values(0, 1, 2)));
+
+TEST(LsqFuzzDeathTest, LiveSpanBeyondWindowPanics)
+{
+    // Slots are seq & (window - 1): two live seqs a window apart would
+    // share one, so the allocation that would open that span panics.
+    for (int design = 0; design < 3; ++design) {
+        StatSet stats;
+        Lsq lsq(fuzzDesign(design), kFuzzWindow, stats);
+        lsq.allocateLoad(5, 0x1000);
+        lsq.allocateStore(5 + kFuzzWindow - 1, 0x1004);   // span fits
+        EXPECT_DEATH({ lsq.allocateLoad(5 + kFuzzWindow, 0x1008); },
+                     "span more than the window");
+        EXPECT_DEATH({ lsq.allocateStore(5 + kFuzzWindow, 0x1008); },
+                     "span more than the window");
+    }
+}
 
 // ------------------------------------------------ checked LSQ fuzz ----
 
@@ -265,7 +364,7 @@ TEST_P(CheckedLsqFuzz, OracleFindsNoMismatches)
     }
 
     StatSet stats;
-    Lsq lsq(params, stats);
+    Lsq lsq(params, kFuzzWindow, stats);
     LsqChecker checker(params);
     lsq.attachChecker(&checker);
     Rng rng(seed);
@@ -316,7 +415,10 @@ TEST_P(CheckedLsqFuzz, OracleFindsNoMismatches)
         double r = rng.uniform();
         if (r < 0.30) {
             bool isLoad = rng.chance(0.6);
-            if (isLoad && lsq.canAllocateLoad()) {
+            if (nextSeq - oldestLive(loads, stores, nextSeq) >=
+                kFuzzWindow) {
+                // Window full: dispatch waits.
+            } else if (isLoad && lsq.canAllocateLoad()) {
                 lsq.allocateLoad(nextSeq, 0x1000 + 4 * nextSeq);
                 loads.push_back({nextSeq, false});
                 ++nextSeq;
@@ -563,7 +665,7 @@ TEST(LsqProperty, ForwardingAlwaysReturnsYoungestOlderMatch)
         params.searchPorts = 4;
         params.loadCheck = LoadCheckPolicy::None;
         StatSet stats;
-        Lsq lsq(params, stats);
+        Lsq lsq(params, kFuzzWindow, stats);
         LsqChecker checker(params);
         lsq.attachChecker(&checker);
 
