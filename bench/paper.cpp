@@ -6,8 +6,9 @@
  * Every design point is the Table 1 base machine plus a few modifiers,
  * and the figures share most of them. So the driver keeps two tables:
  *
- *  - the design catalog: every distinct design point once, under a
- *    unique label (the `config` field of the sweep's JSON records);
+ *  - the design catalog (bench/catalog.hh): every distinct design
+ *    point once, under a unique label (the `config` field of the
+ *    sweep's JSON records);
  *  - the figure table: one entry per table or figure, naming the
  *    catalog designs it reads and the renderer that prints it.
  *
@@ -38,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "catalog.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "sim/experiment.hh"
@@ -50,133 +52,6 @@ namespace {
 
 using Rows = std::vector<ResultRow>;
 using Columns = std::vector<std::pair<std::string, std::vector<double>>>;
-
-// ------------------------------------------------------- catalog ----
-
-/** The Table 1 base machine, measured over 300k instructions. */
-SimConfig
-benchBase(const std::string &benchmark)
-{
-    SimConfig cfg = configs::base(benchmark);
-    cfg.instructions = 300000;
-    return cfg;
-}
-
-/**
- * A catalog design: @p modify applied to benchBase, with @p args after
- * the config, e.g. design("4-port", configs::withPorts, 4u).
- */
-template <class Modify, class... Args>
-NamedConfig
-design(std::string label, Modify modify, Args... args)
-{
-    return {std::move(label), [=](const std::string &b) {
-                return modify(benchBase(b), args...);
-            }};
-}
-
-SimConfig
-selfCircular(SimConfig cfg)
-{
-    return configs::withSegmentation(std::move(cfg), 4, 28,
-                                     SegAllocPolicy::SelfCircular);
-}
-
-/** Figure 10's two techniques: pair predictor + 2-entry load buffer. */
-SimConfig
-withTechniques(SimConfig cfg)
-{
-    cfg = configs::withPairPredictor(std::move(cfg));
-    cfg = configs::withLoadBuffer(std::move(cfg), 2);
-    return cfg;
-}
-
-SimConfig
-withWakeupPenalty(SimConfig cfg, unsigned penalty)
-{
-    cfg = selfCircular(std::move(cfg));
-    cfg.lsq.lateWakeupPenalty = penalty;
-    return cfg;
-}
-
-SimConfig
-withMemDep(SimConfig cfg, MemDepPolicy policy)
-{
-    cfg.core.memDepPolicy = policy;
-    return cfg;
-}
-
-SimConfig
-withSeed(SimConfig cfg, std::uint64_t seed)
-{
-    cfg.seed = seed;
-    return cfg;
-}
-
-SimConfig
-allTechniquesWithSeed(SimConfig cfg, std::uint64_t seed)
-{
-    return withSeed(configs::allTechniques(std::move(cfg)), seed);
-}
-
-/** Every distinct design point, in order of first use. */
-const std::vector<NamedConfig> &
-catalog()
-{
-    static const std::vector<NamedConfig> designs = {
-        design("base", [](SimConfig c) { return c; }),
-        design("perfect", configs::withPerfectPredictor),
-        design("aggressive", configs::withAggressivePredictor),
-        design("pair", configs::withPairPredictor),
-        design("load buffer (2)", configs::withLoadBuffer, 2u),
-        design("in-order, always search", configs::withInOrderLoads, true),
-        design("load buffer (0)", configs::withInOrderLoads, false),
-        design("load buffer (1)", configs::withLoadBuffer, 1u),
-        design("load buffer (4)", configs::withLoadBuffer, 4u),
-        design("1-port", configs::withPorts, 1u),
-        design("1-port + techniques",
-               [](SimConfig c) {
-                   return configs::withPorts(withTechniques(c), 1);
-               }),
-        design("2-port + techniques", withTechniques),
-        design("4-port", configs::withPorts, 4u),
-        design("no-self-circular 4x28", configs::withSegmentation, 4u, 28u,
-               SegAllocPolicy::NoSelfCircular),
-        design("self-circular 4x28", selfCircular),
-        design("flat 128-entry", configs::withQueueSize, 128u),
-        design("all techniques", configs::allTechniques),
-        design("scaled base", configs::scaledProcessor),
-        design("scaled all techniques",
-               [](SimConfig c) {
-                   return configs::allTechniques(
-                       configs::scaledProcessor(c));
-               }),
-        design("self-circular 4x28, stall",
-               [](SimConfig c) {
-                   c = selfCircular(c);
-                   c.lsq.contentionPolicy = ContentionPolicy::Stall;
-                   return c;
-               }),
-        design("self-circular 4x28, wakeup penalty 0", withWakeupPenalty,
-               0u),
-        design("self-circular 4x28, wakeup penalty 4", withWakeupPenalty,
-               4u),
-        design("split 4x14+4x14", configs::withSegmentation, 4u, 14u,
-               SegAllocPolicy::SelfCircular),
-        design("combined 4x28",
-               [](SimConfig c) {
-                   return configs::withCombinedQueue(selfCircular(c), 28);
-               }),
-        design("blind speculation", withMemDep,
-               MemDepPolicy::BlindSpeculation),
-        design("total order", withMemDep, MemDepPolicy::TotalOrder),
-        design("base, seed 2", withSeed, 2u),
-        design("all techniques, seed 2", allTechniquesWithSeed, 2u),
-        design("base, seed 3", withSeed, 3u),
-        design("all techniques, seed 3", allTechniquesWithSeed, 3u),
-    };
-    return designs;
-}
 
 // ----------------------------------------------------- renderers ----
 //

@@ -74,7 +74,10 @@
 #                    standalone (also a ctest in every flavor above, so
 #                    this is a fast final recheck)
 #  10. analyze     — deep static-analysis pass (docs/STATIC_ANALYSIS.md):
-#                    the tests/lintfix fixture self-test and clang-tidy
+#                    the tests/lintfix fixture self-test (exact
+#                    per-rule counts over broken_hot, broken_layer,
+#                    broken_legacy, clean and suppress, then the
+#                    suppression negative control) and clang-tidy
 #                    over compile_commands.json when the binary is
 #                    available (gcc-only containers skip that step)
 #

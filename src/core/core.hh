@@ -275,103 +275,57 @@ class Core
     bool regReady(PhysReg p, bool fp) const;
     static unsigned classIndex(ArchReg flat);
 
-    // lsqlint: no-serialize(construction config, fixed for the run)
     CoreParams cp_;
-    // lsqlint: no-serialize(construction config, fixed for the run)
     LsqParams lsqp_;
-    // lsqlint: no-serialize(measurement output, not architectural state)
     StatSet &stats_;
     // Histograms in stats_, each registered once with its bucket count.
-    // lsqlint: no-serialize(measurement output, not architectural state)
     Histogram &loadCommitDelay_;
-    // lsqlint: no-serialize(measurement output, not architectural state)
     Histogram &loadIssueDelay_;
-    // lsqlint: no-serialize(measurement output, not architectural state)
     Histogram &loadDataLat_;
     // Counters on the retry and per-cycle paths, bound on first touch.
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter issuedCount_{stats_, "core.issued"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter fetchedCount_{stats_, "fetch.fetched"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadPortStalls_{stats_, "loads.lsq.portstall"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter storePortStalls_{stats_, "stores.lsq.portstall"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadStoreSetWaits_{stats_, "loads.storeset.wait"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadDcachePortStalls_{stats_, "loads.dcache.portstall"};
     // Every other counter the core bumps, bound the same way.
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter probeDelivered_{stats_, "probe.delivered"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter committedCount_{stats_, "core.committed"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter committedLoads_{stats_, "core.committed.loads"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter committedStores_{stats_, "core.committed.stores"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter committedBranches_{stats_, "core.committed.branches"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadTotalOrderWaits_{stats_, "loads.totalorder.wait"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadContentionReplays_{stats_, "loads.contention.replay"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter pairPredDependent_{stats_, "pair.pred.dependent"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter pairPredNoMatch_{stats_, "pair.pred.dependent.nomatch"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadsForwarded_{stats_, "loads.forwarded"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadsIssued_{stats_, "loads.issued"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter storeStoreSetWaits_{stats_, "stores.storeset.wait"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter storesIssued_{stats_, "stores.issued"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter dispatchLqFull_{stats_, "dispatch.lqfull"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter dispatchSqFull_{stats_, "dispatch.sqfull"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter dispatchNoRegs_{stats_, "dispatch.noregs"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter fetchMispredicts_{stats_, "fetch.mispredicts"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter squashTotal_{stats_, "squash.total"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter squashInsts_{stats_, "squash.instructions"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter squashInvalidation_{stats_, "squash.invalidation"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter squashStoreLoadCommit_{stats_, "squash.storeload.commit"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter squashStoreLoadExec_{stats_, "squash.storeload.exec"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter squashLoadLoad_{stats_, "squash.loadload"};
 
-    // lsqlint: no-serialize(own checkpoint section STRM)
     InstStream stream_;
-    // lsqlint: no-serialize(own checkpoint section MEM)
     MemorySystem mem_;
-    // lsqlint: no-serialize(own checkpoint section LSQ)
     Lsq lsq_;
-    // lsqlint: no-serialize(own checkpoint section BP)
     HybridBranchPredictor bp_;
-    // lsqlint: no-serialize(own checkpoint section SSP)
     StoreSetPredictor ssp_;
-    // lsqlint: no-serialize(empty at quiescence; saveState asserts quiescent())
     Rob rob_;
-    // lsqlint: no-serialize(empty at quiescence; saveState asserts quiescent())
     IssueQueue iq_;
-    // lsqlint: no-serialize(ready-bits only; quiescence leaves every register ready)
     PhysRegFile intRegs_;
-    // lsqlint: no-serialize(ready-bits only; quiescence leaves every register ready)
     PhysRegFile fpRegs_;
 
-    // lsqlint: no-serialize(empty at quiescence; saveState asserts quiescent())
     Ring<FetchedInst> fetchQ_;
     /** Scheduled writebacks. */
-    // lsqlint: no-serialize(empty at quiescence; saveState asserts quiescent())
     CompletionCalendar completions_;
 
     Cycle now_ = 0;
@@ -379,7 +333,6 @@ class Core
     std::uint64_t nextRobId_ = 1;
 
     Cycle fetchResumeCycle_ = 0;
-    // lsqlint: no-serialize(kNoSeq at quiescence, part of the quiescent() predicate)
     SeqNum pendingBranch_ = kNoSeq;
     /** Highest branch seq already trained (replays skip training). */
     SeqNum bpTrainedUpTo_ = 0;
@@ -388,41 +341,31 @@ class Core
     Addr lastFetchBlock_ = ~0ULL;
 
     /** True while drain() runs: fetchStage stops pulling the stream. */
-    // lsqlint: no-serialize(transient drain() flag, false outside drain)
     bool draining_ = false;
 
     /** Cached commit-stall counters, indexed (opClass * 2 + state). */
-    // lsqlint: no-serialize(cached StatSet counter pointers, rebuilt in the constructor)
     Counter *commitBlockCounters_[kNumOpClasses * 2] = {};
 
     /** Attached coherence agent, or nullptr (the common case). */
-    // lsqlint: no-serialize(attached coherence agent, wired by the owning harness)
     ProbeAgent *coherence_ = nullptr;
 
     /** Attached event tracer, or nullptr (the common case). */
-    // lsqlint: no-serialize(attached observer, wired by the owning Simulator)
     Tracer *tracer_ = nullptr;
     /** Attached interval sampler, or nullptr (the common case). */
-    // lsqlint: no-serialize(attached observer, wired by the owning Simulator)
     IntervalSampler *sampler_ = nullptr;
     /** Cycle at which the attached sampler is next due (UINT64_MAX
      *  when detached), so run() pays one compare, not a poll. */
-    // lsqlint: no-serialize(observer schedule cache, rebuilt by attachSampler)
     Cycle nextSampleAt_ = ~Cycle(0);
 
     /** Host-profile stage-sampling mask: tick() takes the profiled
      *  stage sequence when (profTicks_ & mask) == 0. All-ones =
      *  disarmed. */
-    // lsqlint: no-serialize(host-profiler sampling mask, observer-only)
     std::uint64_t profMask_ = ~std::uint64_t(0);
     /** Ticks executed so far (skipped cycles excluded). */
-    // lsqlint: no-serialize(host-profiler tick count, observer-only)
     std::uint64_t profTicks_ = 0;
     /** True inside a profiled tick: issue helpers lap the LSQ search. */
-    // lsqlint: no-serialize(transient host-profiler flag, false between ticks)
     bool profLap_ = false;
     /** LSQ search+forward nanoseconds lapped this profiled tick. */
-    // lsqlint: no-serialize(host-profiler scratch, observer-only)
     std::uint64_t profLsqNs_ = 0;
 };
 

@@ -436,41 +436,24 @@ class Lsq
     /** Port schedule for load-queue (ordering) searches. */
     PortSchedule &lqPorts() { return lqPorts_; }
 
-    // lsqlint: no-serialize(construction config, fixed for the run)
     LsqParams params_;
-    // lsqlint: no-serialize(measurement output, not architectural state)
     StatSet &stats_;
     // Histograms in stats_, each registered once with its bucket count.
-    // lsqlint: no-serialize(measurement output, not architectural state)
     Histogram &lqOccupancy_;
-    // lsqlint: no-serialize(measurement output, not architectural state)
     Histogram &sqOccupancy_;
-    // lsqlint: no-serialize(measurement output, not architectural state)
     Histogram &oooInflight_;
-    // lsqlint: no-serialize(measurement output, not architectural state)
     Histogram &sqSearchSegments_;
     // Counters, bound on first touch.
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter lbSearches_{stats_, "lb.searches"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter lbStallFull_{stats_, "lb.stallfull"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter lbInserts_{stats_, "lb.inserts"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter lbProbes_{stats_, "lb.probes"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter loadContention_{stats_, "lsq.contention.loads"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter commitDelays_{stats_, "lsq.commit.delays"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter sqSearches_{stats_, "sq.searches"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter sqSearchesMatched_{stats_, "sq.searches.matched"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter lqSearchesByLoad_{stats_, "lq.searches.byload"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter lqSearchesByStore_{stats_, "lq.searches.bystore"};
-    // lsqlint: no-serialize(measurement output, not architectural state)
     LazyCounter lqSearchesByInval_{stats_, "lq.searches.invalidation"};
 
     // Sized to the queues' capacities: pushes never allocate.
@@ -478,21 +461,15 @@ class Lsq
     Ring<StoreEntry> sq_;
     SegmentAllocator lqAlloc_;
     SegmentAllocator sqAlloc_;
-    // lsqlint: no-serialize(rolling reservation table; slots self-invalidate by cycle tag)
     PortSchedule lqPorts_;
-    // lsqlint: no-serialize(rolling reservation table; slots self-invalidate by cycle tag)
     PortSchedule sqPorts_;
     LoadBuffer lb_;
 
-    // lsqlint: no-serialize(construction config, fixed for the run)
     unsigned window_;
     /** Per seq & (size - 1), the ticket of the live entry holding it. */
-    // lsqlint: no-serialize(positions of live entries; the queues are empty at quiescence)
     std::vector<std::uint64_t> tickets_;
     /** Tickets of the LQ and SQ heads. */
-    // lsqlint: no-serialize(positions of live entries; only differences between tickets matter)
     std::uint64_t lqHead_ = 0;
-    // lsqlint: no-serialize(positions of live entries; only differences between tickets matter)
     std::uint64_t sqHead_ = 0;
 
     /** Live loads issued out of order and not yet passed by the NILP. */
@@ -506,30 +483,23 @@ class Lsq
 
     // Search-plan scratch, reserved at construction so that planning a
     // search never allocates.
-    // lsqlint: no-serialize(per-search scratch, rebuilt by every plan)
     std::vector<unsigned> sqVisit_;
-    // lsqlint: no-serialize(per-search scratch, rebuilt by every plan)
     std::vector<unsigned> lqVisit_;
     /** Per segment, the last plan that visited it (dedupes a walk). */
-    // lsqlint: no-serialize(per-search scratch, rebuilt by every plan)
     std::vector<std::uint64_t> segStamp_;
     /** Number of plans started; the current plan's stamp. */
-    // lsqlint: no-serialize(per-search scratch, rebuilt by every plan)
     std::uint64_t planStamp_ = 0;
     /**
      * The load-load violations of the current issueLoad(), which its
      * outcome views. One issue finds at most one per passed load-buffer
      * entry plus its own search, so the reserve is never outgrown.
      */
-    // lsqlint: no-serialize(per-issue scratch, cleared by every issueLoad)
     std::vector<SeqNum> llViolations_;
 
     /** Attached ordering oracle, or nullptr (the common case). */
-    // lsqlint: no-serialize(attached oracle, wired by the owning Simulator)
     LsqChecker *checker_ = nullptr;
 
     /** Attached event tracer, or nullptr (the common case). */
-    // lsqlint: no-serialize(attached observer, wired by the owning Simulator)
     Tracer *tracer_ = nullptr;
 };
 

@@ -220,11 +220,8 @@ class SegmentAllocator
     }
 
   private:
-    // lsqlint: no-serialize(construction geometry; the image encodes vector sizes and loadState validates compatibility)
     unsigned segments_;
-    // lsqlint: no-serialize(construction geometry; the image encodes vector sizes and loadState validates compatibility)
     unsigned perSegment_;
-    // lsqlint: no-serialize(construction config, fixed for the run)
     SegAllocPolicy policy_;
 
     std::vector<unsigned> occupancy_;

@@ -75,14 +75,10 @@ class Cache
     std::uint64_t setIndex(Addr addr) const;
     std::uint64_t tagOf(Addr addr) const;
 
-    // lsqlint: no-serialize(construction config; loadState validates geometry against it)
     CacheParams params_;
-    // lsqlint: no-serialize(derived from params at construction)
     std::uint64_t numSets_;
     // Both powers of two, so index and tag are shifts, not divisions.
-    // lsqlint: no-serialize(derived from params at construction)
     unsigned blockShift_;
-    // lsqlint: no-serialize(derived from params at construction)
     unsigned setShift_;
 
     /**

@@ -69,7 +69,6 @@ class MemorySystem
   private:
     MemAccessResult walk(Cycle now, Addr addr, Cache &l1);
 
-    // lsqlint: no-serialize(construction config, fixed for the run)
     MemoryParams params_;
     Cache l1i_;
     Cache l1d_;

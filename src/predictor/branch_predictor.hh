@@ -52,9 +52,7 @@ class GAgPredictor
   private:
     unsigned index(Pc pc) const;
 
-    // lsqlint: no-serialize(derived from table geometry at construction)
     unsigned histMask_;
-    // lsqlint: no-serialize(derived from table geometry at construction)
     unsigned tableMask_;
     unsigned history_ = 0;
     std::vector<SatCounter> pht_;
@@ -76,11 +74,8 @@ class PAgPredictor
     unsigned bhtIndex(Pc pc) const;
     unsigned phtIndex(Pc pc) const;
 
-    // lsqlint: no-serialize(derived from table geometry at construction)
     unsigned histMask_;
-    // lsqlint: no-serialize(derived from table geometry at construction)
     unsigned tableMask_;
-    // lsqlint: no-serialize(derived from table geometry at construction)
     unsigned bhtMask_;
     std::vector<unsigned> bht_;
     std::vector<SatCounter> pht_;
@@ -99,7 +94,6 @@ class BimodalPredictor
     void loadState(SerialReader &r);
 
   private:
-    // lsqlint: no-serialize(derived from table geometry at construction)
     unsigned tableMask_;
     std::vector<SatCounter> pht_;
 };
@@ -147,12 +141,10 @@ class HybridBranchPredictor
   private:
     unsigned chooserIndex(Pc pc) const;
 
-    // lsqlint: no-serialize(construction config, fixed for the run)
     BranchPredictorKind kind_;
     GAgPredictor gag_;
     PAgPredictor pag_;
     BimodalPredictor bimodal_;
-    // lsqlint: no-serialize(derived from table geometry at construction)
     unsigned chooserMask_;
     std::vector<SatCounter> chooser_;   ///< high = prefer PAg
 

@@ -193,7 +193,6 @@ class StoreSetPredictor
     const LfstEntry *lfst(std::uint16_t ssid) const;
     std::uint16_t allocateSsid(Pc pc);
 
-    // lsqlint: no-serialize(construction config; loadState validates geometry against it)
     StoreSetParams params_;
 
     // Bounded (realistic) tables.

@@ -96,7 +96,6 @@ class AddressStream
     Addr strideAddr(unsigned streamId);
     Addr chaseAddr();
 
-    // lsqlint: no-serialize(per-benchmark profile reference, fixed for the run)
     const BenchmarkProfile &profile_;
     Rng rng_;
 

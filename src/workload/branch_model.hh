@@ -72,12 +72,9 @@ class BranchModel
 
     StaticBranch &lookup(Pc pc);
 
-    // lsqlint: no-serialize(per-benchmark profile reference, fixed for the run)
     const BenchmarkProfile &profile_;
     Rng rng_;
-    // lsqlint: no-serialize(derived from the profile at construction)
     Pc codeBase_;
-    // lsqlint: no-serialize(derived from the profile at construction)
     Addr codeBytes_;
     PcTable<StaticBranch> branches_;
 };

@@ -129,9 +129,7 @@ class TraceGenerator : public InstSource
     /** Un-chained address source: a recent integer-ALU producer. */
     ArchReg pickAluAddrSource();
 
-    // lsqlint: no-serialize(per-benchmark profile reference, fixed for the run)
     const BenchmarkProfile &profile_;
-    // lsqlint: no-serialize(construction seed; the live RNG state is what round-trips)
     std::uint64_t seed_;
     Rng rng_;
     AddressStream addrs_;

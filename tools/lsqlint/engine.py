@@ -2,9 +2,8 @@
 suppression filtering and output.
 
 Facts extraction is per-file; the rules, which need cross-file views
-(serialization coverage, the include DAG), run over the
-merged FactsDB. A serial run over the whole tree takes well under a
-second.
+(hot-path propagation, the include DAG), run over the merged FactsDB.
+A serial run over the whole tree takes well under a second.
 """
 
 from __future__ import annotations

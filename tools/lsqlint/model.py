@@ -3,13 +3,11 @@
 The output of `extract()` is a plain JSON-serializable dict ("facts")
 holding everything any rule needs from one file: the include list,
 classes with their data members / declared methods / virtual-method
-sets, function definitions with per-body summaries (identifier sets,
-outgoing calls, hot-path purity events), and the annotations parsed
-from comments.
+sets, function definitions with per-body summaries (outgoing calls,
+hot-path purity events), and the annotations parsed from comments.
 
-Facts are pure per-file data — cross-file reasoning (serialization
-coverage, hot-path propagation, layering) happens in the rules, over
-the merged FactsDB.
+Facts are pure per-file data — cross-file reasoning (hot-path
+propagation, layering) happens in the rules, over the merged FactsDB.
 
 The parser is heuristic (no preprocessing, no template
 instantiation), tuned to this repository's style, and must never
@@ -26,11 +24,10 @@ from . import lexer
 # Annotation grammar (docs/STATIC_ANALYSIS.md):
 #   // lsqlint: allow(rule[, rule...]) [-- reason]
 #   // lsqlint: hot [-- reason]
-#   // lsqlint: no-serialize(reason)
 #   // lsqlint: layer(subsystem) [-- reason]
 #   // lsqlint: phase(name) [-- reason]
 _ANNOT_RE = re.compile(
-    r"lsqlint\s*:\s*(allow|no-serialize|layer|hot|phase)\b"
+    r"lsqlint\s*:\s*(allow|layer|hot|phase)\b"
     r"\s*(?:\(([^)]*)\))?")
 
 # Statement keywords that look like calls but are not.
@@ -107,7 +104,6 @@ _TIMER_IDENTS = frozenset((
 
 def _parse_annotations(comments):
     allows = {}       # line -> [rules]
-    noser = {}        # line -> reason
     hot_lines = []    # comment end lines carrying `hot`
     layer_claim = None  # (subsystem, line)
     phase_lines = {}  # line -> phase name (host-profiler boundaries)
@@ -120,9 +116,6 @@ def _parse_annotations(comments):
                 # so the annotation works both trailing and above.
                 for ln in range(c.line, c.end_line + 2):
                     allows.setdefault(ln, []).extend(rules)
-            elif kind == "no-serialize":
-                for ln in range(c.line, c.end_line + 1):
-                    noser[ln] = arg or "(no reason given)"
             elif kind == "hot":
                 hot_lines.append(c.end_line)
             elif kind == "layer" and layer_claim is None and arg:
@@ -131,7 +124,7 @@ def _parse_annotations(comments):
                 # Same trailing-or-above coverage as allow().
                 for ln in range(c.line, c.end_line + 2):
                     phase_lines[ln] = arg
-    return allows, noser, hot_lines, layer_claim, phase_lines
+    return allows, hot_lines, layer_claim, phase_lines
 
 
 class _Cursor:
@@ -380,8 +373,7 @@ class _Extractor:
              "quoted": inc.quoted}
             for inc in lexed.includes
         ]
-        (self.allows, self.noser, self.hot_lines,
-         self.layer_claim,
+        (self.allows, self.hot_lines, self.layer_claim,
          self.phase_lines) = _parse_annotations(lexed.comments)
         self.comment_lines = set()
         for c in lexed.comments:
@@ -393,7 +385,6 @@ class _Extractor:
             "new": [], "cast": [], "assert": [], "thread": [],
             "statdump": [], "syscall": [],
         }
-        self.fourcc_defs = []
 
     # ------------------------------------------------------------------
     def run(self):
@@ -628,8 +619,6 @@ class _Extractor:
                 self._method_decl(head, cls)
             else:
                 self._member_decl(head, cls)
-        else:
-            self._namespace_decl(head)
 
     def _method_decl(self, head, cls):
         name, line, _qual = _name_before_paren(head)
@@ -705,29 +694,7 @@ class _Extractor:
             self._push_member(cls, name, gg[name_idx].line, typ)
 
     def _push_member(self, cls, name, line, typ):
-        reason = self.noser.get(line, self.noser.get(line - 1))
-        cls["members"].append({
-            "name": name, "line": line, "type": typ,
-            "no_serialize": reason,
-        })
-
-    def _namespace_decl(self, head):
-        # fourcc section constants:  ... kSecX = fourcc("CORE");
-        for idx in range(len(head) - 4):
-            t = head[idx]
-            if (t.kind == "id" and
-                    head[idx + 1].kind == "p" and
-                    head[idx + 1].text == "=" and
-                    head[idx + 2].kind == "id" and
-                    head[idx + 2].text == "fourcc" and
-                    head[idx + 3].kind == "p" and
-                    head[idx + 3].text == "(" and
-                    head[idx + 4].kind == "str"):
-                self.fourcc_defs.append({
-                    "name": t.text,
-                    "tag": head[idx + 4].text[1:-1],
-                    "line": t.line,
-                })
+        cls["members"].append({"name": name, "line": line, "type": typ})
 
     # --------------------------------------------------- functions ----
     def _function_def(self, head, toks, body_start, body_end, cls):
@@ -755,17 +722,14 @@ class _Extractor:
         self.functions.append(fn)
 
     def _analyze_body(self, toks, start, end):
-        idents = set()
         calls = set()
         member_calls = []
         purity = []
-        scoped_refs = {}
         cold_until = -1  # token index: inside a cold macro arg list
         i = start
         while i < end:
             t = toks[i]
             if t.kind == "id":
-                idents.add(t.text)
                 nxt = toks[i + 1] if i + 1 < end else None
                 prev = toks[i - 1] if i - 1 >= 0 else None
                 cold = i < cold_until
@@ -776,12 +740,6 @@ class _Extractor:
                     cold_until = max(cold_until, reg_end)
                     i += 1
                     continue
-                # Enum::Member style scoped refs
-                if (nxt is not None and nxt.kind == "p" and
-                        nxt.text == "::" and i + 2 < end and
-                        toks[i + 2].kind == "id" and t.text[:1].isupper()):
-                    scoped_refs.setdefault(t.text, set()).add(
-                        toks[i + 2].text)
                 is_call = (nxt is not None and nxt.kind == "p" and
                            nxt.text == "(" and
                            t.text not in _NOT_CALLS)
@@ -811,15 +769,9 @@ class _Extractor:
                     self._purity_scan(toks, i, end, purity)
             i += 1
         return {
-            "idents": sorted(idents),
             "calls": sorted(calls),
             "member_calls": member_calls,
             "purity": purity,
-            "scoped_refs": {k: sorted(v)
-                            for k, v in scoped_refs.items()},
-            "body_lines": [toks[start].line if start < end else 0,
-                           toks[end - 1].line if end - 1 >= start
-                           else 0],
         }
 
     def _purity_scan(self, toks, i, end, purity):
@@ -1005,7 +957,6 @@ class _Extractor:
             "events": self.events,
             "phase_lines": {str(k): v
                             for k, v in self.phase_lines.items()},
-            "fourcc_defs": self.fourcc_defs,
         }
 
 

@@ -3,7 +3,7 @@ output and `// lsqlint: allow(<rule>)` suppressions) and a severity.
 docs/STATIC_ANALYSIS.md is the human-facing catalog; keep it in sync.
 """
 
-from . import hotpath, layering, legacy, serialization
+from . import hotpath, layering, legacy
 
 # rule id -> (severity, one-line description)
 RULES = {
@@ -22,13 +22,6 @@ RULES = {
     "unchecked-syscall": ("error",
                           "crash-isolation syscall results are"
                           " checked"),
-    # serialization coverage
-    "ser-member-coverage": ("error",
-                            "every member of a saveState/loadState"
-                            " class round-trips or is annotated"),
-    "ser-ckpt-sections": ("error",
-                          "checkpoint section constants thread both"
-                          " save and load paths"),
     # hot-path purity
     "hot-mutex": ("error", "no locks on the hot path"),
     "hot-virtual": ("error",
@@ -52,7 +45,6 @@ RULES = {
 
 RUNNERS = [
     legacy.run,
-    serialization.run,
     hotpath.run,
     layering.run,
 ]
