@@ -37,12 +37,10 @@
 #   5. bench-smoke — the whole `bench/paper` evaluation with
 #                    LSQSCALE_JOBS=4 vs a serial run; table and CSV
 #                    output must be byte-identical (the harness
-#                    determinism contract). Also the sampling demo
-#                    (docs/SAMPLING.md): a sampled `paper --only fig7`
-#                    subset must be >= 3x faster than full detail with
-#                    every cell's IPC within 2%. (The lsqbench smoke
-#                    check, `lsqbench/run.py --smoke`, is the
-#                    lsqbench_smoke ctest, so every flavor runs it.)
+#                    determinism contract), then a host-throughput
+#                    trajectory record. (The lsqbench smoke check,
+#                    `lsqbench/run.py --smoke`, is the lsqbench_smoke
+#                    ctest, so every flavor runs it.)
 #   6. trace-smoke — on the release build (every build has the trace
 #                    hook sites): traced and checked runs must be
 #                    bit-identical to plain runs across three design
@@ -212,29 +210,6 @@ banner "flavor: bench-smoke (host-throughput trajectory appended)"
 # relative to the recorded history at the same instruction count.
 ./build-ci-release/bench/host_throughput
 python3 scripts/check_host_throughput.py BENCH_host_throughput.json
-
-banner "flavor: bench-smoke (sampled paper --only fig7 >=3x faster, cells within 2%)"
-# Checkpoint/fast-forward sampling demo (docs/SAMPLING.md): rerun the
-# Figure 7 sweep on a benchmark subset at a window long enough for the
-# estimator's variance to settle, once in full detail and once under
-# LSQSCALE_SAMPLE — no per-bench changes — then require >=3x wall-clock
-# speedup with every cell's IPC within 2% of full detail.
-SAMPLE_INSTS="${LSQSCALE_CI_SAMPLE_INSTS:-2000000}"
-SAMPLE_SPEC="${LSQSCALE_CI_SAMPLE_SPEC:-2800:400:400}"
-SAMPLE_BENCH="${LSQSCALE_CI_SAMPLE_BENCH:-gzip,mcf,twolf,equake,swim}"
-rm -rf "$SMOKE_DIR/full" "$SMOKE_DIR/sampled"
-mkdir -p "$SMOKE_DIR/full" "$SMOKE_DIR/sampled"
-LSQSCALE_BENCH="$SAMPLE_BENCH" LSQSCALE_INSTS="$SAMPLE_INSTS" \
-    LSQSCALE_JOBS=1 LSQSCALE_JSON_DIR="$SMOKE_DIR/full" \
-    ./build-ci-release/bench/paper --only fig7 >/dev/null 2>&1
-LSQSCALE_BENCH="$SAMPLE_BENCH" LSQSCALE_INSTS="$SAMPLE_INSTS" \
-    LSQSCALE_JOBS=1 LSQSCALE_SAMPLE="$SAMPLE_SPEC" \
-    LSQSCALE_JSON_DIR="$SMOKE_DIR/sampled" \
-    ./build-ci-release/bench/paper --only fig7 >/dev/null 2>&1
-python3 scripts/check_sampling.py \
-    "$SMOKE_DIR/full/BENCH_paper.json" \
-    "$SMOKE_DIR/sampled/BENCH_paper.json" \
-    --min-speedup 3.0 --max-cell-error 2.0
 
 banner "flavor: trace-smoke (tracing on, timing bit-identical)"
 TRACE_DIR="build-ci-release/trace-smoke"

@@ -92,7 +92,7 @@ class Core
     StatSet &stats() { return stats_; }
     const StatSet &stats() const { return stats_; }
 
-    // ------------------------------------------- sampling support ----
+    // ------------------------------ fast-forward / checkpoint support ----
     /** Workload stream (checkpointing, docs/SAMPLING.md). */
     InstStream &stream() { return stream_; }
     /** Mutable branch predictor (checkpointing). */

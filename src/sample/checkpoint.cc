@@ -1,10 +1,10 @@
 #include "sample/checkpoint.hh"
 
 #include <cstdio>
+#include <cstring>
 
 #include <sys/stat.h>
 
-#include "common/logging.hh"
 #include "core/core.hh"
 #include "metrics/hostprof.hh"
 #include "sim/sim_config.hh"
@@ -228,14 +228,14 @@ saveCheckpoint(Core &core, const SimConfig &config,
     header.u64(payload.size());
     header.u32(crc32(payload.buffer().data(), payload.size()));
     std::FILE *f = std::fopen(path.c_str(), "wb");
-    LSQ_ASSERT(f != nullptr, "cannot create checkpoint file %s",
-               path.c_str());
+    if (!f)
+        throw SerialError("cannot create checkpoint file: " + path);
     std::size_t wrote =
         std::fwrite(header.buffer().data(), 1, header.size(), f) +
         std::fwrite(payload.buffer().data(), 1, payload.size(), f);
-    bool flushed = std::fclose(f) == 0;
-    LSQ_ASSERT(wrote == header.size() + payload.size() && flushed,
-               "short write to checkpoint file %s", path.c_str());
+    bool closed = std::fclose(f) == 0;
+    if (wrote != header.size() + payload.size() || !closed)
+        throw SerialError("error writing checkpoint file: " + path);
 }
 
 CheckpointMeta

@@ -92,8 +92,8 @@ std::uint64_t functionalFingerprint(const SimConfig &config);
 
 /**
  * Serialize @p core (which must be quiescent) to @p path.
- * Throws SerialError on unserializable state, LSQ_PANICs on I/O
- * failure.
+ * Throws SerialError on unserializable state or when the file cannot
+ * be created or fully written.
  */
 void saveCheckpoint(Core &core, const SimConfig &config,
                     const std::string &path);

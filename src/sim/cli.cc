@@ -11,6 +11,7 @@
 #include "inject/inject.hh"
 #include "metrics/hostprof.hh"
 #include "obs/trace.hh"
+#include "sample/checkpoint.hh"
 #include "sample/serialize.hh"
 #include "sim/simulator.hh"
 #include "workload/benchmark_profile.hh"
@@ -95,10 +96,7 @@ cliUsage()
         "                       write the lsqscale-hostprof-v1 tree\n"
         "                       (render it with `lsqtrace hostprof`)\n"
         "\n"
-        "sampling / checkpoints (docs/SAMPLING.md):\n"
-        "  --sample F:W:D       sampled run: per period fast-forward F,\n"
-        "                       warm W, measure D instructions\n"
-        "                       (LSQSCALE_SAMPLE does the same globally)\n"
+        "fast-forward / checkpoints (docs/SAMPLING.md):\n"
         "  --ff N               functionally fast-forward N instructions\n"
         "                       before measuring (skips --warmup)\n"
         "  --save-ckpt PATH     write an lsqscale-ckpt-v2 checkpoint\n"
@@ -279,10 +277,6 @@ parseCli(const std::vector<std::string> &args, CliOptions &opts)
             if (!value(v))
                 return "--host-profile-json needs a path";
             opts.hostProfileJsonPath = v;
-        } else if (a == "--sample") {
-            if (!value(v) || !parseSampleSpec(v, opts.config.sample))
-                return "--sample needs F:W:D (non-negative integers, "
-                       "D > 0)";
         } else if (a == "--ff") {
             if (!value(v) || !parseDigitsU64(v, opts.config.ffInsts) ||
                 opts.config.ffInsts == 0)
@@ -315,28 +309,6 @@ resultToJson(const SimResult &result)
     os << "  \"ipc\": " << jsonNumber(result.ipc(), "%.6f") << ",\n";
     os << "  \"sq_searches\": " << result.sqSearches() << ",\n";
     os << "  \"lq_searches\": " << result.lqSearches() << ",\n";
-    if (result.sampling.enabled) {
-        // Only sampled runs carry this block, so plain-run JSON stays
-        // byte-stable for golden/trace-smoke comparisons.
-        const SampleSummary &s = result.sampling;
-        os << "  \"sampling\": {\n";
-        os << "    \"spec\": \"" << formatSampleSpec(s.spec)
-           << "\",\n";
-        os << "    \"intervals\": " << s.intervals() << ",\n";
-        os << "    \"ff_insts\": " << s.ffInsts << ",\n";
-        os << "    \"warm_insts\": " << s.warmInsts << ",\n";
-        os << "    \"measured_insts\": " << s.measuredInsts << ",\n";
-        os << "    \"measured_cycles\": " << s.measuredCycles << ",\n";
-        os << "    \"ipc_mean\": " << jsonNumber(s.ipcMean, "%.6f")
-           << ",\n";
-        // A single-interval sample has no variance: stddev/err95 are
-        // NaN and must serialize as null, never as a bare NaN token.
-        os << "    \"ipc_stddev\": " << jsonNumber(s.ipcStddev, "%.6f")
-           << ",\n";
-        os << "    \"ipc_err95\": " << jsonNumber(s.ipcErr95, "%.6f")
-           << "\n";
-        os << "  },\n";
-    }
     os << "  \"counters\": {";
     bool first = true;
     for (const auto &name : result.stats.counterNames()) {
@@ -354,9 +326,9 @@ std::string
 warmupCapWarning(const CliOptions &opts)
 {
     const SimConfig &c = opts.config;
-    // A fast-forward, a restore or a sampled run skips the warm-up.
+    // A fast-forward or a restore skips the warm-up.
     if (!opts.warmupGiven || c.ffInsts > 0 || !c.loadCkptPath.empty() ||
-        !c.saveCkptPath.empty() || c.sample.enabled())
+        !c.saveCkptPath.empty())
         return "";
     std::uint64_t measured = effectiveInstructions(c.instructions);
     if (c.warmup <= measured / 4)
@@ -403,8 +375,13 @@ runCli(const CliOptions &opts)
 
     Simulator sim(opts.config);
     SimResult result;
+    CheckpointMeta saved;
     try {
         result = sim.run();
+        // Report what the file holds: a restored run's count carries
+        // on from its checkpoint, so --ff alone would understate it.
+        if (!opts.config.saveCkptPath.empty())
+            saved = inspectCheckpoint(opts.config.saveCkptPath).meta;
     } catch (const SerialError &err) {
         std::fprintf(stderr, "lsqsim: %s\n", err.what());
         return 1;
@@ -413,9 +390,8 @@ runCli(const CliOptions &opts)
     if (!opts.config.saveCkptPath.empty()) {
         std::printf("saved checkpoint %s (%s, %llu instructions)\n",
                     opts.config.saveCkptPath.c_str(),
-                    opts.config.benchmark.c_str(),
-                    static_cast<unsigned long long>(
-                        opts.config.ffInsts));
+                    saved.benchmark.c_str(),
+                    static_cast<unsigned long long>(saved.instCount));
         return 0;
     }
 
@@ -430,15 +406,6 @@ runCli(const CliOptions &opts)
         std::printf("cycles      %llu\n",
                     static_cast<unsigned long long>(result.cycles));
         std::printf("IPC         %.3f\n", result.ipc());
-        if (result.sampling.enabled) {
-            const SampleSummary &s = result.sampling;
-            std::printf("sampled     %s: %llu intervals, "
-                        "IPC %.3f +/- %.3f (95%%), ff %llu insts\n",
-                        formatSampleSpec(s.spec).c_str(),
-                        static_cast<unsigned long long>(s.intervals()),
-                        s.ipcMean, s.ipcErr95,
-                        static_cast<unsigned long long>(s.ffInsts));
-        }
         std::printf("SQ searches %llu\n",
                     static_cast<unsigned long long>(
                         result.sqSearches()));

@@ -19,7 +19,6 @@
 #include "memory/memory_system.hh"
 #include "memory/probe_agent.hh"
 #include "obs/trace.hh"
-#include "sample/sampler.hh"
 
 namespace lsqscale {
 
@@ -56,14 +55,6 @@ struct SimConfig
 
     /** Standalone lsqscale-intervals-v1 JSON file (--interval-json). */
     std::string intervalJsonPath;
-
-    /**
-     * Interval sampling (docs/SAMPLING.md): when enabled(), the run
-     * replaces warm-up + full-detail measurement with alternating
-     * fast-forward / warm / measure periods (--sample F:W:D, or the
-     * LSQSCALE_SAMPLE environment variable).
-     */
-    SampleSpec sample{};
 
     /**
      * Functionally fast-forward this many instructions before

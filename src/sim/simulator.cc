@@ -1,7 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <cstdlib>
-
 #include <memory>
 
 #include "check/lsq_checker.hh"
@@ -19,7 +17,6 @@
 #include "obs/konata.hh"
 #include "obs/trace.hh"
 #include "sample/checkpoint.hh"
-#include "sample/sampler.hh"
 #include "workload/address_stream.hh"
 #include "workload/benchmark_profile.hh"
 
@@ -50,30 +47,6 @@ effectiveInstructions(std::uint64_t configured)
     std::uint64_t v = envU64("LSQSCALE_INSTS", 0);
     return v > 0 ? v : configured;
 }
-
-namespace {
-
-/**
- * Sampling spec: the config wins; the LSQSCALE_SAMPLE environment
- * variable ("F:W:D") turns sampling on for drivers with no --sample
- * plumbing, accelerating every bench with zero per-bench changes.
- */
-SampleSpec
-effectiveSampleSpec(const SampleSpec &configured)
-{
-    if (configured.enabled())
-        return configured;
-    if (const char *env = std::getenv("LSQSCALE_SAMPLE")) {
-        SampleSpec s;
-        if (parseSampleSpec(env, s))
-            return s;
-        LSQ_WARN("ignoring malformed LSQSCALE_SAMPLE '%s' "
-                 "(want F:W:D)", env);
-    }
-    return SampleSpec{};
-}
-
-} // namespace
 
 SimResult
 Simulator::run()
@@ -138,9 +111,7 @@ Simulator::run()
         return result;
     }
 
-    SampleSpec sample = effectiveSampleSpec(config_.sample);
-    bool skipWarmup = sample.enabled() || config_.ffInsts > 0 ||
-                      !config_.loadCkptPath.empty();
+    bool skipWarmup = config_.ffInsts > 0 || !config_.loadCkptPath.empty();
 
     if (warmup > 0 && !skipWarmup) {
         ScopedHostPhase profWarmup(HostPhase::Warmup);
@@ -188,16 +159,7 @@ Simulator::run()
     std::uint64_t l2H = core.memory().l2().hits();
     std::uint64_t l2M = core.memory().l2().misses();
 
-    if (sample.enabled()) {
-        // Sampled mode: the measurement window is the union of the
-        // periods' measure windows; cache counters below still span
-        // the whole loop (fast-forward warming included).
-        ScopedHostPhase profRun(HostPhase::Run);
-        result.sampling =
-            runSampleLoop(core, sample, endCommitted);
-        result.cycles = result.sampling.measuredCycles;
-        result.committed = result.sampling.measuredInsts;
-    } else {
+    {
         ScopedHostPhase profRun(HostPhase::Run);
         core.run(endCommitted);
         result.cycles = core.cycle() - startCycle;

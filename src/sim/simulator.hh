@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/stats.hh"
-#include "sample/sampler.hh"
 #include "sample/serialize.hh"
 #include "sim/sim_config.hh"
 
@@ -29,8 +28,6 @@ struct SimResult
     StatSet stats;
     /** Per-interval curves; empty unless interval sampling was on. */
     IntervalSeries intervals;
-    /** Sampled-run summary; enabled only under --sample. */
-    SampleSummary sampling;
 
     double
     ipc() const
@@ -65,7 +62,6 @@ struct SimResult
         w.u64(committed);
         stats.saveState(w);
         intervals.saveState(w);
-        sampling.saveState(w);
     }
 
     void
@@ -76,7 +72,6 @@ struct SimResult
         committed = r.u64();
         stats.loadState(r);
         intervals.loadState(r);
-        sampling.loadState(r);
     }
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "sim/cli.hh"
@@ -162,14 +163,17 @@ TEST(Cli, RetiredFlagsAreRejected)
     // a sweep is rerun, not resumed. There is no replay-trace format.
     // A script that still passes these fails loudly instead of running
     // something else.
+    // Fast-forward and checkpoints are the one way past the cold
+    // start; there is no interval sampler.
     for (const char *flag :
          {"--jobs", "--isolation", "--journal", "--resume", "--trace",
-          "--record", "--record-insts"}) {
+          "--record", "--record-insts", "--sample"}) {
         std::string err = parseErr({flag, "2"});
         EXPECT_NE(err.find("unknown option"), std::string::npos)
             << flag << ": " << err;
     }
     EXPECT_EQ(cliUsage().find("--record"), std::string::npos);
+    EXPECT_EQ(cliUsage().find("--sample"), std::string::npos);
 }
 
 TEST(Cli, CountsAreDigitsOnly)
@@ -189,7 +193,8 @@ TEST(Cli, UsageMentionsEveryOption)
     for (const char *flag :
          {"--benchmark", "--insts", "--ports", "--segments",
           "--predictor", "--load-buffer", "--all-techniques",
-          "--scaled", "--json", "--trace-out", "--inject"})
+          "--scaled", "--json", "--trace-out", "--inject", "--ff",
+          "--save-ckpt", "--load-ckpt"})
         EXPECT_NE(u.find(flag), std::string::npos) << flag;
 }
 
@@ -231,4 +236,67 @@ TEST(Cli, CombinedQueueFlag)
     CliOptions opts = parseOk({"--combined", "--segments", "4"});
     EXPECT_TRUE(opts.config.lsq.combinedQueue);
     EXPECT_EQ(opts.config.lsq.numSegments, 4u);
+}
+
+namespace {
+
+/** runCli's exit code, with its stdout in @p out. */
+int
+runCliCapturing(const std::vector<std::string> &args, std::string &out)
+{
+    CliOptions opts = parseOk(args);
+    ::testing::internal::CaptureStdout();
+    int rc = runCli(opts);
+    out = ::testing::internal::GetCapturedStdout();
+    return rc;
+}
+
+} // namespace
+
+TEST(Cli, SaveCheckpointWriteFailuresExitCleanly)
+{
+    // A path that cannot be created or fully written is a user error,
+    // reported like every load-side error: exit 1, no abort.
+    std::string out;
+    EXPECT_EQ(runCliCapturing({"--ff", "100", "--save-ckpt",
+                               ::testing::TempDir()},
+                              out),
+              1);
+    EXPECT_EQ(out, "");
+    if (std::FILE *full = std::fopen("/dev/full", "wb")) {
+        std::fclose(full);
+        EXPECT_EQ(runCliCapturing({"--ff", "100", "--save-ckpt",
+                                   "/dev/full"},
+                                  out),
+                  1);
+    }
+}
+
+TEST(Cli, SaveCheckpointReportsTheSavedCount)
+{
+    // The count printed is the one the header records: a checkpoint
+    // saved after a restore carries on from the restored count.
+    std::string g = ::testing::TempDir() + "/cli_saved_g.ckpt";
+    std::string h = ::testing::TempDir() + "/cli_saved_h.ckpt";
+    std::string out;
+    ASSERT_EQ(runCliCapturing({"--benchmark", "gzip", "--ff", "1000",
+                               "--save-ckpt", g},
+                              out),
+              0);
+    EXPECT_EQ(out, "saved checkpoint " + g + " (gzip, 1000 "
+                   "instructions)\n");
+    ASSERT_EQ(runCliCapturing({"--benchmark", "gzip", "--load-ckpt", g,
+                               "--save-ckpt", h},
+                              out),
+              0);
+    EXPECT_EQ(out, "saved checkpoint " + h + " (gzip, 1000 "
+                   "instructions)\n");
+    ASSERT_EQ(runCliCapturing({"--benchmark", "gzip", "--load-ckpt", g,
+                               "--ff", "500", "--save-ckpt", h},
+                              out),
+              0);
+    EXPECT_EQ(out, "saved checkpoint " + h + " (gzip, 1500 "
+                   "instructions)\n");
+    std::remove(g.c_str());
+    std::remove(h.c_str());
 }

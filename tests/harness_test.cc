@@ -646,11 +646,6 @@ resultFieldOffsets(const std::string &payload)
         u64();
         times(columns, u64);
     });
-    // SampleSummary: enabled, spec F:W:D, four counts, IPCs, moments.
-    r.b();
-    times(7, u64);
-    times(u64(), u64);
-    times(3, u64);
     EXPECT_TRUE(r.done());
     return at;
 }
@@ -665,24 +660,20 @@ TEST(ResultStateTest, MutatedPayloadsLoadOrThrowSerialError)
     std::vector<std::string> payloads;
     for (const char *bench : {"bzip", "gcc"}) {
         SimConfig cfg = tinyConfig(bench);
-        const bool sampled = payloads.empty();
-        if (sampled) {
-            // Interval samples and sampled IPCs, so those counts are
-            // forged too.
+        const bool withIntervals = payloads.empty();
+        if (withIntervals) {
+            // Interval samples, so their counts are forged too.
             cfg.intervalCycles = 500;
-            cfg.sample = SampleSpec{500, 200, 300};
         }
         SimResult result = runSimulationJob(cfg);
-        if (sampled) {
+        if (withIntervals)
             ASSERT_FALSE(result.intervals.empty());
-            ASSERT_GT(result.sampling.intervals(), 0u);
-        }
         SerialWriter w;
         result.saveState(w);
         payloads.push_back(w.buffer());
     }
 
-    // Fixed cases: a one-histogram StatSet claiming 2^40 buckets...
+    // Fixed case: a one-histogram StatSet claiming 2^40 buckets.
     std::vector<std::string> mutants;
     {
         SerialWriter w;
@@ -692,23 +683,6 @@ TEST(ResultStateTest, MutatedPayloadsLoadOrThrowSerialError)
         w.u64(0);    // counters
         w.u64(1);    // histograms
         w.str("lat");
-        w.u64(1ULL << 40);
-        mutants.push_back(w.buffer());
-    }
-    // ...and a sampled run claiming 2^40 interval IPCs.
-    {
-        SerialWriter w;
-        w.str("bzip");
-        w.u64(1000);
-        w.u64(2000);
-        w.u64(0); // counters
-        w.u64(0); // histograms
-        w.u64(0); // interval columns
-        w.u64(0); // interval cycles
-        w.u64(0); // interval samples
-        w.b(true);
-        for (int i = 0; i < 7; ++i)
-            w.u64(1); // spec F:W:D, ff/warm/measured insts, cycles
         w.u64(1ULL << 40);
         mutants.push_back(w.buffer());
     }

@@ -724,7 +724,6 @@ class CheckpointedOracleFuzz
     SetUp() override
     {
         unsetenv("LSQSCALE_INSTS");
-        unsetenv("LSQSCALE_SAMPLE");
     }
 };
 

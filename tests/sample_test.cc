@@ -2,8 +2,7 @@
  * @file
  * Unit tests for src/sample: restore equivalence over the paper's
  * design catalog, corrupted-file rejection, fast-forward determinism
- * under a thread pool, and the interval sampler's error bound
- * (docs/SAMPLING.md).
+ * under a thread pool, and the checkpoint CRC (docs/SAMPLING.md).
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 #include "core/core.hh"
 #include "harness/job_pool.hh"
 #include "sample/checkpoint.hh"
-#include "sample/sampler.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
 #include "workload/benchmark_profile.hh"
@@ -36,8 +34,8 @@ namespace {
 /**
  * The sample layer's behaviour must not depend on the harness
  * environment: these tests compare absolute instruction counts and
- * counter values, so an inherited LSQSCALE_INSTS / LSQSCALE_SAMPLE
- * would silently change what "full" means.
+ * counter values, so an inherited LSQSCALE_INSTS would silently
+ * change what "full" means.
  */
 class SampleTest : public ::testing::Test
 {
@@ -46,7 +44,6 @@ class SampleTest : public ::testing::Test
     SetUp() override
     {
         unsetenv("LSQSCALE_INSTS");
-        unsetenv("LSQSCALE_SAMPLE");
     }
 };
 
@@ -626,110 +623,6 @@ TEST_F(SampleTest, FastForwardDeterministicUnderJobPool)
     ASSERT_FALSE(ref.empty());
     for (const std::string &p : paths)
         EXPECT_EQ(readBytes(p), ref) << p;
-}
-
-// ------------------------------------------------- spec parsing -------
-
-TEST_F(SampleTest, ParseSampleSpec)
-{
-    SampleSpec s;
-    ASSERT_TRUE(parseSampleSpec("2000:500:500", s));
-    EXPECT_EQ(s.ffInsts, 2000u);
-    EXPECT_EQ(s.warmInsts, 500u);
-    EXPECT_EQ(s.measureInsts, 500u);
-    EXPECT_TRUE(s.enabled());
-    EXPECT_EQ(formatSampleSpec(s), "2000:500:500");
-
-    ASSERT_TRUE(parseSampleSpec("0:0:1", s));
-    EXPECT_EQ(s.ffInsts, 0u);
-    EXPECT_EQ(s.measureInsts, 1u);
-
-    EXPECT_FALSE(parseSampleSpec("", s));
-    EXPECT_FALSE(parseSampleSpec("2000", s));
-    EXPECT_FALSE(parseSampleSpec("2000:500", s));
-    EXPECT_FALSE(parseSampleSpec("2000:500:0", s));   // D must be > 0
-    EXPECT_FALSE(parseSampleSpec("2000:500:500:1", s));
-    EXPECT_FALSE(parseSampleSpec("2000:500:500x", s));
-    EXPECT_FALSE(parseSampleSpec("-1:500:500", s));
-    EXPECT_FALSE(parseSampleSpec("a:b:c", s));
-}
-
-TEST_F(SampleTest, SampleSpecDisabledByDefault)
-{
-    SampleSpec s;
-    EXPECT_FALSE(s.enabled());
-}
-
-// --------------------------------------------------- sampled IPC ------
-
-namespace {
-
-/** Full-detail and sampled IPC for @p benchmark at @p insts. */
-void
-expectSampledIpcWithin(const std::string &benchmark, double boundPct)
-{
-    const std::uint64_t kInsts = 300000;
-    SimConfig full = configs::base(benchmark);
-    full.instructions = kInsts;
-    SimResult f = Simulator(full).run();
-
-    SimConfig sampled = configs::base(benchmark);
-    sampled.instructions = kInsts;
-    ASSERT_TRUE(parseSampleSpec("2000:500:500", sampled.sample));
-    SimResult s = Simulator(sampled).run();
-
-    EXPECT_TRUE(s.sampling.enabled);
-    EXPECT_GT(s.sampling.intervals(), 50u);
-    EXPECT_GT(s.sampling.ffInsts, 0u);
-    // Only the measure windows are timed...
-    EXPECT_LT(s.committed, kInsts / 2);
-    EXPECT_EQ(s.committed, s.sampling.measuredInsts);
-    EXPECT_EQ(s.cycles, s.sampling.measuredCycles);
-    // ...yet the estimate lands near the full-detail IPC.
-    double err = std::abs(s.ipc() - f.ipc()) / f.ipc() * 100.0;
-    EXPECT_LT(err, boundPct)
-        << benchmark << ": sampled " << s.ipc() << " vs full "
-        << f.ipc();
-    // And the reported confidence interval is self-consistent.
-    EXPECT_GT(s.sampling.ipcMean, 0.0);
-    EXPECT_GT(s.sampling.ipcErr95, 0.0);
-}
-
-} // namespace
-
-TEST_F(SampleTest, SampledIpcTracksFullDetailBzip)
-{
-    expectSampledIpcWithin("bzip", 5.0);
-}
-
-TEST_F(SampleTest, SampledIpcTracksFullDetailMcf)
-{
-    expectSampledIpcWithin("mcf", 5.0);
-}
-
-TEST_F(SampleTest, SampledRunStillEmitsIntervalSeries)
-{
-    // Interval observability (PR 3) must survive sampling: a sampled
-    // run with --interval-stats produces a non-empty series.
-    SimConfig cfg = configs::base("bzip");
-    cfg.instructions = 60000;
-    cfg.intervalCycles = 2000;
-    ASSERT_TRUE(parseSampleSpec("2000:500:500", cfg.sample));
-    SimResult r = Simulator(cfg).run();
-    EXPECT_TRUE(r.sampling.enabled);
-    EXPECT_FALSE(r.intervals.empty());
-}
-
-TEST_F(SampleTest, SampledRunIsReproducible)
-{
-    SimConfig cfg = configs::base("equake");
-    cfg.instructions = 60000;
-    ASSERT_TRUE(parseSampleSpec("2000:500:500", cfg.sample));
-    SimResult a = Simulator(cfg).run();
-    SimResult b = Simulator(cfg).run();
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.committed, b.committed);
-    EXPECT_EQ(a.sampling.intervalIpc, b.sampling.intervalIpc);
 }
 
 // ------------------------------------------------------------ CRC ------
