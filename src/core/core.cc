@@ -849,8 +849,6 @@ Core::dispatchStage()
 void
 Core::fetchStage()
 {
-    if (draining_)
-        return;
     if (now_ < fetchResumeCycle_ || pendingBranch_ != kNoSeq)
         return;
     if (fetchQ_.size() >= 2 * cp_.fetchWidth)
@@ -975,27 +973,8 @@ Core::quiescent() const
 {
     return rob_.empty() && iq_.size() == 0 && fetchQ_.empty() &&
            completions_.empty() && lsq_.lqLive() == 0 &&
-           lsq_.sqLive() == 0 && pendingBranch_ == kNoSeq;
-}
-
-void
-Core::drain()
-{
-    constexpr Cycle kDrainLimit = 1000000;
-    draining_ = true;
-    Cycle start = now_;
-    while (!rob_.empty() || !fetchQ_.empty() || !completions_.empty()) {
-        step(start + kDrainLimit);
-        LSQ_ASSERT(now_ - start < kDrainLimit,
-                   "pipeline failed to drain\n%s", debugDump().c_str());
-    }
-    draining_ = false;
-    // Fetched-but-uncommitted stream state is discarded: sequence
-    // numbers are dense from 0, so the next fetch is committed_.
-    stream_.squashTo(committed_);
-    pendingBranch_ = kNoSeq;
-    LSQ_ASSERT(quiescent(), "drain left in-flight state behind\n%s",
-               debugDump().c_str());
+           lsq_.sqLive() == 0 && pendingBranch_ == kNoSeq &&
+           stream_.windowSize() == 0;
 }
 
 void
@@ -1015,13 +994,12 @@ Core::fastForward(std::uint64_t numInsts)
             mem_.accessInst(now_, op.pc);
         }
 
+        // Every op is new (quiescent() holds no replay window), so
+        // every branch trains; detailed fetch reads bpTrainedUpTo_.
         if (op.isBranch()) {
-            bool replayed = bpEverTrained_ && op.seq <= bpTrainedUpTo_;
-            if (!replayed) {
-                bp_.predictAndUpdate(op.pc, op.taken);
-                bpTrainedUpTo_ = op.seq;
-                bpEverTrained_ = true;
-            }
+            bp_.predictAndUpdate(op.pc, op.taken);
+            bpTrainedUpTo_ = op.seq;
+            bpEverTrained_ = true;
         } else if (op.isLoad()) {
             mem_.accessData(now_, op.addr, false);
         } else if (op.isStore()) {

@@ -97,19 +97,14 @@ class Core
     InstStream &stream() { return stream_; }
     /** Mutable branch predictor (checkpointing). */
     HybridBranchPredictor &branchPredictorMut() { return bp_; }
-    /** Store-set predictor (checkpointing). */
-    StoreSetPredictor &storeSets() { return ssp_; }
-
-    /** True when no instruction is in flight anywhere in the core. */
-    bool quiescent() const;
 
     /**
-     * Drain the pipeline: stop fetching, tick until every in-flight
-     * instruction commits, then rewind the stream to the commit point.
-     * Afterwards quiescent() holds and the core can be checkpointed or
-     * fast-forwarded. Stats counters do advance while draining.
+     * True when no instruction is in flight anywhere in the core and
+     * the stream holds nothing for replay: every instruction it has
+     * generated has committed. A fresh, fast-forwarded or restored
+     * core is quiescent.
      */
-    void drain();
+    bool quiescent() const;
 
     /**
      * Functional fast-forward: advance @p numInsts instructions
@@ -236,7 +231,7 @@ class Core
     /**
      * tick(), then, if that tick was quiet, jump the clock to the next
      * event (at most to @p limit) and add the skipped cycles to every
-     * per-cycle accumulator. The step of run() and drain().
+     * per-cycle accumulator. The step of run().
      */
     void step(Cycle limit);
     /** The jump of step(), after a tick that started at @p mark. */
@@ -339,9 +334,6 @@ class Core
     bool bpEverTrained_ = false;
 
     Addr lastFetchBlock_ = ~0ULL;
-
-    /** True while drain() runs: fetchStage stops pulling the stream. */
-    bool draining_ = false;
 
     /** Cached commit-stall counters, indexed (opClass * 2 + state). */
     Counter *commitBlockCounters_[kNumOpClasses * 2] = {};

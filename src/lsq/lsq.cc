@@ -822,27 +822,4 @@ Lsq::injectStateCorruption(std::uint64_t seed)
     return corrupted;
 }
 
-// ---------------------------------------------- checkpointing ---------
-
-void
-Lsq::saveState(SerialWriter &w) const
-{
-    LSQ_ASSERT(lq_.empty() && sq_.empty() && lb_.size() == 0 &&
-                   oooLive_ == 0 && nilp_ == 0,
-               "checkpointing a non-drained LSQ (lq=%zu sq=%zu)",
-               lq_.size(), sq_.size());
-    lqAlloc_.saveState(w);
-    sqAlloc_.saveState(w);
-}
-
-void
-Lsq::loadState(SerialReader &r)
-{
-    LSQ_ASSERT(lq_.empty() && sq_.empty() && lb_.size() == 0 &&
-                   oooLive_ == 0 && nilp_ == 0,
-               "restoring into a non-drained LSQ");
-    lqAlloc_.loadState(r);
-    sqAlloc_.loadState(r);
-}
-
 } // namespace lsqscale

@@ -268,18 +268,6 @@ class Lsq
      */
     bool injectStateCorruption(std::uint64_t seed);
 
-    // ------------------------------------------------ checkpointing --
-    /**
-     * Serialize the drained-queue state (checkpointing,
-     * docs/SAMPLING.md). Only legal when the queues are empty — a
-     * checkpoint is taken at a quiesced pipeline — but the segment
-     * allocators' rotation positions persist across the drain and are
-     * captured here.
-     */
-    void saveState(SerialWriter &w) const;
-    /** Restore state written by saveState (geometry must match). */
-    void loadState(SerialReader &r);
-
     /**
      * Check that every live entry's ticket, and every load's sqNext
      * and store's lqNext, agree with a recomputation from program

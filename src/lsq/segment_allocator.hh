@@ -24,7 +24,6 @@
 #include "common/logging.hh"
 #include "common/ring.hh"
 #include "lsq/lsq_params.hh"
-#include "sample/serialize.hh"
 
 namespace lsqscale {
 
@@ -126,97 +125,6 @@ class SegmentAllocator
         if (policy_ == SegAllocPolicy::NoSelfCircular)
             return tailSlot_ / perSegment_;
         return current_;
-    }
-
-    // ----------------------------------------------- checkpointing ----
-    /**
-     * Serialize the rotation state (checkpointing, docs/SAMPLING.md).
-     * Even with no live entries the tail position persists — it
-     * encodes where the next allocation lands, which the segmented
-     * design points' timing depends on.
-     */
-    void
-    saveState(SerialWriter &w) const
-    {
-        w.u64(occupancy_.size());
-        for (unsigned occ : occupancy_)
-            w.u32(occ);
-        w.u64(allocSegs_.size());
-        for (unsigned seg : allocSegs_)
-            w.u32(seg);
-        w.u32(live_);
-        w.u32(tailSlot_);
-        w.u32(current_);
-    }
-
-    /**
-     * Restore state written by saveState. Checkpoints are only ever
-     * taken at quiesced boundaries, so a checkpoint whose allocator
-     * geometry differs from ours (segment count or size) is legal as
-     * long as it is empty: one warmed image serves every design point
-     * of a sweep (see functionalFingerprint). A same-geometry restore
-     * is exact; a cross-geometry restore of a non-empty allocator is
-     * rejected.
-     */
-    void
-    loadState(SerialReader &r)
-    {
-        // Bound each count by the bytes left before allocating: a
-        // forged count must be a SerialError, not a huge reserve.
-        std::uint64_t segs = r.u64();
-        if (segs > r.remaining() / 4)
-            throw SerialError("allocator segment count exceeds its "
-                              "payload");
-        std::vector<unsigned> occ(segs);
-        bool anyOccupied = false;
-        for (unsigned &o : occ) {
-            o = r.u32();
-            anyOccupied = anyOccupied || o != 0;
-        }
-        std::uint64_t liveEntries = r.u64();
-        if (liveEntries > r.remaining() / 4)
-            throw SerialError("allocator live-entry count exceeds its "
-                              "payload");
-        std::vector<unsigned> allocSegs(liveEntries);
-        for (unsigned &seg : allocSegs)
-            seg = r.u32();
-        unsigned live = r.u32();
-        if (live != allocSegs.size())
-            throw SerialError("allocator live-count mismatch");
-        unsigned tailSlot = r.u32();
-        unsigned current = r.u32();
-
-        if (segs != occupancy_.size()) {
-            if (anyOccupied || live != 0)
-                throw SerialError(
-                    "cannot restore an occupied LSQ into a "
-                    "different segment geometry");
-            // Drained cross-design restore: keep our initial (empty)
-            // allocator; rotation positions are microarchitectural.
-            return;
-        }
-        for (unsigned seg : allocSegs)
-            if (seg >= segments_)
-                throw SerialError("allocated segment out of range");
-        if (live > segments_ * perSegment_)
-            throw SerialError("allocator holds more entries than fit");
-        if (tailSlot >= segments_ * perSegment_ ||
-            current >= segments_) {
-            // Same segment count, different per-segment size: only an
-            // empty image may cross.
-            if (anyOccupied || live != 0)
-                throw SerialError(
-                    "cannot restore an occupied LSQ into a "
-                    "different segment geometry");
-            return;
-        }
-        occupancy_ = occ;
-        allocSegs_.clear();
-        for (unsigned seg : allocSegs)
-            allocSegs_.push_back(seg);
-        live_ = live;
-        tailSlot_ = tailSlot;
-        current_ = current;
     }
 
   private:

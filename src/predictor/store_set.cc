@@ -232,100 +232,4 @@ StoreSetPredictor::trainPair(Pc storePc, Pc loadPc)
     }
 }
 
-// ------------------------------------------------ checkpointing -----
-
-namespace {
-
-void
-saveLfstEntry(SerialWriter &w, bool valid, SeqNum lastStore,
-              std::uint8_t counter)
-{
-    w.b(valid);
-    w.u64(lastStore);
-    w.u8(counter);
-}
-
-} // namespace
-
-void
-StoreSetPredictor::saveState(SerialWriter &w) const
-{
-    w.u64(ssit_.size());
-    for (std::uint16_t ssid : ssit_)
-        w.u16(ssid);
-    w.u64(lfstTable_.size());
-    for (const LfstEntry &e : lfstTable_)
-        saveLfstEntry(w, e.valid, e.lastStore, e.counter.value());
-
-    // Exact (alias-free) tables, sorted for deterministic bytes.
-    std::vector<Pc> pcs;
-    pcs.reserve(exactSsit_.size());
-    for (const auto &kv : exactSsit_)
-        pcs.push_back(kv.first);
-    std::sort(pcs.begin(), pcs.end());
-    w.u64(pcs.size());
-    for (Pc pc : pcs) {
-        w.u64(pc);
-        w.u16(exactSsit_.at(pc));
-    }
-    std::vector<std::uint16_t> ssids;
-    ssids.reserve(exactLfst_.size());
-    for (const auto &kv : exactLfst_)
-        ssids.push_back(kv.first);
-    std::sort(ssids.begin(), ssids.end());
-    w.u64(ssids.size());
-    for (std::uint16_t ssid : ssids) {
-        const LfstEntry &e = exactLfst_.at(ssid);
-        w.u16(ssid);
-        saveLfstEntry(w, e.valid, e.lastStore, e.counter.value());
-    }
-    w.u16(nextExactSsid_);
-
-    w.u64(accesses_);
-    w.u64(pairsTrained_);
-    w.u64(tableClears_);
-}
-
-void
-StoreSetPredictor::loadState(SerialReader &r)
-{
-    std::uint64_t ssitSize = r.u64();
-    if (ssitSize != ssit_.size())
-        throw SerialError("SSIT size mismatch "
-                          "(checkpoint from a different config?)");
-    for (std::uint16_t &ssid : ssit_)
-        ssid = r.u16();
-    std::uint64_t lfstSize = r.u64();
-    if (lfstSize != lfstTable_.size())
-        throw SerialError("LFST size mismatch "
-                          "(checkpoint from a different config?)");
-    for (LfstEntry &e : lfstTable_) {
-        e.valid = r.b();
-        e.lastStore = r.u64();
-        e.counter.set(r.u8());
-    }
-
-    exactSsit_.clear();
-    std::uint64_t exactPcs = r.u64();
-    for (std::uint64_t i = 0; i < exactPcs; ++i) {
-        Pc pc = r.u64();
-        exactSsit_[pc] = r.u16();
-    }
-    exactLfst_.clear();
-    std::uint64_t exactSets = r.u64();
-    for (std::uint64_t i = 0; i < exactSets; ++i) {
-        std::uint16_t ssid = r.u16();
-        LfstEntry e(params_.counterBits);
-        e.valid = r.b();
-        e.lastStore = r.u64();
-        e.counter.set(r.u8());
-        exactLfst_.emplace(ssid, e);
-    }
-    nextExactSsid_ = r.u16();
-
-    accesses_ = r.u64();
-    pairsTrained_ = r.u64();
-    tableClears_ = r.u64();
-}
-
 } // namespace lsqscale

@@ -38,7 +38,6 @@
 
 #include "common/sat_counter.hh"
 #include "common/types.hh"
-#include "sample/serialize.hh"
 
 namespace lsqscale {
 
@@ -168,12 +167,6 @@ class StoreSetPredictor
      * (docs/ROBUSTNESS.md).
      */
     void injectStateCorruption(std::uint64_t seed);
-
-    // ----------------------------------------------- checkpointing ----
-    /** Serialize all tables (checkpointing, docs/SAMPLING.md). */
-    void saveState(SerialWriter &w) const;
-    /** Restore state written by saveState (geometry must match). */
-    void loadState(SerialReader &r);
 
   private:
     struct LfstEntry

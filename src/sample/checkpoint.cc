@@ -30,8 +30,6 @@ constexpr std::uint32_t kSecCore = fourcc("CORE");
 constexpr std::uint32_t kSecStream = fourcc("STRM");
 constexpr std::uint32_t kSecMemory = fourcc("MEM ");
 constexpr std::uint32_t kSecBp = fourcc("BP  ");
-constexpr std::uint32_t kSecSsp = fourcc("SSP ");
-constexpr std::uint32_t kSecLsq = fourcc("LSQ ");
 
 std::string
 tagName(std::uint32_t tag)
@@ -77,7 +75,6 @@ mixCache(Fingerprint &fp, const CacheParams &c)
     fp.mix(c.sizeBytes);
     fp.mix(c.assoc);
     fp.mix(c.blockBytes);
-    fp.mix(c.hitLatency);
     fp.mix(c.ports);
 }
 
@@ -188,20 +185,12 @@ functionalFingerprint(const SimConfig &config)
     mixCache(fp, config.memory.l1i);
     mixCache(fp, config.memory.l1d);
     mixCache(fp, config.memory.l2);
-    fp.mix(config.memory.memLatency);
 
     const BranchPredictorParams &bp = config.core.branchPredictor;
     fp.mix(static_cast<std::uint64_t>(bp.kind));
     fp.mix(bp.tableEntries);
     fp.mix(bp.historyBits);
     fp.mix(bp.bhtEntries);
-
-    const StoreSetParams &ss = config.core.storeSet;
-    fp.mix(ss.ssitEntries);
-    fp.mix(ss.lfstEntries);
-    fp.mix(ss.counterBits);
-    fp.mix(ss.clearInterval);
-    fp.mix(ss.aliasFree ? 1 : 0);
     return fp.value();
 }
 
@@ -214,8 +203,6 @@ saveCheckpoint(Core &core, const SimConfig &config,
     saveSection(payload, kSecStream, core.stream());
     saveSection(payload, kSecMemory, core.memory());
     saveSection(payload, kSecBp, core.branchPredictorMut());
-    saveSection(payload, kSecSsp, core.storeSets());
-    saveSection(payload, kSecLsq, core.lsq());
 
     SerialWriter header;
     header.raw(kCkptMagic, sizeof(kCkptMagic));
@@ -265,8 +252,6 @@ loadCheckpoint(Core &core, const SimConfig &config,
     loadSection(r, kSecStream, "STRM section", core.stream());
     loadSection(r, kSecMemory, "MEM section", core.memory());
     loadSection(r, kSecBp, "BP section", core.branchPredictorMut());
-    loadSection(r, kSecSsp, "SSP section", core.storeSets());
-    loadSection(r, kSecLsq, "LSQ section", core.lsq());
     r.expectEnd("checkpoint payload");
     return meta;
 }

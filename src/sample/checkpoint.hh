@@ -1,16 +1,18 @@
 /**
  * @file
- * The lsqscale-ckpt checkpoint format, version 2 (docs/SAMPLING.md).
+ * The lsqscale-ckpt checkpoint format, version 3 (docs/SAMPLING.md).
  *
- * A checkpoint captures the *functional* state of a run at a quiesced
- * pipeline boundary: workload generator (RNGs, program layout, replay
- * window), memory image (cache tags and LRU state), branch
- * predictor tables, store-set predictor tables, and the LSQ's segment
- * rotation state. Microarchitectural in-flight state is excluded by
- * construction — checkpoints are only taken when Core::quiescent()
- * holds — so one checkpoint restores into any LSQ design point that
- * shares the same functional configuration (the fingerprint below
- * deliberately excludes LsqParams and core widths).
+ * A checkpoint holds what a functional fast-forward
+ * (Core::fastForward) changes: the core's scalar state (clock,
+ * commit count, fetch and branch-training position), the workload
+ * generator (RNGs, program layout), the memory image (cache tags and
+ * LRU state) and the branch predictor tables. Files are saved only
+ * after a fast-forward or a restore (Simulator::run), from a
+ * quiescent core (Core::quiescent()), so the store-set predictor, the
+ * LSQ and the stream's replay window hold their constructor state and
+ * are not written. One checkpoint restores into any design point that
+ * shares its functional fingerprint (below), which excludes
+ * LsqParams, core widths, store-set geometry and latencies.
  *
  * On-disk layout (little-endian, fixed-width):
  *
@@ -25,7 +27,7 @@
  *   crc       u32      CRC-32 (zlib polynomial) of the payload
  *   payload   paylen bytes: sections, each
  *               tag u32 (fourcc) + len u64 + len bytes
- *             in fixed order CORE, STRM, MEM, BP, SSP, LSQ
+ *             in fixed order CORE, STRM, MEM, BP
  */
 // lsqlint: layer(sim) -- checkpoint container interface consumed by simulator.cc; includes only rehomed serialize.hh
 
@@ -51,7 +53,7 @@ inline constexpr char kCkptMagic[8] = {'L', 'S', 'Q', 'C',
  * Current format version. Bump it with any layout change, so that an
  * older file is rejected by version instead of misparsed.
  */
-inline constexpr std::uint32_t kCkptVersion = 2;
+inline constexpr std::uint32_t kCkptVersion = 3;
 
 /** Header metadata of a checkpoint file. */
 struct CheckpointMeta
@@ -82,11 +84,13 @@ struct CheckpointInfo
 };
 
 /**
- * Hash of the configuration knobs that determine *functional*
- * behavior: benchmark, seed, memory-hierarchy geometry
- * and latencies, and branch-predictor and store-set geometry. LSQ
- * design-point knobs (ports, segments, queue sizes, policies) are
- * excluded so one checkpoint serves a whole design-space sweep.
+ * Hash of the configuration knobs that a checkpoint's contents depend
+ * on: benchmark, seed, cache geometry and branch-predictor geometry.
+ * Everything else is excluded so one checkpoint serves every design
+ * point that shares these: the LSQ and the core (a fast-forward
+ * touches neither), the store-set predictor (never trained by a
+ * fast-forward) and the cache and memory latencies (a fast-forward
+ * discards the ready cycle they compute).
  */
 std::uint64_t functionalFingerprint(const SimConfig &config);
 

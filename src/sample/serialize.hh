@@ -5,7 +5,7 @@
  * Fixed-width little-endian encoders over a growable byte buffer and
  * decoders over a borrowed one. Components expose
  * saveState(SerialWriter&)/loadState(SerialReader&) member pairs
- * built on these; the lsqscale-ckpt-v2 container format (header,
+ * built on these; the lsqscale-ckpt-v3 container format (header,
  * sections, CRC) lives one layer up in sample/checkpoint.hh. See
  * docs/SAMPLING.md.
  *

@@ -99,7 +99,7 @@ cliUsage()
         "fast-forward / checkpoints (docs/SAMPLING.md):\n"
         "  --ff N               functionally fast-forward N instructions\n"
         "                       before measuring (skips --warmup)\n"
-        "  --save-ckpt PATH     write an lsqscale-ckpt-v2 checkpoint\n"
+        "  --save-ckpt PATH     write an lsqscale-ckpt-v3 checkpoint\n"
         "                       (after --ff) and exit without measuring\n"
         "  --load-ckpt PATH     resume from a checkpoint (skips "
         "--warmup)\n"

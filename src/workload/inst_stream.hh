@@ -23,43 +23,6 @@
 
 namespace lsqscale {
 
-/** Serialize one MicroOp (fixed-width, checkpoint format). */
-inline void
-serializeMicroOp(SerialWriter &w, const MicroOp &op)
-{
-    w.u64(op.seq);
-    w.u64(op.pc);
-    w.u8(static_cast<std::uint8_t>(op.op));
-    w.u8(op.src1);
-    w.u8(op.src2);
-    w.u8(op.dest);
-    w.u64(op.addr);
-    w.u8(op.size);
-    w.b(op.taken);
-    w.u64(op.target);
-}
-
-/** Inverse of serializeMicroOp. */
-inline MicroOp
-deserializeMicroOp(SerialReader &r)
-{
-    MicroOp op;
-    op.seq = r.u64();
-    op.pc = r.u64();
-    std::uint8_t cls = r.u8();
-    if (cls >= kNumOpClasses)
-        throw SerialError("MicroOp op class out of range");
-    op.op = static_cast<OpClass>(cls);
-    op.src1 = r.u8();
-    op.src2 = r.u8();
-    op.dest = r.u8();
-    op.addr = r.u64();
-    op.size = r.u8();
-    op.taken = r.b();
-    op.target = r.u64();
-    return op;
-}
-
 /** Fetch window over an InstSource with squash/replay support. */
 class InstStream
 {
@@ -95,21 +58,18 @@ class InstStream
 
     /**
      * fetch() and retireUpTo() the fetched op in one step, for
-     * fast-forward. With nothing held for replay the op never enters
-     * the window.
+     * fast-forward, which runs only with nothing held for replay: the
+     * op never enters the window.
      */
     MicroOp
     fetchAndRetire()
     {
-        if (window_.empty()) {
-            MicroOp op = source_->next();
-            LSQ_ASSERT(op.seq == generated_,
-                       "instruction source skipped a sequence number");
-            ++generated_;
-            return op;
-        }
-        MicroOp op = fetch();
-        retireUpTo(op.seq);
+        LSQ_DCHECK(window_.empty(),
+                   "fast-forward past a non-empty replay window");
+        MicroOp op = source_->next();
+        LSQ_ASSERT(op.seq == generated_,
+                   "instruction source skipped a sequence number");
+        ++generated_;
         return op;
     }
 
@@ -153,12 +113,15 @@ class InstStream
 
     // ------------------------------------------- checkpointing -------
     /**
-     * Serialize the source plus the replay window. Throws SerialError
+     * Serialize the source and the generated count. Only an empty
+     * replay window is saved (a quiescent core's). Throws SerialError
      * if the underlying InstSource is not checkpointable.
      */
     void
     saveState(SerialWriter &w) const
     {
+        LSQ_ASSERT(window_.empty(),
+                   "checkpointing a non-empty replay window");
         std::uint32_t kind = source_->checkpointKind();
         if (kind == 0)
             throw SerialError(
@@ -166,30 +129,20 @@ class InstStream
         w.u32(kind);
         source_->saveState(w);
         w.u64(generated_);
-        w.u64(cursor_);
-        w.u64(window_.size());
-        for (const MicroOp &op : window_)
-            serializeMicroOp(w, op);
     }
 
-    /** Restore state written by saveState. */
+    /** Restore state written by saveState into an empty window. */
     void
     loadState(SerialReader &r)
     {
+        LSQ_ASSERT(window_.empty(),
+                   "restoring into a non-empty replay window");
         std::uint32_t kind = r.u32();
         if (kind != source_->checkpointKind() || kind == 0)
             throw SerialError(
                 "checkpoint instruction-source kind mismatch");
         source_->loadState(r);
         generated_ = r.u64();
-        std::uint64_t cursor = r.u64();
-        std::uint64_t n = r.u64();
-        window_.clear();
-        for (std::uint64_t i = 0; i < n; ++i)
-            window_.push_back(deserializeMicroOp(r));
-        if (cursor > window_.size())
-            throw SerialError("instruction window cursor out of range");
-        cursor_ = static_cast<std::size_t>(cursor);
     }
 
   private:

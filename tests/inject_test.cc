@@ -29,7 +29,6 @@
 #include "harness/sink.hh"
 #include "inject/inject.hh"
 #include "predictor/store_set.hh"
-#include "sample/serialize.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
 
@@ -205,9 +204,12 @@ TEST_F(InjectTest, PredictorCorruptionIsDeterministicInSeed)
         for (Pc pc = 0; pc < 64; ++pc)
             pred.trainPair(pc * 8, pc * 8 + 4);
         pred.injectStateCorruption(seed);
-        SerialWriter w;
-        pred.saveState(w);
-        return w.buffer();
+        // The store set each SSIT slot now maps a load to (PC i * 4
+        // indexes slot i).
+        std::vector<std::uint16_t> sets;
+        for (Pc pc = 0; pc < StoreSetParams().ssitEntries; ++pc)
+            sets.push_back(pred.loadFetch(pc * 4).ssid);
+        return sets;
     };
     EXPECT_EQ(corruptedState(42), corruptedState(42));
     EXPECT_NE(corruptedState(42), corruptedState(43));

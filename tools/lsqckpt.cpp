@@ -1,6 +1,6 @@
 /**
  * @file
- * lsqckpt — inspect and verify lsqscale-ckpt-v2 checkpoint files
+ * lsqckpt — inspect and verify lsqscale-ckpt checkpoint files
  * (docs/SAMPLING.md).
  *
  *   lsqckpt inspect FILE   print header metadata and section sizes
