@@ -69,13 +69,15 @@
 #                    be poisoned, each with signal/heartbeat
 #                    provenance, and the sweep must exit nonzero
 #   9. lint        — the lsqlint analyzer (python3 -m tools.lsqlint)
-#                    standalone (also a ctest in every flavor above, so
-#                    this is a fast final recheck)
+#                    and the layers check (tests/layers.py: every
+#                    include against the release build's link graph)
+#                    standalone (both are ctests in every flavor above,
+#                    so this is a fast final recheck)
 #  10. analyze     — deep static-analysis pass (docs/STATIC_ANALYSIS.md):
 #                    the tests/lintfix fixture self-test (exact
-#                    per-rule counts over broken_hot, broken_layer,
-#                    broken_legacy, clean and suppress, then the
-#                    suppression negative control) and clang-tidy
+#                    per-rule counts over broken_hot, broken_legacy,
+#                    clean and suppress, then the suppression negative
+#                    control) and clang-tidy
 #                    over compile_commands.json when the binary is
 #                    available (gcc-only containers skip that step)
 #
@@ -388,6 +390,7 @@ python3 scripts/check_crash_smoke.py check-corrupt \
 
 banner "flavor: lint"
 python3 -m tools.lsqlint
+ctest --test-dir build-ci-release -R '^layers$' --output-on-failure
 
 banner "flavor: analyze (tests/lintfix fixture self-test)"
 python3 tests/lintfix/run_fixtures.py

@@ -22,7 +22,6 @@
  * Lsq::attachChecker(); set LSQSCALE_CHECK=1 to have the Simulator
  * attach one to every run and panic on any mismatch.
  */
-// lsqlint: layer(lsq) -- checker interface consumed by Lsq itself (lsq.cc drives the hooks); the oracle implementation stays in layer-3 lsq_checker.cc
 
 #ifndef LSQSCALE_CHECK_LSQCHECKER_HH
 #define LSQSCALE_CHECK_LSQCHECKER_HH

@@ -17,7 +17,6 @@
  * active (a detected violation squashes and re-executes the younger
  * load, pushing its final execution later).
  */
-// lsqlint: layer(common) -- golden memory image over common/types.hh only; consumed by the layer-1 checker interface
 
 #ifndef LSQSCALE_CHECK_MEMORY_ORACLE_HH
 #define LSQSCALE_CHECK_MEMORY_ORACLE_HH

@@ -1,4 +1,4 @@
-#include "sample/serialize.hh"
+#include "common/serialize.hh"
 
 #include <array>
 

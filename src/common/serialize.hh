@@ -5,7 +5,7 @@
  * Fixed-width little-endian encoders over a growable byte buffer and
  * decoders over a borrowed one. Components expose
  * saveState(SerialWriter&)/loadState(SerialReader&) member pairs
- * built on these; the lsqscale-ckpt-v3 container format (header,
+ * built on these; the lsqscale-ckpt-v4 container format (header,
  * sections, CRC) lives one layer up in sample/checkpoint.hh. See
  * docs/SAMPLING.md.
  *
@@ -19,10 +19,9 @@
  * aborting: checkpoint files are external inputs, and callers (the
  * CLI, the sweep harness, tests) decide how a bad file is reported.
  */
-// lsqlint: layer(common) -- serialization primitives; lsqscale_ckpt sits directly above common in CMake and every layer-1 subsystem includes this header
 
-#ifndef LSQSCALE_SAMPLE_SERIALIZE_HH
-#define LSQSCALE_SAMPLE_SERIALIZE_HH
+#ifndef LSQSCALE_COMMON_SERIALIZE_HH
+#define LSQSCALE_COMMON_SERIALIZE_HH
 
 #include <bit>
 #include <cstdint>
@@ -206,4 +205,4 @@ std::uint32_t crc32(const void *data, std::size_t n);
 
 } // namespace lsqscale
 
-#endif // LSQSCALE_SAMPLE_SERIALIZE_HH
+#endif // LSQSCALE_COMMON_SERIALIZE_HH

@@ -6,9 +6,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
-// Header-only primitives (no link dependency on the sample library);
-// the ckpt container format itself stays one layer up.
-#include "sample/serialize.hh"
+#include "common/serialize.hh"
 
 namespace lsqscale {
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/ring.hh"
+#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/completion_calendar.hh"
@@ -30,7 +31,6 @@
 #include "memory/memory_system.hh"
 #include "predictor/branch_predictor.hh"
 #include "predictor/store_set.hh"
-#include "sample/serialize.hh"
 #include "workload/inst_stream.hh"
 
 namespace lsqscale {
@@ -148,7 +148,7 @@ class Core
     ProbeAgent *coherenceAgent() const { return coherence_; }
 
     /**
-     * Attach an interval sampler (src/obs/interval.hh). run() polls
+     * Attach an interval sampler (src/core/interval.hh). run() polls
      * it only when the cached next-sample cycle is due, so both the
      * detached case and the common not-yet-due case cost one
      * predictable compare per cycle. Pass nullptr to detach. The

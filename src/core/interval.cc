@@ -1,4 +1,4 @@
-#include "obs/interval.hh"
+#include "core/interval.hh"
 
 #include "common/logging.hh"
 #include "core/core.hh"

@@ -14,10 +14,9 @@
  * macros cannot drive it because occupancy must be observed on quiet
  * cycles too.
  */
-// lsqlint: layer(common) -- interval-series recording over common/stats.hh only; polled from Core::run
 
-#ifndef LSQSCALE_OBS_INTERVAL_HH
-#define LSQSCALE_OBS_INTERVAL_HH
+#ifndef LSQSCALE_CORE_INTERVAL_HH
+#define LSQSCALE_CORE_INTERVAL_HH
 
 #include <string>
 #include <vector>
@@ -78,4 +77,4 @@ class IntervalSampler
 
 } // namespace lsqscale
 
-#endif // LSQSCALE_OBS_INTERVAL_HH
+#endif // LSQSCALE_CORE_INTERVAL_HH

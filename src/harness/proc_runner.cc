@@ -11,8 +11,8 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "inject/inject.hh"
-#include "sample/serialize.hh"
 
 namespace lsqscale {
 

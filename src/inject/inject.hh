@@ -29,7 +29,6 @@
  * wants per-cell blast radius must run under
  * LSQSCALE_ISOLATION=process.
  */
-// lsqlint: layer(common) -- fault-arming interface over common/types.hh only; hooks live in layer-1 Core::run (lsqscale_inject depends only on common)
 
 #ifndef LSQSCALE_INJECT_INJECT_HH
 #define LSQSCALE_INJECT_INJECT_HH

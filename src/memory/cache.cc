@@ -124,8 +124,6 @@ Cache::saveState(SerialWriter &w) const
     w.u64(stamp_);
     w.u64(hits_);
     w.u64(misses_);
-    w.u64(portCycle_);
-    w.u32(portsUsed_);
 }
 
 void
@@ -151,8 +149,6 @@ Cache::loadState(SerialReader &r)
     stamp_ = r.u64();
     hits_ = r.u64();
     misses_ = r.u64();
-    portCycle_ = r.u64();
-    portsUsed_ = r.u32();
 }
 
 } // namespace lsqscale

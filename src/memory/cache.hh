@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "sample/serialize.hh"
 
 namespace lsqscale {
 
@@ -66,7 +66,11 @@ class Cache
     /** Export hit/miss counters into @p stats under "<name>.". */
     void exportStats(StatSet &stats) const;
 
-    /** Serialize tags/LRU/counters (checkpointing, docs/SAMPLING.md). */
+    /**
+     * Serialize tags/LRU/counters (checkpointing, docs/SAMPLING.md).
+     * Port state is not saved: a fast-forward never arbitrates for a
+     * port, and a restore targets a freshly built cache.
+     */
     void saveState(SerialWriter &w) const;
     /** Restore state written by saveState (geometry must match). */
     void loadState(SerialReader &r);

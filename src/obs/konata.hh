@@ -20,7 +20,6 @@
  * flat TraceRecord stream, emits the text form, and parses it back
  * (for round-trip tests and `lsqtrace konata --check`).
  */
-// lsqlint: layer(sim) -- trace-export interface consumed by simulator.cc; includes only common + rehomed trace.hh
 
 #ifndef LSQSCALE_OBS_KONATA_HH
 #define LSQSCALE_OBS_KONATA_HH

@@ -17,7 +17,6 @@
  * kEventTraceVersion): tools/lsqtrace and the Konata exporter
  * (obs/konata.hh) consume the same files across builds.
  */
-// lsqlint: layer(common) -- header-only event taxonomy + null-tested hook macro over common/types.hh; emitted from layer-1 code
 
 #ifndef LSQSCALE_OBS_TRACE_HH
 #define LSQSCALE_OBS_TRACE_HH

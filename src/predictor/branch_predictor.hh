@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "common/sat_counter.hh"
+#include "common/serialize.hh"
 #include "common/types.hh"
-#include "sample/serialize.hh"
 
 namespace lsqscale {
 

@@ -75,7 +75,6 @@ mixCache(Fingerprint &fp, const CacheParams &c)
     fp.mix(c.sizeBytes);
     fp.mix(c.assoc);
     fp.mix(c.blockBytes);
-    fp.mix(c.ports);
 }
 
 /**

@@ -1,6 +1,6 @@
 /**
  * @file
- * The lsqscale-ckpt checkpoint format, version 3 (docs/SAMPLING.md).
+ * The lsqscale-ckpt checkpoint format, version 4 (docs/SAMPLING.md).
  *
  * A checkpoint holds what a functional fast-forward
  * (Core::fastForward) changes: the core's scalar state (clock,
@@ -12,7 +12,8 @@
  * LSQ and the stream's replay window hold their constructor state and
  * are not written. One checkpoint restores into any design point that
  * shares its functional fingerprint (below), which excludes
- * LsqParams, core widths, store-set geometry and latencies.
+ * LsqParams, core widths, store-set geometry, cache ports and
+ * latencies.
  *
  * On-disk layout (little-endian, fixed-width):
  *
@@ -29,7 +30,6 @@
  *               tag u32 (fourcc) + len u64 + len bytes
  *             in fixed order CORE, STRM, MEM, BP
  */
-// lsqlint: layer(sim) -- checkpoint container interface consumed by simulator.cc; includes only rehomed serialize.hh
 
 #ifndef LSQSCALE_SAMPLE_CHECKPOINT_HH
 #define LSQSCALE_SAMPLE_CHECKPOINT_HH
@@ -38,7 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "sample/serialize.hh"
+#include "common/serialize.hh"
 
 namespace lsqscale {
 
@@ -53,7 +53,7 @@ inline constexpr char kCkptMagic[8] = {'L', 'S', 'Q', 'C',
  * Current format version. Bump it with any layout change, so that an
  * older file is rejected by version instead of misparsed.
  */
-inline constexpr std::uint32_t kCkptVersion = 3;
+inline constexpr std::uint32_t kCkptVersion = 4;
 
 /** Header metadata of a checkpoint file. */
 struct CheckpointMeta
@@ -89,8 +89,9 @@ struct CheckpointInfo
  * Everything else is excluded so one checkpoint serves every design
  * point that shares these: the LSQ and the core (a fast-forward
  * touches neither), the store-set predictor (never trained by a
- * fast-forward) and the cache and memory latencies (a fast-forward
- * discards the ready cycle they compute).
+ * fast-forward), the cache ports (a fast-forward never arbitrates for
+ * one) and the cache and memory latencies (a fast-forward discards
+ * the ready cycle they compute).
  */
 std::uint64_t functionalFingerprint(const SimConfig &config);
 

@@ -1,4 +1,3 @@
-// lsqlint: layer(harness) -- lsqsim command-line implementation; writes files through harness/sink
 #include "sim/cli.hh"
 
 #include <cstdio>
@@ -6,13 +5,13 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "harness/sink.hh"
 #include "inject/inject.hh"
 #include "metrics/hostprof.hh"
 #include "obs/trace.hh"
 #include "sample/checkpoint.hh"
-#include "sample/serialize.hh"
 #include "sim/simulator.hh"
 #include "workload/benchmark_profile.hh"
 
@@ -99,7 +98,7 @@ cliUsage()
         "fast-forward / checkpoints (docs/SAMPLING.md):\n"
         "  --ff N               functionally fast-forward N instructions\n"
         "                       before measuring (skips --warmup)\n"
-        "  --save-ckpt PATH     write an lsqscale-ckpt-v3 checkpoint\n"
+        "  --save-ckpt PATH     write an lsqscale-ckpt-v4 checkpoint\n"
         "                       (after --ff) and exit without measuring\n"
         "  --load-ckpt PATH     resume from a checkpoint (skips "
         "--warmup)\n"

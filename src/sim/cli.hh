@@ -6,7 +6,6 @@
  * testable; tools/lsqsim.cpp is a thin wrapper around parseCli() and
  * runCli().
  */
-// lsqlint: layer(harness) -- lsqsim CLI; consumed only by tools/ and tests/, writes files through harness/sink
 
 #ifndef LSQSCALE_SIM_CLI_HH
 #define LSQSCALE_SIM_CLI_HH

@@ -1,4 +1,3 @@
-// lsqlint: layer(harness) -- experiment runner implementation over harness sweep/sink
 #include "sim/experiment.hh"
 
 #include <algorithm>

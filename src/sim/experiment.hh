@@ -6,7 +6,6 @@
  * renders paper-style rows: one row per benchmark plus Int.Avg and
  * Fp.Avg rows (arithmetic means, as in the paper's bar charts).
  */
-// lsqlint: layer(harness) -- experiment runner is a harness Sweep client; consumed only by bench/, tools/ and tests/
 
 #ifndef LSQSCALE_SIM_EXPERIMENT_HH
 #define LSQSCALE_SIM_EXPERIMENT_HH

@@ -64,7 +64,7 @@ struct SimConfig
     std::uint64_t ffInsts = 0;
 
     /**
-     * Save an lsqscale-ckpt-v3 checkpoint after the fast-forward and
+     * Save an lsqscale-ckpt-v4 checkpoint after the fast-forward and
      * exit without measuring (--save-ckpt PATH).
      */
     std::string saveCkptPath;

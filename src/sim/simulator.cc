@@ -6,14 +6,11 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "core/core.hh"
-#include "inject/inject.hh"
-#include "metrics/hostprof.hh"
-// Uses writeFileCreatingDirs only (trace-path plumbing); no
-// dependency on the harness job engine.
-// lsqlint: allow(layer-upward-include) -- results plumbing only
+#include "core/interval.hh"
 #include "harness/sink.hh"
+#include "inject/inject.hh"
 #include "memory/probe_agent.hh"
-#include "obs/interval.hh"
+#include "metrics/hostprof.hh"
 #include "obs/konata.hh"
 #include "obs/trace.hh"
 #include "sample/checkpoint.hh"

@@ -11,8 +11,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/serialize.hh"
 #include "common/stats.hh"
-#include "sample/serialize.hh"
 #include "sim/sim_config.hh"
 
 namespace lsqscale {

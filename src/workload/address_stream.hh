@@ -25,8 +25,8 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "common/types.hh"
-#include "sample/serialize.hh"
 #include "workload/benchmark_profile.hh"
 
 namespace lsqscale {

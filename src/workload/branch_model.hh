@@ -20,8 +20,8 @@
 #include <cstdint>
 
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "common/types.hh"
-#include "sample/serialize.hh"
 #include "workload/benchmark_profile.hh"
 #include "workload/pc_table.hh"
 

@@ -12,7 +12,7 @@
 #ifndef LSQSCALE_WORKLOAD_INST_SOURCE_HH
 #define LSQSCALE_WORKLOAD_INST_SOURCE_HH
 
-#include "sample/serialize.hh"
+#include "common/serialize.hh"
 #include "workload/micro_op.hh"
 
 namespace lsqscale {

@@ -11,12 +11,12 @@
 #include "common/rng.hh"
 #include "core/completion_calendar.hh"
 #include "core/core.hh"
+#include "core/interval.hh"
 #include "core/issue_queue.hh"
 #include "core/phys_reg_file.hh"
 #include "core/rob.hh"
 #include "memory/probe_agent.hh"
 #include "metrics/hostprof.hh"
-#include "obs/interval.hh"
 #include "obs/trace.hh"
 #include "sim/sim_config.hh"
 #include "workload/benchmark_profile.hh"

@@ -28,11 +28,11 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "harness/job_pool.hh"
 #include "harness/sink.hh"
 #include "harness/sweep.hh"
 #include "inject/inject.hh"
-#include "sample/serialize.hh"
 #include "sim/experiment.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"

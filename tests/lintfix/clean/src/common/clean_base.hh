@@ -1,4 +1,4 @@
-// Layer-0 header for the clean fixture's downward include.
+// A project header for the clean fixture to include.
 
 #ifndef LINTFIX_CLEAN_BASE_HH
 #define LINTFIX_CLEAN_BASE_HH

@@ -33,11 +33,6 @@ EXPECT = {
         "raw-new": 2,     # the two allocations trip the legacy rule
         "stat-dump": 1,   # ...and the printf trips stat-dump in src/core/
     },
-    "broken_layer": {
-        "layer-upward-include": 1,
-        "layer-cycle": 1,
-        "layer-bad-rehome": 2,  # invalid claim + unknown subsystem name
-    },
     "broken_legacy": {
         "raw-new": 1,
         "bare-assert": 1,
@@ -54,7 +49,6 @@ EXPECT = {
 SUPPRESS_UNMASKED = {
     "raw-new": 2,
     "hot-mutex": 1,
-    "layer-upward-include": 1,
 }
 
 failures = []

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.hh"
 #include "memory/cache.hh"
 #include "memory/memory_system.hh"
-#include "sample/serialize.hh"
 
 using namespace lsqscale;
 

@@ -24,10 +24,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "core/interval.hh"
 #include "harness/sink.hh"
 #include "harness/sweep.hh"
 #include "obs/analyzer.hh"
-#include "obs/interval.hh"
 #include "obs/konata.hh"
 #include "obs/trace.hh"
 #include "sim/cli.hh"

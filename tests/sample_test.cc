@@ -338,8 +338,10 @@ TEST_F(SampleTest, RejectsVersionOneFile)
 {
     // Older files must be stopped by the version check before any
     // field is read: a version-1 header also carried a trace path, so
-    // its fields sit at other offsets, and a version-2 payload also
-    // held the SSP and LSQ sections.
+    // its fields sit at other offsets, a version-2 payload also held
+    // the SSP and LSQ sections, and a version-3 MEM section also held
+    // each cache's port state. No payload byte is read before the
+    // check, so the version-3 image carries today's payload.
     SimConfig cfg = configs::base("bzip");
     std::string ckpt = saveAt(cfg, 5000, "old.ckpt");
     CheckpointMeta meta = inspectCheckpoint(ckpt).meta;
@@ -368,10 +370,13 @@ TEST_F(SampleTest, RejectsVersionOneFile)
     }
     CheckpointMeta v2Meta = meta;
     v2Meta.version = 2;
+    CheckpointMeta v3Meta = meta;
+    v3Meta.version = 3;
 
     const std::string images[] = {
-        v1.buffer(), checkpointImage(v2Meta, v2Payload.buffer())};
-    for (unsigned version = 1; version <= 2; ++version) {
+        v1.buffer(), checkpointImage(v2Meta, v2Payload.buffer()),
+        checkpointImage(v3Meta, payload)};
+    for (unsigned version = 1; version <= 3; ++version) {
         writeBytes(ckpt, images[version - 1]);
         const std::string want = "unsupported checkpoint version " +
                                  std::to_string(version);

@@ -2,7 +2,7 @@
 suppression filtering and output.
 
 Facts extraction is per-file; the rules, which need cross-file views
-(hot-path propagation, the include DAG), run over the merged FactsDB.
+(hot-path propagation), run over the merged FactsDB.
 A serial run over the whole tree takes well under a second.
 """
 

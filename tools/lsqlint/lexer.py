@@ -6,9 +6,8 @@ things the old regex linter got wrong: comments, string/char literals
 (including raw strings and digit separators) can never produce code
 tokens, and every token carries its source line.
 
-Preprocessor directives are removed from the code stream (a `#define`
-body never pollutes the declaration parser) but `#include` targets are
-extracted first, with their line numbers, for the include-graph rules.
+Preprocessor directives are removed from the code stream, so a
+`#define` body never pollutes the declaration parser.
 """
 
 from __future__ import annotations
@@ -29,16 +28,9 @@ class Comment(NamedTuple):
     text: str
 
 
-class Include(NamedTuple):
-    line: int
-    target: str     # path between quotes/brackets
-    quoted: bool    # "..." (project include) vs <...> (system)
-
-
 class LexedFile(NamedTuple):
     tokens: list        # list[Tok], code only
     comments: list      # list[Comment]
-    includes: list      # list[Include]
     nlines: int
 
 
@@ -60,9 +52,6 @@ _MASTER = re.compile(
     re.DOTALL | re.VERBOSE,
 )
 
-_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*(?:"([^"]+)"|<([^>]+)>)')
-
-
 def lex(text: str) -> LexedFile:
     """Tokenize C++ source, separating code tokens from comments and
     preprocessor directives."""
@@ -71,7 +60,6 @@ def lex(text: str) -> LexedFile:
 
     tokens: list[Tok] = []
     comments: list[Comment] = []
-    includes: list[Include] = []
 
     line = 1
     for m in _MASTER.finditer(text):
@@ -113,21 +101,10 @@ def lex(text: str) -> LexedFile:
             while (end_line - 1 < len(raw_lines) and
                    raw_lines[end_line - 1].rstrip().endswith("\\")):
                 end_line += 1
-            # Record any #include target before discarding.
-            directive = raw_lines[start_line - 1] if \
-                start_line - 1 < len(raw_lines) else ""
-            im = _INCLUDE_RE.match(directive)
-            if im:
-                if im.group(1) is not None:
-                    includes.append(Include(start_line, im.group(1),
-                                            True))
-                else:
-                    includes.append(Include(start_line, im.group(2),
-                                            False))
             while i < n and tokens[i].line <= end_line:
                 i += 1
             continue
         out.append(t)
         i += 1
 
-    return LexedFile(out, comments, includes, nlines)
+    return LexedFile(out, comments, nlines)

@@ -1,13 +1,12 @@
 """Declaration-level C++ parser: token stream -> per-file facts.
 
 The output of `extract()` is a plain JSON-serializable dict ("facts")
-holding everything any rule needs from one file: the include list,
-classes with their data members / declared methods / virtual-method
+holding everything any rule needs from one file: classes with their data members / declared methods / virtual-method
 sets, function definitions with per-body summaries (outgoing calls,
 hot-path purity events), and the annotations parsed from comments.
 
 Facts are pure per-file data — cross-file reasoning (hot-path
-propagation, layering) happens in the rules, over the merged FactsDB.
+propagation) happens in the rules, over the merged FactsDB.
 
 The parser is heuristic (no preprocessing, no template
 instantiation), tuned to this repository's style, and must never
@@ -24,10 +23,9 @@ from . import lexer
 # Annotation grammar (docs/STATIC_ANALYSIS.md):
 #   // lsqlint: allow(rule[, rule...]) [-- reason]
 #   // lsqlint: hot [-- reason]
-#   // lsqlint: layer(subsystem) [-- reason]
 #   // lsqlint: phase(name) [-- reason]
 _ANNOT_RE = re.compile(
-    r"lsqlint\s*:\s*(allow|layer|hot|phase)\b"
+    r"lsqlint\s*:\s*(allow|hot|phase)\b"
     r"\s*(?:\(([^)]*)\))?")
 
 # Statement keywords that look like calls but are not.
@@ -105,7 +103,6 @@ _TIMER_IDENTS = frozenset((
 def _parse_annotations(comments):
     allows = {}       # line -> [rules]
     hot_lines = []    # comment end lines carrying `hot`
-    layer_claim = None  # (subsystem, line)
     phase_lines = {}  # line -> phase name (host-profiler boundaries)
     for c in comments:
         for m in _ANNOT_RE.finditer(c.text):
@@ -118,13 +115,11 @@ def _parse_annotations(comments):
                     allows.setdefault(ln, []).extend(rules)
             elif kind == "hot":
                 hot_lines.append(c.end_line)
-            elif kind == "layer" and layer_claim is None and arg:
-                layer_claim = [arg, c.line]
             elif kind == "phase" and arg:
                 # Same trailing-or-above coverage as allow().
                 for ln in range(c.line, c.end_line + 2):
                     phase_lines[ln] = arg
-    return allows, hot_lines, layer_claim, phase_lines
+    return allows, hot_lines, phase_lines
 
 
 class _Cursor:
@@ -368,12 +363,7 @@ class _Extractor:
     def __init__(self, rel_path, lexed):
         self.path = rel_path
         self.toks = lexed.tokens
-        self.includes = [
-            {"line": inc.line, "target": inc.target,
-             "quoted": inc.quoted}
-            for inc in lexed.includes
-        ]
-        (self.allows, self.hot_lines, self.layer_claim,
+        (self.allows, self.hot_lines,
          self.phase_lines) = _parse_annotations(lexed.comments)
         self.comment_lines = set()
         for c in lexed.comments:
@@ -949,9 +939,7 @@ class _Extractor:
     def _facts(self):
         return {
             "path": self.path,
-            "includes": self.includes,
             "allows": {str(k): v for k, v in self.allows.items()},
-            "layer_claim": self.layer_claim,
             "classes": self.classes,
             "functions": self.functions,
             "events": self.events,

@@ -3,7 +3,7 @@ output and `// lsqlint: allow(<rule>)` suppressions) and a severity.
 docs/STATIC_ANALYSIS.md is the human-facing catalog; keep it in sync.
 """
 
-from . import hotpath, layering, legacy
+from . import hotpath, legacy
 
 # rule id -> (severity, one-line description)
 RULES = {
@@ -33,18 +33,9 @@ RULES = {
     "hot-phase-timer": ("error",
                         "profiler clock reads on the hot path sit at"
                         " lsqlint: phase() annotated boundaries"),
-    # include-DAG layering
-    "layer-upward-include": ("error",
-                             "includes follow the subsystem DAG"
-                             " downward"),
-    "layer-cycle": ("error", "the include graph is acyclic"),
-    "layer-bad-rehome": ("error",
-                         "lsqlint: layer() claims are valid at the"
-                         " claimed layer"),
 }
 
 RUNNERS = [
     legacy.run,
     hotpath.run,
-    layering.run,
 ]
