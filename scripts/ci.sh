@@ -68,15 +68,17 @@
 #                    splits the grid — only the long-running cells may
 #                    be poisoned, each with signal/heartbeat
 #                    provenance, and the sweep must exit nonzero
-#   9. lint        — the lsqlint analyzer (python3 -m tools.lsqlint)
-#                    and the layers check (tests/layers.py: every
-#                    include against the release build's link graph)
-#                    standalone (both are ctests in every flavor above,
-#                    so this is a fast final recheck)
+#   9. lint        — the lsqlint analyzer (python3 -m tools.lsqlint),
+#                    the layers check (tests/layers.py: every include
+#                    against the release build's link graph) and the
+#                    hot_path check (tests/hot_path.py: the hot
+#                    functions against GCC's call graph) standalone
+#                    (all three are ctests in every flavor above, so
+#                    this is a fast final recheck)
 #  10. analyze     — deep static-analysis pass (docs/STATIC_ANALYSIS.md):
 #                    the tests/lintfix fixture self-test (exact
-#                    per-rule counts over broken_hot, broken_legacy,
-#                    clean and suppress, then the suppression negative
+#                    per-rule counts over broken_legacy, clean and
+#                    suppress, then the suppression negative
 #                    control) and clang-tidy
 #                    over compile_commands.json when the binary is
 #                    available (gcc-only containers skip that step)
@@ -390,7 +392,7 @@ python3 scripts/check_crash_smoke.py check-corrupt \
 
 banner "flavor: lint"
 python3 -m tools.lsqlint
-ctest --test-dir build-ci-release -R '^layers$' --output-on-failure
+ctest --test-dir build-ci-release -R '^(layers|hot_path)$' --output-on-failure
 
 banner "flavor: analyze (tests/lintfix fixture self-test)"
 python3 tests/lintfix/run_fixtures.py

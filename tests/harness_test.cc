@@ -666,8 +666,9 @@ TEST(ResultStateTest, MutatedPayloadsLoadOrThrowSerialError)
             cfg.intervalCycles = 500;
         }
         SimResult result = runSimulationJob(cfg);
-        if (withIntervals)
+        if (withIntervals) {
             ASSERT_FALSE(result.intervals.empty());
+        }
         SerialWriter w;
         result.saveState(w);
         payloads.push_back(w.buffer());

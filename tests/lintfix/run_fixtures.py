@@ -24,15 +24,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
 
 EXPECT = {
-    "broken_hot": {
-        "hot-mutex": 1,   # one call level down, in refill()
-        "hot-virtual": 1,
-        "hot-io": 1,
-        "hot-phase-timer": 1,   # the phase(run)-annotated read is the
-                                # in-fixture negative control
-        "raw-new": 2,     # the two allocations trip the legacy rule
-        "stat-dump": 1,   # ...and the printf trips stat-dump in src/core/
-    },
     "broken_legacy": {
         "raw-new": 1,
         "bare-assert": 1,
@@ -48,7 +39,6 @@ EXPECT = {
 # What suppress/ reports once its allow(...) markers are mangled.
 SUPPRESS_UNMASKED = {
     "raw-new": 2,
-    "hot-mutex": 1,
 }
 
 failures = []

@@ -1,9 +1,8 @@
-"""Analysis driver: file walk, facts extraction, rule dispatch,
-suppression filtering and output.
+"""Analysis driver: file walk, lexing, rule dispatch, suppression
+filtering and output.
 
-Facts extraction is per-file; the rules, which need cross-file views
-(hot-path propagation), run over the merged FactsDB.
-A serial run over the whole tree takes well under a second.
+Every rule reads one file at a time. A serial run over the whole tree
+takes well under a second.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import os
 import time
 
-from . import model
+from . import lexer
 
 SOURCE_EXTS = (".hh", ".cc", ".cpp", ".hpp")
 # Fixture trees are deliberately-broken inputs for the analyzer's own
@@ -36,47 +35,6 @@ class Finding:
         return {"rule": self.rule, "severity": self.severity,
                 "path": self.path, "line": self.line,
                 "message": self.msg}
-
-
-class FactsDB:
-    """Merged per-file facts plus the cross-file indices rules need."""
-
-    def __init__(self, root, facts_by_path):
-        self.root = root
-        self.facts = facts_by_path
-
-    # ----------------------------------------------------- queries ----
-    def paths(self, prefix=None):
-        for p in sorted(self.facts):
-            if prefix is None or p.startswith(prefix):
-                yield p
-
-    def src_and_tools(self):
-        for p in sorted(self.facts):
-            if p.startswith("src/") or p.startswith("tools/"):
-                yield p, self.facts[p]
-
-    def src(self):
-        for p in sorted(self.facts):
-            if p.startswith("src/"):
-                yield p, self.facts[p]
-
-    def suppressed(self, path, line, rule):
-        facts = self.facts.get(path)
-        if not facts:
-            return False
-        return rule in facts["allows"].get(str(line), ())
-
-    def functions(self):
-        """Yield (facts-path, function-dict) for src/ definitions."""
-        for p, facts in self.src():
-            for fn in facts["functions"]:
-                yield p, fn
-
-    def classes(self):
-        for p, facts in self.src():
-            for cls in facts["classes"]:
-                yield p, cls
 
 
 # ---------------------------------------------------------- walking ----
@@ -106,52 +64,29 @@ def collect_files(root):
 
 # ---------------------------------------------------------- analyze ----
 
-def build_db(root):
-    """Extract facts for every file under root.
-    Returns (FactsDB, stats-dict)."""
+def analyze(root, rule_filter=None):
+    """Full run over root: returns (sorted, deduped,
+    suppression-filtered findings, stats)."""
+    from .rules import legacy
     root = os.path.abspath(root)
     t0 = time.monotonic()
-    facts_by_path = {}
-    for rel in collect_files(root):
+    files = collect_files(root)
+    found = {}
+    for rel in files:
         with open(os.path.join(root, rel), "r", encoding="utf-8",
-                  errors="replace") as f:
-            facts_by_path[rel] = model.extract(rel, f.read())
+                  errors="replace") as src:
+            lexed = lexer.lex(src.read())
+        allowed = legacy.allows(lexed.comments)
+        for f in legacy.scan(rel, lexed.tokens):
+            if ((rule_filter is None or f.rule in rule_filter) and
+                    f.rule not in allowed.get(f.line, ())):
+                found[(f.path, f.line, f.rule, f.msg)] = f
+    findings = [found[k] for k in sorted(found)]
     stats = {
-        "files": len(facts_by_path),
-        "facts_seconds": round(time.monotonic() - t0, 3),
+        "files": len(files),
+        "total_seconds": round(time.monotonic() - t0, 3),
+        "findings": len(findings),
     }
-    return FactsDB(root, facts_by_path), stats
-
-
-def run_rules(db, rule_filter=None):
-    """Run every registered rule over db; returns sorted, deduped,
-    suppression-filtered findings."""
-    from . import rules
-    findings = []
-    for runner in rules.RUNNERS:
-        findings.extend(runner(db))
-    if rule_filter is not None:
-        findings = [f for f in findings if f.rule in rule_filter]
-    findings = [f for f in findings
-                if not db.suppressed(f.path, f.line, f.rule)]
-    seen = set()
-    out = []
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.rule,
-                                             f.msg)):
-        key = (f.path, f.line, f.rule, f.msg)
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    return out
-
-
-def analyze(root, rule_filter=None):
-    """Full run: returns (findings, stats)."""
-    t0 = time.monotonic()
-    db, stats = build_db(root)
-    findings = run_rules(db, rule_filter=rule_filter)
-    stats["total_seconds"] = round(time.monotonic() - t0, 3)
-    stats["findings"] = len(findings)
     return findings, stats
 
 

@@ -7,7 +7,7 @@ things the old regex linter got wrong: comments, string/char literals
 tokens, and every token carries its source line.
 
 Preprocessor directives are removed from the code stream, so a
-`#define` body never pollutes the declaration parser.
+`#define` body never reaches the rules.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class Comment(NamedTuple):
 class LexedFile(NamedTuple):
     tokens: list        # list[Tok], code only
     comments: list      # list[Comment]
-    nlines: int
 
 
 # One master pattern; alternatives ordered so comments and literals win
@@ -56,7 +55,6 @@ def lex(text: str) -> LexedFile:
     """Tokenize C++ source, separating code tokens from comments and
     preprocessor directives."""
     raw_lines = text.split("\n")
-    nlines = len(raw_lines)
 
     tokens: list[Tok] = []
     comments: list[Comment] = []
@@ -107,4 +105,4 @@ def lex(text: str) -> LexedFile:
         out.append(t)
         i += 1
 
-    return LexedFile(out, comments, nlines)
+    return LexedFile(out, comments)

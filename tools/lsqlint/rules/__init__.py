@@ -3,8 +3,6 @@ output and `// lsqlint: allow(<rule>)` suppressions) and a severity.
 docs/STATIC_ANALYSIS.md is the human-facing catalog; keep it in sync.
 """
 
-from . import hotpath, legacy
-
 # rule id -> (severity, one-line description)
 RULES = {
     # ported PR 1/2/3/5 rules (token-stream reimplementations)
@@ -22,20 +20,4 @@ RULES = {
     "unchecked-syscall": ("error",
                           "crash-isolation syscall results are"
                           " checked"),
-    # hot-path purity
-    "hot-mutex": ("error", "no locks on the hot path"),
-    "hot-virtual": ("error",
-                    "no virtual dispatch through pointers on the hot"
-                    " path"),
-    "hot-io": ("error",
-               "no I/O on the hot path outside LSQ_TRACE_HOOK/cold"
-               " macros"),
-    "hot-phase-timer": ("error",
-                        "profiler clock reads on the hot path sit at"
-                        " lsqlint: phase() annotated boundaries"),
 }
-
-RUNNERS = [
-    legacy.run,
-    hotpath.run,
-]
